@@ -186,7 +186,7 @@ def token_to_str(tok: Token) -> str:
 def token_from_str(text: str, *, line: int | None = None, field: str | None = None) -> Token:
     if text == HOLD or text == REST:
         return text
-    if not text.isdigit():
+    if not (text.isascii() and text.isdigit()):
         raise ChoraleFormatError(f"unknown token {text!r}", line=line, field=field)
     pitch = int(text)
     if not MIN_PITCH <= pitch <= MAX_PITCH:

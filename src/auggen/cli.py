@@ -22,7 +22,7 @@ from . import experiment
 from .corpus import CorpusError, load_corpus, save_corpus, teacher_corpus
 from .experiment import PROFILES, ExperimentConfig, RegimeError, compare, recompute_epoch_stats, resolve_out_dir, run_regime
 from .chorale import ChoraleFormatError
-from .features import extract
+from .features import extract_all
 from .grading import ReferenceModel, fit_reference, grade
 
 log = logging.getLogger(__name__)
@@ -71,8 +71,7 @@ def cmd_grade(args: argparse.Namespace) -> int:
             writer = csv.writer(fh, lineterminator="\n")
             writer.writerow(["chorale_id", "feature_name", "value", "weight"])
             for chorale in corpus:
-                for name in reference.feature_names:
-                    dist = extract(chorale, name)
+                for name, dist in extract_all(chorale, reference.feature_names).items():
                     for value, weight in zip(dist.support, dist.weights):
                         writer.writerow([chorale.id, name, repr(value), repr(weight)])
         print(f"dumped feature distributions -> {args.dump_features}")

@@ -285,8 +285,9 @@ def compare_detailed(config: ExperimentConfig, out_dir: str | Path) -> tuple[lis
 
     reference = fit_reference(data_split.train, config.features, weights=config.weights, p_empty=config.p_empty)
     reference.save(out / "reference.json")
-    train_grades = [grade(c, reference).total for c in data_split.train]
     corpus_grades = [grade(c, reference).total for c in corpus]
+    grade_by_id = dict(zip(corpus.ids(), corpus_grades))
+    train_grades = [grade_by_id[i] for i in data_split.train.ids()]
 
     summaries: list[RegimeSummary] = []
     results: dict[str, RunResult] = {}

@@ -1,7 +1,9 @@
 """Musical feature extractors over the realized chorale grid.
 
-Each extractor maps a valid chorale to a weighted empirical distribution of
-real values. Six are registered:
+An extractor maps a chorale's :class:`~auggen.chorale.RealizedGrid` to a
+list of real event values; :func:`extract_all` realizes a chorale once and
+turns each extractor's events into a weighted empirical distribution.
+Adding a feature is one :data:`REGISTRY` entry. Six are registered:
 
 * ``pitch`` -- MIDI pitches at note onsets, all voices pooled (weight
   proportional to onset count, not sustained duration).
@@ -19,11 +21,11 @@ real values. Six are registered:
 * ``voice_crossing`` -- single value per chorale: fraction of timesteps at
   which some lower voice sounds strictly above a higher voice.
 
-An extractor whose event set is empty (an all-rest chorale, say) returns
-the designated empty-distribution sentinel; grading maps that to a fixed
-penalty. Extractors ``pitch``..``melodic_interval`` are *pooled* features
-(a corpus reference pools raw events); the last two are *per-chorale*
-scalars (a corpus reference collects one value per chorale).
+A chorale with no events for a feature (an all-rest chorale, say) gets the
+designated empty-distribution sentinel; grading maps that to a fixed
+penalty. Extractors ``pitch``..``melodic_interval`` are *pooled* features;
+the last two are *per-chorale* features, which yield at most one value. A
+corpus reference pools the events of every chorale either way.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ from typing import Callable, Iterable
 
 import math
 
-from .chorale import HOLD, SILENT, Chorale, RealizedGrid, realize
+from .chorale import SILENT, Chorale, RealizedGrid, realize
 
 _ADJACENT_PAIRS = ((0, 1), (1, 2), (2, 3))
 _NORM_TOL = 1e-12
@@ -92,14 +94,13 @@ def _pitch_events(grid: RealizedGrid) -> list[float]:
     return [float(p) for p in grid.pitches[grid.onsets]]
 
 
-def _rhythm_events(chorale: Chorale) -> list[float]:
+def _rhythm_events(grid: RealizedGrid) -> list[float]:
     durations = []
-    for voice in chorale.voices:
-        length = len(voice)
-        for t, tok in enumerate(voice):
-            if isinstance(tok, int):
+    for pitches, onsets in zip(grid.pitches.tolist(), grid.onsets.tolist()):
+        for t, on in enumerate(onsets):
+            if on:
                 end = t + 1
-                while end < length and voice[end] == HOLD:
+                while end < grid.length and not onsets[end] and pitches[end] != SILENT:
                     end += 1
                 durations.append(float(end - t))
     return durations
@@ -123,8 +124,8 @@ def _melodic_events(grid: RealizedGrid) -> list[float]:
     return diffs
 
 
-def _parallel_error_value(grid: RealizedGrid) -> float | None:
-    """Errors per 16 timesteps, or None when no voice pair ever moves in parallel view."""
+def _parallel_errors(grid: RealizedGrid) -> list[float]:
+    """Errors per 16 timesteps; no value when no voice pair ever sounds at consecutive steps."""
     opportunities = 0
     errors = 0
     for i, j in combinations(range(grid.pitches.shape[0]), 2):
@@ -140,12 +141,12 @@ def _parallel_error_value(grid: RealizedGrid) -> float | None:
                 if first in (0, 7) and first == second:
                     errors += 1
     if opportunities == 0:
-        return None
-    return errors * 16.0 / grid.length
+        return []
+    return [errors * 16.0 / grid.length]
 
 
-def _voice_crossing_value(grid: RealizedGrid) -> float | None:
-    """Crossed fraction of timesteps, or None when no two voices ever sound together."""
+def _voice_crossing(grid: RealizedGrid) -> list[float]:
+    """Crossed fraction of timesteps; no value when no two voices ever sound together."""
     comparable = 0
     crossed = 0
     for t in range(grid.length):
@@ -161,54 +162,23 @@ def _voice_crossing_value(grid: RealizedGrid) -> float | None:
         ):
             crossed += 1
     if comparable == 0:
-        return None
-    return crossed / grid.length
-
-
-def pitch_feature(chorale: Chorale) -> FeatureDistribution:
-    return FeatureDistribution.from_values("pitch", _pitch_events(realize(chorale)))
-
-
-def rhythm_feature(chorale: Chorale) -> FeatureDistribution:
-    realize(chorale)  # enforce validity like every other extractor
-    return FeatureDistribution.from_values("rhythm", _rhythm_events(chorale))
-
-
-def harmonic_interval_feature(chorale: Chorale) -> FeatureDistribution:
-    return FeatureDistribution.from_values("harmonic_interval", _harmonic_events(realize(chorale)))
-
-
-def melodic_interval_feature(chorale: Chorale) -> FeatureDistribution:
-    return FeatureDistribution.from_values("melodic_interval", _melodic_events(realize(chorale)))
-
-
-def parallel_error_feature(chorale: Chorale) -> FeatureDistribution:
-    value = _parallel_error_value(realize(chorale))
-    if value is None:
-        return FeatureDistribution.empty("parallel_errors")
-    return FeatureDistribution.point("parallel_errors", value)
-
-
-def voice_crossing_feature(chorale: Chorale) -> FeatureDistribution:
-    value = _voice_crossing_value(realize(chorale))
-    if value is None:
-        return FeatureDistribution.empty("voice_crossing")
-    return FeatureDistribution.point("voice_crossing", value)
+        return []
+    return [crossed / grid.length]
 
 
 @dataclass(frozen=True)
 class FeatureSpec:
-    extractor: Callable[[Chorale], FeatureDistribution]
+    extractor: Callable[[RealizedGrid], list[float]]  # event values of one chorale
     pooled: bool  # pooled over corpus events vs one scalar per chorale
 
 
 REGISTRY: dict[str, FeatureSpec] = {
-    "pitch": FeatureSpec(pitch_feature, pooled=True),
-    "rhythm": FeatureSpec(rhythm_feature, pooled=True),
-    "harmonic_interval": FeatureSpec(harmonic_interval_feature, pooled=True),
-    "melodic_interval": FeatureSpec(melodic_interval_feature, pooled=True),
-    "parallel_errors": FeatureSpec(parallel_error_feature, pooled=False),
-    "voice_crossing": FeatureSpec(voice_crossing_feature, pooled=False),
+    "pitch": FeatureSpec(_pitch_events, pooled=True),
+    "rhythm": FeatureSpec(_rhythm_events, pooled=True),
+    "harmonic_interval": FeatureSpec(_harmonic_events, pooled=True),
+    "melodic_interval": FeatureSpec(_melodic_events, pooled=True),
+    "parallel_errors": FeatureSpec(_parallel_errors, pooled=False),
+    "voice_crossing": FeatureSpec(_voice_crossing, pooled=False),
 }
 
 DEFAULT_FEATURES: tuple[str, ...] = tuple(REGISTRY)
@@ -226,8 +196,14 @@ def check_feature_set(names: Iterable[str]) -> tuple[str, ...]:
     return names
 
 
+def extract_all(chorale: Chorale, names: Iterable[str]) -> dict[str, FeatureDistribution]:
+    """Realize ``chorale`` once and map each feature name to its distribution."""
+    grid = realize(chorale)
+    return {name: FeatureDistribution.from_values(name, REGISTRY[name].extractor(grid)) for name in names}
+
+
 def extract(chorale: Chorale, name: str) -> FeatureDistribution:
-    return REGISTRY[name].extractor(chorale)
+    return extract_all(chorale, (name,))[name]
 
 
 def feature_events(chorale: Chorale, name: str) -> list[float]:
@@ -235,11 +211,4 @@ def feature_events(chorale: Chorale, name: str) -> list[float]:
     spec = REGISTRY[name]
     if not spec.pooled:
         raise ValueError(f"{name} is a per-chorale feature; it has no event pool")
-    grid = realize(chorale)
-    if name == "pitch":
-        return _pitch_events(grid)
-    if name == "rhythm":
-        return _rhythm_events(chorale)
-    if name == "harmonic_interval":
-        return _harmonic_events(grid)
-    return _melodic_events(grid)
+    return spec.extractor(realize(chorale))

@@ -19,9 +19,9 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .chorale import Chorale
+from .chorale import Chorale, realize
 from .corpus import Corpus
-from .features import REGISTRY, DEFAULT_FEATURES, FeatureDistribution, check_feature_set, extract, feature_events
+from .features import REGISTRY, DEFAULT_FEATURES, FeatureDistribution, check_feature_set, extract_all
 
 DEFAULT_P_EMPTY = 100.0
 
@@ -78,7 +78,10 @@ class ReferenceModel:
     def from_json(cls, payload: dict) -> "ReferenceModel":
         if payload.get("format") != _REFERENCE_FORMAT:
             raise ValueError(f"unrecognized reference format {payload.get('format')!r}")
-        names = tuple(payload["features"])
+        names = check_feature_set(payload["features"])
+        for key in ("references", "weights"):
+            if set(payload[key]) != set(names):
+                raise ValueError(f"{key} keys {sorted(payload[key])} do not match features {sorted(names)}")
         references = {
             name: FeatureDistribution(name, tuple(entry["support"]), tuple(entry["weights"]))
             for name, entry in payload["references"].items()
@@ -111,9 +114,9 @@ def fit_reference(
 ) -> ReferenceModel:
     """Fit per-feature references from ``corpus``.
 
-    Pooled features concatenate raw events over all chorales; per-chorale
-    features collect one scalar per chorale. Raises if an enabled feature
-    yields zero events over the whole corpus.
+    Each chorale is realized once; every feature pools its events over all
+    chorales (a per-chorale feature contributes at most one value each).
+    Raises if an enabled feature yields zero events over the whole corpus.
     """
     names = check_feature_set(feature_set)
     if len(corpus) == 0:
@@ -131,16 +134,14 @@ def fit_reference(
     if not any(w > 0 for w in weight_map.values()):
         raise ValueError("at least one feature weight must be > 0")
 
+    events: dict[str, list[float]] = {name: [] for name in names}
+    for chorale in corpus:
+        grid = realize(chorale)
+        for name in names:
+            events[name].extend(REGISTRY[name].extractor(grid))
     references: dict[str, FeatureDistribution] = {}
     for name in names:
-        if REGISTRY[name].pooled:
-            events: list[float] = []
-            for chorale in corpus:
-                events.extend(feature_events(chorale, name))
-            reference = FeatureDistribution.from_values(name, events)
-        else:
-            values = [dist.support[0] for dist in (extract(c, name) for c in corpus) if not dist.is_empty]
-            reference = FeatureDistribution.from_values(name, values)
+        reference = FeatureDistribution.from_values(name, events[name])
         if reference.is_empty:
             raise ValueError(f"corpus yields zero events for feature {name!r}")
         references[name] = reference
@@ -166,8 +167,7 @@ class GradeReport:
 def grade(chorale: Chorale, reference: ReferenceModel) -> GradeReport:
     distances: dict[str, float] = {}
     total = 0.0
-    for name in reference.feature_names:
-        dist = extract(chorale, name)
+    for name, dist in extract_all(chorale, reference.feature_names).items():
         d = reference.p_empty if dist.is_empty else wasserstein1(dist, reference.references[name])
         distances[name] = d
         total += reference.weights[name] * d

@@ -6,7 +6,7 @@ implementations they verify.
 
 from itertools import combinations
 
-from auggen.chorale import SILENT, realize
+from auggen.chorale import HOLD, SILENT, realize
 
 
 def transport_cost(p, q) -> float:
@@ -54,3 +54,17 @@ def brute_parallel_count(chorale) -> tuple[int, int]:
                 if both_moved and abs(a0 - b0) % 12 in (0, 7) and abs(a0 - b0) % 12 == abs(a1 - b1) % 12:
                     errors += 1
     return opportunities, errors
+
+
+def token_walk_durations(chorale) -> list[float]:
+    """Note durations in sixteenths, walking each voice's tokens: an onset plus its holds."""
+    durations = []
+    for voice in chorale.voices:
+        length = len(voice)
+        for t, tok in enumerate(voice):
+            if isinstance(tok, int):
+                end = t + 1
+                while end < length and voice[end] == HOLD:
+                    end += 1
+                durations.append(float(end - t))
+    return durations

@@ -5,9 +5,11 @@ complete. Every tolerance and runtime budget is pinned here.
 """
 
 import csv
+import hashlib
 import json
 import math
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -24,6 +26,8 @@ from oracles import transport_cost
 
 METRIC_TOL = 1e-9
 NORM_TOL = 1e-12
+# blessed artifact digests of the desk compare at seeds 17..19; rewritten by perfbench/bless.py
+GOLDEN_DIGESTS = Path(__file__).resolve().parents[1] / "perfbench" / "expected" / "desk-sweep.json"
 
 
 def report(number: int, name: str, ok: bool, detail: str = "") -> None:
@@ -204,11 +208,25 @@ def test_criterion_4_compare_determinism(desk_compare_17, tmp_path_factory):
     for rel in targets:
         if (out_a / rel).read_bytes() != (out_b / rel).read_bytes():
             mismatched.append(rel)
+
+    prefix = f"{config.seed}/"
+    blessed = {
+        key[len(prefix):]: digest
+        for key, digest in json.loads(GOLDEN_DIGESTS.read_text(encoding="utf-8"))["digests"].items()
+        if key.startswith(prefix)
+    }
+    produced = {
+        path.relative_to(out_a).as_posix(): hashlib.sha256(path.read_bytes()).hexdigest()
+        for path in sorted(out_a.rglob("*"))
+        if path.is_file()
+    }
+    off_golden = sorted(rel for rel in blessed.keys() | produced.keys() if blessed.get(rel) != produced.get(rel))
+    mismatched += [f"{rel} differs from the blessed digest" for rel in off_golden]
     report(
         4,
-        "byte-identical CSV outputs across repeated compare runs",
-        not mismatched,
-        "; ".join(mismatched) if mismatched else f"{len(targets)} files identical",
+        "byte-identical outputs across repeated compare runs and against the blessed digests",
+        bool(blessed) and not mismatched,
+        "; ".join(mismatched) if mismatched else f"{len(targets)} files identical, {len(blessed)} blessed digests match",
     )
 
 

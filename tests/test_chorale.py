@@ -111,6 +111,8 @@ def test_parse_rejects_three_voices():
         '{"id":"x","voices":[["60"],["60"],["60"],[60]]}',
         '{"id":"x","voices":[["60"],["60"],["60"],["?"]]}',
         '{"id":"x","voices":[["__"],["60"],["60"],["60"]]}',
+        '{"id":"x","voices":[["٦٠"],["60"],["60"],["60"]]}',
+        '{"id":"x","voices":[["²"],["60"],["60"],["60"]]}',
     ],
 )
 def test_parse_rejects_malformed_records(text):

@@ -239,6 +239,26 @@ class TestCli:
         for total in by_chorale_feature.values():
             assert total == pytest.approx(1.0, abs=1e-9)
 
+    @pytest.mark.parametrize("tamper", ["unregistered_feature", "weights_mismatch"])
+    def test_grade_rejects_inconsistent_reference(self, small_compare, tmp_path, capsys, tamper):
+        config, out, _, _ = small_compare
+        payload = json.loads((out / "reference.json").read_text(encoding="utf-8"))
+        if tamper == "unregistered_feature":
+            payload["features"][0] = "loudness"
+            payload["references"]["loudness"] = payload["references"].pop("pitch")
+            payload["weights"]["loudness"] = payload["weights"].pop("pitch")
+        else:
+            del payload["weights"]["rhythm"]
+        reference_path = tmp_path / "reference.json"
+        reference_path.write_text(json.dumps(payload), encoding="utf-8")
+        corpus_path = tmp_path / "corpus.jsonl"
+        assert main(["teacher-gen", "--seed", str(config.seed), "--n", "2", "--out", str(corpus_path)]) == 0
+        capsys.readouterr()
+        args = ["grade", "--corpus", str(corpus_path), "--reference", str(reference_path), "--out", str(tmp_path / "g.csv")]
+        assert main(args) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+
     def test_compare_cli_reruns_byte_identical(self, tmp_path):
         config = write_small_config(tmp_path)
         for name in ("x", "y"):

@@ -2,21 +2,18 @@ import pytest
 from hypothesis import given
 import hypothesis.strategies as st
 
-from auggen.chorale import HOLD, REST, Chorale, transpose
+from auggen import features, grading
+from auggen.chorale import HOLD, REST, Chorale, realize, transpose
+from auggen.corpus import Corpus
 from auggen.features import (
     DEFAULT_FEATURES,
     REGISTRY,
     FeatureDistribution,
     extract,
     feature_events,
-    melodic_interval_feature,
-    parallel_error_feature,
-    pitch_feature,
-    rhythm_feature,
-    voice_crossing_feature,
 )
 from conftest import chorales
-from oracles import brute_parallel_count
+from oracles import brute_parallel_count, token_walk_durations
 
 
 def quad(*voices):
@@ -55,26 +52,26 @@ class TestFeatureDistribution:
 
 def test_whole_note_chorale_has_no_parallel_errors():
     c = quad(whole_note(72), whole_note(67), whole_note(64), whole_note(60))
-    dist = parallel_error_feature(c)
+    dist = extract(c, "parallel_errors")
     assert dist.support == (0.0,) and dist.weights == (1.0,)
 
 
 def test_parallel_octaves_normalized_per_16():
     # S and B move 72->74 over 60->62: octave at both steps, both voices move
     c = quad((72, 74), rests(2), rests(2), (60, 62))
-    dist = parallel_error_feature(c)
+    dist = extract(c, "parallel_errors")
     assert dist.support == (8.0,)  # 1 error in 2 timesteps = 8 per 16
 
 
 def test_rhythm_and_pitch_point_masses():
     c = quad((60, HOLD, HOLD, HOLD), rests(4), rests(4), rests(4))
-    assert rhythm_feature(c).support == (4.0,)
-    assert pitch_feature(c).support == (60.0,)
+    assert extract(c, "rhythm").support == (4.0,)
+    assert extract(c, "pitch").support == (60.0,)
 
 
 def test_melodic_intervals_signed():
     c = quad((60, 64, 60), rests(3), rests(3), rests(3))
-    dist = melodic_interval_feature(c)
+    dist = extract(c, "melodic_interval")
     assert dist.support == (-4.0, 4.0)
     assert dist.weights == (0.5, 0.5)
 
@@ -88,7 +85,7 @@ def test_harmonic_intervals_adjacent_pairs_only():
 
 def test_voice_crossing_fraction():
     c = quad((60, 60), (65, 55), rests(2), rests(2))
-    dist = voice_crossing_feature(c)
+    dist = extract(c, "voice_crossing")
     assert dist.support == (0.5,)  # alto above soprano at t=0 only
 
 
@@ -100,8 +97,8 @@ def test_all_rest_chorale_hits_every_sentinel():
 
 def test_single_timestep_chorale_parallel_sentinel():
     c = quad((60,), (55,), (48,), (41,))
-    assert parallel_error_feature(c).is_empty  # no consecutive timesteps to inspect
-    assert not voice_crossing_feature(c).is_empty
+    assert extract(c, "parallel_errors").is_empty  # no consecutive timesteps to inspect
+    assert not extract(c, "voice_crossing").is_empty
 
 
 @given(chorales(max_length=8))
@@ -128,7 +125,7 @@ def test_transposition_shifts_only_pitch(c, k):
 @given(chorales(max_length=8))
 def test_parallel_error_feature_matches_brute_force(c):
     opportunities, errors = brute_parallel_count(c)
-    dist = parallel_error_feature(c)
+    dist = extract(c, "parallel_errors")
     if opportunities == 0:
         assert dist.is_empty
     else:
@@ -148,3 +145,26 @@ def test_feature_events_consistent_with_extractor(c):
 def test_feature_events_rejects_point_features(desk_corpus):
     with pytest.raises(ValueError):
         feature_events(desk_corpus.chorales[0], "voice_crossing")
+
+
+@given(chorales(max_length=10))
+def test_rhythm_extractor_matches_token_walk(c):
+    assert REGISTRY["rhythm"].extractor(realize(c)) == token_walk_durations(c)
+
+
+def test_critic_realizes_each_chorale_once(monkeypatch, desk_reference):
+    calls = []
+
+    def counting_realize(chorale):
+        calls.append(chorale.id)
+        return realize(chorale)
+
+    for module in (features, grading):
+        monkeypatch.setattr(module, "realize", counting_realize, raising=False)
+    c = quad((60, 62, HOLD, 64), (55, REST, 57, HOLD), (48, 50, 52, 53), (41, HOLD, 43, 45))
+    grading.grade(c, desk_reference)
+    assert calls == ["c"]
+    calls.clear()
+    corpus = Corpus(tuple(Chorale(id=f"c{i}", voices=c.voices) for i in range(3)))
+    grading.fit_reference(corpus)
+    assert calls == ["c0", "c1", "c2"]

@@ -72,9 +72,9 @@ class TestFitReference:
     def test_single_chorale_reference_is_its_distribution(self):
         c = Chorale(id="one", voices=((60, 64), (55, 57), (48, 50), (41, 43)))
         ref = fit_reference(Corpus((c,)), feature_set=("pitch",))
-        from auggen.features import pitch_feature
+        from auggen.features import extract
 
-        assert ref.references["pitch"] == pitch_feature(c)
+        assert ref.references["pitch"] == extract(c, "pitch")
 
     def test_pooling_idempotent_under_duplication(self):
         c = Chorale(id="one", voices=((60, 64), (55, 57), (48, 50), (41, 43)))
