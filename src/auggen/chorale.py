@@ -158,23 +158,6 @@ def realize(chorale: Chorale) -> RealizedGrid:
     return RealizedGrid(pitches=pitches, onsets=onsets)
 
 
-def tokens_from_grid(grid: RealizedGrid) -> tuple[tuple[Token, ...], ...]:
-    """Inverse of :func:`realize`: first timestep of each sustained run is a note."""
-    voices = []
-    for v in range(grid.pitches.shape[0]):
-        voice: list[Token] = []
-        for t in range(grid.length):
-            pitch = int(grid.pitches[v, t])
-            if grid.onsets[v, t]:
-                voice.append(pitch)
-            elif pitch == SILENT:
-                voice.append(REST)
-            else:
-                voice.append(HOLD)
-        voices.append(tuple(voice))
-    return tuple(voices)
-
-
 def token_to_str(tok: Token) -> str:
     if isinstance(tok, int) and not isinstance(tok, bool):
         return str(tok)

@@ -6,7 +6,8 @@ corpus against a saved reference), ``train`` (single-regime run),
 statistics from a finished run directory). Configuration comes from a
 profile (``--profile desk|paper``), optionally overlaid by a JSON config
 file (``--config``) and individual flags. Exit code 0 on success, 1 on any
-failure, with a diagnostic on stderr.
+failure, with a diagnostic on stderr; a bad config fails before any file is
+written. Usage errors from argparse exit 2.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from .corpus import CorpusError, load_corpus, save_corpus, teacher_corpus
 from .experiment import PROFILES, ExperimentConfig, RegimeError, compare, recompute_epoch_stats, resolve_out_dir, run_regime
 from .chorale import ChoraleFormatError
 from .features import extract_all
-from .grading import ReferenceModel, fit_reference, grade
+from .grading import ReferenceModel, grade
 
 log = logging.getLogger(__name__)
 
@@ -81,10 +82,8 @@ def cmd_grade(args: argparse.Namespace) -> int:
 def cmd_train(args: argparse.Namespace) -> int:
     config = _build_config(args)
     out = resolve_out_dir(args.out_dir, f"runs/{args.regime}")
-    corpus = experiment.load_or_synthesize_corpus(config)
-    data_split = experiment.split(corpus, config.split_fraction, config.seed)
-    reference = fit_reference(data_split.train, config.features, weights=config.weights, p_empty=config.p_empty)
-    train_grades = [grade(c, reference).total for c in data_split.train]
+    _, data_split, reference, grade_by_id = experiment.prepare(config)
+    train_grades = [grade_by_id[i] for i in data_split.train.ids()]
     threshold = experiment.regime_threshold(args.regime, train_grades, config.quantile, data_split.train.digest())
     _, summary = run_regime(config, args.regime, data_split, reference, threshold, out_dir=out)
     print(

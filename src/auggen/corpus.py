@@ -117,17 +117,6 @@ def save_split_manifest(s: Split, path: str | Path) -> None:
     Path(path).write_text(json.dumps(split_manifest(s), sort_keys=True) + "\n", encoding="utf-8")
 
 
-def apply_split_manifest(corpus: Corpus, manifest: dict) -> Split:
-    """Rebuild a Split from a manifest produced by :func:`split_manifest`."""
-    by_id = {c.id: c for c in corpus}
-    try:
-        train = Corpus(tuple(by_id[i] for i in manifest["train_ids"]))
-        validation = Corpus(tuple(by_id[i] for i in manifest["validation_ids"]))
-    except KeyError as exc:
-        raise CorpusError(f"manifest references unknown chorale id {exc.args[0]!r}") from exc
-    return Split(train=train, validation=validation, seed=manifest["seed"], fraction=manifest["fraction"])
-
-
 # ---------------------------------------------------------------------------
 # Synthetic teacher corpus
 # ---------------------------------------------------------------------------

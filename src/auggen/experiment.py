@@ -21,10 +21,11 @@ import json
 import logging
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Sequence
 
+from .chorale import REST
 from .corpus import Corpus, Split, load_corpus, save_split_manifest, split, teacher_corpus
 from .features import DEFAULT_FEATURES, check_feature_set
 from .grading import ReferenceModel, Threshold, fit_reference, grade, grade_quantile, nearest_rank
@@ -86,34 +87,33 @@ class ExperimentConfig:
             raise ValueError(f"quantile must be in (0, 1], got {self.quantile}")
         if self.n_eval < 1:
             raise ValueError(f"n_eval must be >= 1, got {self.n_eval}")
+        # throwaway instances run the range checks that LoopConfig, BatchPlan and MarkovModel own
+        self.loop_config(Threshold(value=math.inf, label=REGIME_ALL))
+        MarkovModel(order=self.markov_order, alpha=self.smoothing, vocabs=[(REST,)] * 4)
+
+    def loop_config(self, threshold: Threshold) -> LoopConfig:
+        """The loop settings of one regime run; regimes differ only in ``threshold``."""
+        return LoopConfig(
+            n_generate=self.n_generate,
+            threshold=threshold,
+            plan=BatchPlan(batches=self.batches, batch_size=self.batch_size),
+            max_epochs=self.max_epochs,
+            patience=self.patience,
+            min_improvement=self.min_improvement,
+            seed=self.seed,
+        )
 
     def to_json(self) -> dict:
-        payload = {
-            "corpus_path": self.corpus_path,
-            "teacher_n": self.teacher_n,
-            "teacher_min_length": self.teacher_min_length,
-            "teacher_max_length": self.teacher_max_length,
-            "split_fraction": self.split_fraction,
-            "features": list(self.features),
-            "weights": self.weights,
-            "p_empty": self.p_empty,
-            "regimes": list(self.regimes),
-            "quantile": self.quantile,
-            "n_generate": self.n_generate,
-            "batches": self.batches,
-            "batch_size": self.batch_size,
-            "max_epochs": self.max_epochs,
-            "patience": self.patience,
-            "min_improvement": self.min_improvement,
-            "markov_order": self.markov_order,
-            "smoothing": self.smoothing,
-            "n_eval": self.n_eval,
-            "seed": self.seed,
-        }
+        payload = {f.name: getattr(self, f.name) for f in fields(self)}
+        payload["features"] = list(self.features)
+        payload["regimes"] = list(self.regimes)
         return payload
 
     @classmethod
     def from_json(cls, payload: dict) -> "ExperimentConfig":
+        unknown = sorted(set(payload) - {f.name for f in fields(cls)})
+        if unknown:
+            raise ValueError(f"unknown config key(s) {unknown}")
         kwargs = dict(payload)
         for key in ("features", "regimes"):
             if key in kwargs and kwargs[key] is not None:
@@ -180,6 +180,18 @@ def load_or_synthesize_corpus(config: ExperimentConfig) -> Corpus:
     )
 
 
+def prepare(config: ExperimentConfig) -> tuple[Corpus, Split, ReferenceModel, dict[str, float]]:
+    """Corpus, split, frozen critic and every corpus chorale's grade by id; writes nothing.
+
+    The only way from a config to the critic, so every entry point and regime sees the same inputs.
+    """
+    corpus = load_or_synthesize_corpus(config)
+    data_split = split(corpus, config.split_fraction, config.seed)
+    reference = fit_reference(data_split.train, config.features, weights=config.weights, p_empty=config.p_empty)
+    grade_by_id = {c.id: grade(c, reference).total for c in corpus}
+    return corpus, data_split, reference, grade_by_id
+
+
 def regime_threshold(regime: str, train_grades: Sequence[float], quantile: float, corpus_digest: str) -> Threshold:
     if regime == REGIME_NONE:
         return Threshold(value=-math.inf, label=REGIME_NONE)
@@ -206,17 +218,8 @@ def run_regime(
     threshold: Threshold,
     out_dir: Path | None = None,
 ) -> tuple[RunResult, RegimeSummary]:
-    loop_config = LoopConfig(
-        n_generate=config.n_generate,
-        threshold=threshold,
-        plan=BatchPlan(batches=config.batches, batch_size=config.batch_size),
-        max_epochs=config.max_epochs,
-        patience=config.patience,
-        min_improvement=config.min_improvement,
-        seed=config.seed,
-    )
     model = MarkovModel.with_vocab_from(data_split.train, order=config.markov_order, alpha=config.smoothing)
-    result = run(loop_config, data_split, config.features, model, weights=config.weights, reference=reference)
+    result = run(config.loop_config(threshold), data_split, model, reference)
 
     length_pool = [c.length for c in data_split.train]
     final_grades = []
@@ -275,19 +278,14 @@ def compare_detailed(config: ExperimentConfig, out_dir: str | Path) -> tuple[lis
     On a regime failure, everything produced so far is still flushed and a
     :class:`RegimeError` naming the regime is raised.
     """
+    corpus, data_split, reference, grade_by_id = prepare(config)
+    train_grades = [grade_by_id[i] for i in data_split.train.ids()]
+
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     (out / "config.json").write_text(json.dumps(config.to_json(), sort_keys=True) + "\n", encoding="utf-8")
-
-    corpus = load_or_synthesize_corpus(config)
-    data_split = split(corpus, config.split_fraction, config.seed)
     save_split_manifest(data_split, out / "split.json")
-
-    reference = fit_reference(data_split.train, config.features, weights=config.weights, p_empty=config.p_empty)
     reference.save(out / "reference.json")
-    corpus_grades = [grade(c, reference).total for c in corpus]
-    grade_by_id = dict(zip(corpus.ids(), corpus_grades))
-    train_grades = [grade_by_id[i] for i in data_split.train.ids()]
 
     summaries: list[RegimeSummary] = []
     results: dict[str, RunResult] = {}
@@ -304,7 +302,7 @@ def compare_detailed(config: ExperimentConfig, out_dir: str | Path) -> tuple[lis
         results[regime] = result
 
     _write_figure1(out / "figure1.csv", summaries)
-    _write_figure2(out / "figure2.csv", corpus_grades, summaries)
+    _write_figure2(out / "figure2.csv", [grade_by_id[i] for i in corpus.ids()], summaries)
     (out / "summary.json").write_text(
         json.dumps([s.to_json() for s in summaries], sort_keys=True) + "\n", encoding="utf-8"
     )

@@ -47,6 +47,12 @@ def wasserstein1(p: FeatureDistribution, q: FeatureDistribution) -> float:
     return float(np.sum(np.abs(cdf_p - cdf_q)[:-1] * np.diff(xs)))
 
 
+def _require_keys(payload: Mapping, keys: Sequence[str], what: str) -> None:
+    missing = [key for key in keys if key not in payload]
+    if missing:
+        raise ValueError(f"{what} is missing key(s) {missing}")
+
+
 @dataclass(frozen=True)
 class ReferenceModel:
     """Per-feature reference distributions plus weights and the empty penalty.
@@ -78,10 +84,13 @@ class ReferenceModel:
     def from_json(cls, payload: dict) -> "ReferenceModel":
         if payload.get("format") != _REFERENCE_FORMAT:
             raise ValueError(f"unrecognized reference format {payload.get('format')!r}")
+        _require_keys(payload, ("features", "references", "weights", "p_empty"), "reference")
         names = check_feature_set(payload["features"])
         for key in ("references", "weights"):
             if set(payload[key]) != set(names):
                 raise ValueError(f"{key} keys {sorted(payload[key])} do not match features {sorted(names)}")
+        for name, entry in payload["references"].items():
+            _require_keys(entry, ("support", "weights"), f"reference entry {name!r}")
         references = {
             name: FeatureDistribution(name, tuple(entry["support"]), tuple(entry["weights"]))
             for name, entry in payload["references"].items()

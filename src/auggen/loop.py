@@ -11,9 +11,8 @@ and rebuilds the model from that multiset. Validation loss on the fixed
 held-out split drives best-snapshot selection and optional patience-based
 early stopping.
 
-Everything is a pure function of (config, split, feature set, model
-hyperparameters): rerunning with the same inputs reproduces every file
-byte for byte.
+Everything is a pure function of (config, split, model, reference):
+rerunning with the same inputs reproduces every file byte for byte.
 """
 
 from __future__ import annotations
@@ -27,7 +26,7 @@ from typing import Sequence
 
 from .chorale import Chorale, canonical_key, serialize_chorale
 from .corpus import Split
-from .grading import ReferenceModel, Threshold, fit_reference, grade
+from .grading import ReferenceModel, Threshold, grade
 from .model import BatchPlan, GenerativeModel
 from .rng import stream
 
@@ -162,20 +161,8 @@ def training_step(
     return model.mean_nll(multiset), tuple(c.id for c in multiset)
 
 
-def run(
-    config: LoopConfig,
-    split: Split,
-    feature_set: Sequence[str],
-    model: GenerativeModel,
-    *,
-    weights=None,
-    p_empty: float | None = None,
-    reference: ReferenceModel | None = None,
-) -> RunResult:
+def run(config: LoopConfig, split: Split, model: GenerativeModel, reference: ReferenceModel) -> RunResult:
     """Run the full loop; see the module docstring for the epoch structure."""
-    if reference is None:
-        kwargs = {} if p_empty is None else {"p_empty": p_empty}
-        reference = fit_reference(split.train, feature_set, weights=weights, **kwargs)
     digest_before = reference.digest()
 
     state = TrainState(

@@ -12,7 +12,6 @@ tokens of the voices above it (soprano first).
 from __future__ import annotations
 
 import abc
-import copy
 import json
 import logging
 from dataclasses import dataclass
@@ -21,7 +20,7 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .chorale import HOLD, REST, Chorale, Token, token_to_str, validate
+from .chorale import HOLD, REST, Chorale, InvalidChoraleError, Token, token_to_str, validate
 
 log = logging.getLogger(__name__)
 
@@ -210,7 +209,9 @@ class MarkovModel(GenerativeModel):
                 step = step + (tok,)
         voices = tuple(tuple(h[self.order :]) for h in history)
         chorale = Chorale(id=chorale_id, voices=voices)
-        assert not validate(chorale), "sampler produced an invalid chorale"
+        violations = validate(chorale)
+        if violations:
+            raise InvalidChoraleError(chorale_id, violations)
         return chorale
 
     def mean_nll(self, chorales: Sequence[Chorale]) -> float:
@@ -245,16 +246,15 @@ class MarkovModel(GenerativeModel):
         self.fit(multiset)
         return multiset
 
+    # fit replaces both tables wholesale and nothing mutates them, so snapshots share them
     def snapshot(self) -> object:
-        return {
-            "counts": copy.deepcopy(self._counts),
-            "totals": copy.deepcopy(self._totals),
-        }
+        return {"counts": self._counts, "totals": self._totals}
 
     def restore(self, state: object) -> None:
-        assert isinstance(state, dict) and "counts" in state and "totals" in state
-        self._counts = copy.deepcopy(state["counts"])
-        self._totals = copy.deepcopy(state["totals"])
+        if not (isinstance(state, dict) and "counts" in state and "totals" in state):
+            raise TypeError(f"not a MarkovModel snapshot: {type(state).__name__}")
+        self._counts = state["counts"]
+        self._totals = state["totals"]
 
     def save(self, path: str | Path) -> None:
         entries = []

@@ -6,7 +6,24 @@ implementations they verify.
 
 from itertools import combinations
 
-from auggen.chorale import HOLD, SILENT, realize
+from auggen.chorale import HOLD, REST, SILENT, realize
+
+
+def tokens_from_grid(grid) -> tuple[tuple, ...]:
+    """Inverse of :func:`realize`: first timestep of each sustained run is a note."""
+    voices = []
+    for v in range(grid.pitches.shape[0]):
+        voice = []
+        for t in range(grid.length):
+            pitch = int(grid.pitches[v, t])
+            if grid.onsets[v, t]:
+                voice.append(pitch)
+            elif pitch == SILENT:
+                voice.append(REST)
+            else:
+                voice.append(HOLD)
+        voices.append(tuple(voice))
+    return tuple(voices)
 
 
 def transport_cost(p, q) -> float:

@@ -12,11 +12,11 @@ from auggen.chorale import (
     parse_chorale,
     realize,
     serialize_chorale,
-    tokens_from_grid,
     transpose,
     validate,
 )
 from conftest import chorales
+from oracles import tokens_from_grid
 
 
 def quad(*voices):

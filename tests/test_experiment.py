@@ -239,7 +239,9 @@ class TestCli:
         for total in by_chorale_feature.values():
             assert total == pytest.approx(1.0, abs=1e-9)
 
-    @pytest.mark.parametrize("tamper", ["unregistered_feature", "weights_mismatch"])
+    @pytest.mark.parametrize(
+        "tamper", ["unregistered_feature", "weights_mismatch", "missing_p_empty", "missing_support"]
+    )
     def test_grade_rejects_inconsistent_reference(self, small_compare, tmp_path, capsys, tamper):
         config, out, _, _ = small_compare
         payload = json.loads((out / "reference.json").read_text(encoding="utf-8"))
@@ -247,8 +249,12 @@ class TestCli:
             payload["features"][0] = "loudness"
             payload["references"]["loudness"] = payload["references"].pop("pitch")
             payload["weights"]["loudness"] = payload["weights"].pop("pitch")
-        else:
+        elif tamper == "weights_mismatch":
             del payload["weights"]["rhythm"]
+        elif tamper == "missing_p_empty":
+            del payload["p_empty"]
+        else:
+            del payload["references"]["pitch"]["support"]
         reference_path = tmp_path / "reference.json"
         reference_path.write_text(json.dumps(payload), encoding="utf-8")
         corpus_path = tmp_path / "corpus.jsonl"
@@ -258,6 +264,26 @@ class TestCli:
         assert main(args) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1, err
+
+    @pytest.mark.parametrize(
+        "override",
+        [
+            {"bogus": 1},
+            {"n_generate": -1},
+            {"batches": 0},
+            {"markov_order": 0},
+            {"split_fraction": 1.5},
+            {"teacher_n": 0},
+        ],
+        ids=lambda override: next(iter(override)),
+    )
+    def test_bad_config_fails_before_writing(self, tmp_path, capsys, override):
+        config = write_small_config(tmp_path, **override)
+        out = tmp_path / "out"
+        assert main(["compare", "--config", str(config), "--out-dir", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert not out.exists()
 
     def test_compare_cli_reruns_byte_identical(self, tmp_path):
         config = write_small_config(tmp_path)

@@ -54,7 +54,7 @@ def test_loop_config_validation():
 
 def test_single_epoch_run(small_split):
     config = small_config(THRESH_ALL, max_epochs=1)
-    result = run(config, small_split, ("pitch", "rhythm"), fresh_model(small_split))
+    result = run(config, small_split, fresh_model(small_split), fit_reference(small_split.train, ("pitch", "rhythm")))
     assert len(result.epoch_logs) == 1
     entry = result.epoch_logs[0]
     assert len(entry.candidates) == config.n_generate
@@ -64,7 +64,12 @@ def test_single_epoch_run(small_split):
 
 
 def test_baseline_none_keeps_dataset_fixed(small_split):
-    result = run(small_config(THRESH_NONE), small_split, ("pitch",), fresh_model(small_split))
+    result = run(
+        small_config(THRESH_NONE),
+        small_split,
+        fresh_model(small_split),
+        fit_reference(small_split.train, ("pitch",)),
+    )
     assert all(entry.origin == ORIGIN_TRUE for entry in result.manifest)
     assert tuple(e.chorale.id for e in result.manifest) == small_split.train.ids()
     for entry in result.epoch_logs:
@@ -74,14 +79,24 @@ def test_baseline_none_keeps_dataset_fixed(small_split):
 
 
 def test_baseline_all_accepts_every_unique_candidate(small_split):
-    result = run(small_config(THRESH_ALL), small_split, ("pitch",), fresh_model(small_split))
+    result = run(
+        small_config(THRESH_ALL),
+        small_split,
+        fresh_model(small_split),
+        fit_reference(small_split.train, ("pitch",)),
+    )
     for entry in result.epoch_logs:
         for rec in entry.candidates:
             assert rec.accepted == (rec.reason != "duplicate")
 
 
 def test_zero_generation_run_is_plain_training(small_split):
-    result = run(small_config(THRESH_ALL, n_generate=0), small_split, ("pitch",), fresh_model(small_split))
+    result = run(
+        small_config(THRESH_ALL, n_generate=0),
+        small_split,
+        fresh_model(small_split),
+        fit_reference(small_split.train, ("pitch",)),
+    )
     assert all(entry.additions == 0 and not entry.candidates for entry in result.epoch_logs)
     assert tuple(e.chorale.id for e in result.manifest) == small_split.train.ids()
 
@@ -145,7 +160,7 @@ def test_filter_and_uniqueness_soundness(small_split):
     train_grades = [grade(c, reference).total for c in small_split.train]
     threshold = Threshold(value=sorted(train_grades)[len(train_grades) // 2], label="median")
     config = small_config(threshold, max_epochs=6, n_generate=6)
-    result = run(config, small_split, reference.feature_names, fresh_model(small_split), reference=reference)
+    result = run(config, small_split, fresh_model(small_split), reference)
 
     keys = [canonical_key(e.chorale) for e in result.manifest]
     assert len(keys) == len(set(keys))
@@ -172,7 +187,7 @@ def test_accepted_chorales_resampled_uniformly(small_split):
         min_improvement=0.0,
         seed=29,
     )
-    result = run(config, small_split, ("pitch", "rhythm"), fresh_model(small_split))
+    result = run(config, small_split, fresh_model(small_split), fit_reference(small_split.train, ("pitch", "rhythm")))
     first = result.epoch_logs[0]
     accepted_ids = [rec.candidate_id for rec in first.candidates if rec.accepted]
     assert accepted_ids, "expected at least one acceptance with threshold +inf"
@@ -187,7 +202,12 @@ def test_accepted_chorales_resampled_uniformly(small_split):
 
 
 def test_frozen_reference_and_validation_isolation(small_split):
-    result = run(small_config(THRESH_ALL, max_epochs=4), small_split, ("pitch", "rhythm"), fresh_model(small_split))
+    result = run(
+        small_config(THRESH_ALL, max_epochs=4),
+        small_split,
+        fresh_model(small_split),
+        fit_reference(small_split.train, ("pitch", "rhythm")),
+    )
     assert result.reference_digest_before == result.reference_digest_after
     validation_ids = set(small_split.validation.ids())
     validation_keys = {canonical_key(c) for c in small_split.validation}
@@ -200,8 +220,8 @@ def test_frozen_reference_and_validation_isolation(small_split):
 
 def test_run_deterministic_and_serialization_byte_identical(small_split, tmp_path):
     config = small_config(THRESH_ALL, max_epochs=3)
-    a = run(config, small_split, ("pitch", "rhythm"), fresh_model(small_split))
-    b = run(config, small_split, ("pitch", "rhythm"), fresh_model(small_split))
+    a = run(config, small_split, fresh_model(small_split), fit_reference(small_split.train, ("pitch", "rhythm")))
+    b = run(config, small_split, fresh_model(small_split), fit_reference(small_split.train, ("pitch", "rhythm")))
     dir_a = save_run(a, tmp_path / "a")
     dir_b = save_run(b, tmp_path / "b")
     files = [p.name for p in dir_a.iterdir()]
@@ -220,7 +240,7 @@ def test_run_deterministic_and_serialization_byte_identical(small_split, tmp_pat
 
 def test_best_epoch_tracks_minimum_validation_loss(small_split):
     config = small_config(THRESH_ALL, max_epochs=5, patience=None, min_improvement=0.0)
-    result = run(config, small_split, ("pitch",), fresh_model(small_split))
+    result = run(config, small_split, fresh_model(small_split), fit_reference(small_split.train, ("pitch",)))
     losses = [entry.val_loss for entry in result.epoch_logs]
     assert len(losses) == 5
     assert result.best_val_loss == min(losses)
@@ -229,7 +249,7 @@ def test_best_epoch_tracks_minimum_validation_loss(small_split):
 
 def test_patience_stops_early(small_split):
     config = small_config(THRESH_NONE, max_epochs=30, patience=2, min_improvement=1e9)
-    result = run(config, small_split, ("pitch",), fresh_model(small_split))
+    result = run(config, small_split, fresh_model(small_split), fit_reference(small_split.train, ("pitch",)))
     # an absurd improvement bar means the first epoch is best and patience
     # expires exactly two epochs later
     assert len(result.epoch_logs) == 3
@@ -238,6 +258,6 @@ def test_patience_stops_early(small_split):
 
 def test_restored_model_matches_best_epoch(small_split):
     config = small_config(THRESH_NONE, max_epochs=4, patience=None)
-    result = run(config, small_split, ("pitch",), fresh_model(small_split))
+    result = run(config, small_split, fresh_model(small_split), fit_reference(small_split.train, ("pitch",)))
     restored_loss = result.model.mean_nll(list(small_split.validation))
     assert restored_loss == result.best_val_loss

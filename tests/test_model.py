@@ -211,6 +211,25 @@ class TestSnapshotAndSerialization:
                 assert np.array_equal(model.next_token_dist(v, context), fresh.next_token_dist(v, context))
         assert {v: dict(model._counts[v]) for v in range(4)} == before
 
+    def test_restore_same_snapshot_twice(self, desk_split):
+        chorales_ = list(desk_split.train)
+        model = MarkovModel.with_vocab_from(chorales_, order=2, alpha=0.1)
+        model.fit(chorales_[:10])
+        state = model.snapshot()
+        contexts = [(v, context) for v in range(4) for context in list(model._counts[v])[:5]]
+        model.restore(state)
+        first = [model.next_token_dist(v, context) for v, context in contexts]
+        model.fit(chorales_[10:20])
+        model.restore(state)
+        second = [model.next_token_dist(v, context) for v, context in contexts]
+        for a, b in zip(first, second):
+            assert np.array_equal(a, b)
+
+    def test_restore_rejects_foreign_state(self, desk_split):
+        model = MarkovModel.with_vocab_from(desk_split.train, order=2, alpha=0.1)
+        with pytest.raises(TypeError):
+            model.restore({})
+
     def test_save_load_roundtrip(self, desk_split, tmp_path):
         chorales_ = list(desk_split.train)
         model = MarkovModel.with_vocab_from(chorales_, order=2, alpha=0.1)
