@@ -12,8 +12,8 @@ from .chorale import HOLD, REST, Chorale, canonical_key, parse_chorale, realize,
 from .corpus import Corpus, Split, load_corpus, save_corpus, split, teacher_corpus
 from .features import DEFAULT_FEATURES, FeatureDistribution, extract
 from .grading import GradeReport, ReferenceModel, Threshold, fit_reference, grade, grade_quantile, wasserstein1
-from .loop import LoopConfig, RunResult, run, save_run
-from .model import BatchPlan, GenerativeModel, MarkovModel
+from .loop import BatchPlan, LoopConfig, RunResult, run, save_run
+from .model import GenerativeModel, MarkovModel
 from .experiment import ExperimentConfig, PROFILES, RegimeSummary, compare
 
 __version__ = "0.1.0"

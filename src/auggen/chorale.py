@@ -30,7 +30,6 @@ REST = "R"
 SILENT = -1  # realized-grid pitch value where no note sounds
 
 N_VOICES = 4
-VOICE_NAMES = ("soprano", "alto", "tenor", "bass")
 MIN_PITCH = 0
 MAX_PITCH = 127
 

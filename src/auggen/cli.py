@@ -13,6 +13,7 @@ written. Usage errors from argparse exit 2.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import json
 import logging
@@ -23,7 +24,6 @@ from . import experiment
 from .corpus import CorpusError, load_corpus, save_corpus, teacher_corpus
 from .experiment import PROFILES, ExperimentConfig, RegimeError, compare, recompute_epoch_stats, resolve_out_dir, run_regime
 from .chorale import ChoraleFormatError
-from .features import extract_all
 from .grading import ReferenceModel, grade
 
 log = logging.getLogger(__name__)
@@ -32,7 +32,10 @@ log = logging.getLogger(__name__)
 def _build_config(args: argparse.Namespace) -> ExperimentConfig:
     payload = PROFILES[args.profile].to_json()
     if args.config:
-        payload.update(json.loads(Path(args.config).read_text(encoding="utf-8")))
+        overlay = json.loads(Path(args.config).read_text(encoding="utf-8"))
+        if not isinstance(overlay, dict):
+            raise ValueError(f"{args.config}: config must be a JSON object, got {type(overlay).__name__}")
+        payload.update(overlay)
     if getattr(args, "corpus", None):
         payload["corpus_path"] = args.corpus
     if args.seed is not None:
@@ -55,26 +58,30 @@ def cmd_teacher_gen(args: argparse.Namespace) -> int:
     return 0
 
 
+def _open_csv(files: contextlib.ExitStack, path: str):
+    return csv.writer(files.enter_context(open(path, "w", encoding="utf-8", newline="")), lineterminator="\n")
+
+
 def cmd_grade(args: argparse.Namespace) -> int:
     corpus = load_corpus(args.corpus)
     reference = ReferenceModel.load(args.reference)
-    with open(args.out, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["chorale_id", *[f"d_{name}" for name in reference.feature_names], "total_grade"])
+    with contextlib.ExitStack() as files:
+        grades = _open_csv(files, args.out)
+        grades.writerow(["chorale_id", *[f"d_{name}" for name in reference.feature_names], "total_grade"])
+        dump = _open_csv(files, args.dump_features) if args.dump_features else None
+        if dump is not None:
+            dump.writerow(["chorale_id", "feature_name", "value", "weight"])
         for chorale in corpus:
             report = grade(chorale, reference)
-            writer.writerow(
+            grades.writerow(
                 [chorale.id, *[repr(report.distances[n]) for n in reference.feature_names], repr(report.total)]
             )
-    print(f"graded {len(corpus)} chorales -> {args.out}")
-    if args.dump_features:
-        with open(args.dump_features, "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(["chorale_id", "feature_name", "value", "weight"])
-            for chorale in corpus:
-                for name, dist in extract_all(chorale, reference.feature_names).items():
+            if dump is not None:
+                for name, dist in report.distributions.items():
                     for value, weight in zip(dist.support, dist.weights):
-                        writer.writerow([chorale.id, name, repr(value), repr(weight)])
+                        dump.writerow([chorale.id, name, repr(value), repr(weight)])
+    print(f"graded {len(corpus)} chorales -> {args.out}")
+    if dump is not None:
         print(f"dumped feature distributions -> {args.dump_features}")
     return 0
 

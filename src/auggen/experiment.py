@@ -21,6 +21,8 @@ import json
 import logging
 import math
 import os
+import types
+import typing
 from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Sequence
@@ -29,8 +31,8 @@ from .chorale import REST
 from .corpus import Corpus, Split, load_corpus, save_split_manifest, split, teacher_corpus
 from .features import DEFAULT_FEATURES, check_feature_set
 from .grading import ReferenceModel, Threshold, fit_reference, grade, grade_quantile, nearest_rank
-from .loop import ORIGIN_TRUE, LoopConfig, RunResult, run, save_run
-from .model import BatchPlan, MarkovModel
+from .loop import ORIGIN_TRUE, BatchPlan, LoopConfig, RunResult, run, save_run
+from .model import MarkovModel
 from .rng import stream
 
 log = logging.getLogger(__name__)
@@ -114,11 +116,30 @@ class ExperimentConfig:
         unknown = sorted(set(payload) - {f.name for f in fields(cls)})
         if unknown:
             raise ValueError(f"unknown config key(s) {unknown}")
+        hints = typing.get_type_hints(cls)
+        for key, value in payload.items():
+            if not _json_fits(value, hints[key]):
+                expected = hints[key].__name__ if hints[key] in (int, float) else hints[key]
+                raise ValueError(f"config key {key!r} must be {expected}, got {value!r}")
         kwargs = dict(payload)
         for key in ("features", "regimes"):
-            if key in kwargs and kwargs[key] is not None:
+            if key in kwargs:
                 kwargs[key] = tuple(kwargs[key])
         return cls(**kwargs)
+
+
+def _json_fits(value: object, hint: object) -> bool:
+    """Whether decoded JSON ``value`` has field type ``hint``; a list stands for a tuple, an int for a float."""
+    origin, args = typing.get_origin(hint), typing.get_args(hint)
+    if origin in (typing.Union, types.UnionType):
+        return any(_json_fits(value, arg) for arg in args)
+    if origin is tuple:
+        return isinstance(value, (list, tuple)) and all(_json_fits(item, args[0]) for item in value)
+    if origin is dict:
+        return isinstance(value, dict) and all(_json_fits(k, args[0]) and _json_fits(v, args[1]) for k, v in value.items())
+    if isinstance(value, bool) and hint is not bool:
+        return False
+    return isinstance(value, (int, float) if hint is float else hint)
 
 
 # The paper profile carries full-scale experiment settings; they are

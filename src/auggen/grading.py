@@ -166,21 +166,23 @@ def fit_reference(
 
 @dataclass(frozen=True)
 class GradeReport:
-    """Per-feature distances and their weighted total; lower is better."""
+    """Per-feature distances and their weighted total (lower is better), and the distributions graded."""
 
     chorale_id: str
     distances: Mapping[str, float]
     total: float
+    distributions: Mapping[str, FeatureDistribution]
 
 
 def grade(chorale: Chorale, reference: ReferenceModel) -> GradeReport:
+    distributions = extract_all(chorale, reference.feature_names)
     distances: dict[str, float] = {}
     total = 0.0
-    for name, dist in extract_all(chorale, reference.feature_names).items():
+    for name, dist in distributions.items():
         d = reference.p_empty if dist.is_empty else wasserstein1(dist, reference.references[name])
         distances[name] = d
         total += reference.weights[name] * d
-    return GradeReport(chorale_id=chorale.id, distances=distances, total=total)
+    return GradeReport(chorale_id=chorale.id, distances=distances, total=total, distributions=distributions)
 
 
 def nearest_rank(values: Sequence[float], q: float) -> float:

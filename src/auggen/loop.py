@@ -20,6 +20,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
@@ -27,11 +28,29 @@ from typing import Sequence
 from .chorale import Chorale, canonical_key, serialize_chorale
 from .corpus import Split
 from .grading import ReferenceModel, Threshold, grade
-from .model import BatchPlan, GenerativeModel
+from .model import GenerativeModel
 from .rng import stream
 
 ORIGIN_TRUE = "true"
 ORIGIN_GENERATED = "generated"
+
+
+@dataclass(frozen=True)
+class BatchPlan:
+    """Per-epoch training budget of ``batches`` × ``batch_size`` draws, fixed however large the dataset grows."""
+
+    batches: int
+    batch_size: int
+
+    def __post_init__(self) -> None:
+        if self.batches < 1:
+            raise ValueError(f"batches must be >= 1, got {self.batches}")
+        if self.batch_size < 1:
+            raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
+
+    @property
+    def draws_per_epoch(self) -> int:
+        return self.batches * self.batch_size
 
 
 @dataclass(frozen=True)
@@ -90,7 +109,7 @@ class EpochLog:
     dataset_size: int
     train_loss: float
     val_loss: float
-    multiset_ids: tuple[str, ...]  # ids drawn into this epoch's training multiset
+    draw_counts: dict[str, int]  # chorale id -> times drawn into this epoch's training multiset
 
 
 @dataclass
@@ -117,10 +136,6 @@ class RunResult:
     reference: ReferenceModel
     reference_digest_before: str
     reference_digest_after: str
-
-    @property
-    def stopped_epoch(self) -> int:
-        return self.epoch_logs[-1].epoch if self.epoch_logs else -1
 
 
 def generation_step(
@@ -151,14 +166,13 @@ def generation_step(
     return tuple(records)
 
 
-def training_step(
-    state: TrainState, model: GenerativeModel, config: LoopConfig
-) -> tuple[float, tuple[str, ...]]:
-    """One epoch of training on the augmented dataset; returns (train loss, multiset ids)."""
-    chorales = [entry.chorale for entry in state.dataset]
+def training_step(state: TrainState, model: GenerativeModel, config: LoopConfig) -> tuple[float, list[Chorale]]:
+    """Draw the epoch's multiset uniformly with replacement, refit on it; returns (train loss, multiset)."""
     rng = stream(config.seed, "train", state.epoch)
-    multiset = model.train_epoch(chorales, config.plan, rng)
-    return model.mean_nll(multiset), tuple(c.id for c in multiset)
+    draws = rng.integers(0, len(state.dataset), size=config.plan.draws_per_epoch)
+    multiset = [state.dataset[int(i)].chorale for i in draws]
+    model.fit(multiset)
+    return model.mean_nll(multiset), multiset
 
 
 def run(config: LoopConfig, split: Split, model: GenerativeModel, reference: ReferenceModel) -> RunResult:
@@ -178,7 +192,7 @@ def run(config: LoopConfig, split: Split, model: GenerativeModel, reference: Ref
         before = len(state.dataset)
         candidates = generation_step(state, model, reference, config, length_pool)
         additions = len(state.dataset) - before
-        train_loss, multiset_ids = training_step(state, model, config)
+        train_loss, multiset = training_step(state, model, config)
         val_loss = model.mean_nll(validation)
         logs.append(
             EpochLog(
@@ -188,7 +202,7 @@ def run(config: LoopConfig, split: Split, model: GenerativeModel, reference: Ref
                 dataset_size=len(state.dataset),
                 train_loss=train_loss,
                 val_loss=val_loss,
-                multiset_ids=multiset_ids,
+                draw_counts=Counter(c.id for c in multiset),
             )
         )
         if val_loss < state.best_val_loss - config.min_improvement:

@@ -1,8 +1,8 @@
 """Generative-model contract and the order-k Markov reference model.
 
 The training loop depends only on :class:`GenerativeModel`; any sequence
-model that can sample a chorale, score held-out chorales, and rebuild
-itself from a sampled multiset can be plugged in. The shipped
+model that can rebuild itself from the multiset the loop draws each epoch,
+sample a chorale, and score held-out chorales can be plugged in. The shipped
 implementation is :class:`MarkovModel`, an additive-smoothed count model
 over the token grid whose context for voice ``v`` at timestep ``t`` is the
 ``order`` previous tokens of voice ``v`` followed by the timestep-``t``
@@ -14,7 +14,7 @@ from __future__ import annotations
 import abc
 import json
 import logging
-from dataclasses import dataclass
+from collections import Counter
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
@@ -31,35 +31,12 @@ Context = tuple[Token, ...]
 _SNAPSHOT_FORMAT = "auggen-markov-v1"
 
 
-@dataclass(frozen=True)
-class BatchPlan:
-    """Per-epoch training budget: ``batches`` uniform batches of ``batch_size``.
-
-    Sampling is uniform with replacement from the current training dataset,
-    so the amount of training per epoch is fixed regardless of how large
-    the dataset has grown.
-    """
-
-    batches: int
-    batch_size: int
-
-    def __post_init__(self) -> None:
-        if self.batches < 1:
-            raise ValueError(f"batches must be >= 1, got {self.batches}")
-        if self.batch_size < 1:
-            raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
-
-    @property
-    def draws_per_epoch(self) -> int:
-        return self.batches * self.batch_size
-
-
 class GenerativeModel(abc.ABC):
     """Behavior contract the training loop relies on."""
 
     @abc.abstractmethod
-    def train_epoch(self, dataset: Sequence[Chorale], plan: BatchPlan, rng: np.random.Generator) -> list[Chorale]:
-        """Run one epoch of training; returns the sampled epoch multiset."""
+    def fit(self, multiset: Sequence[Chorale]) -> None:
+        """Rebuild the model from an epoch's multiset; a chorale drawn n times counts n times."""
 
     @abc.abstractmethod
     def sample(self, length: int, rng: np.random.Generator, chorale_id: str = "sample") -> Chorale:
@@ -86,6 +63,13 @@ def _token_sort_key(tok: Token) -> tuple[int, int | str]:
     if isinstance(tok, int):
         return (0, tok)
     return (1, tok)
+
+
+def _multiplicities(chorales: Sequence[Chorale]) -> dict[int, tuple[Chorale, int]]:
+    """Each distinct chorale object (by identity, first-seen order) with its multiplicity, keyed by ``id``."""
+    counts = Counter(map(id, chorales))
+    first = {id(c): c for c in chorales}
+    return {key: (first[key], n) for key, n in counts.items()}
 
 
 def iter_token_events(chorale: Chorale, order: int) -> Iterator[tuple[int, Context, Token]]:
@@ -143,23 +127,24 @@ class MarkovModel(GenerativeModel):
             raise ValueError("need at least one chorale to build a vocabulary")
         return cls(order=order, alpha=alpha, vocabs=seen)
 
-    def fit(self, chorales: Sequence[Chorale]) -> None:
-        """Replace counts with exact event counts over ``chorales``.
+    def fit(self, multiset: Sequence[Chorale]) -> None:
+        """Replace counts with exact event counts over ``multiset``.
 
-        Duplicates in the input count multiply. The vocabulary stays fixed:
-        chorales using tokens outside it are rejected.
+        Each distinct chorale object is walked once and its events count as
+        often as it occurs. The vocabulary stays fixed: chorales using
+        tokens outside it are rejected.
         """
-        if not chorales:
+        if not multiset:
             raise ValueError("cannot fit on an empty multiset")
         counts: list[dict[Context, dict[Token, int]]] = [{} for _ in range(4)]
         totals: list[dict[Context, int]] = [{} for _ in range(4)]
-        for chorale in chorales:
+        for chorale, n in _multiplicities(multiset).values():
             for v, context, tok in iter_token_events(chorale, self.order):
                 if tok not in self._index[v]:
                     raise ValueError(f"chorale {chorale.id!r}: token {tok!r} not in voice {v} vocabulary")
                 by_tok = counts[v].setdefault(context, {})
-                by_tok[tok] = by_tok.get(tok, 0) + 1
-                totals[v][context] = totals[v].get(context, 0) + 1
+                by_tok[tok] = by_tok.get(tok, 0) + n
+                totals[v][context] = totals[v].get(context, 0) + n
         self._counts = counts
         self._totals = totals
 
@@ -217,34 +202,26 @@ class MarkovModel(GenerativeModel):
     def mean_nll(self, chorales: Sequence[Chorale]) -> float:
         """Mean −ln P(token | context) over all grid positions.
 
-        Repeated objects (multiset draws) are scored once and reused.
+        Each distinct object is scored once, and the per-draw scores are
+        summed in draw order.
         """
         if not chorales:
             raise ValueError("cannot score an empty corpus")
-        cache: dict[int, tuple[float, int]] = {}
+        scores: dict[int, tuple[float, int]] = {}
+        for key, (chorale, _) in _multiplicities(chorales).items():
+            acc = 0.0
+            n = 0
+            for v, context, tok in iter_token_events(chorale, self.order):
+                acc -= self.token_logprob(v, context, tok)
+                n += 1
+            scores[key] = (acc, n)
         total = 0.0
         positions = 0
         for chorale in chorales:
-            key = id(chorale)
-            if key not in cache:
-                acc = 0.0
-                n = 0
-                for v, context, tok in iter_token_events(chorale, self.order):
-                    acc -= self.token_logprob(v, context, tok)
-                    n += 1
-                cache[key] = (acc, n)
-            acc, n = cache[key]
+            acc, n = scores[id(chorale)]
             total += acc
             positions += n
         return total / positions
-
-    def train_epoch(self, dataset: Sequence[Chorale], plan: BatchPlan, rng: np.random.Generator) -> list[Chorale]:
-        if not dataset:
-            raise ValueError("cannot train on an empty dataset")
-        draws = rng.integers(0, len(dataset), size=plan.draws_per_epoch)
-        multiset = [dataset[int(i)] for i in draws]
-        self.fit(multiset)
-        return multiset
 
     # fit replaces both tables wholesale and nothing mutates them, so snapshots share them
     def snapshot(self) -> object:

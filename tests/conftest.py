@@ -36,6 +36,14 @@ def chorales(draw, min_length: int = 1, max_length: int = 10, min_pitch: int = 3
     return Chorale(id=f"h{draw(st.integers(0, 999999))}", voices=body)
 
 
+def ascending(start, length=8):
+    """One strictly-rising line per voice: every Markov context is unique."""
+    return Chorale(
+        id=f"asc{start}",
+        voices=tuple(tuple(start - 12 * v + i for i in range(length)) for v in range(4)),
+    )
+
+
 @st.composite
 def distributions(draw, max_support: int = 8, name: str = "test"):
     """Discrete distribution with integer support and rational weights."""

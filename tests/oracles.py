@@ -7,6 +7,7 @@ implementations they verify.
 from itertools import combinations
 
 from auggen.chorale import HOLD, REST, SILENT, realize
+from auggen.model import iter_token_events
 
 
 def tokens_from_grid(grid) -> tuple[tuple, ...]:
@@ -24,6 +25,18 @@ def tokens_from_grid(grid) -> tuple[tuple, ...]:
                 voice.append(HOLD)
         voices.append(tuple(voice))
     return tuple(voices)
+
+
+def replay_counts(multiset, order: int) -> tuple[list[dict], list[dict]]:
+    """Per-voice Markov (counts, totals) by replaying every draw, position by position."""
+    counts = [{} for _ in range(4)]
+    totals = [{} for _ in range(4)]
+    for chorale in multiset:
+        for v, context, tok in iter_token_events(chorale, order):
+            by_tok = counts[v].setdefault(context, {})
+            by_tok[tok] = by_tok.get(tok, 0) + 1
+            totals[v][context] = totals[v].get(context, 0) + 1
+    return counts, totals
 
 
 def transport_cost(p, q) -> float:

@@ -175,7 +175,7 @@ def test_criterion_3_loop_soundness_desk_scale(desk_compare_17):
             problems.append(f"{regime}: dataset size decreased")
 
         for entry in results[regime].epoch_logs:
-            if not validation_ids.isdisjoint(entry.multiset_ids):
+            if not validation_ids.isdisjoint(entry.draw_counts):
                 problems.append(f"{regime}: validation id in epoch {entry.epoch} multiset")
 
         if results[regime].reference_digest_before != results[regime].reference_digest_after:

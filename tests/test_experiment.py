@@ -4,6 +4,8 @@ import math
 
 import pytest
 
+from auggen import features
+from auggen.chorale import realize
 from auggen.cli import main
 from auggen.corpus import load_corpus
 from auggen.experiment import (
@@ -239,6 +241,21 @@ class TestCli:
         for total in by_chorale_feature.values():
             assert total == pytest.approx(1.0, abs=1e-9)
 
+    def test_grade_dump_realizes_each_chorale_once(self, small_compare, tmp_path, monkeypatch):
+        config, out, _, _ = small_compare
+        corpus_path = tmp_path / "corpus.jsonl"
+        assert main(["teacher-gen", "--seed", str(config.seed), "--n", "4", "--out", str(corpus_path)]) == 0
+        calls = []
+
+        def counting_realize(chorale):
+            calls.append(chorale.id)
+            return realize(chorale)
+
+        monkeypatch.setattr(features, "realize", counting_realize)
+        args = ["grade", "--corpus", str(corpus_path), "--reference", str(out / "reference.json")]
+        assert main(args + ["--out", str(tmp_path / "g.csv"), "--dump-features", str(tmp_path / "f.csv")]) == 0
+        assert calls == list(load_corpus(corpus_path).ids())
+
     @pytest.mark.parametrize(
         "tamper", ["unregistered_feature", "weights_mismatch", "missing_p_empty", "missing_support"]
     )
@@ -274,11 +291,19 @@ class TestCli:
             {"markov_order": 0},
             {"split_fraction": 1.5},
             {"teacher_n": 0},
+            pytest.param({"n_generate": "5"}, id="n_generate_str"),
+            pytest.param({"smoothing": "x"}, id="smoothing_str"),
+            pytest.param({"features": 3}, id="features_int"),
+            pytest.param([1], id="top_level_list"),
         ],
         ids=lambda override: next(iter(override)),
     )
     def test_bad_config_fails_before_writing(self, tmp_path, capsys, override):
-        config = write_small_config(tmp_path, **override)
+        if isinstance(override, dict):
+            config = write_small_config(tmp_path, **override)
+        else:
+            config = tmp_path / "config.json"
+            config.write_text(json.dumps(override), encoding="utf-8")
         out = tmp_path / "out"
         assert main(["compare", "--config", str(config), "--out-dir", str(out)]) == 1
         err = capsys.readouterr().err

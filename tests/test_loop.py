@@ -9,24 +9,29 @@ from auggen.grading import Threshold, fit_reference, grade
 from auggen.loop import (
     ORIGIN_GENERATED,
     ORIGIN_TRUE,
+    BatchPlan,
     DatasetEntry,
     LoopConfig,
     TrainState,
     generation_step,
     run,
     save_run,
+    training_step,
 )
-from auggen.model import BatchPlan, MarkovModel
+from auggen.model import MarkovModel
+from conftest import ascending
 
 THRESH_ALL = Threshold(value=math.inf, label="baseline_all")
 THRESH_NONE = Threshold(value=-math.inf, label="baseline_none")
 
 
-def small_config(threshold, *, n_generate=4, max_epochs=3, patience=None, seed=23, min_improvement=0.0):
+def small_config(
+    threshold, *, n_generate=4, max_epochs=3, patience=None, seed=23, min_improvement=0.0, plan=BatchPlan(4, 2)
+):
     return LoopConfig(
         n_generate=n_generate,
         threshold=threshold,
-        plan=BatchPlan(batches=4, batch_size=2),
+        plan=plan,
         max_epochs=max_epochs,
         patience=patience,
         min_improvement=min_improvement,
@@ -50,6 +55,50 @@ def test_loop_config_validation():
         small_config(THRESH_ALL, patience=0)
     with pytest.raises(ValueError):
         small_config(THRESH_ALL, n_generate=-1)
+
+
+def test_plan_validation():
+    with pytest.raises(ValueError):
+        BatchPlan(batches=0, batch_size=1)
+    with pytest.raises(ValueError):
+        BatchPlan(batches=1, batch_size=0)
+
+
+def true_state(chorales_):
+    return TrainState(dataset=[DatasetEntry(c, ORIGIN_TRUE, None) for c in chorales_], seen_keys=set())
+
+
+def test_training_step_single_chorale_dataset_multiset():
+    c = ascending(60)
+    model = MarkovModel.with_vocab_from([c], order=2, alpha=0.1)
+    config = small_config(THRESH_ALL, seed=1, plan=BatchPlan(batches=3, batch_size=4))
+    _, multiset = training_step(true_state([c]), model, config)
+    assert len(multiset) == 12 and all(m is c for m in multiset)
+    direct = MarkovModel.with_vocab_from([c], order=2, alpha=0.1)
+    direct.fit([c] * 12)
+    assert direct._counts == model._counts
+
+
+def test_training_step_same_stream_same_counts(desk_split):
+    chorales_ = list(desk_split.train)
+    config = small_config(THRESH_ALL, seed=6, plan=BatchPlan(batches=8, batch_size=2))
+    a = MarkovModel.with_vocab_from(chorales_, order=2, alpha=0.1)
+    training_step(true_state(chorales_), a, config)
+    b = MarkovModel.with_vocab_from(chorales_, order=2, alpha=0.1)
+    training_step(true_state(chorales_), b, config)
+    assert a._counts == b._counts
+
+
+def test_training_step_draw_frequencies_uniform_within_3_sigma():
+    dataset = [ascending(60 + i) for i in range(5)]
+    model = MarkovModel.with_vocab_from(dataset, order=1, alpha=0.1)
+    config = small_config(THRESH_ALL, seed=11, plan=BatchPlan(batches=200, batch_size=10))  # 2000 draws, p = 0.2 each
+    _, multiset = training_step(true_state(dataset), model, config)
+    expected = 2000 * 0.2
+    sigma = math.sqrt(2000 * 0.2 * 0.8)
+    for member in dataset:
+        observed = sum(1 for m in multiset if m is member)
+        assert abs(observed - expected) <= 3 * sigma
 
 
 def test_single_epoch_run(small_split):
@@ -197,7 +246,7 @@ def test_accepted_chorales_resampled_uniformly(small_split):
     p = 1.0 / second.dataset_size
     sigma = math.sqrt(draws * p * (1 - p))
     for cid in accepted_ids:
-        observed = sum(1 for mid in second.multiset_ids if mid == cid)
+        observed = second.draw_counts.get(cid, 0)
         assert abs(observed - draws * p) <= 3 * sigma
 
 
@@ -212,7 +261,7 @@ def test_frozen_reference_and_validation_isolation(small_split):
     validation_ids = set(small_split.validation.ids())
     validation_keys = {canonical_key(c) for c in small_split.validation}
     for entry in result.epoch_logs:
-        assert validation_ids.isdisjoint(entry.multiset_ids)
+        assert validation_ids.isdisjoint(entry.draw_counts)
     for entry in result.manifest:
         if entry.origin == ORIGIN_GENERATED:
             assert canonical_key(entry.chorale) not in validation_keys

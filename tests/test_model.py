@@ -1,23 +1,17 @@
 import math
 
+import hypothesis.strategies as st
 import numpy as np
 import pytest
 from hypothesis import given
 
 from auggen.chorale import HOLD, REST, Chorale, validate
-from auggen.model import START, BatchPlan, MarkovModel, iter_token_events
+from auggen.model import START, MarkovModel, iter_token_events
 from auggen.rng import stream
-from conftest import chorales
+from conftest import ascending, chorales
+from oracles import replay_counts
 
 TINY = 1e-12
-
-
-def ascending(start, length=8):
-    """One strictly-rising line per voice: every Markov context is unique."""
-    return Chorale(
-        id=f"asc{start}",
-        voices=tuple(tuple(start - 12 * v + i for i in range(length)) for v in range(4)),
-    )
 
 
 def quad(*voices_):
@@ -35,6 +29,22 @@ class TestFitCounts:
             assert set(double._counts[v]) == set(single._counts[v])
             for ctx, by_tok in single._counts[v].items():
                 assert double._counts[v][ctx] == {tok: 2 * n for tok, n in by_tok.items()}
+
+    @given(
+        st.lists(chorales(min_length=1, max_length=6), min_size=1, max_size=4),
+        st.lists(st.integers(0, 3), min_size=1, max_size=24),
+        st.booleans(),
+    )
+    def test_fit_matches_replay_oracle(self, pool, picks, copy_each_draw):
+        # repeated objects, or with copy_each_draw equal-but-distinct objects, must count alike
+        multiset = [pool[i % len(pool)] for i in picks]
+        if copy_each_draw:
+            multiset = [Chorale(id=c.id, voices=c.voices) for c in multiset]
+        model = MarkovModel.with_vocab_from(pool, order=2, alpha=0.1)
+        model.fit(multiset)
+        counts, totals = replay_counts(multiset, 2)
+        assert model._counts == counts
+        assert model._totals == totals
 
     def test_fit_rejects_empty(self):
         model = MarkovModel.with_vocab_from([ascending(60)], order=1, alpha=0.1)
@@ -152,44 +162,6 @@ class TestMeanNll:
         fitted.fit(corpus)
         uniform = MarkovModel.with_vocab_from(corpus, order=2, alpha=TINY)
         assert fitted.mean_nll(corpus) <= uniform.mean_nll(corpus) + 1e-9
-
-
-class TestTrainEpoch:
-    def test_single_chorale_dataset_multiset(self):
-        c = ascending(60)
-        model = MarkovModel.with_vocab_from([c], order=2, alpha=0.1)
-        plan = BatchPlan(batches=3, batch_size=4)
-        multiset = model.train_epoch([c], plan, stream(1, "t"))
-        assert len(multiset) == 12 and all(m is c for m in multiset)
-        direct = MarkovModel.with_vocab_from([c], order=2, alpha=0.1)
-        direct.fit([c] * 12)
-        assert direct._counts == model._counts
-
-    def test_same_stream_same_counts(self, desk_split):
-        chorales_ = list(desk_split.train)
-        plan = BatchPlan(batches=8, batch_size=2)
-        a = MarkovModel.with_vocab_from(chorales_, order=2, alpha=0.1)
-        a.train_epoch(chorales_, plan, stream(6, "epoch"))
-        b = MarkovModel.with_vocab_from(chorales_, order=2, alpha=0.1)
-        b.train_epoch(chorales_, plan, stream(6, "epoch"))
-        assert a._counts == b._counts
-
-    def test_draw_frequencies_uniform_within_3_sigma(self):
-        dataset = [ascending(60 + i) for i in range(5)]
-        model = MarkovModel.with_vocab_from(dataset, order=1, alpha=0.1)
-        plan = BatchPlan(batches=200, batch_size=10)  # 2000 draws, p = 0.2 each
-        multiset = model.train_epoch(dataset, plan, stream(11, "multinomial"))
-        expected = 2000 * 0.2
-        sigma = math.sqrt(2000 * 0.2 * 0.8)
-        for member in dataset:
-            observed = sum(1 for m in multiset if m is member)
-            assert abs(observed - expected) <= 3 * sigma
-
-    def test_plan_validation(self):
-        with pytest.raises(ValueError):
-            BatchPlan(batches=0, batch_size=1)
-        with pytest.raises(ValueError):
-            BatchPlan(batches=1, batch_size=0)
 
 
 class TestSnapshotAndSerialization:
