@@ -127,7 +127,15 @@ def cmd_report(args: argparse.Namespace) -> int:
         writer.writerow([epoch, *[repr(x) for x in quint]])
     manifest = run_dir / "dataset_manifest.jsonl"
     if manifest.exists():
-        origins = [json.loads(line)["origin"] for line in manifest.read_text(encoding="utf-8").splitlines() if line]
+        origins = []
+        for number, line in enumerate(manifest.read_text(encoding="utf-8").splitlines(), 1):
+            if line:
+                record = json.loads(line)
+                if not isinstance(record, dict) or "origin" not in record:
+                    raise ValueError(f"{manifest}: line {number} has no 'origin'")
+                origins.append(record["origin"])
+        if not origins:
+            raise ValueError(f"{manifest}: no chorales listed")
         generated = sum(1 for o in origins if o == "generated")
         print(f"# dataset: {len(origins)} chorales, {generated} generated "
               f"({generated / len(origins):.3f} of total)")

@@ -356,6 +356,9 @@ def recompute_epoch_stats(epoch_logs_csv: str | Path) -> dict[tuple[str, int], t
     grades: dict[tuple[str, int], list[float]] = {}
     with open(epoch_logs_csv, "r", encoding="utf-8", newline="") as fh:
         reader = csv.DictReader(fh)
+        missing = {"epoch", "grade"} - set(reader.fieldnames or ())
+        if missing:
+            raise ValueError(f"{epoch_logs_csv}: missing column(s) {sorted(missing)}")
         for row in reader:
             key = (row.get("regime", ""), int(row["epoch"]))
             grades.setdefault(key, []).append(float(row["grade"]))

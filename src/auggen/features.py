@@ -1,8 +1,10 @@
 """Musical feature extractors over the realized chorale grid.
 
 An extractor maps a chorale's :class:`~auggen.chorale.RealizedGrid` to a
-list of real event values; :func:`extract_all` realizes a chorale once and
-turns each extractor's events into a weighted empirical distribution.
+list of real event values. Each one is a numpy array expression over the
+``(4, T)`` pitch and onset arrays, with no Python loop over timesteps or
+voice pairs. :func:`extract_all` realizes a chorale once and turns each
+extractor's events into a weighted empirical distribution.
 Adding a feature is one :data:`REGISTRY` entry. Six are registered:
 
 * ``pitch`` -- MIDI pitches at note onsets, all voices pooled (weight
@@ -32,14 +34,15 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from itertools import combinations
 from typing import Callable, Iterable
 
 import math
 
-from .chorale import SILENT, Chorale, RealizedGrid, realize
+import numpy as np
 
-_ADJACENT_PAIRS = ((0, 1), (1, 2), (2, 3))
+from .chorale import N_VOICES, SILENT, Chorale, RealizedGrid, realize
+
+_VOICE_PAIRS = np.triu_indices(N_VOICES, 1)  # (higher voices, lower voices) of every pair, in combinations order
 _NORM_TOL = 1e-12
 
 
@@ -91,79 +94,55 @@ class FeatureDistribution:
 
 
 def _pitch_events(grid: RealizedGrid) -> list[float]:
-    return [float(p) for p in grid.pitches[grid.onsets]]
+    return grid.pitches[grid.onsets].astype(float).tolist()
 
 
 def _rhythm_events(grid: RealizedGrid) -> list[float]:
-    durations = []
-    for pitches, onsets in zip(grid.pitches.tolist(), grid.onsets.tolist()):
-        for t, on in enumerate(onsets):
-            if on:
-                end = t + 1
-                while end < grid.length and not onsets[end] and pitches[end] != SILENT:
-                    end += 1
-                durations.append(float(end - t))
-    return durations
+    """A note ends at the next onset or silent cell in its voice, or at the end of the chorale."""
+    # an extra True column per row: every note stops by the row's end, and no search runs into the next voice
+    end_column = np.ones((N_VOICES, 1), dtype=bool)
+    starts = np.flatnonzero(np.hstack([grid.onsets, ~end_column]))
+    stops = np.flatnonzero(np.hstack([grid.onsets | (grid.pitches == SILENT), end_column]))
+    return (stops[np.searchsorted(stops, starts, side="right")] - starts).astype(float).tolist()
 
 
 def _harmonic_events(grid: RealizedGrid) -> list[float]:
-    intervals = []
-    for hi, lo in _ADJACENT_PAIRS:
-        for t in range(grid.length):
-            a, b = int(grid.pitches[hi, t]), int(grid.pitches[lo, t])
-            if a != SILENT and b != SILENT:
-                intervals.append(float(abs(a - b)))
-    return intervals
+    upper, lower = grid.pitches[:-1], grid.pitches[1:]  # S-A, A-T, T-B
+    both = (upper != SILENT) & (lower != SILENT)
+    return np.abs(upper - lower)[both].astype(float).tolist()
 
 
 def _melodic_events(grid: RealizedGrid) -> list[float]:
-    diffs = []
-    for v in range(grid.pitches.shape[0]):
-        onset_pitches = [int(p) for p, on in zip(grid.pitches[v], grid.onsets[v]) if on]
-        diffs.extend(float(b - a) for a, b in zip(onset_pitches, onset_pitches[1:]))
-    return diffs
+    voice = np.nonzero(grid.onsets)[0]
+    steps = np.diff(grid.pitches[grid.onsets])  # onset pitches voice by voice; keep steps within one voice
+    return steps[voice[1:] == voice[:-1]].astype(float).tolist()
 
 
 def _parallel_errors(grid: RealizedGrid) -> list[float]:
     """Errors per 16 timesteps; no value when no voice pair ever sounds at consecutive steps."""
-    opportunities = 0
-    errors = 0
-    for i, j in combinations(range(grid.pitches.shape[0]), 2):
-        for t in range(grid.length - 1):
-            a0, a1 = int(grid.pitches[i, t]), int(grid.pitches[i, t + 1])
-            b0, b1 = int(grid.pitches[j, t]), int(grid.pitches[j, t + 1])
-            if SILENT in (a0, a1, b0, b1):
-                continue
-            opportunities += 1
-            if a0 != a1 and b0 != b1:
-                first = abs(a0 - b0) % 12
-                second = abs(a1 - b1) % 12
-                if first in (0, 7) and first == second:
-                    errors += 1
-    if opportunities == 0:
+    higher, lower = _VOICE_PAIRS
+    pitches = grid.pitches
+    sounds = pitches != SILENT
+    held = sounds[:, :-1] & sounds[:, 1:]  # voice sounds at t and t + 1
+    opportunities = held[higher] & held[lower]
+    if not opportunities.any():
         return []
-    return [errors * 16.0 / grid.length]
+    moves = pitches[:, :-1] != pitches[:, 1:]
+    interval = np.abs(pitches[higher] - pitches[lower]) % 12
+    first, second = interval[:, :-1], interval[:, 1:]
+    errors = opportunities & moves[higher] & moves[lower] & ((first == 0) | (first == 7)) & (first == second)
+    return [int(errors.sum()) * 16.0 / grid.length]
 
 
 def _voice_crossing(grid: RealizedGrid) -> list[float]:
     """Crossed fraction of timesteps; no value when no two voices ever sound together."""
-    comparable = 0
-    crossed = 0
-    for t in range(grid.length):
-        sounding = [int(p) for p in grid.pitches[:, t] if int(p) != SILENT]
-        if len(sounding) < 2:
-            continue
-        comparable += 1
-        pitches = grid.pitches[:, t]
-        if any(
-            int(pitches[j]) > int(pitches[i])
-            for i, j in combinations(range(len(pitches)), 2)
-            if int(pitches[i]) != SILENT and int(pitches[j]) != SILENT
-        ):
-            crossed += 1
-    if comparable == 0:
+    higher, lower = _VOICE_PAIRS
+    pitches = grid.pitches
+    if not ((pitches != SILENT).sum(axis=0) >= 2).any():
         return []
-    return [crossed / grid.length]
+    # a lower voice strictly above a sounding higher voice sounds too: SILENT is below every pitch
+    crossed = ((pitches[higher] != SILENT) & (pitches[lower] > pitches[higher])).any(axis=0)
+    return [int(crossed.sum()) / grid.length]
 
 
 @dataclass(frozen=True)

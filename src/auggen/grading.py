@@ -130,8 +130,8 @@ def fit_reference(
     names = check_feature_set(feature_set)
     if len(corpus) == 0:
         raise ValueError("cannot fit a reference on an empty corpus")
-    if not p_empty > 0:
-        raise ValueError(f"p_empty must be > 0, got {p_empty}")
+    if not 0 < p_empty < math.inf:
+        raise ValueError(f"p_empty must be finite and > 0, got {p_empty}")
     weight_map = {name: 1.0 for name in names}
     if weights is not None:
         for name, w in weights.items():

@@ -70,8 +70,8 @@ class LoopConfig:
             raise ValueError(f"max_epochs must be >= 1, got {self.max_epochs}")
         if self.patience is not None and self.patience < 1:
             raise ValueError(f"patience must be >= 1 or None, got {self.patience}")
-        if self.min_improvement < 0:
-            raise ValueError(f"min_improvement must be >= 0, got {self.min_improvement}")
+        if not 0 <= self.min_improvement < math.inf:
+            raise ValueError(f"min_improvement must be finite and >= 0, got {self.min_improvement}")
 
     def to_json(self) -> dict:
         return {

@@ -14,13 +14,14 @@ from __future__ import annotations
 import abc
 import json
 import logging
+import math
 from collections import Counter
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .chorale import HOLD, REST, Chorale, InvalidChoraleError, Token, token_to_str, validate
+from .chorale import HOLD, REST, Chorale, InvalidChoraleError, Token, validate
 
 log = logging.getLogger(__name__)
 
@@ -97,8 +98,8 @@ class MarkovModel(GenerativeModel):
     def __init__(self, order: int, alpha: float, vocabs: Sequence[Sequence[Token]]):
         if order < 1:
             raise ValueError(f"order must be >= 1, got {order}")
-        if not alpha > 0:
-            raise ValueError(f"smoothing alpha must be > 0, got {alpha}")
+        if not 0 < alpha < math.inf:
+            raise ValueError(f"smoothing alpha must be finite and > 0, got {alpha}")
         if len(vocabs) != 4:
             raise ValueError(f"expected 4 per-voice vocabularies, got {len(vocabs)}")
         cleaned = []
@@ -239,7 +240,7 @@ class MarkovModel(GenerativeModel):
             for context, by_tok in self._counts[v].items():
                 for tok, count in by_tok.items():
                     entries.append([v, list(context), tok, count])
-        entries.sort(key=lambda e: (e[0], [token_to_str(x) if x != START else START for x in e[1]], token_to_str(e[2]) if e[2] != START else START))
+        entries.sort(key=lambda e: (e[0], [str(x) for x in e[1]], str(e[2])))
         payload = {
             "format": _SNAPSHOT_FORMAT,
             "order": self.order,

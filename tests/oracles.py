@@ -98,3 +98,55 @@ def token_walk_durations(chorale) -> list[float]:
                     end += 1
                 durations.append(float(end - t))
     return durations
+
+
+def _sounding(voice) -> list:
+    """The pitch each token leaves sounding: a note starts it, a hold keeps it, a rest ends it (None)."""
+    sounding = []
+    for tok in voice:
+        if tok == REST:
+            sounding.append(None)
+        elif tok == HOLD:
+            sounding.append(sounding[-1])
+        else:
+            sounding.append(tok)
+    return sounding
+
+
+def token_walk_pitches(chorale) -> list[float]:
+    """Pitch of every note token, voice by voice."""
+    return [float(tok) for voice in chorale.voices for tok in voice if isinstance(tok, int)]
+
+
+def token_walk_harmonic_intervals(chorale) -> list[float]:
+    """Absolute gap of each adjacent voice pair (S-A, A-T, T-B) at every timestep where both sound."""
+    sounding = [_sounding(voice) for voice in chorale.voices]
+    return [
+        float(abs(a - b))
+        for upper, lower in zip(sounding, sounding[1:])
+        for a, b in zip(upper, lower)
+        if a is not None and b is not None
+    ]
+
+
+def token_walk_melodic_intervals(chorale) -> list[float]:
+    """Signed step between consecutive note tokens of each voice, rests and holds skipped."""
+    steps = []
+    for voice in chorale.voices:
+        notes = [tok for tok in voice if isinstance(tok, int)]
+        steps.extend(float(b - a) for a, b in zip(notes, notes[1:]))
+    return steps
+
+
+def token_walk_voice_crossing(chorale) -> list[float]:
+    """[crossed timesteps / length], or [] when no two voices ever sound together."""
+    columns = list(zip(*(_sounding(voice) for voice in chorale.voices)))
+    comparable = crossed = 0
+    for column in columns:
+        sounding = [p for p in column if p is not None]  # still ordered from soprano down
+        if len(sounding) < 2:
+            continue
+        comparable += 1
+        if any(lower > higher for higher, lower in combinations(sounding, 2)):
+            crossed += 1
+    return [crossed / len(columns)] if comparable else []

@@ -295,6 +295,12 @@ class TestCli:
             pytest.param({"smoothing": "x"}, id="smoothing_str"),
             pytest.param({"features": 3}, id="features_int"),
             pytest.param([1], id="top_level_list"),
+            pytest.param({"min_improvement": math.nan}, id="min_improvement_nan"),
+            pytest.param({"min_improvement": math.inf}, id="min_improvement_inf"),
+            pytest.param({"smoothing": math.nan}, id="smoothing_nan"),
+            pytest.param({"smoothing": math.inf}, id="smoothing_inf"),
+            pytest.param({"p_empty": math.nan}, id="p_empty_nan"),
+            pytest.param({"p_empty": math.inf}, id="p_empty_inf"),
         ],
         ids=lambda override: next(iter(override)),
     )
@@ -326,3 +332,21 @@ class TestCli:
 
     def test_report_missing_dir_fails(self, tmp_path, capsys):
         assert main(["report", "--run-dir", str(tmp_path)]) != 0
+
+    @pytest.mark.parametrize(
+        "logs, manifest, bad_file",
+        [
+            pytest.param("epoch,candidate_id,grade\n0,g0,1.5\n", "", "dataset_manifest.jsonl", id="empty_manifest"),
+            pytest.param("epoch,candidate_id\n0,g0\n", "", "epoch_logs.csv", id="no_grade_column"),
+            pytest.param(
+                "epoch,candidate_id,grade\n0,g0,1.5\n", '{"id": "c0"}\n', "dataset_manifest.jsonl", id="no_origin"
+            ),
+        ],
+    )
+    def test_report_malformed_run_dir_fails(self, tmp_path, capsys, logs, manifest, bad_file):
+        (tmp_path / "epoch_logs.csv").write_text(logs, encoding="utf-8")
+        (tmp_path / "dataset_manifest.jsonl").write_text(manifest, encoding="utf-8")
+        assert main(["report", "--run-dir", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert str(tmp_path / bad_file) in err

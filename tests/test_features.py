@@ -13,7 +13,14 @@ from auggen.features import (
     feature_events,
 )
 from conftest import chorales
-from oracles import brute_parallel_count, token_walk_durations
+from oracles import (
+    brute_parallel_count,
+    token_walk_durations,
+    token_walk_harmonic_intervals,
+    token_walk_melodic_intervals,
+    token_walk_pitches,
+    token_walk_voice_crossing,
+)
 
 
 def quad(*voices):
@@ -150,6 +157,20 @@ def test_feature_events_rejects_point_features(desk_corpus):
 @given(chorales(max_length=10))
 def test_rhythm_extractor_matches_token_walk(c):
     assert REGISTRY["rhythm"].extractor(realize(c)) == token_walk_durations(c)
+
+
+@pytest.mark.parametrize(
+    "name, oracle",
+    [
+        ("pitch", token_walk_pitches),
+        ("harmonic_interval", token_walk_harmonic_intervals),
+        ("melodic_interval", token_walk_melodic_intervals),
+        ("voice_crossing", token_walk_voice_crossing),
+    ],
+)
+@given(c=chorales(max_length=10))
+def test_extractor_matches_token_walk(name, oracle, c):
+    assert sorted(REGISTRY[name].extractor(realize(c))) == sorted(oracle(c))
 
 
 def test_critic_realizes_each_chorale_once(monkeypatch, desk_reference):
