@@ -115,27 +115,35 @@ def cmd_compare(args: argparse.Namespace) -> int:
     return 0
 
 
+def _manifest_origins(manifest: Path) -> list[str]:
+    origins = []
+    for number, line in enumerate(manifest.read_text(encoding="utf-8").splitlines(), 1):
+        if line:
+            try:
+                record = json.loads(line)
+            except ValueError as exc:
+                raise ValueError(f"{manifest}: line {number}: {exc}") from None
+            if not isinstance(record, dict) or "origin" not in record:
+                raise ValueError(f"{manifest}: line {number} has no 'origin'")
+            origins.append(record["origin"])
+    if not origins:
+        raise ValueError(f"{manifest}: no chorales listed")
+    return origins
+
+
 def cmd_report(args: argparse.Namespace) -> int:
     run_dir = Path(args.run_dir)
     logs = run_dir / "epoch_logs.csv"
     if not logs.exists():
         raise FileNotFoundError(f"no epoch_logs.csv under {run_dir}")
     stats = recompute_epoch_stats(logs)
+    manifest = run_dir / "dataset_manifest.jsonl"
+    origins = _manifest_origins(manifest) if manifest.exists() else None  # both files checked before any output
     writer = csv.writer(sys.stdout, lineterminator="\n")
     writer.writerow(["epoch", "min", "q1", "median", "q3", "max"])
     for (_, epoch), quint in sorted(stats.items()):
         writer.writerow([epoch, *[repr(x) for x in quint]])
-    manifest = run_dir / "dataset_manifest.jsonl"
-    if manifest.exists():
-        origins = []
-        for number, line in enumerate(manifest.read_text(encoding="utf-8").splitlines(), 1):
-            if line:
-                record = json.loads(line)
-                if not isinstance(record, dict) or "origin" not in record:
-                    raise ValueError(f"{manifest}: line {number} has no 'origin'")
-                origins.append(record["origin"])
-        if not origins:
-            raise ValueError(f"{manifest}: no chorales listed")
+    if origins is not None:
         generated = sum(1 for o in origins if o == "generated")
         print(f"# dataset: {len(origins)} chorales, {generated} generated "
               f"({generated / len(origins):.3f} of total)")

@@ -360,8 +360,12 @@ def recompute_epoch_stats(epoch_logs_csv: str | Path) -> dict[tuple[str, int], t
         if missing:
             raise ValueError(f"{epoch_logs_csv}: missing column(s) {sorted(missing)}")
         for row in reader:
-            key = (row.get("regime", ""), int(row["epoch"]))
-            grades.setdefault(key, []).append(float(row["grade"]))
+            try:
+                key = (row.get("regime", ""), int(row["epoch"]))
+                grade = float(row["grade"])
+            except (TypeError, ValueError) as exc:  # TypeError: a short row leaves the cell None
+                raise ValueError(f"{epoch_logs_csv}: line {reader.line_num}: {exc}") from None
+            grades.setdefault(key, []).append(grade)
     out = {}
     for key, values in grades.items():
         arr = np.asarray(values)

@@ -55,6 +55,12 @@ class FeatureDistribution:
     weights: tuple[float, ...]
 
     def __post_init__(self) -> None:
+        try:
+            self._check()
+        except TypeError as exc:  # a value that is not a number
+            raise ValueError(f"feature {self.feature_name!r}: support and weights must be numbers ({exc})") from None
+
+    def _check(self) -> None:
         if len(self.support) != len(self.weights):
             raise ValueError("support and weights must have equal length")
         if not self.support:

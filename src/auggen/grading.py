@@ -47,6 +47,12 @@ def wasserstein1(p: FeatureDistribution, q: FeatureDistribution) -> float:
     return float(np.sum(np.abs(cdf_p - cdf_q)[:-1] * np.diff(xs)))
 
 
+def _number(value: object, what: str) -> float:
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"{what} must be a number, got {value!r}")
+    return float(value)
+
+
 def _require_keys(payload: Mapping, keys: Sequence[str], what: str) -> None:
     missing = [key for key in keys if key not in payload]
     if missing:
@@ -67,6 +73,15 @@ class ReferenceModel:
     p_empty: float
     provenance: Mapping[str, object]
 
+    def __post_init__(self) -> None:
+        if not 0 < self.p_empty < math.inf:
+            raise ValueError(f"p_empty must be finite and > 0, got {self.p_empty}")
+        for name, w in self.weights.items():
+            if not 0 <= w < math.inf:
+                raise ValueError(f"weight for {name!r} must be finite and >= 0, got {w}")
+        if not any(w > 0 for w in self.weights.values()):
+            raise ValueError("at least one feature weight must be > 0")
+
     def to_json(self) -> dict:
         return {
             "format": _REFERENCE_FORMAT,
@@ -82,15 +97,22 @@ class ReferenceModel:
 
     @classmethod
     def from_json(cls, payload: dict) -> "ReferenceModel":
-        if payload.get("format") != _REFERENCE_FORMAT:
-            raise ValueError(f"unrecognized reference format {payload.get('format')!r}")
+        found = payload.get("format") if isinstance(payload, dict) else None
+        if found != _REFERENCE_FORMAT:
+            raise ValueError(f"unrecognized reference format {found!r}")
         _require_keys(payload, ("features", "references", "weights", "p_empty"), "reference")
         names = check_feature_set(payload["features"])
         for key in ("references", "weights"):
+            if not isinstance(payload[key], dict):
+                raise ValueError(f"{key} must be an object keyed by feature name")
             if set(payload[key]) != set(names):
                 raise ValueError(f"{key} keys {sorted(payload[key])} do not match features {sorted(names)}")
         for name, entry in payload["references"].items():
+            if not isinstance(entry, dict):
+                raise ValueError(f"reference entry {name!r} must be an object")
             _require_keys(entry, ("support", "weights"), f"reference entry {name!r}")
+            if not (isinstance(entry["support"], list) and isinstance(entry["weights"], list)):
+                raise ValueError(f"reference entry {name!r}: support and weights must be lists")
         references = {
             name: FeatureDistribution(name, tuple(entry["support"]), tuple(entry["weights"]))
             for name, entry in payload["references"].items()
@@ -98,8 +120,8 @@ class ReferenceModel:
         return cls(
             feature_names=names,
             references=references,
-            weights={k: float(v) for k, v in payload["weights"].items()},
-            p_empty=float(payload["p_empty"]),
+            weights={k: _number(v, f"weight for {k!r}") for k, v in payload["weights"].items()},
+            p_empty=_number(payload["p_empty"], "p_empty"),
             provenance=payload.get("provenance", {}),
         )
 
@@ -130,18 +152,12 @@ def fit_reference(
     names = check_feature_set(feature_set)
     if len(corpus) == 0:
         raise ValueError("cannot fit a reference on an empty corpus")
-    if not 0 < p_empty < math.inf:
-        raise ValueError(f"p_empty must be finite and > 0, got {p_empty}")
     weight_map = {name: 1.0 for name in names}
     if weights is not None:
         for name, w in weights.items():
             if name not in weight_map:
                 raise ValueError(f"weight given for disabled feature {name!r}")
-            if w < 0 or not math.isfinite(w):
-                raise ValueError(f"weight for {name!r} must be finite and >= 0, got {w}")
             weight_map[name] = float(w)
-    if not any(w > 0 for w in weight_map.values()):
-        raise ValueError("at least one feature weight must be > 0")
 
     events: dict[str, list[float]] = {name: [] for name in names}
     for chorale in corpus:

@@ -6,8 +6,10 @@ implementations they verify.
 
 from itertools import combinations
 
-from auggen.chorale import HOLD, REST, SILENT, realize
-from auggen.model import iter_token_events
+import numpy as np
+
+from auggen.chorale import HOLD, REST, SILENT, Chorale, realize
+from auggen.model import START, iter_token_events
 
 
 def tokens_from_grid(grid) -> tuple[tuple, ...]:
@@ -38,6 +40,38 @@ def replay_counts(multiset, order: int) -> tuple[list[dict], list[dict]]:
             totals[v][context] = totals[v].get(context, 0) + 1
     return counts, totals
 
+
+def count_tables(model) -> tuple[list[dict], list[dict]]:
+    """Dict view of a fitted MarkovModel's count table and row totals, nonzero entries only,
+    in the per-voice ``{context: {token: count}}`` / ``{context: total}`` shape of :func:`replay_counts`."""
+    counts = [{} for _ in range(4)]
+    for v, context, tok, count in model._nonzero_cells():
+        counts[v].setdefault(context, {})[tok] = count
+    totals = [{} for _ in range(4)]
+    for v in range(4):
+        for context, row in model._rows[v].items():
+            if row < len(model._row_totals) and model._row_totals[row]:
+                totals[v][context] = int(model._row_totals[row])
+    return counts, totals
+
+def reference_sample(model, length: int, rng) -> Chorale:
+    """Per-token sampler: one ``rng.random()`` per position, a fresh
+    ``next_token_dist`` with HOLD masked where it cannot follow, then
+    ``np.cumsum`` and ``np.searchsorted``. No caching."""
+    history = [[START] * model.order for _ in range(4)]
+    for t in range(length):
+        step = ()
+        for v in range(4):
+            context = tuple(history[v][-model.order :]) + step
+            probs = model.next_token_dist(v, context).copy()
+            if (t == 0 or history[v][-1] == REST) and HOLD in model.vocabs[v]:
+                probs[model.vocabs[v].index(HOLD)] = 0.0
+            cdf = np.cumsum(probs / probs.sum())
+            idx = int(np.searchsorted(cdf, rng.random(), side="right"))
+            tok = model.vocabs[v][min(idx, len(model.vocabs[v]) - 1)]
+            history[v].append(tok)
+            step = step + (tok,)
+    return Chorale(id="reference", voices=tuple(tuple(h[model.order :]) for h in history))
 
 def transport_cost(p, q) -> float:
     """Exact minimum-cost transport between two 1-D discrete distributions.

@@ -32,6 +32,8 @@ SMALL = dict(
     seed=23,
 )
 
+GOOD_MANIFEST = '{"origin": "true"}\n'
+
 
 @pytest.fixture(scope="module")
 def small_compare(tmp_path_factory):
@@ -257,7 +259,19 @@ class TestCli:
         assert calls == list(load_corpus(corpus_path).ids())
 
     @pytest.mark.parametrize(
-        "tamper", ["unregistered_feature", "weights_mismatch", "missing_p_empty", "missing_support"]
+        "tamper",
+        [
+            "unregistered_feature",
+            "weights_mismatch",
+            "missing_p_empty",
+            "missing_support",
+            "negative_p_empty",
+            "nan_p_empty",
+            "negative_weight",
+            "string_support",
+            "entry_not_object",
+            "top_level_list",
+        ],
     )
     def test_grade_rejects_inconsistent_reference(self, small_compare, tmp_path, capsys, tamper):
         config, out, _, _ = small_compare
@@ -270,8 +284,21 @@ class TestCli:
             del payload["weights"]["rhythm"]
         elif tamper == "missing_p_empty":
             del payload["p_empty"]
-        else:
+        elif tamper == "missing_support":
             del payload["references"]["pitch"]["support"]
+        elif tamper == "negative_p_empty":
+            payload["p_empty"] = -5
+        elif tamper == "nan_p_empty":
+            payload["p_empty"] = float("nan")
+        elif tamper == "negative_weight":
+            payload["weights"]["rhythm"] = -1
+        elif tamper == "entry_not_object":
+            payload["references"]["pitch"] = 5
+        elif tamper == "top_level_list":
+            payload = [payload]
+        else:
+            support = payload["references"]["pitch"]["support"]
+            payload["references"]["pitch"]["support"] = ["a", *support[1:]]
         reference_path = tmp_path / "reference.json"
         reference_path.write_text(json.dumps(payload), encoding="utf-8")
         corpus_path = tmp_path / "corpus.jsonl"
@@ -334,19 +361,38 @@ class TestCli:
         assert main(["report", "--run-dir", str(tmp_path)]) != 0
 
     @pytest.mark.parametrize(
-        "logs, manifest, bad_file",
+        "logs, manifest, bad_file, where",
         [
-            pytest.param("epoch,candidate_id,grade\n0,g0,1.5\n", "", "dataset_manifest.jsonl", id="empty_manifest"),
-            pytest.param("epoch,candidate_id\n0,g0\n", "", "epoch_logs.csv", id="no_grade_column"),
+            pytest.param("epoch,candidate_id,grade\n0,g0,1.5\n", "", "dataset_manifest.jsonl", "", id="empty_manifest"),
+            pytest.param("epoch,candidate_id\n0,g0\n", "", "epoch_logs.csv", "", id="no_grade_column"),
             pytest.param(
-                "epoch,candidate_id,grade\n0,g0,1.5\n", '{"id": "c0"}\n', "dataset_manifest.jsonl", id="no_origin"
+                "epoch,candidate_id,grade\n0,g0,1.5\n", '{"id": "c0"}\n', "dataset_manifest.jsonl", "line 1", id="no_origin"
+            ),
+            pytest.param(
+                "epoch,candidate_id,grade\n0,g0,1.5\n0,g1,abc\n", GOOD_MANIFEST, "epoch_logs.csv", "line 3", id="text_grade"
+            ),
+            pytest.param(
+                "epoch,candidate_id,grade\n0,g0,1.5\nx,g1,2.5\n", GOOD_MANIFEST, "epoch_logs.csv", "line 3", id="text_epoch"
+            ),
+            pytest.param(
+                "epoch,candidate_id,grade\n0,g0,1.5\n0,g1\n", GOOD_MANIFEST, "epoch_logs.csv", "line 3", id="short_row"
+            ),
+            pytest.param(
+                "epoch,candidate_id,grade\n0,g0,1.5\n",
+                GOOD_MANIFEST + "not json\n",
+                "dataset_manifest.jsonl",
+                "line 2",
+                id="manifest_not_json",
             ),
         ],
     )
-    def test_report_malformed_run_dir_fails(self, tmp_path, capsys, logs, manifest, bad_file):
+    def test_report_malformed_run_dir_fails(self, tmp_path, capsys, logs, manifest, bad_file, where):
+        # both files are checked in full before anything goes to stdout
         (tmp_path / "epoch_logs.csv").write_text(logs, encoding="utf-8")
         (tmp_path / "dataset_manifest.jsonl").write_text(manifest, encoding="utf-8")
         assert main(["report", "--run-dir", str(tmp_path)]) == 1
-        err = capsys.readouterr().err
-        assert err.startswith("error: ") and err.count("\n") == 1, err
-        assert str(tmp_path / bad_file) in err
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1, captured.err
+        assert str(tmp_path / bad_file) in captured.err
+        assert where in captured.err

@@ -6,10 +6,11 @@ import pytest
 from hypothesis import given
 
 from auggen.chorale import HOLD, REST, Chorale, validate
+from auggen import model as model_module
 from auggen.model import START, MarkovModel, iter_token_events
 from auggen.rng import stream
 from conftest import ascending, chorales
-from oracles import replay_counts
+from oracles import count_tables, reference_sample, replay_counts
 
 TINY = 1e-12
 
@@ -25,10 +26,12 @@ class TestFitCounts:
         single.fit([c])
         double = MarkovModel.with_vocab_from([c], order=2, alpha=0.1)
         double.fit([c, c])
+        single_counts, _ = count_tables(single)
+        double_counts, _ = count_tables(double)
         for v in range(4):
-            assert set(double._counts[v]) == set(single._counts[v])
-            for ctx, by_tok in single._counts[v].items():
-                assert double._counts[v][ctx] == {tok: 2 * n for tok, n in by_tok.items()}
+            assert set(double_counts[v]) == set(single_counts[v])
+            for ctx, by_tok in single_counts[v].items():
+                assert double_counts[v][ctx] == {tok: 2 * n for tok, n in by_tok.items()}
 
     @given(
         st.lists(chorales(min_length=1, max_length=6), min_size=1, max_size=4),
@@ -43,8 +46,7 @@ class TestFitCounts:
         model = MarkovModel.with_vocab_from(pool, order=2, alpha=0.1)
         model.fit(multiset)
         counts, totals = replay_counts(multiset, 2)
-        assert model._counts == counts
-        assert model._totals == totals
+        assert count_tables(model) == (counts, totals)
 
     def test_fit_rejects_empty(self):
         model = MarkovModel.with_vocab_from([ascending(60)], order=1, alpha=0.1)
@@ -56,6 +58,24 @@ class TestFitCounts:
         with pytest.raises(ValueError) as err:
             model.fit([ascending(100)])
         assert "vocabulary" in str(err.value)
+
+    def test_fit_names_first_out_of_vocabulary_token(self):
+        known = ascending(60)
+        voices = list(known.voices)
+        voices[2] = voices[2][:5] + (99,) + voices[2][6:]
+        alien = Chorale(id="alien", voices=tuple(voices))
+        model = MarkovModel.with_vocab_from([known], order=1, alpha=0.1)
+        with pytest.raises(ValueError) as err:
+            model.fit([known, known, alien, alien])
+        assert str(err.value) == "chorale 'alien': token 99 not in voice 2 vocabulary"
+
+    def test_fit_rejects_counts_beyond_int32(self, monkeypatch):
+        c = ascending(60)  # 32 events
+        model = MarkovModel.with_vocab_from([c], order=1, alpha=0.1)
+        monkeypatch.setattr(model_module, "_MAX_COUNT", 63)
+        model.fit([c])
+        with pytest.raises(ValueError, match="events exceed"):
+            model.fit([c, c, c])  # 96 events, over the (lowered) limit
 
     def test_additive_smoothing_formula(self):
         # soprano vocab {60, 62}; context (60,) seen 4 times: 62 thrice, 60 once
@@ -133,8 +153,87 @@ class TestSample:
         clone = model.sample(source.length, stream(0, "clone"))
         assert clone.voices == source.voices
 
+    @given(
+        st.lists(chorales(min_length=2, max_length=8), min_size=2, max_size=5),
+        st.integers(0, 2**32 - 1),
+        st.sampled_from([1e-3, 0.1, 1.0]),
+    )
+    def test_sample_matches_reference_sampler(self, pool, seed, alpha):
+        model = MarkovModel.with_vocab_from(pool, order=2, alpha=alpha)
+        fresh = model.sample(6, stream(seed, "fresh"))
+        assert fresh.voices == reference_sample(model, 6, stream(seed, "fresh")).voices
+        model.fit(pool[:1])
+        early = model.snapshot()
+        model.fit(pool)  # interns the other chorales' contexts after the snapshot
+        for phase in ("fitted", "restored"):
+            for k in range(3):
+                length = 1 + 5 * k
+                sampled = model.sample(length, stream(seed, phase, k))
+                assert sampled.voices == reference_sample(model, length, stream(seed, phase, k)).voices
+            model.restore(early)
+
+    def test_sample_matches_reference_sampler_on_desk_corpus(self, desk_split):
+        chorales_ = list(desk_split.train)
+        model = MarkovModel.with_vocab_from(chorales_, order=2, alpha=0.1)
+        model.fit(chorales_[:8])
+        early = model.snapshot()
+        model.fit(chorales_)
+        model.mean_nll(list(desk_split.validation))  # interns validation contexts, unfitted rows
+        for phase in ("fitted", "restored"):
+            for k in range(20):
+                length = 1 + 2 * k
+                sampled = model.sample(length, stream(9, phase, k))
+                assert sampled.voices == reference_sample(model, length, stream(9, phase, k)).voices
+            model.restore(early)
+
+    def test_one_draw_per_position(self, desk_split):
+        model = MarkovModel.with_vocab_from(desk_split.train, order=2, alpha=0.1)
+        model.fit(list(desk_split.train))
+        rng = stream(2, "draws")
+        model.sample(30, rng)
+        after = stream(2, "draws")
+        after.random(4 * 30)
+        assert rng.random() == after.random()
+
+
+def per_event_mean_nll(model, chorales_) -> float:
+    total = 0.0
+    positions = 0
+    for chorale in chorales_:
+        acc = 0.0
+        for v, context, tok in iter_token_events(chorale, model.order):
+            acc -= model.token_logprob(v, context, tok)
+            positions += 1
+        total += acc
+    return total / positions
+
 
 class TestMeanNll:
+    @given(
+        st.lists(chorales(min_length=1, max_length=8), min_size=2, max_size=5),
+        st.lists(st.integers(0, 4), min_size=1, max_size=12),
+    )
+    def test_equals_per_event_logprob_loop(self, pool, picks):
+        # vocabulary from two chorales only, so the others bring unknown tokens and contexts
+        model = MarkovModel.with_vocab_from(pool[:2], order=2, alpha=0.1)
+        draws = [pool[i % len(pool)] for i in picks]
+        assert model.mean_nll(draws) == per_event_mean_nll(model, draws)
+        model.fit(pool[:1])
+        early = model.snapshot()
+        model.fit(pool[:2])
+        assert model.mean_nll(draws) == per_event_mean_nll(model, draws)
+        model.restore(early)
+        assert model.mean_nll(draws) == per_event_mean_nll(model, draws)
+
+    def test_equals_per_event_logprob_loop_on_desk_corpus(self, desk_split):
+        chorales_ = list(desk_split.train)
+        model = MarkovModel.with_vocab_from(chorales_, order=2, alpha=0.1)
+        draws = [chorales_[int(i)] for i in stream(3, "draws").integers(0, len(chorales_), size=500)]
+        model.fit(draws)
+        validation = list(desk_split.validation)
+        assert model.mean_nll(draws) == per_event_mean_nll(model, draws)
+        assert model.mean_nll(validation) == per_event_mean_nll(model, validation)
+
     def test_zero_on_deterministic_training_data(self):
         c = ascending(72, length=10)
         model = MarkovModel.with_vocab_from([c], order=2, alpha=TINY)
@@ -170,7 +269,7 @@ class TestSnapshotAndSerialization:
         model = MarkovModel.with_vocab_from(chorales_, order=2, alpha=0.1)
         model.fit(chorales_[:10])
         state = model.snapshot()
-        before = {v: dict(model._counts[v]) for v in range(4)}
+        before = count_tables(model)
         model.fit(chorales_[10:20])
         model.restore(state)
         fresh = MarkovModel.with_vocab_from(chorales_, order=2, alpha=0.1)
@@ -181,14 +280,15 @@ class TestSnapshotAndSerialization:
             for _ in range(25):
                 context = tuple(vocab[int(i)] for i in rng.integers(0, len(vocab), size=2 + v))
                 assert np.array_equal(model.next_token_dist(v, context), fresh.next_token_dist(v, context))
-        assert {v: dict(model._counts[v]) for v in range(4)} == before
+        assert count_tables(model) == before
 
     def test_restore_same_snapshot_twice(self, desk_split):
         chorales_ = list(desk_split.train)
         model = MarkovModel.with_vocab_from(chorales_, order=2, alpha=0.1)
         model.fit(chorales_[:10])
         state = model.snapshot()
-        contexts = [(v, context) for v in range(4) for context in list(model._counts[v])[:5]]
+        counts, _ = count_tables(model)
+        contexts = [(v, context) for v in range(4) for context in list(counts[v])[:5]]
         model.restore(state)
         first = [model.next_token_dist(v, context) for v, context in contexts]
         model.fit(chorales_[10:20])
@@ -211,8 +311,7 @@ class TestSnapshotAndSerialization:
         loaded = MarkovModel.load(path)
         assert loaded.order == model.order and loaded.alpha == model.alpha
         assert loaded.vocabs == model.vocabs
-        assert loaded._counts == model._counts
-        assert loaded._totals == model._totals
+        assert count_tables(loaded) == count_tables(model)
 
     def test_load_rejects_unknown_format(self, tmp_path):
         path = tmp_path / "bad.json"
@@ -230,6 +329,12 @@ class TestConstruction:
             MarkovModel.with_vocab_from([c], order=1, alpha=0.0)
         with pytest.raises(ValueError):
             MarkovModel.with_vocab_from([], order=1, alpha=0.1)
+
+    def test_hold_only_vocabulary_rejected(self):
+        # a voice must start with a note or a rest, so such a model could never sample
+        with pytest.raises(ValueError, match="only"):
+            MarkovModel(order=1, alpha=0.1, vocabs=[(60, REST), (HOLD,), (48,), (36,)])
+        MarkovModel(order=1, alpha=0.1, vocabs=[(60, REST), (HOLD, REST), (48,), (36,)])
 
     def test_start_never_in_vocabulary(self, desk_split):
         model = MarkovModel.with_vocab_from(desk_split.train, order=2, alpha=0.1)
