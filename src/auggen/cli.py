@@ -24,7 +24,7 @@ from . import experiment
 from .corpus import CorpusError, load_corpus, save_corpus, teacher_corpus
 from .experiment import PROFILES, ExperimentConfig, RegimeError, compare, recompute_epoch_stats, resolve_out_dir, run_regime
 from .chorale import ChoraleFormatError
-from .grading import ReferenceModel, grade
+from .grading import PASS_SIZE, ReferenceModel, grade
 
 log = logging.getLogger(__name__)
 
@@ -71,15 +71,16 @@ def cmd_grade(args: argparse.Namespace) -> int:
         dump = _open_csv(files, args.dump_features) if args.dump_features else None
         if dump is not None:
             dump.writerow(["chorale_id", "feature_name", "value", "weight"])
-        for chorale in corpus:
-            report = grade(chorale, reference)
-            grades.writerow(
-                [chorale.id, *[repr(report.distances[n]) for n in reference.feature_names], repr(report.total)]
-            )
+        for start in range(0, len(corpus), PASS_SIZE):  # one pass at a time, so memory stays bounded
+            batch = grade(corpus.chorales[start : start + PASS_SIZE], reference)
+            for chorale_id, distances, total in zip(batch.ids, batch.distances.tolist(), batch.totals.tolist()):
+                grades.writerow([chorale_id, *map(repr, distances), repr(total)])
             if dump is not None:
-                for name, dist in report.distributions.items():
-                    for value, weight in zip(dist.support, dist.weights):
-                        dump.writerow([chorale.id, name, repr(value), repr(weight)])
+                width = len(batch.feature_names)
+                points = zip(batch.point_segment.tolist(), batch.point_value.tolist(), batch.point_weight.tolist())
+                for segment, value, weight in points:
+                    chorale, feature = divmod(segment, width)
+                    dump.writerow([batch.ids[chorale], batch.feature_names[feature], repr(value), repr(weight)])
     print(f"graded {len(corpus)} chorales -> {args.out}")
     if dump is not None:
         print(f"dumped feature distributions -> {args.dump_features}")

@@ -177,18 +177,12 @@ class RegimeSummary:
         return self.generated_count / (self.true_count + self.generated_count)
 
     def to_json(self) -> dict:
-        return {
-            "regime": self.regime,
-            "threshold": self.threshold.to_json(),
-            "best_epoch": self.best_epoch,
-            "best_val_loss": self.best_val_loss,
-            "epochs_ran": self.epochs_ran,
-            "epoch_grade_stats": [list(row) for row in self.epoch_grade_stats],
-            "final_grades": list(self.final_grades),
-            "true_count": self.true_count,
-            "generated_count": self.generated_count,
-            "generated_fraction": self.generated_fraction,
-        }
+        payload = {f.name: getattr(self, f.name) for f in fields(self)}
+        payload["threshold"] = self.threshold.to_json()
+        payload["epoch_grade_stats"] = [list(row) for row in self.epoch_grade_stats]
+        payload["final_grades"] = list(self.final_grades)
+        payload["generated_fraction"] = self.generated_fraction
+        return payload
 
 
 def load_or_synthesize_corpus(config: ExperimentConfig) -> Corpus:
@@ -209,7 +203,7 @@ def prepare(config: ExperimentConfig) -> tuple[Corpus, Split, ReferenceModel, di
     corpus = load_or_synthesize_corpus(config)
     data_split = split(corpus, config.split_fraction, config.seed)
     reference = fit_reference(data_split.train, config.features, weights=config.weights, p_empty=config.p_empty)
-    grade_by_id = {c.id: grade(c, reference).total for c in corpus}
+    grade_by_id = dict(zip(corpus.ids(), grade(corpus.chorales, reference).totals.tolist()))
     return corpus, data_split, reference, grade_by_id
 
 
@@ -243,12 +237,12 @@ def run_regime(
     result = run(config.loop_config(threshold), data_split, model, reference)
 
     length_pool = [c.length for c in data_split.train]
-    final_grades = []
+    samples = []
     for i in range(config.n_eval):
         rng = stream(config.seed, "eval", regime, i)
         length = length_pool[int(rng.integers(0, len(length_pool)))]
-        sample = result.model.sample(length, rng, chorale_id=f"eval-{regime}-{i:04d}")
-        final_grades.append(grade(sample, reference).total)
+        samples.append(result.model.sample(length, rng, chorale_id=f"eval-{regime}-{i:04d}"))
+    final_grades = grade(samples, reference).totals.tolist()
 
     stats = tuple(
         (entry.epoch, *grade_quintuple([rec.grade for rec in entry.candidates]))

@@ -1,11 +1,15 @@
-"""Musical feature extractors over the realized chorale grid.
+"""Musical feature extractors over realized chorale grids, a batch at a time.
 
-An extractor maps a chorale's :class:`~auggen.chorale.RealizedGrid` to a
-list of real event values. Each one is a numpy array expression over the
-``(4, T)`` pitch and onset arrays, with no Python loop over timesteps or
-voice pairs. :func:`extract_all` realizes a chorale once and turns each
-extractor's events into a weighted empirical distribution.
-Adding a feature is one :data:`REGISTRY` entry. Six are registered:
+:func:`realize_batch` realizes each chorale of a batch once and joins the
+``(4, T)`` grids along time, with one :data:`~auggen.chorale.SILENT`
+column after each chorale. That column ends every note, every sounding
+voice pair and every consecutive-timestep pair at the chorale boundary
+(melodic steps skip rests, so that extractor also compares chorale
+indices), and an extractor is one numpy array expression over the whole
+batch, with no Python loop over chorales, timesteps or voice pairs. It
+returns every event value together with the index of the chorale it
+belongs to. Adding a feature is one :data:`REGISTRY` entry. Six are
+registered:
 
 * ``pitch`` -- MIDI pitches at note onsets, all voices pooled (weight
   proportional to onset count, not sustained duration).
@@ -34,13 +38,13 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Sequence
 
 import math
 
 import numpy as np
 
-from .chorale import N_VOICES, SILENT, Chorale, RealizedGrid, realize
+from .chorale import N_VOICES, SILENT, Chorale, realize
 
 _VOICE_PAIRS = np.triu_indices(N_VOICES, 1)  # (higher voices, lower voices) of every pair, in combinations order
 _NORM_TOL = 1e-12
@@ -99,61 +103,103 @@ class FeatureDistribution:
         return not self.support
 
 
-def _pitch_events(grid: RealizedGrid) -> list[float]:
-    return grid.pitches[grid.onsets].astype(float).tolist()
+@dataclass(frozen=True)
+class GridBatch:
+    """Realized grids of a batch of chorales, joined along time, each followed by one SILENT column."""
+
+    pitches: np.ndarray  # (N_VOICES, columns) int16
+    onsets: np.ndarray  # (N_VOICES, columns) bool
+    owner: np.ndarray  # (columns,) chorale index of each column; a separator belongs to the chorale before it
+    starts: np.ndarray  # (chorales,) first column of each chorale
+    lengths: np.ndarray  # (chorales,) timesteps of each chorale
 
 
-def _rhythm_events(grid: RealizedGrid) -> list[float]:
-    """A note ends at the next onset or silent cell in its voice, or at the end of the chorale."""
-    # an extra True column per row: every note stops by the row's end, and no search runs into the next voice
-    end_column = np.ones((N_VOICES, 1), dtype=bool)
-    starts = np.flatnonzero(np.hstack([grid.onsets, ~end_column]))
-    stops = np.flatnonzero(np.hstack([grid.onsets | (grid.pitches == SILENT), end_column]))
-    return (stops[np.searchsorted(stops, starts, side="right")] - starts).astype(float).tolist()
+def realize_batch(chorales: Sequence[Chorale]) -> GridBatch:
+    """Realize each chorale once, in order.
+
+    Raises :class:`~auggen.chorale.InvalidChoraleError` on the first invalid chorale.
+    """
+    grids = [realize(chorale) for chorale in chorales]
+    lengths = np.array([grid.length for grid in grids], dtype=np.intp)
+    silent, no_onset = np.full((N_VOICES, 1), SILENT, dtype=np.int16), np.zeros((N_VOICES, 1), dtype=bool)
+    # each concatenation starts with an empty block, so that an empty batch has a grid too
+    return GridBatch(
+        pitches=np.concatenate([silent[:, :0], *(part for grid in grids for part in (grid.pitches, silent))], axis=1),
+        onsets=np.concatenate([no_onset[:, :0], *(part for grid in grids for part in (grid.onsets, no_onset))], axis=1),
+        owner=np.repeat(np.arange(lengths.size), lengths + 1),
+        starts=np.cumsum(lengths + 1) - (lengths + 1),
+        lengths=lengths,
+    )
 
 
-def _harmonic_events(grid: RealizedGrid) -> list[float]:
-    upper, lower = grid.pitches[:-1], grid.pitches[1:]  # S-A, A-T, T-B
+Events = tuple[np.ndarray, np.ndarray]  # (float64 event values, chorale index of each value)
+
+
+def _owners(batch: GridBatch, cells: np.ndarray) -> np.ndarray:
+    """The chorale index of each True cell of a ``(rows, columns)`` mask, in row-major order."""
+    return np.broadcast_to(batch.owner[: cells.shape[1]], cells.shape)[cells]
+
+
+def _pitch_events(batch: GridBatch) -> Events:
+    return batch.pitches[batch.onsets].astype(float), _owners(batch, batch.onsets)
+
+
+def _rhythm_events(batch: GridBatch) -> Events:
+    """A note ends at the next onset or silent cell in its voice; the separator ends the last note of each chorale."""
+    starts = np.flatnonzero(batch.onsets)
+    # each voice's row ends in a separator, so no search runs into the next voice
+    stops = np.flatnonzero(batch.onsets | (batch.pitches == SILENT))
+    durations = stops[np.searchsorted(stops, starts, side="right")] - starts
+    return durations.astype(float), batch.owner[starts % batch.owner.size]
+
+
+def _harmonic_events(batch: GridBatch) -> Events:
+    upper, lower = batch.pitches[:-1], batch.pitches[1:]  # S-A, A-T, T-B
     both = (upper != SILENT) & (lower != SILENT)
-    return np.abs(upper - lower)[both].astype(float).tolist()
+    return np.abs(upper - lower)[both].astype(float), _owners(batch, both)
 
 
-def _melodic_events(grid: RealizedGrid) -> list[float]:
-    voice = np.nonzero(grid.onsets)[0]
-    steps = np.diff(grid.pitches[grid.onsets])  # onset pitches voice by voice; keep steps within one voice
-    return steps[voice[1:] == voice[:-1]].astype(float).tolist()
+def _melodic_events(batch: GridBatch) -> Events:
+    voice, column = np.nonzero(batch.onsets)
+    owner = batch.owner[column]
+    # onset pitches voice by voice; keep the steps within one voice and one chorale
+    steps = np.diff(batch.pitches[voice, column])
+    same = (voice[1:] == voice[:-1]) & (owner[1:] == owner[:-1])
+    return steps[same].astype(float), owner[1:][same]
 
 
-def _parallel_errors(grid: RealizedGrid) -> list[float]:
+def _per_chorale(batch: GridBatch, has_value: np.ndarray, count: np.ndarray, scale: float) -> Events:
+    """``count * scale / length`` of each chorale where ``has_value``; both are per column, summed per chorale."""
+    chorales = np.flatnonzero(np.logical_or.reduceat(has_value, batch.starts))
+    return np.add.reduceat(count, batch.starts)[chorales] * scale / batch.lengths[chorales], chorales
+
+
+def _parallel_errors(batch: GridBatch) -> Events:
     """Errors per 16 timesteps; no value when no voice pair ever sounds at consecutive steps."""
     higher, lower = _VOICE_PAIRS
-    pitches = grid.pitches
+    pitches = batch.pitches
     sounds = pitches != SILENT
-    held = sounds[:, :-1] & sounds[:, 1:]  # voice sounds at t and t + 1
+    held = sounds[:, :-1] & sounds[:, 1:]  # voice sounds at t and t + 1; never across a separator
     opportunities = held[higher] & held[lower]
-    if not opportunities.any():
-        return []
     moves = pitches[:, :-1] != pitches[:, 1:]
     interval = np.abs(pitches[higher] - pitches[lower]) % 12
     first, second = interval[:, :-1], interval[:, 1:]
     errors = opportunities & moves[higher] & moves[lower] & ((first == 0) | (first == 7)) & (first == second)
-    return [int(errors.sum()) * 16.0 / grid.length]
+    return _per_chorale(batch, opportunities.any(axis=0), errors.sum(axis=0), 16.0)
 
 
-def _voice_crossing(grid: RealizedGrid) -> list[float]:
+def _voice_crossing(batch: GridBatch) -> Events:
     """Crossed fraction of timesteps; no value when no two voices ever sound together."""
     higher, lower = _VOICE_PAIRS
-    pitches = grid.pitches
-    if not ((pitches != SILENT).sum(axis=0) >= 2).any():
-        return []
+    pitches = batch.pitches
     # a lower voice strictly above a sounding higher voice sounds too: SILENT is below every pitch
     crossed = ((pitches[higher] != SILENT) & (pitches[lower] > pitches[higher])).any(axis=0)
-    return [int(crossed.sum()) / grid.length]
+    return _per_chorale(batch, (pitches != SILENT).sum(axis=0) >= 2, crossed.astype(np.intp), 1.0)
 
 
 @dataclass(frozen=True)
 class FeatureSpec:
-    extractor: Callable[[RealizedGrid], list[float]]  # event values of one chorale
+    extractor: Callable[[GridBatch], Events]  # event values of every chorale in a batch
     pooled: bool  # pooled over corpus events vs one scalar per chorale
 
 
@@ -181,14 +227,9 @@ def check_feature_set(names: Iterable[str]) -> tuple[str, ...]:
     return names
 
 
-def extract_all(chorale: Chorale, names: Iterable[str]) -> dict[str, FeatureDistribution]:
-    """Realize ``chorale`` once and map each feature name to its distribution."""
-    grid = realize(chorale)
-    return {name: FeatureDistribution.from_values(name, REGISTRY[name].extractor(grid)) for name in names}
-
-
 def extract(chorale: Chorale, name: str) -> FeatureDistribution:
-    return extract_all(chorale, (name,))[name]
+    """The distribution of feature ``name`` over one chorale's events."""
+    return FeatureDistribution.from_values(name, REGISTRY[name].extractor(realize_batch((chorale,)))[0].tolist())
 
 
 def feature_events(chorale: Chorale, name: str) -> list[float]:
@@ -196,4 +237,4 @@ def feature_events(chorale: Chorale, name: str) -> list[float]:
     spec = REGISTRY[name]
     if not spec.pooled:
         raise ValueError(f"{name} is a per-chorale feature; it has no event pool")
-    return spec.extractor(realize(chorale))
+    return spec.extractor(realize_batch((chorale,)))[0].tolist()

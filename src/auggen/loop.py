@@ -21,7 +21,7 @@ import csv
 import json
 import math
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 from typing import Sequence
 
@@ -74,16 +74,15 @@ class LoopConfig:
             raise ValueError(f"min_improvement must be finite and >= 0, got {self.min_improvement}")
 
     def to_json(self) -> dict:
-        return {
-            "n_generate": self.n_generate,
-            "threshold": self.threshold.to_json(),
-            "batches": self.plan.batches,
-            "batch_size": self.plan.batch_size,
-            "max_epochs": self.max_epochs,
-            "patience": self.patience,
-            "min_improvement": self.min_improvement,
-            "seed": self.seed,
-        }
+        """The fields in order; the threshold as its JSON and the plan as its own two fields."""
+        payload: dict = {}
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, BatchPlan):
+                payload.update(asdict(value))
+            else:
+                payload[f.name] = value.to_json() if isinstance(value, Threshold) else value
+        return payload
 
 
 @dataclass(frozen=True)
@@ -145,24 +144,25 @@ def generation_step(
     config: LoopConfig,
     length_pool: Sequence[int],
 ) -> tuple[CandidateRecord, ...]:
-    """Generate, grade, and filter ``n_generate`` candidates for the current epoch."""
-    records = []
+    """Generate ``n_generate`` candidates for the current epoch, grade them in one call, then filter them in order."""
+    candidates = []
     for j in range(config.n_generate):
         rng = stream(config.seed, "gen", state.epoch, j)
         length = length_pool[int(rng.integers(0, len(length_pool)))]
-        candidate = model.sample(length, rng, chorale_id=f"gen-e{state.epoch:03d}-c{j:03d}")
-        report = grade(candidate, reference)
+        candidates.append(model.sample(length, rng, chorale_id=f"gen-e{state.epoch:03d}-c{j:03d}"))
+    records = []
+    for candidate, total in zip(candidates, grade(candidates, reference).totals.tolist()):
         key = canonical_key(candidate)
         duplicate = key in state.seen_keys
         state.seen_keys.add(key)
-        passes = report.total <= config.threshold.value
+        passes = total <= config.threshold.value
         accepted = passes and not duplicate
         if accepted:
             state.dataset.append(
                 DatasetEntry(chorale=candidate, origin=ORIGIN_GENERATED, acceptance_epoch=state.epoch)
             )
         reason = "" if accepted else ("duplicate" if duplicate else "grade")
-        records.append(CandidateRecord(candidate.id, report.total, accepted, reason))
+        records.append(CandidateRecord(candidate.id, total, accepted, reason))
     return tuple(records)
 
 

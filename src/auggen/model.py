@@ -331,8 +331,17 @@ class MarkovModel(GenerativeModel):
         self._reset_cdfs()
 
     def save(self, path: str | Path) -> None:
-        entries = [[v, list(context), tok, count] for v, context, tok, count in self._nonzero_cells()]
-        entries.sort(key=lambda e: (e[0], [str(x) for x in e[1]], str(e[2])))
+        # Entries are ordered by (voice, [str(x) for x in context], str(token)). Joined with NUL, which sorts
+        # below every character of a token's text, and with one voice's contexts all of one length, those
+        # keys compare as plain strings do; each row's part of the key is built once.
+        keys, entries = [], []
+        last = None
+        for v, context, tok, count in self._nonzero_cells():
+            if context is not last:  # cells come row by row
+                last, row_key, context_list = context, "\0".join([str(v), *map(str, context), ""]), list(context)
+            keys.append(row_key + str(tok))
+            entries.append([v, context_list, tok, count])
+        entries = [entries[i] for i in sorted(range(len(keys)), key=keys.__getitem__)]
         payload = {
             "format": _SNAPSHOT_FORMAT,
             "order": self.order,

@@ -4,11 +4,14 @@ These deliberately re-derive results through different algorithms than the
 implementations they verify.
 """
 
+import math
 from itertools import combinations
 
 import numpy as np
 
 from auggen.chorale import HOLD, REST, SILENT, Chorale, realize
+from auggen.features import FeatureDistribution
+from auggen.grading import Threshold, wasserstein1
 from auggen.model import START, iter_token_events
 
 
@@ -120,6 +123,12 @@ def brute_parallel_count(chorale) -> tuple[int, int]:
     return opportunities, errors
 
 
+def token_walk_parallel_errors(chorale) -> list[float]:
+    """[errors per 16 timesteps] from :func:`brute_parallel_count`, or [] when there is no opportunity."""
+    opportunities, errors = brute_parallel_count(chorale)
+    return [errors * 16.0 / chorale.length] if opportunities else []
+
+
 def token_walk_durations(chorale) -> list[float]:
     """Note durations in sixteenths, walking each voice's tokens: an onset plus its holds."""
     durations = []
@@ -184,3 +193,38 @@ def token_walk_voice_crossing(chorale) -> list[float]:
         if any(lower > higher for higher, lower in combinations(sounding, 2)):
             crossed += 1
     return [crossed / len(columns)] if comparable else []
+
+
+TOKEN_WALKS = {
+    "pitch": token_walk_pitches,
+    "rhythm": token_walk_durations,
+    "harmonic_interval": token_walk_harmonic_intervals,
+    "melodic_interval": token_walk_melodic_intervals,
+    "parallel_errors": token_walk_parallel_errors,
+    "voice_crossing": token_walk_voice_crossing,
+}
+
+
+def reference_grade(chorale, reference) -> tuple[dict[str, float], float]:
+    """(distances, total) of one chorale, feature by feature: token-walk events,
+    ``FeatureDistribution.from_values``, then ``wasserstein1`` or ``p_empty``."""
+    distances = {}
+    total = 0.0
+    for name in reference.feature_names:
+        dist = FeatureDistribution.from_values(name, TOKEN_WALKS[name](chorale))
+        d = reference.p_empty if dist.is_empty else wasserstein1(dist, reference.references[name])
+        distances[name] = d
+        total += reference.weights[name] * d
+    return distances, total
+
+
+def threshold_from_json(payload: dict) -> Threshold:
+    """Inverse of ``Threshold.to_json``, infinities included."""
+    raw = payload["value"]
+    value = float(raw) if not isinstance(raw, str) else {"inf": math.inf, "-inf": -math.inf}[raw]
+    return Threshold(
+        value=value,
+        label=payload["label"],
+        quantile=payload.get("quantile"),
+        corpus_digest=payload.get("corpus_digest"),
+    )

@@ -258,6 +258,19 @@ class TestCli:
         assert main(args + ["--out", str(tmp_path / "g.csv"), "--dump-features", str(tmp_path / "f.csv")]) == 0
         assert calls == list(load_corpus(corpus_path).ids())
 
+    def test_grade_empty_corpus_writes_headers(self, small_compare, tmp_path, capsys):
+        _, out, _, _ = small_compare
+        corpus_path = tmp_path / "empty.jsonl"
+        corpus_path.write_text("", encoding="utf-8")
+        grades_csv, feats_csv = tmp_path / "grades.csv", tmp_path / "features.csv"
+        args = ["grade", "--corpus", str(corpus_path), "--reference", str(out / "reference.json")]
+        assert main(args + ["--out", str(grades_csv), "--dump-features", str(feats_csv)]) == 0
+        names = json.loads((out / "reference.json").read_text(encoding="utf-8"))["features"]
+        header = ",".join(["chorale_id", *[f"d_{n}" for n in names], "total_grade"])
+        assert grades_csv.read_text(encoding="utf-8") == header + "\n"
+        assert feats_csv.read_text(encoding="utf-8") == "chorale_id,feature_name,value,weight\n"
+        assert "graded 0 chorales" in capsys.readouterr().out
+
     @pytest.mark.parametrize(
         "tamper",
         [

@@ -11,6 +11,7 @@ from auggen.features import (
     FeatureDistribution,
     extract,
     feature_events,
+    realize_batch,
 )
 from conftest import chorales
 from oracles import (
@@ -18,6 +19,7 @@ from oracles import (
     token_walk_durations,
     token_walk_harmonic_intervals,
     token_walk_melodic_intervals,
+    token_walk_parallel_errors,
     token_walk_pitches,
     token_walk_voice_crossing,
 )
@@ -154,9 +156,16 @@ def test_feature_events_rejects_point_features(desk_corpus):
         feature_events(desk_corpus.chorales[0], "voice_crossing")
 
 
-@given(chorales(max_length=10))
-def test_rhythm_extractor_matches_token_walk(c):
-    assert REGISTRY["rhythm"].extractor(realize(c)) == token_walk_durations(c)
+def events_by_chorale(name, batch):
+    """Each chorale's event values from one extractor pass over the whole batch, in extractor order."""
+    values, owner = REGISTRY[name].extractor(realize_batch(batch))
+    return [values[owner == i].tolist() for i in range(len(batch))]
+
+
+@given(st.lists(chorales(max_length=10), min_size=1, max_size=4))
+def test_rhythm_extractor_matches_token_walk(batch):
+    assert events_by_chorale("rhythm", batch[:1]) == [token_walk_durations(batch[0])]
+    assert events_by_chorale("rhythm", batch) == [token_walk_durations(c) for c in batch]
 
 
 @pytest.mark.parametrize(
@@ -165,12 +174,14 @@ def test_rhythm_extractor_matches_token_walk(c):
         ("pitch", token_walk_pitches),
         ("harmonic_interval", token_walk_harmonic_intervals),
         ("melodic_interval", token_walk_melodic_intervals),
+        ("parallel_errors", token_walk_parallel_errors),
         ("voice_crossing", token_walk_voice_crossing),
     ],
 )
-@given(c=chorales(max_length=10))
-def test_extractor_matches_token_walk(name, oracle, c):
-    assert sorted(REGISTRY[name].extractor(realize(c))) == sorted(oracle(c))
+@given(batch=st.lists(chorales(max_length=10), min_size=1, max_size=4))
+def test_extractor_matches_token_walk(name, oracle, batch):
+    assert sorted(events_by_chorale(name, batch[:1])[0]) == sorted(oracle(batch[0]))
+    assert [sorted(events) for events in events_by_chorale(name, batch)] == [sorted(oracle(c)) for c in batch]
 
 
 def test_critic_realizes_each_chorale_once(monkeypatch, desk_reference):

@@ -1,14 +1,16 @@
 import json
 import math
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
-from auggen.chorale import HOLD, REST, Chorale, transpose
+from auggen.chorale import HOLD, REST, Chorale, InvalidChoraleError, transpose
 from auggen.corpus import Corpus
 from auggen.features import DEFAULT_FEATURES, FeatureDistribution
 from auggen.grading import (
+    PASS_SIZE,
     EmptyDistributionError,
     ReferenceModel,
     Threshold,
@@ -20,7 +22,7 @@ from auggen.grading import (
 )
 from auggen.rng import stream
 from conftest import chorales, distributions
-from oracles import transport_cost
+from oracles import reference_grade, threshold_from_json, transport_cost
 
 TOL = 1e-9
 
@@ -151,6 +153,56 @@ class TestGrade:
                 assert shifted.distances[name] == base.distances[name]
 
 
+class TestBatchGrade:
+    ALL_REST = Chorale(id="all-rest", voices=((REST,) * 3,) * 4)
+    ONE_STEP = Chorale(id="one-step", voices=((60,), (REST,), (52,), (41,)))
+
+    @given(st.lists(chorales(max_length=10), min_size=1, max_size=5))
+    def test_batch_matches_per_feature_oracle(self, desk_reference, drawn):
+        weights = dict(zip(DEFAULT_FEATURES, (0.5, 2.0, 0.0, 1.5, 0.3, 3.0)))
+        references = (desk_reference, replace(desk_reference, weights=weights))
+        pool = [self.ALL_REST, self.ONE_STEP, *drawn]
+        for reference in references:
+            expected = [reference_grade(c, reference) for c in pool]
+            names = reference.feature_names
+
+            def check(i, distances, total):
+                want_distances, want_total = expected[i]
+                assert [repr(distances[n]) for n in names] == [repr(want_distances[n]) for n in names]
+                assert repr(total) == repr(want_total)
+
+            for i, c in enumerate(pool):
+                report = grade(c, reference)
+                assert report.chorale_id == c.id
+                check(i, report.distances, report.total)
+            for size in (2, PASS_SIZE - 1, PASS_SIZE, PASS_SIZE + 1):  # the last two cross the pass size
+                members = [k % len(pool) for k in range(size)]
+                batch = grade([pool[k] for k in members], reference)
+                assert batch.ids == tuple(pool[k].id for k in members)
+                for row, k in enumerate(members):
+                    check(k, dict(zip(names, batch.distances[row].tolist())), batch.totals[row].item())
+                assert batch.report(size - 1) == grade(pool[members[-1]], reference)
+        assert all(d == desk_reference.p_empty for d in grade(self.ALL_REST, desk_reference).distances.values())
+
+    def test_empty_sequence_grades_to_empty_batch(self, desk_reference):
+        batch = grade([], desk_reference)
+        assert batch.ids == () and batch.totals.shape == (0,)
+        assert batch.distances.shape == (0, len(desk_reference.feature_names))
+
+    def test_invalid_member_raises_as_when_graded_alone(self, desk_corpus, desk_reference):
+        bad = Chorale(id="bad", voices=((HOLD, 60), (60, 60), (60, REST), (60, HOLD)))
+        with pytest.raises(InvalidChoraleError) as alone:
+            grade(bad, desk_reference)
+        for position in (0, 5, PASS_SIZE + 3):
+            members = list(desk_corpus.chorales[: PASS_SIZE + 10])
+            members.insert(position, bad)
+            with pytest.raises(InvalidChoraleError) as in_batch:
+                grade(members, desk_reference)
+            assert in_batch.value.chorale_id == alone.value.chorale_id
+            assert in_batch.value.violations == alone.value.violations
+            assert str(in_batch.value) == str(alone.value)
+
+
 class TestQuantile:
     def test_nearest_rank_examples(self):
         assert nearest_rank([1, 2, 3, 4], 0.75) == 3
@@ -183,7 +235,7 @@ class TestThresholdAndReferenceIO:
             Threshold(value=-math.inf, label="baseline_none"),
             Threshold(value=math.inf, label="baseline_all"),
         ):
-            assert Threshold.from_json(json.loads(json.dumps(t.to_json()))) == t
+            assert threshold_from_json(json.loads(json.dumps(t.to_json()))) == t
 
     def test_reference_save_load_roundtrip(self, desk_reference, tmp_path):
         path = tmp_path / "reference.json"
