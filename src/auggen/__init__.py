@@ -10,7 +10,7 @@ regimes (quantile threshold, accept-none, accept-all).
 
 from .chorale import HOLD, REST, Chorale, canonical_key, parse_chorale, realize, serialize_chorale, validate
 from .corpus import Corpus, Split, load_corpus, save_corpus, split, teacher_corpus
-from .features import DEFAULT_FEATURES, FeatureDistribution, extract
+from .features import DEFAULT_FEATURES, FeatureDistribution
 from .grading import GradeReport, ReferenceModel, Threshold, fit_reference, grade, grade_quantile, wasserstein1
 from .loop import BatchPlan, LoopConfig, RunResult, run, save_run
 from .model import GenerativeModel, MarkovModel
@@ -46,7 +46,6 @@ __all__ = [
     "save_corpus",
     "split",
     "teacher_corpus",
-    "extract",
     "fit_reference",
     "grade",
     "grade_quantile",

@@ -9,8 +9,11 @@ is one of
 * :data:`REST` -- the voice is silent.
 
 A hold can only extend a note: it is invalid at timestep 0 and directly
-after a rest. The wire format is one JSON object per line, pitches written
-as decimal strings::
+after a rest. :class:`Chorale` checks this grammar when it is built, so
+every chorale that exists is valid and no operation checks it again.
+
+The wire format is one JSON object per line, pitches written as decimal
+strings::
 
     {"id": "c-0001", "voices": [["60", "__", "R", ...], ...]}
 
@@ -51,7 +54,7 @@ class ChoraleFormatError(ValueError):
 
 
 class InvalidChoraleError(ValueError):
-    """Raised by operations whose precondition is a valid chorale."""
+    """Raised when a :class:`Chorale` would break the grammar; lists every violation."""
 
     def __init__(self, chorale_id: str, violations: list[str]):
         super().__init__(f"invalid chorale {chorale_id!r}: " + "; ".join(violations))
@@ -61,11 +64,11 @@ class InvalidChoraleError(ValueError):
 
 @dataclass(frozen=True)
 class Chorale:
-    """Immutable chorale; construction coerces voices to nested tuples.
+    """Immutable, valid chorale; construction coerces voices to nested tuples.
 
-    Construction does not enforce the grammar invariants -- use
-    :func:`validate` to obtain violations, or :func:`realize`, which raises
-    on an invalid chorale.
+    Construction enforces the grammar invariants: it raises
+    :class:`InvalidChoraleError` with every violation :func:`validate`
+    finds.
     """
 
     id: str
@@ -73,6 +76,9 @@ class Chorale:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "voices", tuple(tuple(v) for v in self.voices))
+        violations = validate(self)
+        if violations:
+            raise InvalidChoraleError(self.id, violations)
 
     @property
     def length(self) -> int:
@@ -99,7 +105,8 @@ class RealizedGrid:
 def validate(chorale: Chorale) -> list[str]:
     """Return all invariant violations, each naming voice and timestep.
 
-    An empty list means the chorale is valid.
+    An empty list means the chorale is valid, as every constructed
+    :class:`Chorale` is.
     """
     violations: list[str] = []
     voices = chorale.voices
@@ -133,13 +140,7 @@ def validate(chorale: Chorale) -> list[str]:
 
 
 def realize(chorale: Chorale) -> RealizedGrid:
-    """Expand tokens into sounding pitches and onset flags.
-
-    Raises :class:`InvalidChoraleError` if the chorale is invalid.
-    """
-    violations = validate(chorale)
-    if violations:
-        raise InvalidChoraleError(chorale.id, violations)
+    """Expand tokens into sounding pitches and onset flags."""
     length = chorale.length
     pitches = np.full((N_VOICES, length), SILENT, dtype=np.int16)
     onsets = np.zeros((N_VOICES, length), dtype=bool)
@@ -222,25 +223,16 @@ def parse_chorale(text: str, *, line: int | None = None) -> Chorale:
                 raise ChoraleFormatError(f"token must be a string, got {raw_tok!r}", line=line, field=field)
             voice.append(token_from_str(raw_tok, line=line, field=field))
         voices.append(tuple(voice))
-    chorale = Chorale(id=record["id"], voices=tuple(voices))
-    violations = validate(chorale)
-    if violations:
-        raise ChoraleFormatError(f"invalid chorale {chorale.id!r}: {violations[0]}", line=line)
-    return chorale
+    try:
+        return Chorale(id=record["id"], voices=tuple(voices))
+    except InvalidChoraleError as exc:
+        raise ChoraleFormatError(f"invalid chorale {exc.chorale_id!r}: {exc.violations[0]}", line=line) from None
 
 
 def transpose(chorale: Chorale, semitones: int) -> Chorale:
-    """Shift every pitch by ``semitones``; holds and rests are unchanged."""
-    voices = []
-    for voice in chorale.voices:
-        shifted: list[Token] = []
-        for tok in voice:
-            if isinstance(tok, int):
-                pitch = tok + semitones
-                if not MIN_PITCH <= pitch <= MAX_PITCH:
-                    raise ValueError(f"transposition by {semitones} puts pitch {tok} out of range")
-                shifted.append(pitch)
-            else:
-                shifted.append(tok)
-        voices.append(tuple(shifted))
-    return Chorale(id=chorale.id, voices=tuple(voices))
+    """Shift every pitch by ``semitones``; holds and rests are unchanged.
+
+    A pitch shifted out of range raises :class:`InvalidChoraleError`, a ``ValueError``.
+    """
+    voices = tuple(tuple(tok + semitones if isinstance(tok, int) else tok for tok in voice) for voice in chorale.voices)
+    return Chorale(id=chorale.id, voices=voices)

@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 from pathlib import Path
 
-from .chorale import HOLD, REST, Chorale, Token, parse_chorale, serialize_chorale, validate
+from .chorale import HOLD, REST, Chorale, Token, parse_chorale, serialize_chorale
 from .model import MarkovModel
 from .rng import stream
 
@@ -25,7 +25,7 @@ class CorpusError(ValueError):
 
 @dataclass(frozen=True)
 class Corpus:
-    """Ordered collection of valid chorales with unique ids."""
+    """Ordered collection of chorales with unique ids."""
 
     chorales: tuple[Chorale, ...]
 
@@ -36,9 +36,6 @@ class Corpus:
             if chorale.id in seen:
                 raise CorpusError(f"duplicate chorale id {chorale.id!r}")
             seen.add(chorale.id)
-            violations = validate(chorale)
-            if violations:
-                raise CorpusError(f"chorale {chorale.id!r} is invalid: {violations[0]}")
 
     def __len__(self) -> int:
         return len(self.chorales)
@@ -121,48 +118,36 @@ def save_split_manifest(s: Split, path: str | Path) -> None:
 # Synthetic teacher corpus
 # ---------------------------------------------------------------------------
 
+# The teacher is a fixed Markov model fit on seeded chorale-like walks: the
+# soprano performs a diatonic step walk and the lower voices track it,
+# choosing in-register support consonant with the soprano and below the
+# voice above. Desk-scale corpora therefore carry melodic, rhythmic, and
+# cross-voice regularities a student model has to earn.
+
 _MAJOR_SCALE = (0, 2, 4, 5, 7, 9, 11)
 _CONSONANT_CLASSES = (0, 3, 4, 7, 8, 9)  # unison/octave, thirds, fifths, sixths
+_VOICE_RANGES = ((60, 79), (55, 74), (48, 67), (41, 60))
+_HOLD_PROB = 0.45
+_REST_PROB = 0.02
+_FOLLOW_HOLD_PROB = 0.85  # lower voices hold while the soprano holds
+_MAX_LEAP = 5  # semitone cap on lower-voice motion
+_STEP_WEIGHTS = (0.1, 0.3, 0.2, 0.3, 0.1)  # soprano scale steps -2..+2
+# the teacher sees far more walks than any desk-scale student sees
+# chorales, so its context coverage is dense and its output clean
+_N_SEED_WALKS = 400
+_TEACHER_ORDER = 2
+_TEACHER_SMOOTHING = 0.01
 
 
-@dataclass(frozen=True)
-class TeacherParams:
-    """Knobs for the fixed synthetic teacher model.
-
-    The teacher is an order-``order`` Markov model fit on seeded chorale-like
-    walks: the soprano performs a diatonic step walk and the lower voices
-    track it, choosing in-register support consonant with the soprano and
-    below the voice above. Desk-scale corpora therefore carry melodic,
-    rhythmic, and cross-voice regularities a student model has to earn.
-    """
-
-    voice_ranges: tuple[tuple[int, int], ...] = ((60, 79), (55, 74), (48, 67), (41, 60))
-    scale: tuple[int, ...] = _MAJOR_SCALE
-    hold_prob: float = 0.45
-    rest_prob: float = 0.02
-    follow_hold_prob: float = 0.85  # lower voices hold while the soprano holds
-    max_leap: int = 5  # semitone cap on lower-voice motion
-    step_weights: tuple[float, ...] = (0.1, 0.3, 0.2, 0.3, 0.1)  # soprano scale steps -2..+2
-    # the teacher sees far more walks than any desk-scale student sees
-    # chorales, so its context coverage is dense and its output clean
-    n_seed_walks: int = 400
-    order: int = 2
-    smoothing: float = 0.01
+def _voice_pitch_pool(low: int, high: int) -> list[int]:
+    return [p for p in range(low, high + 1) if p % 12 in _MAJOR_SCALE]
 
 
-def _voice_pitch_pool(low: int, high: int, scale: tuple[int, ...]) -> list[int]:
-    pool = [p for p in range(low, high + 1) if p % 12 in scale]
-    if not pool:
-        raise ValueError(f"no scale pitches in range {low}..{high}")
-    return pool
-
-
-def _draw_step(params: TeacherParams, rng) -> int:
-    steps = range(-(len(params.step_weights) // 2), len(params.step_weights) // 2 + 1)
-    total = sum(params.step_weights)
+def _draw_step(rng) -> int:
+    total = sum(_STEP_WEIGHTS)
     pick = rng.random()
     cdf = 0.0
-    for step, weight in zip(steps, params.step_weights):
+    for step, weight in zip(range(-2, 3), _STEP_WEIGHTS):
         cdf += weight / total
         if pick < cdf:
             return step
@@ -210,8 +195,8 @@ def _support_pitch(pool: list[int], prev: int | None, soprano: int | None,
     return pool[int(rng.integers(0, len(pool)))]
 
 
-def _teacher_walk(length: int, params: TeacherParams, rng) -> Chorale:
-    pools = [_voice_pitch_pool(low, high, params.scale) for low, high in params.voice_ranges]
+def _teacher_walk(length: int, rng) -> Chorale:
+    pools = [_voice_pitch_pool(low, high) for low, high in _VOICE_RANGES]
     voices: list[list[Token]] = [[] for _ in range(4)]
     sounding: list[int | None] = [None] * 4
     sop_idx = len(pools[0]) // 2
@@ -219,12 +204,12 @@ def _teacher_walk(length: int, params: TeacherParams, rng) -> Chorale:
     for t in range(length):
         previous = list(sounding)
         roll = rng.random()
-        if roll < params.rest_prob:
+        if roll < _REST_PROB:
             sop_tok: Token = REST
-        elif t > 0 and voices[0][-1] != REST and roll < params.rest_prob + params.hold_prob:
+        elif t > 0 and voices[0][-1] != REST and roll < _REST_PROB + _HOLD_PROB:
             sop_tok = HOLD
         else:
-            sop_idx = min(max(sop_idx + _draw_step(params, rng), 0), len(pools[0]) - 1)
+            sop_idx = min(max(sop_idx + _draw_step(rng), 0), len(pools[0]) - 1)
             sop_tok = pools[0][sop_idx]
         voices[0].append(sop_tok)
         sounding[0] = None if sop_tok == REST else (sounding[0] if sop_tok == HOLD else sop_tok)
@@ -232,14 +217,14 @@ def _teacher_walk(length: int, params: TeacherParams, rng) -> Chorale:
 
         for v in range(1, 4):
             can_hold = t > 0 and voices[v][-1] != REST and sounding[v] is not None
-            if rng.random() < params.rest_prob:
+            if rng.random() < _REST_PROB:
                 tok: Token = REST
-            elif can_hold and not soprano_moved and rng.random() < params.follow_hold_prob:
+            elif can_hold and not soprano_moved and rng.random() < _FOLLOW_HOLD_PROB:
                 tok = HOLD
             else:
                 upper_motion = [(previous[u], sounding[u]) for u in range(v)]
                 tok = _support_pitch(
-                    pools[v], sounding[v], sounding[0], upper_motion, sounding[v - 1], params.max_leap, rng
+                    pools[v], sounding[v], sounding[0], upper_motion, sounding[v - 1], _MAX_LEAP, rng
                 )
             voices[v].append(tok)
             sounding[v] = None if tok == REST else (sounding[v] if tok == HOLD else tok)
@@ -247,25 +232,20 @@ def _teacher_walk(length: int, params: TeacherParams, rng) -> Chorale:
     return Chorale(id="walk", voices=tuple(tuple(v) for v in voices))
 
 
-def teacher_model(seed: int, params: TeacherParams = TeacherParams()) -> MarkovModel:
+def teacher_model(seed: int) -> MarkovModel:
     """Deterministically construct the teacher from seeded walks."""
     rng = stream(seed, "teacher", "walks")
     walks = []
     lo, hi = 32, 48
-    for i in range(params.n_seed_walks):
-        length = lo + (i * (hi - lo)) // max(1, params.n_seed_walks - 1)
-        walks.append(_teacher_walk(length, params, rng))
-    model = MarkovModel.with_vocab_from(walks, order=params.order, alpha=params.smoothing)
+    for i in range(_N_SEED_WALKS):
+        length = lo + (i * (hi - lo)) // (_N_SEED_WALKS - 1)
+        walks.append(_teacher_walk(length, rng))
+    model = MarkovModel.with_vocab_from(walks, order=_TEACHER_ORDER, alpha=_TEACHER_SMOOTHING)
     model.fit(walks)
     return model
 
 
-def teacher_corpus(
-    seed: int,
-    n: int,
-    length_range: tuple[int, int] = (32, 48),
-    params: TeacherParams = TeacherParams(),
-) -> Corpus:
+def teacher_corpus(seed: int, n: int, length_range: tuple[int, int] = (32, 48)) -> Corpus:
     """Sample ``n`` valid chorales from the fixed seeded teacher model."""
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
@@ -274,7 +254,7 @@ def teacher_corpus(
         raise ValueError(f"minimum length must be >= 4, got {t_min}")
     if t_max < t_min:
         raise ValueError(f"empty length range {length_range}")
-    teacher = teacher_model(seed, params)
+    teacher = teacher_model(seed)
     chorales = []
     for i in range(n):
         rng = stream(seed, "teacher", "sample", i)

@@ -241,7 +241,7 @@ def run_regime(
     for i in range(config.n_eval):
         rng = stream(config.seed, "eval", regime, i)
         length = length_pool[int(rng.integers(0, len(length_pool)))]
-        samples.append(result.model.sample(length, rng, chorale_id=f"eval-{regime}-{i:04d}"))
+        samples.append(model.sample(length, rng, chorale_id=f"eval-{regime}-{i:04d}"))
     final_grades = grade(samples, reference).totals.tolist()
 
     stats = tuple(
@@ -262,7 +262,7 @@ def run_regime(
         generated_count=len(result.manifest) - true_count,
     )
     if out_dir is not None:
-        save_run(result, out_dir, extra_config={"regime": regime, "experiment": config.to_json()})
+        save_run(result, model, out_dir, extra_config={"regime": regime, "experiment": config.to_json()})
         (out_dir / "summary.json").write_text(json.dumps(summary.to_json(), sort_keys=True) + "\n", encoding="utf-8")
     return result, summary
 

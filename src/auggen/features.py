@@ -115,10 +115,7 @@ class GridBatch:
 
 
 def realize_batch(chorales: Sequence[Chorale]) -> GridBatch:
-    """Realize each chorale once, in order.
-
-    Raises :class:`~auggen.chorale.InvalidChoraleError` on the first invalid chorale.
-    """
+    """Realize each chorale once, in order."""
     grids = [realize(chorale) for chorale in chorales]
     lengths = np.array([grid.length for grid in grids], dtype=np.intp)
     silent, no_onset = np.full((N_VOICES, 1), SILENT, dtype=np.int16), np.zeros((N_VOICES, 1), dtype=bool)
@@ -225,11 +222,6 @@ def check_feature_set(names: Iterable[str]) -> tuple[str, ...]:
     if len(set(names)) != len(names):
         raise ValueError("feature set has duplicates")
     return names
-
-
-def extract(chorale: Chorale, name: str) -> FeatureDistribution:
-    """The distribution of feature ``name`` over one chorale's events."""
-    return FeatureDistribution.from_values(name, REGISTRY[name].extractor(realize_batch((chorale,)))[0].tolist())
 
 
 def feature_events(chorale: Chorale, name: str) -> list[float]:

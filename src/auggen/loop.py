@@ -130,7 +130,6 @@ class RunResult:
     epoch_logs: tuple[EpochLog, ...]
     best_epoch: int
     best_val_loss: float
-    model: GenerativeModel  # restored to the best epoch's snapshot
     manifest: tuple[DatasetEntry, ...]
     reference: ReferenceModel
     reference_digest_before: str
@@ -176,7 +175,10 @@ def training_step(state: TrainState, model: GenerativeModel, config: LoopConfig)
 
 
 def run(config: LoopConfig, split: Split, model: GenerativeModel, reference: ReferenceModel) -> RunResult:
-    """Run the full loop; see the module docstring for the epoch structure."""
+    """Run the full loop; see the module docstring for the epoch structure.
+
+    ``model`` is left restored to the best epoch's snapshot.
+    """
     digest_before = reference.digest()
 
     state = TrainState(
@@ -226,7 +228,6 @@ def run(config: LoopConfig, split: Split, model: GenerativeModel, reference: Ref
         epoch_logs=tuple(logs),
         best_epoch=state.best_epoch,
         best_val_loss=state.best_val_loss,
-        model=model,
         manifest=tuple(state.dataset),
         reference=reference,
         reference_digest_before=digest_before,
@@ -239,12 +240,12 @@ def run(config: LoopConfig, split: Split, model: GenerativeModel, reference: Ref
 # ---------------------------------------------------------------------------
 
 
-def save_run(result: RunResult, out_dir: str | Path, extra_config: dict | None = None) -> Path:
+def save_run(result: RunResult, model: GenerativeModel, out_dir: str | Path, extra_config: dict | None = None) -> Path:
     """Write the run artifacts into ``out_dir`` and return that path.
 
     Files: config.json, epoch_logs.csv, metrics.csv, dataset_manifest.jsonl,
     generated.jsonl (accepted chorales in corpus record format),
-    best_model.json, reference.json.
+    best_model.json (``model``, as :func:`run` left it), reference.json.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -288,6 +289,6 @@ def save_run(result: RunResult, out_dir: str | Path, extra_config: dict | None =
                 fh.write(serialize_chorale(entry.chorale))
                 fh.write("\n")
 
-    result.model.save(out / "best_model.json")
+    model.save(out / "best_model.json")
     result.reference.save(out / "reference.json")
     return out

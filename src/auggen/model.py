@@ -32,7 +32,7 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .chorale import HOLD, REST, Chorale, InvalidChoraleError, Token, validate
+from .chorale import HOLD, REST, Chorale, Token
 
 START = "^"  # context padding before timestep 0; never emitted
 
@@ -282,12 +282,7 @@ class MarkovModel(GenerativeModel):
                 tok = self.vocabs[v][min(idx, sizes[v] - 1)]
                 voice.append(tok)
                 step = step + (tok,)
-        voices = tuple(tuple(h[self.order :]) for h in history)
-        chorale = Chorale(id=chorale_id, voices=voices)
-        violations = validate(chorale)
-        if violations:
-            raise InvalidChoraleError(chorale_id, violations)
-        return chorale
+        return Chorale(id=chorale_id, voices=tuple(tuple(h[self.order :]) for h in history))
 
     def mean_nll(self, chorales: Sequence[Chorale]) -> float:
         """Mean −ln P(token | context) over all grid positions.
@@ -350,16 +345,3 @@ class MarkovModel(GenerativeModel):
             "counts": entries,
         }
         Path(path).write_text(json.dumps(payload, sort_keys=True) + "\n", encoding="utf-8")
-
-    @classmethod
-    def load(cls, path: str | Path) -> "MarkovModel":
-        payload = json.loads(Path(path).read_text(encoding="utf-8"))
-        if payload.get("format") != _SNAPSHOT_FORMAT:
-            raise ValueError(f"unrecognized model format {payload.get('format')!r}")
-        model = cls(order=payload["order"], alpha=payload["alpha"], vocabs=[tuple(v) for v in payload["vocabs"]])
-        cells = [(model._row(v, tuple(context)), model._index[v][tok], n) for v, context, tok, n in payload["counts"]]
-        table = np.zeros((model._row_count, model._width), dtype=np.int32)
-        for row, col, n in cells:
-            table[row, col] = n
-        model.restore({"table": table, "totals": table.sum(axis=1, dtype=np.int64)})
-        return model

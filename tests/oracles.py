@@ -1,18 +1,22 @@
 """Independent oracles the tests check production code against.
 
 These deliberately re-derive results through different algorithms than the
-implementations they verify.
+implementations they verify. The module also holds the readers and views
+that only tests need: ``threshold_from_json``, ``load_model`` and
+``extract``.
 """
 
+import json
 import math
 from itertools import combinations
+from pathlib import Path
 
 import numpy as np
 
 from auggen.chorale import HOLD, REST, SILENT, Chorale, realize
-from auggen.features import FeatureDistribution
+from auggen.features import REGISTRY, FeatureDistribution, realize_batch
 from auggen.grading import Threshold, wasserstein1
-from auggen.model import START, iter_token_events
+from auggen.model import _SNAPSHOT_FORMAT, START, MarkovModel, iter_token_events
 
 
 def tokens_from_grid(grid) -> tuple[tuple, ...]:
@@ -228,3 +232,22 @@ def threshold_from_json(payload: dict) -> Threshold:
         quantile=payload.get("quantile"),
         corpus_digest=payload.get("corpus_digest"),
     )
+
+
+def load_model(path) -> MarkovModel:
+    """Inverse of ``MarkovModel.save``."""
+    payload = json.loads(Path(path).read_text(encoding="utf-8"))
+    if payload.get("format") != _SNAPSHOT_FORMAT:
+        raise ValueError(f"unrecognized model format {payload.get('format')!r}")
+    model = MarkovModel(order=payload["order"], alpha=payload["alpha"], vocabs=[tuple(v) for v in payload["vocabs"]])
+    cells = [(model._row(v, tuple(context)), model._index[v][tok], n) for v, context, tok, n in payload["counts"]]
+    table = np.zeros((model._row_count, model._width), dtype=np.int32)
+    for row, col, n in cells:
+        table[row, col] = n
+    model.restore({"table": table, "totals": table.sum(axis=1, dtype=np.int64)})
+    return model
+
+
+def extract(chorale, name: str) -> FeatureDistribution:
+    """The distribution of feature ``name`` over one chorale's events, through the production extractor."""
+    return FeatureDistribution.from_values(name, REGISTRY[name].extractor(realize_batch((chorale,)))[0].tolist())

@@ -28,23 +28,31 @@ def test_minimal_valid_chorale():
 
 
 def test_hold_at_timestep_zero_rejected():
-    violations = validate(quad((HOLD, 60), (60, 60), (60, 60), (60, 60)))
-    assert any("HOLD at timestep 0" in v for v in violations)
+    with pytest.raises(InvalidChoraleError) as err:
+        quad((HOLD, 60), (60, 60), (60, 60), (60, 60))
+    assert any("HOLD at timestep 0" in v for v in err.value.violations)
 
 
 def test_hold_after_rest_rejected():
-    violations = validate(quad((60, 60), (60, 60), (REST, HOLD), (60, 60)))
-    assert any("voice 2" in v and "HOLD after REST" in v for v in violations)
+    with pytest.raises(InvalidChoraleError) as err:
+        quad((60, 60), (60, 60), (REST, HOLD), (60, 60))
+    assert any("voice 2" in v and "HOLD after REST" in v for v in err.value.violations)
 
 
 def test_wrong_voice_count_and_pitch_range():
-    assert validate(Chorale(id="c", voices=((60,), (60,), (60,)))) == ["expected 4 voices, got 3"]
-    assert any("out of range" in v for v in validate(quad((128,), (60,), (60,), (60,))))
+    with pytest.raises(InvalidChoraleError) as err:
+        Chorale(id="c", voices=((60,), (60,), (60,)))
+    assert err.value.violations == ("expected 4 voices, got 3",)
+    assert str(err.value) == "invalid chorale 'c': expected 4 voices, got 3"
+    with pytest.raises(InvalidChoraleError) as err:
+        quad((128,), (60,), (60,), (60,))
+    assert any("out of range" in v for v in err.value.violations)
 
 
 def test_unequal_lengths_rejected():
-    violations = validate(quad((60, 62), (60,), (60, 62), (60, 62)))
-    assert any("length" in v for v in violations)
+    with pytest.raises(InvalidChoraleError) as err:
+        quad((60, 62), (60,), (60, 62), (60, 62))
+    assert any("length" in v for v in err.value.violations)
 
 
 def test_realize_holds_and_rests():
@@ -58,6 +66,7 @@ def test_realize_holds_and_rests():
 
 
 def test_realize_rejects_invalid():
+    # an invalid chorale never reaches realize: building it raises
     with pytest.raises(InvalidChoraleError) as err:
         realize(quad((HOLD,), (60,), (60,), (60,)))
     assert "HOLD at timestep 0" in str(err.value)
@@ -125,7 +134,7 @@ def test_transpose_shifts_notes_only():
     up = transpose(c, 2)
     assert up.voices[0] == (62, HOLD)
     assert up.voices[1] == (57, REST)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="voice 0: pitch 128 out of range at timestep 0"):
         transpose(quad((127,), (60,), (60,), (60,)), 1)
 
 

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given
 import hypothesis.strategies as st
 
-from auggen.chorale import Chorale, validate
+from auggen.chorale import Chorale, InvalidChoraleError, validate
 from auggen.corpus import (
     Corpus,
     CorpusError,
@@ -33,9 +33,9 @@ def test_corpus_rejects_duplicate_ids():
 
 
 def test_corpus_rejects_invalid_member():
-    bad = Chorale(id="bad", voices=(("__",), (60,), (60,), (60,)))
-    with pytest.raises(CorpusError) as err:
-        Corpus((bad,))
+    # an invalid chorale cannot be built, so it never reaches a corpus
+    with pytest.raises(InvalidChoraleError) as err:
+        Chorale(id="bad", voices=(("__",), (60,), (60,), (60,)))
     assert "bad" in str(err.value)
 
 

@@ -1,11 +1,12 @@
 import csv
 import json
 import math
+import sys
 
 import pytest
 
 from auggen import features
-from auggen.chorale import realize
+from auggen.chorale import realize, validate
 from auggen.cli import main
 from auggen.corpus import load_corpus
 from auggen.experiment import (
@@ -257,6 +258,31 @@ class TestCli:
         args = ["grade", "--corpus", str(corpus_path), "--reference", str(out / "reference.json")]
         assert main(args + ["--out", str(tmp_path / "g.csv"), "--dump-features", str(tmp_path / "f.csv")]) == 0
         assert calls == list(load_corpus(corpus_path).ids())
+
+    def test_grade_validates_each_chorale_once(self, small_compare, tmp_path, monkeypatch):
+        config, out, _, _ = small_compare
+        corpus_path = tmp_path / "corpus.jsonl"
+        assert main(["teacher-gen", "--seed", str(config.seed), "--n", "4", "--out", str(corpus_path)]) == 0
+        ids = list(load_corpus(corpus_path).ids())
+        calls = []
+
+        def counting_validate(chorale):
+            calls.append(chorale.id)
+            return validate(chorale)
+
+        bindings = [
+            (module, name)
+            for module_name, module in list(sys.modules.items())
+            if module_name == "auggen" or module_name.startswith("auggen.")
+            for name, value in vars(module).items()
+            if value is validate
+        ]
+        assert bindings
+        for module, name in bindings:
+            monkeypatch.setattr(module, name, counting_validate)
+        args = ["grade", "--corpus", str(corpus_path), "--reference", str(out / "reference.json")]
+        assert main(args + ["--out", str(tmp_path / "g.csv"), "--dump-features", str(tmp_path / "f.csv")]) == 0
+        assert calls == ids
 
     def test_grade_empty_corpus_writes_headers(self, small_compare, tmp_path, capsys):
         _, out, _, _ = small_compare

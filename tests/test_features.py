@@ -9,13 +9,13 @@ from auggen.features import (
     DEFAULT_FEATURES,
     REGISTRY,
     FeatureDistribution,
-    extract,
     feature_events,
     realize_batch,
 )
 from conftest import chorales
 from oracles import (
     brute_parallel_count,
+    extract,
     token_walk_durations,
     token_walk_harmonic_intervals,
     token_walk_melodic_intervals,

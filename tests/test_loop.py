@@ -270,10 +270,11 @@ def test_frozen_reference_and_validation_isolation(small_split):
 
 def test_run_deterministic_and_serialization_byte_identical(small_split, tmp_path):
     config = small_config(THRESH_ALL, max_epochs=3)
-    a = run(config, small_split, fresh_model(small_split), fit_reference(small_split.train, ("pitch", "rhythm")))
-    b = run(config, small_split, fresh_model(small_split), fit_reference(small_split.train, ("pitch", "rhythm")))
-    dir_a = save_run(a, tmp_path / "a")
-    dir_b = save_run(b, tmp_path / "b")
+    model_a, model_b = fresh_model(small_split), fresh_model(small_split)
+    a = run(config, small_split, model_a, fit_reference(small_split.train, ("pitch", "rhythm")))
+    b = run(config, small_split, model_b, fit_reference(small_split.train, ("pitch", "rhythm")))
+    dir_a = save_run(a, model_a, tmp_path / "a")
+    dir_b = save_run(b, model_b, tmp_path / "b")
     files = [p.name for p in dir_a.iterdir()]
     assert set(files) >= {
         "config.json",
@@ -308,6 +309,7 @@ def test_patience_stops_early(small_split):
 
 def test_restored_model_matches_best_epoch(small_split):
     config = small_config(THRESH_NONE, max_epochs=4, patience=None)
-    result = run(config, small_split, fresh_model(small_split), fit_reference(small_split.train, ("pitch",)))
-    restored_loss = result.model.mean_nll(list(small_split.validation))
+    model = fresh_model(small_split)
+    result = run(config, small_split, model, fit_reference(small_split.train, ("pitch",)))
+    restored_loss = model.mean_nll(list(small_split.validation))
     assert restored_loss == result.best_val_loss
