@@ -11,8 +11,8 @@ regimes (quantile threshold, accept-none, accept-all).
 from .chorale import HOLD, REST, Chorale, canonical_key, parse_chorale, realize, serialize_chorale, validate
 from .corpus import Corpus, Split, load_corpus, save_corpus, split, teacher_corpus
 from .features import DEFAULT_FEATURES, FeatureDistribution
-from .grading import GradeReport, ReferenceModel, Threshold, fit_reference, grade, grade_quantile, wasserstein1
-from .loop import BatchPlan, LoopConfig, RunResult, run, save_run
+from .grading import GradeBatch, ReferenceModel, Threshold, fit_reference, grade, grade_quantile, wasserstein1
+from .loop import LoopConfig, RunResult, run, save_run
 from .model import GenerativeModel, MarkovModel
 from .experiment import ExperimentConfig, PROFILES, RegimeSummary, compare
 
@@ -24,13 +24,12 @@ __all__ = [
     "Chorale",
     "Corpus",
     "Split",
-    "BatchPlan",
     "LoopConfig",
     "RunResult",
     "GenerativeModel",
     "MarkovModel",
     "FeatureDistribution",
-    "GradeReport",
+    "GradeBatch",
     "ReferenceModel",
     "Threshold",
     "ExperimentConfig",

@@ -166,24 +166,28 @@ def token_to_str(tok: Token) -> str:
     raise ValueError(f"unknown token {tok!r}")
 
 
-def token_from_str(text: str, *, line: int | None = None, field: str | None = None) -> Token:
-    if text == HOLD or text == REST:
-        return text
-    if not (text.isascii() and text.isdigit()):
-        raise ChoraleFormatError(f"unknown token {text!r}", line=line, field=field)
-    pitch = int(text)
-    if not MIN_PITCH <= pitch <= MAX_PITCH:
-        raise ChoraleFormatError(f"pitch {pitch} out of range 0..127", line=line, field=field)
-    return pitch
+_TOKEN_BY_TEXT: dict[str, Token] = {token_to_str(tok): tok for tok in (*range(MIN_PITCH, MAX_PITCH + 1), HOLD, REST)}
 
 
-def canonical_key(chorale: Chorale) -> str:
+def _token_error(raw_voice: list, v: int, line: int | None) -> ChoraleFormatError:
+    """The error for the first token of voice ``v`` that is not the text of a token."""
+    t, raw = next((t, raw) for t, raw in enumerate(raw_voice) if not isinstance(raw, str) or raw not in _TOKEN_BY_TEXT)
+    field = f"voices[{v}][{t}]"
+    if not isinstance(raw, str):
+        return ChoraleFormatError(f"token must be a string, got {raw!r}", line=line, field=field)
+    if raw.isascii() and raw.isdigit() and not raw.startswith("0"):  # "0" itself is a token, so "060" is not
+        return ChoraleFormatError(f"pitch {raw} out of range 0..127", line=line, field=field)
+    return ChoraleFormatError(f"unknown token {raw!r}", line=line, field=field)
+
+
+def canonical_key(chorale: Chorale) -> tuple[tuple[Token, ...], ...]:
     """Canonical uniqueness key: the token sequences, id excluded.
 
-    Two chorales get equal keys iff their token sequences are identical;
-    transpositions and other musical equivalences count as distinct.
+    A token is an ``int`` in 0..127 or one of two strings, so two chorales
+    get equal keys iff their token sequences are identical; transpositions
+    and other musical equivalences count as distinct.
     """
-    return "|".join(",".join(token_to_str(tok) for tok in voice) for voice in chorale.voices)
+    return chorale.voices
 
 
 def serialize_chorale(chorale: Chorale) -> str:
@@ -216,13 +220,10 @@ def parse_chorale(text: str, *, line: int | None = None) -> Chorale:
     for v, raw_voice in enumerate(raw_voices):
         if not isinstance(raw_voice, list):
             raise ChoraleFormatError("voice must be a list", line=line, field=f"voices[{v}]")
-        voice = []
-        for t, raw_tok in enumerate(raw_voice):
-            field = f"voices[{v}][{t}]"
-            if not isinstance(raw_tok, str):
-                raise ChoraleFormatError(f"token must be a string, got {raw_tok!r}", line=line, field=field)
-            voice.append(token_from_str(raw_tok, line=line, field=field))
-        voices.append(tuple(voice))
+        try:
+            voices.append(tuple([_TOKEN_BY_TEXT[raw] for raw in raw_voice]))
+        except (KeyError, TypeError):  # TypeError: an unhashable token, such as a list
+            raise _token_error(raw_voice, v, line) from None
     try:
         return Chorale(id=record["id"], voices=tuple(voices))
     except InvalidChoraleError as exc:

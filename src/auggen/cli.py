@@ -91,9 +91,7 @@ def cmd_train(args: argparse.Namespace) -> int:
     config = _build_config(args)
     out = resolve_out_dir(args.out_dir, f"runs/{args.regime}")
     _, data_split, reference, grade_by_id = experiment.prepare(config)
-    train_grades = [grade_by_id[i] for i in data_split.train.ids()]
-    threshold = experiment.regime_threshold(args.regime, train_grades, config.quantile, data_split.train.digest())
-    _, summary = run_regime(config, args.regime, data_split, reference, threshold, out_dir=out)
+    _, summary = run_regime(config, args.regime, data_split, reference, grade_by_id, out_dir=out)
     print(
         f"{args.regime}: best epoch {summary.best_epoch} "
         f"(val loss {summary.best_val_loss:.6f}), "

@@ -25,13 +25,13 @@ import types
 import typing
 from dataclasses import dataclass, fields
 from pathlib import Path
-from typing import Sequence
+from typing import Mapping, Sequence
 
 from .chorale import REST
 from .corpus import Corpus, Split, load_corpus, save_split_manifest, split, teacher_corpus
 from .features import DEFAULT_FEATURES, check_feature_set
 from .grading import ReferenceModel, Threshold, fit_reference, grade, grade_quantile, nearest_rank
-from .loop import ORIGIN_TRUE, BatchPlan, LoopConfig, RunResult, run, save_run
+from .loop import ORIGIN_TRUE, LoopConfig, RunResult, run, save_run
 from .model import MarkovModel
 from .rng import stream
 
@@ -89,7 +89,7 @@ class ExperimentConfig:
             raise ValueError(f"quantile must be in (0, 1], got {self.quantile}")
         if self.n_eval < 1:
             raise ValueError(f"n_eval must be >= 1, got {self.n_eval}")
-        # throwaway instances run the range checks that LoopConfig, BatchPlan and MarkovModel own
+        # throwaway instances run the range checks that LoopConfig and MarkovModel own
         self.loop_config(Threshold(value=math.inf, label=REGIME_ALL))
         MarkovModel(order=self.markov_order, alpha=self.smoothing, vocabs=[(REST,)] * 4)
 
@@ -98,7 +98,8 @@ class ExperimentConfig:
         return LoopConfig(
             n_generate=self.n_generate,
             threshold=threshold,
-            plan=BatchPlan(batches=self.batches, batch_size=self.batch_size),
+            batches=self.batches,
+            batch_size=self.batch_size,
             max_epochs=self.max_epochs,
             patience=self.patience,
             min_improvement=self.min_improvement,
@@ -230,9 +231,12 @@ def run_regime(
     regime: str,
     data_split: Split,
     reference: ReferenceModel,
-    threshold: Threshold,
+    grade_by_id: Mapping[str, float],
     out_dir: Path | None = None,
 ) -> tuple[RunResult, RegimeSummary]:
+    """One regime's run on :func:`prepare`'s outputs, its threshold taken from the training split's grades."""
+    train_grades = [grade_by_id[i] for i in data_split.train.ids()]
+    threshold = regime_threshold(regime, train_grades, config.quantile, data_split.train.digest())
     model = MarkovModel.with_vocab_from(data_split.train, order=config.markov_order, alpha=config.smoothing)
     result = run(config.loop_config(threshold), data_split, model, reference)
 
@@ -294,7 +298,6 @@ def compare_detailed(config: ExperimentConfig, out_dir: str | Path) -> tuple[lis
     :class:`RegimeError` naming the regime is raised.
     """
     corpus, data_split, reference, grade_by_id = prepare(config)
-    train_grades = [grade_by_id[i] for i in data_split.train.ids()]
 
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -306,9 +309,8 @@ def compare_detailed(config: ExperimentConfig, out_dir: str | Path) -> tuple[lis
     results: dict[str, RunResult] = {}
     failure: RegimeError | None = None
     for regime in config.regimes:
-        threshold = regime_threshold(regime, train_grades, config.quantile, data_split.train.digest())
         try:
-            result, summary = run_regime(config, regime, data_split, reference, threshold, out_dir=out / regime)
+            result, summary = run_regime(config, regime, data_split, reference, grade_by_id, out_dir=out / regime)
         except Exception as exc:  # flush partial results below, then surface
             log.error("regime %s failed: %s", regime, exc)
             failure = RegimeError(regime, exc)

@@ -5,9 +5,12 @@ training. A chorale's grade is the weighted sum of per-feature 1-D
 Wasserstein distances to the reference; lower is better. A feature whose
 chorale-side distribution is empty contributes a fixed penalty
 ``p_empty`` instead of a distance, so degenerate chorales cannot pass a
-quality threshold. :func:`grade` grades a whole sequence of chorales in
-vectorised passes of at most :data:`PASS_SIZE`, with the bits that
+quality threshold. :func:`grade` grades a sequence of chorales, or a lone
+chorale as a batch of one, into a :class:`GradeBatch`, in vectorised
+passes of at most :data:`PASS_SIZE`, with the bits that
 :func:`wasserstein1`, the reference implementation, gives one at a time.
+:func:`_pass_events` is the one place that runs the extractors of
+:data:`~auggen.features.REGISTRY`, for grading and for fitting alike.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
-from typing import Iterable, Mapping, NamedTuple, Sequence, overload
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -182,14 +185,15 @@ def fit_reference(
                 raise ValueError(f"weight given for disabled feature {name!r}")
             weight_map[name] = float(w)
 
-    events: dict[str, list[np.ndarray]] = {name: [] for name in names}
+    events: list[list[np.ndarray]] = [[] for _ in names]
     for chorales in _passes(corpus.chorales):
-        batch = realize_batch(chorales)
-        for name in names:
-            events[name].append(REGISTRY[name].extractor(batch)[0])
+        segment, value = _pass_events(chorales, names)
+        feature = segment % len(names)
+        for k, pooled in enumerate(events):
+            pooled.append(value[feature == k])
     references: dict[str, FeatureDistribution] = {}
-    for name in names:
-        reference = FeatureDistribution.from_values(name, np.concatenate(events[name]).tolist())
+    for name, pooled in zip(names, events):
+        reference = FeatureDistribution.from_values(name, np.concatenate(pooled).tolist())
         if reference.is_empty:
             raise ValueError(f"corpus yields zero events for feature {name!r}")
         references[name] = reference
@@ -201,16 +205,6 @@ def fit_reference(
         p_empty=float(p_empty),
         provenance={"corpus_digest": corpus.digest(), "corpus_size": len(corpus)},
     )
-
-
-@dataclass(frozen=True)
-class GradeReport:
-    """Per-feature distances and their weighted total (lower is better), and the distributions graded."""
-
-    chorale_id: str
-    distances: Mapping[str, float]
-    total: float
-    distributions: Mapping[str, FeatureDistribution]
 
 
 @dataclass(frozen=True)
@@ -229,30 +223,9 @@ class GradeBatch:
     point_value: np.ndarray
     point_weight: np.ndarray
 
-    def report(self, i: int) -> GradeReport:
-        """The :class:`GradeReport` of the ``i``-th chorale."""
-        width = len(self.feature_names)
-        bounds = np.searchsorted(self.point_segment, i * width + np.arange(width + 1)).tolist()
-        value = self.point_value[bounds[0] : bounds[-1]].tolist()
-        weight = self.point_weight[bounds[0] : bounds[-1]].tolist()
-        spans = [(a - bounds[0], b - bounds[0]) for a, b in zip(bounds, bounds[1:])]
-        return GradeReport(
-            chorale_id=self.ids[i],
-            distances=dict(zip(self.feature_names, self.distances[i].tolist())),
-            total=self.totals[i].item(),
-            distributions={
-                name: FeatureDistribution(name, tuple(value[a:b]), tuple(weight[a:b]))
-                for name, (a, b) in zip(self.feature_names, spans)
-            },
-        )
 
-
-@overload
-def grade(chorales: Chorale, reference: ReferenceModel) -> GradeReport: ...
-@overload
-def grade(chorales: Sequence[Chorale], reference: ReferenceModel) -> GradeBatch: ...
-def grade(chorales, reference):
-    """Grade one chorale (a :class:`GradeReport`) or a sequence of them (a :class:`GradeBatch`).
+def grade(chorales: Chorale | Sequence[Chorale], reference: ReferenceModel) -> GradeBatch:
+    """Grade a sequence of chorales, or a lone chorale as a batch of one.
 
     A chorale's distance for a feature is ``wasserstein1`` between its event
     distribution and the reference, or ``p_empty`` when it has no events;
@@ -262,7 +235,7 @@ def grade(chorales, reference):
     bit for bit the values ``wasserstein1`` gives.
     """
     if isinstance(chorales, Chorale):
-        return _grade_pass((chorales,), reference).report(0)
+        chorales = (chorales,)
     parts = [_grade_pass(part, reference) for part in _passes(chorales)]
     if len(parts) == 1:
         return parts[0]

@@ -5,11 +5,11 @@ step samples ``n_generate`` candidates, grades them against the frozen
 reference, and appends to the training dataset every candidate whose grade
 passes the threshold and whose canonical key has never been seen (the seen
 set starts with every true chorale, train and validation, and absorbs every
-candidate ever produced, accepted or not). The training step draws the
-epoch's batch plan uniformly with replacement from the augmented dataset
-and rebuilds the model from that multiset. Validation loss on the fixed
-held-out split drives best-snapshot selection and optional patience-based
-early stopping.
+candidate ever produced, accepted or not). The training step draws
+``batches`` × ``batch_size`` chorales uniformly with replacement from the
+augmented dataset and rebuilds the model from that multiset. Validation
+loss on the fixed held-out split drives best-snapshot selection and
+optional patience-based early stopping.
 
 Everything is a pure function of (config, split, model, reference):
 rerunning with the same inputs reproduces every file byte for byte.
@@ -21,7 +21,7 @@ import csv
 import json
 import math
 from collections import Counter
-from dataclasses import asdict, dataclass, fields
+from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Sequence
 
@@ -36,34 +36,21 @@ ORIGIN_GENERATED = "generated"
 
 
 @dataclass(frozen=True)
-class BatchPlan:
-    """Per-epoch training budget of ``batches`` × ``batch_size`` draws, fixed however large the dataset grows."""
-
-    batches: int
-    batch_size: int
-
-    def __post_init__(self) -> None:
-        if self.batches < 1:
-            raise ValueError(f"batches must be >= 1, got {self.batches}")
-        if self.batch_size < 1:
-            raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
-
-    @property
-    def draws_per_epoch(self) -> int:
-        return self.batches * self.batch_size
-
-
-@dataclass(frozen=True)
 class LoopConfig:
     n_generate: int  # candidates per epoch
     threshold: Threshold
-    plan: BatchPlan
+    batches: int  # each epoch refits on batches × batch_size draws, however large the dataset grows
+    batch_size: int
     max_epochs: int
     patience: int | None  # None: never stop early
     min_improvement: float
     seed: int
 
     def __post_init__(self) -> None:
+        if self.batches < 1:
+            raise ValueError(f"batches must be >= 1, got {self.batches}")
+        if self.batch_size < 1:
+            raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
         if self.n_generate < 0:
             raise ValueError(f"n_generate must be >= 0, got {self.n_generate}")
         if self.max_epochs < 1:
@@ -74,14 +61,8 @@ class LoopConfig:
             raise ValueError(f"min_improvement must be finite and >= 0, got {self.min_improvement}")
 
     def to_json(self) -> dict:
-        """The fields in order; the threshold as its JSON and the plan as its own two fields."""
-        payload: dict = {}
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if isinstance(value, BatchPlan):
-                payload.update(asdict(value))
-            else:
-                payload[f.name] = value.to_json() if isinstance(value, Threshold) else value
+        payload = {f.name: getattr(self, f.name) for f in fields(self)}
+        payload["threshold"] = self.threshold.to_json()
         return payload
 
 
@@ -116,7 +97,7 @@ class TrainState:
     """Mutable loop state; the validation set is never touched."""
 
     dataset: list[DatasetEntry]
-    seen_keys: set[str]
+    seen_keys: set[tuple]
     epoch: int = 0
     best_val_loss: float = math.inf
     best_epoch: int = -1
@@ -168,7 +149,7 @@ def generation_step(
 def training_step(state: TrainState, model: GenerativeModel, config: LoopConfig) -> tuple[float, list[Chorale]]:
     """Draw the epoch's multiset uniformly with replacement, refit on it; returns (train loss, multiset)."""
     rng = stream(config.seed, "train", state.epoch)
-    draws = rng.integers(0, len(state.dataset), size=config.plan.draws_per_epoch)
+    draws = rng.integers(0, len(state.dataset), size=config.batches * config.batch_size)
     multiset = [state.dataset[int(i)].chorale for i in draws]
     model.fit(multiset)
     return model.mean_nll(multiset), multiset

@@ -161,8 +161,8 @@ def test_criterion_3_loop_soundness_desk_scale(desk_compare_17):
         )
 
         generated = list(load_corpus(run_dir / "generated.jsonl"))
-        for chorale in generated:
-            if grade(chorale, reference).total > threshold:
+        for chorale, total in zip(generated, grade(generated, reference).totals.tolist()):
+            if total > threshold:
                 problems.append(f"{regime}: {chorale.id} re-grades above threshold")
 
         keys = [canonical_key(e.chorale) for e in results[regime].manifest]

@@ -1,3 +1,5 @@
+import json
+
 import pytest
 from hypothesis import given
 
@@ -122,11 +124,30 @@ def test_parse_rejects_three_voices():
         '{"id":"x","voices":[["__"],["60"],["60"],["60"]]}',
         '{"id":"x","voices":[["٦٠"],["60"],["60"],["60"]]}',
         '{"id":"x","voices":[["²"],["60"],["60"],["60"]]}',
+        '{"id":"x","voices":[["060"],["60"],["60"],["60"]]}',
+        '{"id":"x","voices":[["00"],["60"],["60"],["60"]]}',
     ],
 )
 def test_parse_rejects_malformed_records(text):
     with pytest.raises(ChoraleFormatError):
         parse_chorale(text)
+
+
+def test_every_token_text_round_trips():
+    # the 130 texts a token is written as: each parses, and serializes back to the same record
+    texts = [*map(str, range(128)), HOLD, REST]
+    for text in texts:
+        record = json.dumps({"id": "x", "voices": [["60", text]] + [["60", "60"]] * 3}, separators=(",", ":"))
+        assert serialize_chorale(parse_chorale(record)) == record
+
+
+def test_parse_names_the_first_bad_token():
+    with pytest.raises(ChoraleFormatError) as err:
+        parse_chorale('{"id":"x","voices":[["60","61"],["60","060"],["60","R"],["60",[1]]]}', line=2)
+    assert str(err.value) == "unknown token '060' (line 2, field voices[1][1])"
+    with pytest.raises(ChoraleFormatError) as err:
+        parse_chorale('{"id":"x","voices":[["60"],["60"],["60"],[[1]]]}')
+    assert str(err.value) == "token must be a string, got [1] (field voices[3][0])"
 
 
 def test_transpose_shifts_notes_only():

@@ -297,6 +297,16 @@ class TestCli:
         assert feats_csv.read_text(encoding="utf-8") == "chorale_id,feature_name,value,weight\n"
         assert "graded 0 chorales" in capsys.readouterr().out
 
+    def test_grade_rejects_non_canonical_pitch_text(self, small_compare, tmp_path, capsys):
+        _, out, _, _ = small_compare
+        corpus_path = tmp_path / "corpus.jsonl"
+        corpus_path.write_text('{"id":"x","voices":[["060"],["60"],["60"],["60"]]}\n', encoding="utf-8")
+        args = ["grade", "--corpus", str(corpus_path), "--reference", str(out / "reference.json")]
+        assert main(args + ["--out", str(tmp_path / "g.csv")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert "unknown token '060'" in err
+
     @pytest.mark.parametrize(
         "tamper",
         [

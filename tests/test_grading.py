@@ -109,21 +109,21 @@ class TestGrade:
     def test_reference_member_of_singleton_corpus_grades_zero(self):
         c = Chorale(id="one", voices=((60, 64, HOLD), (55, 57, HOLD), (48, 50, HOLD), (41, 43, HOLD)))
         ref = fit_reference(Corpus((c,)))
-        report = grade(c, ref)
-        assert report.total == pytest.approx(0.0, abs=TOL)
-        assert all(d == pytest.approx(0.0, abs=TOL) for d in report.distances.values())
+        batch = grade(c, ref)
+        assert batch.totals[0] == pytest.approx(0.0, abs=TOL)
+        assert all(d == pytest.approx(0.0, abs=TOL) for d in batch.distances[0].tolist())
 
     def test_all_rest_chorale_gets_full_empty_penalty(self, desk_reference):
         silent = Chorale(id="silent", voices=tuple((REST,) * 4 for _ in range(4)))
-        report = grade(silent, desk_reference)
-        assert all(d == desk_reference.p_empty for d in report.distances.values())
+        batch = grade(silent, desk_reference)
+        assert all(d == desk_reference.p_empty for d in batch.distances[0].tolist())
         weight_sum = sum(desk_reference.weights.values())
-        assert report.total == pytest.approx(desk_reference.p_empty * weight_sum, abs=TOL)
+        assert batch.totals[0] == pytest.approx(desk_reference.p_empty * weight_sum, abs=TOL)
 
     def test_corpus_members_grade_better_than_random_chorales(self, desk_split, desk_reference):
-        corpus_grades = sorted(grade(c, desk_reference).total for c in desk_split.train)
+        corpus_grades = sorted(grade(desk_split.train.chorales, desk_reference).totals.tolist())
         rng = stream(99, "random-chorales")
-        random_grades = []
+        random_chorales = []
         for i in range(40):
             length = int(rng.integers(24, 40))
             voices = []
@@ -138,17 +138,16 @@ class TestGrade:
                     else:
                         voice.append(int(rng.integers(30, 90)))
                 voices.append(tuple(voice))
-            random_grades.append(grade(Chorale(id=f"r{i}", voices=tuple(voices)), desk_reference).total)
-        random_grades.sort()
+            random_chorales.append(Chorale(id=f"r{i}", voices=tuple(voices)))
+        random_grades = sorted(grade(random_chorales, desk_reference).totals.tolist())
         assert nearest_rank(corpus_grades, 0.5) < nearest_rank(random_grades, 0.5)
 
     @given(chorales(min_length=2, max_length=6, min_pitch=40, max_pitch=80), st.integers(-5, 5))
     def test_translation_covariance_through_pitch_only(self, desk_reference, c, k):
-        base = grade(c, desk_reference)
-        shifted = grade(transpose(c, k), desk_reference)
-        for name in DEFAULT_FEATURES:
+        base, shifted = grade([c, transpose(c, k)], desk_reference).distances.tolist()
+        for name, d_base, d_shifted in zip(DEFAULT_FEATURES, base, shifted):
             if name != "pitch":
-                assert shifted.distances[name] == base.distances[name]
+                assert d_shifted == d_base
 
 
 class TestBatchGrade:
@@ -169,18 +168,26 @@ class TestBatchGrade:
                 assert [repr(distances[n]) for n in names] == [repr(want_distances[n]) for n in names]
                 assert repr(total) == repr(want_total)
 
+            width = len(names)
             for i, c in enumerate(pool):
-                report = grade(c, reference)
-                assert report.chorale_id == c.id
-                check(i, report.distances, report.total)
+                lone = grade(c, reference)
+                assert lone.ids == (c.id,)
+                check(i, dict(zip(names, lone.distances[0].tolist())), lone.totals[0].item())
             for size in (2, PASS_SIZE - 1, PASS_SIZE, PASS_SIZE + 1):  # the last two cross the pass size
                 members = [k % len(pool) for k in range(size)]
                 batch = grade([pool[k] for k in members], reference)
                 assert batch.ids == tuple(pool[k].id for k in members)
                 for row, k in enumerate(members):
                     check(k, dict(zip(names, batch.distances[row].tolist())), batch.totals[row].item())
-                assert batch.report(size - 1) == grade(pool[members[-1]], reference)
-        assert all(d == desk_reference.p_empty for d in grade(self.ALL_REST, desk_reference).distances.values())
+                # the last member's row and support points are those of the same chorale graded alone
+                lone = grade(pool[members[-1]], reference)
+                last = batch.point_segment >= (size - 1) * width
+                assert batch.distances[-1].tolist() == lone.distances[0].tolist()
+                assert batch.totals[-1].item() == lone.totals[0].item()
+                assert (batch.point_segment[last] - (size - 1) * width).tolist() == lone.point_segment.tolist()
+                assert batch.point_value[last].tolist() == lone.point_value.tolist()
+                assert batch.point_weight[last].tolist() == lone.point_weight.tolist()
+        assert all(d == desk_reference.p_empty for d in grade(self.ALL_REST, desk_reference).distances[0].tolist())
 
     def test_empty_sequence_grades_to_empty_batch(self, desk_reference):
         batch = grade([], desk_reference)

@@ -9,7 +9,6 @@ from auggen.grading import Threshold, fit_reference, grade
 from auggen.loop import (
     ORIGIN_GENERATED,
     ORIGIN_TRUE,
-    BatchPlan,
     DatasetEntry,
     LoopConfig,
     TrainState,
@@ -27,12 +26,13 @@ THRESH_NONE = Threshold(value=-math.inf, label="baseline_none")
 
 
 def small_config(
-    threshold, *, n_generate=4, max_epochs=3, patience=None, seed=23, min_improvement=0.0, plan=BatchPlan(4, 2)
+    threshold, *, n_generate=4, max_epochs=3, patience=None, seed=23, min_improvement=0.0, batches=4, batch_size=2
 ):
     return LoopConfig(
         n_generate=n_generate,
         threshold=threshold,
-        plan=plan,
+        batches=batches,
+        batch_size=batch_size,
         max_epochs=max_epochs,
         patience=patience,
         min_improvement=min_improvement,
@@ -59,10 +59,10 @@ def test_loop_config_validation():
 
 
 def test_plan_validation():
-    with pytest.raises(ValueError):
-        BatchPlan(batches=0, batch_size=1)
-    with pytest.raises(ValueError):
-        BatchPlan(batches=1, batch_size=0)
+    with pytest.raises(ValueError, match="batches must be >= 1, got 0"):
+        small_config(THRESH_ALL, batches=0, batch_size=1)
+    with pytest.raises(ValueError, match="batch_size must be >= 1, got 0"):
+        small_config(THRESH_ALL, batches=1, batch_size=0)
 
 
 def true_state(chorales_):
@@ -72,7 +72,7 @@ def true_state(chorales_):
 def test_training_step_single_chorale_dataset_multiset():
     c = ascending(60)
     model = MarkovModel.with_vocab_from([c], order=2, alpha=0.1)
-    config = small_config(THRESH_ALL, seed=1, plan=BatchPlan(batches=3, batch_size=4))
+    config = small_config(THRESH_ALL, seed=1, batches=3, batch_size=4)
     _, multiset = training_step(true_state([c]), model, config)
     assert len(multiset) == 12 and all(m is c for m in multiset)
     direct = MarkovModel.with_vocab_from([c], order=2, alpha=0.1)
@@ -82,7 +82,7 @@ def test_training_step_single_chorale_dataset_multiset():
 
 def test_training_step_same_stream_same_counts(desk_split):
     chorales_ = list(desk_split.train)
-    config = small_config(THRESH_ALL, seed=6, plan=BatchPlan(batches=8, batch_size=2))
+    config = small_config(THRESH_ALL, seed=6, batches=8, batch_size=2)
     a = MarkovModel.with_vocab_from(chorales_, order=2, alpha=0.1)
     training_step(true_state(chorales_), a, config)
     b = MarkovModel.with_vocab_from(chorales_, order=2, alpha=0.1)
@@ -93,7 +93,7 @@ def test_training_step_same_stream_same_counts(desk_split):
 def test_training_step_draw_frequencies_uniform_within_3_sigma():
     dataset = [ascending(60 + i) for i in range(5)]
     model = MarkovModel.with_vocab_from(dataset, order=1, alpha=0.1)
-    config = small_config(THRESH_ALL, seed=11, plan=BatchPlan(batches=200, batch_size=10))  # 2000 draws, p = 0.2 each
+    config = small_config(THRESH_ALL, seed=11, batches=200, batch_size=10)  # 2000 draws, p = 0.2 each
     _, multiset = training_step(true_state(dataset), model, config)
     expected = 2000 * 0.2
     sigma = math.sqrt(2000 * 0.2 * 0.8)
@@ -186,7 +186,7 @@ def test_candidate_identical_to_true_chorale_rejected_as_duplicate():
 def test_grade_tie_at_threshold_accepted():
     source, model = replaying_model()
     reference = fit_reference(Corpus((source,)), ("pitch", "rhythm"))
-    exact_grade = grade(source, reference).total
+    exact_grade = grade(source, reference).totals[0].item()
     config = small_config(Threshold(value=exact_grade, label="tie"), n_generate=1)
     state = TrainState(dataset=[], seen_keys=set())
     records = generation_step(state, model, reference, config, [source.length])
@@ -207,17 +207,17 @@ def test_duplicate_candidates_rejected_within_epoch():
 
 def test_filter_and_uniqueness_soundness(small_split):
     reference = fit_reference(small_split.train)
-    train_grades = [grade(c, reference).total for c in small_split.train]
+    train_grades = grade(small_split.train.chorales, reference).totals.tolist()
     threshold = Threshold(value=sorted(train_grades)[len(train_grades) // 2], label="median")
     config = small_config(threshold, max_epochs=6, n_generate=6)
     result = run(config, small_split, fresh_model(small_split), reference)
 
     keys = [canonical_key(e.chorale) for e in result.manifest]
     assert len(keys) == len(set(keys))
-    for entry in result.manifest:
-        if entry.origin == ORIGIN_GENERATED:
-            assert grade(entry.chorale, reference).total <= threshold.value
-            assert entry.acceptance_epoch is not None
+    generated = [entry for entry in result.manifest if entry.origin == ORIGIN_GENERATED]
+    for entry, total in zip(generated, grade([entry.chorale for entry in generated], reference).totals.tolist()):
+        assert total <= threshold.value
+        assert entry.acceptance_epoch is not None
     sizes = [entry.dataset_size for entry in result.epoch_logs]
     assert sizes == sorted(sizes)
     previous = len(small_split.train)
@@ -231,7 +231,8 @@ def test_accepted_chorales_resampled_uniformly(small_split):
     config = LoopConfig(
         n_generate=4,
         threshold=THRESH_ALL,
-        plan=BatchPlan(batches=50, batch_size=4),  # 200 draws per epoch
+        batches=50,
+        batch_size=4,  # 200 draws per epoch
         max_epochs=2,
         patience=None,
         min_improvement=0.0,
@@ -242,7 +243,7 @@ def test_accepted_chorales_resampled_uniformly(small_split):
     accepted_ids = [rec.candidate_id for rec in first.candidates if rec.accepted]
     assert accepted_ids, "expected at least one acceptance with threshold +inf"
     second = result.epoch_logs[1]
-    draws = config.plan.draws_per_epoch
+    draws = config.batches * config.batch_size
     # the second epoch's multiset is drawn after that epoch's additions
     p = 1.0 / second.dataset_size
     sigma = math.sqrt(draws * p * (1 - p))

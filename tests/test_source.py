@@ -33,3 +33,21 @@ def test_grammar_checked_only_in_chorale():
         tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
         found.extend(f"{path.name}:{node.lineno}" for node in ast.walk(tree) if _called_name(node) == "validate")
     assert not found, found
+
+
+def test_extractors_run_in_one_function_per_module():
+    # `grading._pass_events` runs the REGISTRY extractors for grading and fitting; `features.feature_events`
+    # runs one for the event view; a call anywhere else would be a second dispatch
+    allowed = {("grading.py", "_pass_events"), ("features.py", "feature_events")}
+    found, callers = [], set()
+    for path in sorted(PACKAGE_DIR.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for top in tree.body:
+            for node in ast.walk(top):
+                if _called_name(node) == "extractor":
+                    caller = (path.name, getattr(top, "name", "<module>"))
+                    callers.add(caller)
+                    if caller not in allowed:
+                        found.append(f"{path.name}:{node.lineno}")
+    assert not found, found
+    assert callers == allowed, callers
