@@ -11,7 +11,9 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import accumulate
 from pathlib import Path
 
 from .chorale import HOLD, REST, Chorale, Token, parse_chorale, serialize_chorale
@@ -123,9 +125,17 @@ def save_split_manifest(s: Split, path: str | Path) -> None:
 # choosing in-register support consonant with the soprano and below the
 # voice above. Desk-scale corpora therefore carry melodic, rhythmic, and
 # cross-voice regularities a student model has to earn.
+#
+# A walk reads its constraints from tables built once from the constants
+# below. Bit i of a lower voice's mask stands for pitch i of its pool, so
+# each set of admissible pitches is a few integer ANDs, and a draw picks
+# among the set bits in pool order. Every walk makes the same random draws,
+# in the same order and with the same bounds, as a walk that filters the
+# pool pitch by pitch.
 
 _MAJOR_SCALE = (0, 2, 4, 5, 7, 9, 11)
 _CONSONANT_CLASSES = (0, 3, 4, 7, 8, 9)  # unison/octave, thirds, fifths, sixths
+_PARALLEL_CLASSES = (0, 7)  # unison/octave and fifth
 _VOICE_RANGES = ((60, 79), (55, 74), (48, 67), (41, 60))
 _HOLD_PROB = 0.45
 _REST_PROB = 0.02
@@ -138,68 +148,66 @@ _N_SEED_WALKS = 400
 _TEACHER_ORDER = 2
 _TEACHER_SMOOTHING = 0.01
 
+_POOLS = tuple(tuple(p for p in range(low, high + 1) if p % 12 in _MAJOR_SCALE) for low, high in _VOICE_RANGES)
+# the cumulative step weights, accumulated from 0.0 term by term; a pick at or above the last cut is no step
+_STEP_CUTS = tuple(accumulate((w / sum(_STEP_WEIGHTS) for w in _STEP_WEIGHTS), initial=0.0))[1:]
+_STEPS = (-2, -1, 0, 1, 2, 0)
+_SOUNDING = range(min(low for low, _ in _VOICE_RANGES), max(high for _, high in _VOICE_RANGES) + 1)
 
-def _voice_pitch_pool(low: int, high: int) -> list[int]:
-    return [p for p in range(low, high + 1) if p % 12 in _MAJOR_SCALE]
+
+def _mask(pool: tuple[int, ...], admits) -> int:
+    return sum(1 << i for i, p in enumerate(pool) if admits(p))
+
+
+# per lower voice, keyed by a pitch any voice can sound: pool pitches at or below it, within a leap of it,
+# consonant with it, and a unison/octave or fifth away from it (keyed with the interval class)
+_FULL = tuple((1 << len(pool)) - 1 for pool in _POOLS)
+_AT_MOST = tuple({c: _mask(pool, lambda p: p <= c) for c in _SOUNDING} for pool in _POOLS)
+_NEAR = tuple({c: _mask(pool, lambda p: abs(p - c) <= _MAX_LEAP) for c in _SOUNDING} for pool in _POOLS)
+_CONSONANT = tuple(
+    {c: _mask(pool, lambda p: abs(c - p) % 12 in _CONSONANT_CLASSES) for c in _SOUNDING} for pool in _POOLS
+)
+_PARALLEL = tuple(
+    {(c, k): _mask(pool, lambda p: abs(c - p) % 12 == k) for c in _SOUNDING for k in _PARALLEL_CLASSES}
+    for pool in _POOLS
+)
+_BIT = tuple({p: 1 << i for i, p in enumerate(pool)} for pool in _POOLS)
 
 
 def _draw_step(rng) -> int:
-    total = sum(_STEP_WEIGHTS)
-    pick = rng.random()
-    cdf = 0.0
-    for step, weight in zip(range(-2, 3), _STEP_WEIGHTS):
-        cdf += weight / total
-        if pick < cdf:
-            return step
-    return 0
+    return _STEPS[bisect_right(_STEP_CUTS, rng.random())]
 
 
-def _support_pitch(pool: list[int], prev: int | None, soprano: int | None,
-                   upper_motion: list[tuple[int | None, int | None]],
-                   ceiling: int | None, max_leap: int, rng) -> int:
-    """Pick a lower-voice pitch: near the previous one, consonant with the
-    soprano without moving in parallel perfect intervals against any upper
-    voice, and not above the voice directly above; constraints relax in
-    that order if nothing qualifies."""
-
-    def makes_parallel(p: int) -> bool:
-        if prev is None or p == prev:
-            return False
-        for upper_prev, upper_now in upper_motion:
+def _support_pitch(v: int, previous: list[int | None], sounding: list[int | None], rng) -> int:
+    """Pick a pitch for lower voice ``v``: near its previous one, consonant with the soprano
+    without moving in parallel perfect intervals against any upper voice, and not above the
+    voice directly above; constraints relax in that order if nothing qualifies."""
+    ceiling, soprano, prev = sounding[v - 1], sounding[0], sounding[v]
+    base = _FULL[v] if ceiling is None else _AT_MOST[v][ceiling]
+    consonant = base if soprano is None else base & _CONSONANT[v][soprano]
+    near = base
+    if prev is not None:
+        near &= _NEAR[v][prev]
+        for u in range(v):
+            upper_prev, upper_now = previous[u], sounding[u]
             if upper_prev is None or upper_now is None or upper_prev == upper_now:
                 continue
             before = abs(upper_prev - prev) % 12
-            if before in (0, 7) and before == abs(upper_now - p) % 12:
-                return True
-        return False
-
-    def admissible(require_leap: bool, require_consonance: bool) -> list[int]:
-        out = []
-        for p in pool:
-            if ceiling is not None and p > ceiling:
-                continue
-            if require_leap and prev is not None and abs(p - prev) > max_leap:
-                continue
-            if require_consonance:
-                if soprano is not None and abs(soprano - p) % 12 not in _CONSONANT_CLASSES:
-                    continue
-                if makes_parallel(p):
-                    continue
-            out.append(p)
-        return out
-
-    for require_leap, require_consonance in ((True, True), (False, True), (True, False), (False, False)):
-        candidates = admissible(require_leap, require_consonance)
+            if before in _PARALLEL_CLASSES:
+                consonant &= ~_PARALLEL[v][upper_now, before] | _BIT[v][prev]  # keeping the previous pitch is no motion
+    for candidates in (consonant & near, consonant, base & near, base, _FULL[v]):
         if candidates:
-            return candidates[int(rng.integers(0, len(candidates)))]
-    return pool[int(rng.integers(0, len(pool)))]
+            break
+    for _ in range(rng.integers(0, candidates.bit_count())):
+        candidates &= candidates - 1  # drop the lowest set bit
+    return _POOLS[v][(candidates & -candidates).bit_length() - 1]
 
 
 def _teacher_walk(length: int, rng) -> Chorale:
-    pools = [_voice_pitch_pool(low, high) for low, high in _VOICE_RANGES]
+    soprano_pool = _POOLS[0]
     voices: list[list[Token]] = [[] for _ in range(4)]
     sounding: list[int | None] = [None] * 4
-    sop_idx = len(pools[0]) // 2
+    sop_idx = len(soprano_pool) // 2
 
     for t in range(length):
         previous = list(sounding)
@@ -209,8 +217,8 @@ def _teacher_walk(length: int, rng) -> Chorale:
         elif t > 0 and voices[0][-1] != REST and roll < _REST_PROB + _HOLD_PROB:
             sop_tok = HOLD
         else:
-            sop_idx = min(max(sop_idx + _draw_step(rng), 0), len(pools[0]) - 1)
-            sop_tok = pools[0][sop_idx]
+            sop_idx = min(max(sop_idx + _draw_step(rng), 0), len(soprano_pool) - 1)
+            sop_tok = soprano_pool[sop_idx]
         voices[0].append(sop_tok)
         sounding[0] = None if sop_tok == REST else (sounding[0] if sop_tok == HOLD else sop_tok)
         soprano_moved = isinstance(sop_tok, int)
@@ -222,24 +230,22 @@ def _teacher_walk(length: int, rng) -> Chorale:
             elif can_hold and not soprano_moved and rng.random() < _FOLLOW_HOLD_PROB:
                 tok = HOLD
             else:
-                upper_motion = [(previous[u], sounding[u]) for u in range(v)]
-                tok = _support_pitch(
-                    pools[v], sounding[v], sounding[0], upper_motion, sounding[v - 1], _MAX_LEAP, rng
-                )
+                tok = _support_pitch(v, previous, sounding, rng)
             voices[v].append(tok)
             sounding[v] = None if tok == REST else (sounding[v] if tok == HOLD else tok)
 
     return Chorale(id="walk", voices=tuple(tuple(v) for v in voices))
 
 
+def _teacher_walks(rng) -> list[Chorale]:
+    """The teacher's seed walks, lengths rising evenly from 32 to 48 timesteps."""
+    lo, hi = 32, 48
+    return [_teacher_walk(lo + (i * (hi - lo)) // (_N_SEED_WALKS - 1), rng) for i in range(_N_SEED_WALKS)]
+
+
 def teacher_model(seed: int) -> MarkovModel:
     """Deterministically construct the teacher from seeded walks."""
-    rng = stream(seed, "teacher", "walks")
-    walks = []
-    lo, hi = 32, 48
-    for i in range(_N_SEED_WALKS):
-        length = lo + (i * (hi - lo)) // (_N_SEED_WALKS - 1)
-        walks.append(_teacher_walk(length, rng))
+    walks = _teacher_walks(stream(seed, "teacher", "walks"))
     model = MarkovModel.with_vocab_from(walks, order=_TEACHER_ORDER, alpha=_TEACHER_SMOOTHING)
     model.fit(walks)
     return model

@@ -208,12 +208,14 @@ def prepare(config: ExperimentConfig) -> tuple[Corpus, Split, ReferenceModel, di
     return corpus, data_split, reference, grade_by_id
 
 
-def regime_threshold(regime: str, train_grades: Sequence[float], quantile: float, corpus_digest: str) -> Threshold:
+def regime_threshold(regime: str, train: Corpus, grade_by_id: Mapping[str, float], quantile: float) -> Threshold:
+    """The regime's acceptance threshold; only ``auggen`` reads the training split, its grades and its digest."""
     if regime == REGIME_NONE:
         return Threshold(value=-math.inf, label=REGIME_NONE)
     if regime == REGIME_ALL:
         return Threshold(value=math.inf, label=REGIME_ALL)
-    return grade_quantile(train_grades, quantile, corpus_digest=corpus_digest, label=REGIME_AUGGEN)
+    train_grades = [grade_by_id[i] for i in train.ids()]
+    return grade_quantile(train_grades, quantile, corpus_digest=train.digest(), label=REGIME_AUGGEN)
 
 
 def grade_quintuple(grades: Sequence[float]) -> tuple[float, float, float, float, float]:
@@ -235,8 +237,7 @@ def run_regime(
     out_dir: Path | None = None,
 ) -> tuple[RunResult, RegimeSummary]:
     """One regime's run on :func:`prepare`'s outputs, its threshold taken from the training split's grades."""
-    train_grades = [grade_by_id[i] for i in data_split.train.ids()]
-    threshold = regime_threshold(regime, train_grades, config.quantile, data_split.train.digest())
+    threshold = regime_threshold(regime, data_split.train, grade_by_id, config.quantile)
     model = MarkovModel.with_vocab_from(data_split.train, order=config.markov_order, alpha=config.smoothing)
     result = run(config.loop_config(threshold), data_split, model, reference)
 

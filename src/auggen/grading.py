@@ -193,10 +193,12 @@ def fit_reference(
             pooled.append(value[feature == k])
     references: dict[str, FeatureDistribution] = {}
     for name, pooled in zip(names, events):
-        reference = FeatureDistribution.from_values(name, np.concatenate(pooled).tolist())
-        if reference.is_empty:
+        # no extractor yields NaN or -0.0, so equal values merge as FeatureDistribution.from_values merges them
+        support, counts = np.unique(np.concatenate(pooled), return_counts=True)
+        if not support.size:
             raise ValueError(f"corpus yields zero events for feature {name!r}")
-        references[name] = reference
+        total = int(counts.sum())
+        references[name] = FeatureDistribution(name, tuple(support.tolist()), tuple(n / total for n in counts.tolist()))
 
     return ReferenceModel(
         feature_names=names,

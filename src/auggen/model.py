@@ -17,6 +17,10 @@ gathers from the table and sums each chorale's scores sequentially, so it
 gives the bits of a per-event ``token_logprob`` loop. ``sample`` draws all
 its uniforms at once and bisects each context's CDF, cached per (row,
 HOLD-masked) in one packed buffer until the next ``fit`` or ``restore``.
+The sampler makes no numpy call: a cache miss builds its CDF from the
+row's counts in plain floats, normalizes it by ``_pairwise_sum`` (numpy's
+pairwise summation order) and accumulates it in order, so each CDF has the
+bits of ``np.cumsum(probs / probs.sum())`` over ``next_token_dist``.
 """
 
 from __future__ import annotations
@@ -27,6 +31,7 @@ import math
 from array import array
 from bisect import bisect_right
 from collections import Counter
+from itertools import accumulate
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
@@ -81,6 +86,44 @@ def _multiplicities(chorales: Sequence[Chorale]) -> dict[int, tuple[Chorale, int
     counts = Counter(map(id, chorales))
     first = {id(c): c for c in chorales}
     return {key: (first[key], n) for key, n in counts.items()}
+
+
+_PAIRWISE_BLOCK = 128  # numpy's PW_BLOCKSIZE
+
+
+def _pairwise_sum(xs: Sequence[float], lo: int = 0, n: int | None = None) -> float:
+    """``float(np.sum(np.array(xs[lo:lo + n])))`` bit for bit: numpy's pairwise float64 summation, in Python.
+
+    Under 8 terms, a sequential sum from 0.0; up to a block, eight strided
+    accumulators combined as a tree, then the remainder in order; above a
+    block, the two halves split at a multiple of 8.
+    """
+    if n is None:
+        n = len(xs) - lo
+    if n < 8:
+        total = 0.0
+        for i in range(lo, lo + n):
+            total += xs[i]
+        return total
+    if n <= _PAIRWISE_BLOCK:
+        r0, r1, r2, r3, r4, r5, r6, r7 = xs[lo : lo + 8]
+        end = lo + n - n % 8
+        for i in range(lo + 8, end, 8):
+            r0 += xs[i]
+            r1 += xs[i + 1]
+            r2 += xs[i + 2]
+            r3 += xs[i + 3]
+            r4 += xs[i + 4]
+            r5 += xs[i + 5]
+            r6 += xs[i + 6]
+            r7 += xs[i + 7]
+        total = ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7))
+        for i in range(end, lo + n):
+            total += xs[i]
+        return total
+    half = n // 2
+    half -= half % 8
+    return _pairwise_sum(xs, lo, half) + _pairwise_sum(xs, lo + half, n - half)
 
 
 def iter_token_events(chorale: Chorale, order: int) -> Iterator[tuple[int, Context, Token]]:
@@ -217,16 +260,21 @@ class MarkovModel(GenerativeModel):
             v, context = contexts[row]
             yield v, context, self.vocabs[v][col], count
 
+    def _smoothed(self, voice: int, row: int | None) -> list[float]:
+        """``(count + alpha) / (total + alpha * size)`` for each token of the voice vocabulary, in plain
+        floats; a row the counts do not cover, or none, reads as zero counts."""
+        size = len(self.vocabs[voice])
+        if row is None or row >= len(self._row_totals):
+            counts, total = [0] * size, 0
+        else:
+            counts, total = self._table[row, :size].tolist(), int(self._row_totals[row])
+        alpha = self.alpha
+        denominator = total + alpha * size
+        return [(count + alpha) / denominator for count in counts]
+
     def next_token_dist(self, voice: int, context: Context) -> np.ndarray:
         """P(token | context) over the voice vocabulary; sums to 1."""
-        size = len(self.vocabs[voice])
-        probs = np.full(size, self.alpha, dtype=float)
-        total = 0
-        row = self._fitted_row(voice, context)
-        if row is not None:
-            probs += self._table[row, :size]
-            total = int(self._row_totals[row])
-        return probs / (total + self.alpha * size)
+        return np.array(self._smoothed(voice, self._rows[voice].get(context)))
 
     def token_logprob(self, voice: int, context: Context, tok: Token) -> float:
         """log P(token | context); tokens outside the vocabulary score as
@@ -246,9 +294,9 @@ class MarkovModel(GenerativeModel):
         self._cdf_starts = array("q", [-1]) * (2 * self._row_count)  # offset in _cdfs per 2*row + masked
         self._uniform_starts = array("q", [-1]) * 8  # per 2*voice + masked, for contexts never interned
 
-    def _cdf_start(self, voice: int, context: Context, masked: bool) -> int:
-        """Offset in ``_cdfs`` of the sampling CDF of ``context``, with HOLD masked out if ``masked``."""
-        row = self._rows[voice].get(context)
+    def _cdf_start(self, voice: int, row: int | None, masked: bool) -> int:
+        """Offset in ``_cdfs`` of the sampling CDF of ``row`` (None for a context never interned), with HOLD
+        masked out if ``masked``; built on a miss with numpy's float64 sum and cumsum, in Python."""
         if row is None:  # every unseen context of a voice has the same (uniform) distribution
             starts, slot = self._uniform_starts, 2 * voice + masked
         else:
@@ -257,32 +305,43 @@ class MarkovModel(GenerativeModel):
                 starts.extend(array("q", [-1]) * (2 * self._row_count - len(starts)))
         start = starts[slot]
         if start < 0:
-            probs = self.next_token_dist(voice, context)
+            probs = self._smoothed(voice, row)
             hold = self._index[voice].get(HOLD)
             if masked and hold is not None:
                 probs[hold] = 0.0
+            norm = _pairwise_sum(probs)
             start = starts[slot] = len(self._cdfs)
-            self._cdfs.extend(np.cumsum(probs / probs.sum()).tolist())
+            self._cdfs.fromlist(list(accumulate([p / norm for p in probs])))  # sequential, as np.cumsum
         return start
 
     def sample(self, length: int, rng: np.random.Generator, chorale_id: str = "sample") -> Chorale:
         if length < 1:
             raise ValueError(f"length must be >= 1, got {length}")
-        history: list[list[Token]] = [[START] * self.order for _ in range(4)]
+        order, vocabs = self.order, self.vocabs
+        history: list[list[Token]] = [[START] * order for _ in range(4)]
         uniforms = iter(rng.random(4 * length).tolist())  # the same values as 4 * length single draws
-        sizes = [len(vocab) for vocab in self.vocabs]
-        cdfs = self._cdfs
+        sizes = [len(vocab) for vocab in vocabs]
+        rows, starts, uniform_starts, cdfs = self._rows, self._cdf_starts, self._uniform_starts, self._cdfs
         for t in range(length):
             step: Context = ()
             for v in range(4):
                 voice = history[v]
-                context = tuple(voice[-self.order :]) + step
-                start = self._cdf_start(v, context, t == 0 or voice[-1] == REST)
-                idx = bisect_right(cdfs, next(uniforms), start, start + sizes[v]) - start
-                tok = self.vocabs[v][min(idx, sizes[v] - 1)]
+                context = tuple(voice[-order:]) + step
+                masked = t == 0 or voice[-1] == REST
+                row = rows[v].get(context)  # None for a context never interned
+                if row is None:
+                    start = uniform_starts[2 * v + masked]
+                else:
+                    slot = 2 * row + masked
+                    start = starts[slot] if slot < len(starts) else -1  # rows interned since the last reset
+                if start < 0:
+                    start = self._cdf_start(v, row, masked)
+                size = sizes[v]
+                idx = bisect_right(cdfs, next(uniforms), start, start + size) - start
+                tok = vocabs[v][idx if idx < size else size - 1]
                 voice.append(tok)
                 step = step + (tok,)
-        return Chorale(id=chorale_id, voices=tuple(tuple(h[self.order :]) for h in history))
+        return Chorale(id=chorale_id, voices=tuple(tuple(h[order:]) for h in history))
 
     def mean_nll(self, chorales: Sequence[Chorale]) -> float:
         """Mean −ln P(token | context) over all grid positions.

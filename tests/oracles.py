@@ -14,6 +14,17 @@ from pathlib import Path
 import numpy as np
 
 from auggen.chorale import HOLD, REST, SILENT, Chorale, realize
+from auggen.corpus import (
+    _CONSONANT_CLASSES,
+    _FOLLOW_HOLD_PROB,
+    _HOLD_PROB,
+    _MAJOR_SCALE,
+    _MAX_LEAP,
+    _N_SEED_WALKS,
+    _REST_PROB,
+    _STEP_WEIGHTS,
+    _VOICE_RANGES,
+)
 from auggen.features import REGISTRY, FeatureDistribution, realize_batch
 from auggen.grading import Threshold, wasserstein1
 from auggen.model import _SNAPSHOT_FORMAT, START, MarkovModel, iter_token_events
@@ -61,16 +72,29 @@ def count_tables(model) -> tuple[list[dict], list[dict]]:
                 totals[v][context] = int(model._row_totals[row])
     return counts, totals
 
+def reference_next_token_dist(model, voice: int, context) -> np.ndarray:
+    """P(token | context) as a numpy formula: ``alpha`` plus the row's counts, over the row total plus
+    ``alpha`` per token; a context the counts do not cover reads as zero counts."""
+    size = len(model.vocabs[voice])
+    probs = np.full(size, model.alpha, dtype=float)
+    total = 0
+    row = model._rows[voice].get(context)
+    if row is not None and row < len(model._row_totals):
+        probs += model._table[row, :size]
+        total = int(model._row_totals[row])
+    return probs / (total + model.alpha * size)
+
+
 def reference_sample(model, length: int, rng) -> Chorale:
     """Per-token sampler: one ``rng.random()`` per position, a fresh
-    ``next_token_dist`` with HOLD masked where it cannot follow, then
+    :func:`reference_next_token_dist` with HOLD masked where it cannot follow, then
     ``np.cumsum`` and ``np.searchsorted``. No caching."""
     history = [[START] * model.order for _ in range(4)]
     for t in range(length):
         step = ()
         for v in range(4):
             context = tuple(history[v][-model.order :]) + step
-            probs = model.next_token_dist(v, context).copy()
+            probs = reference_next_token_dist(model, v, context)
             if (t == 0 or history[v][-1] == REST) and HOLD in model.vocabs[v]:
                 probs[model.vocabs[v].index(HOLD)] = 0.0
             cdf = np.cumsum(probs / probs.sum())
@@ -251,3 +275,103 @@ def load_model(path) -> MarkovModel:
 def extract(chorale, name: str) -> FeatureDistribution:
     """The distribution of feature ``name`` over one chorale's events, through the production extractor."""
     return FeatureDistribution.from_values(name, REGISTRY[name].extractor(realize_batch((chorale,)))[0].tolist())
+
+
+def _voice_pitch_pool(low: int, high: int) -> list[int]:
+    return [p for p in range(low, high + 1) if p % 12 in _MAJOR_SCALE]
+
+
+def _draw_step(rng) -> int:
+    total = sum(_STEP_WEIGHTS)
+    pick = rng.random()
+    cdf = 0.0
+    for step, weight in zip(range(-2, 3), _STEP_WEIGHTS):
+        cdf += weight / total
+        if pick < cdf:
+            return step
+    return 0
+
+
+def _support_pitch(pool: list[int], prev: int | None, soprano: int | None,
+                   upper_motion: list[tuple[int | None, int | None]],
+                   ceiling: int | None, max_leap: int, rng) -> int:
+    """Pick a lower-voice pitch: near the previous one, consonant with the
+    soprano without moving in parallel perfect intervals against any upper
+    voice, and not above the voice directly above; constraints relax in
+    that order if nothing qualifies."""
+
+    def makes_parallel(p: int) -> bool:
+        if prev is None or p == prev:
+            return False
+        for upper_prev, upper_now in upper_motion:
+            if upper_prev is None or upper_now is None or upper_prev == upper_now:
+                continue
+            before = abs(upper_prev - prev) % 12
+            if before in (0, 7) and before == abs(upper_now - p) % 12:
+                return True
+        return False
+
+    def admissible(require_leap: bool, require_consonance: bool) -> list[int]:
+        out = []
+        for p in pool:
+            if ceiling is not None and p > ceiling:
+                continue
+            if require_leap and prev is not None and abs(p - prev) > max_leap:
+                continue
+            if require_consonance:
+                if soprano is not None and abs(soprano - p) % 12 not in _CONSONANT_CLASSES:
+                    continue
+                if makes_parallel(p):
+                    continue
+            out.append(p)
+        return out
+
+    for require_leap, require_consonance in ((True, True), (False, True), (True, False), (False, False)):
+        candidates = admissible(require_leap, require_consonance)
+        if candidates:
+            return candidates[int(rng.integers(0, len(candidates)))]
+    return pool[int(rng.integers(0, len(pool)))]
+
+
+def reference_teacher_walk(length: int, rng) -> Chorale:
+    """One teacher walk, each lower-voice pitch filtered from its pool pitch by pitch."""
+    pools = [_voice_pitch_pool(low, high) for low, high in _VOICE_RANGES]
+    voices: list[list] = [[] for _ in range(4)]
+    sounding: list[int | None] = [None] * 4
+    sop_idx = len(pools[0]) // 2
+
+    for t in range(length):
+        previous = list(sounding)
+        roll = rng.random()
+        if roll < _REST_PROB:
+            sop_tok = REST
+        elif t > 0 and voices[0][-1] != REST and roll < _REST_PROB + _HOLD_PROB:
+            sop_tok = HOLD
+        else:
+            sop_idx = min(max(sop_idx + _draw_step(rng), 0), len(pools[0]) - 1)
+            sop_tok = pools[0][sop_idx]
+        voices[0].append(sop_tok)
+        sounding[0] = None if sop_tok == REST else (sounding[0] if sop_tok == HOLD else sop_tok)
+        soprano_moved = isinstance(sop_tok, int)
+
+        for v in range(1, 4):
+            can_hold = t > 0 and voices[v][-1] != REST and sounding[v] is not None
+            if rng.random() < _REST_PROB:
+                tok = REST
+            elif can_hold and not soprano_moved and rng.random() < _FOLLOW_HOLD_PROB:
+                tok = HOLD
+            else:
+                upper_motion = [(previous[u], sounding[u]) for u in range(v)]
+                tok = _support_pitch(
+                    pools[v], sounding[v], sounding[0], upper_motion, sounding[v - 1], _MAX_LEAP, rng
+                )
+            voices[v].append(tok)
+            sounding[v] = None if tok == REST else (sounding[v] if tok == HOLD else tok)
+
+    return Chorale(id="walk", voices=tuple(tuple(v) for v in voices))
+
+
+def reference_teacher_walks(rng) -> list[Chorale]:
+    """The teacher's 400 seed walks through :func:`reference_teacher_walk`, 32 to 48 timesteps long."""
+    lo, hi = 32, 48
+    return [reference_teacher_walk(lo + (i * (hi - lo)) // (_N_SEED_WALKS - 1), rng) for i in range(_N_SEED_WALKS)]

@@ -14,8 +14,11 @@ from auggen.corpus import (
     split,
     split_manifest,
     teacher_corpus,
+    _teacher_walks,
 )
 from auggen.grading import grade
+from auggen.rng import stream
+from oracles import reference_teacher_walks
 
 
 def tiny(i, pitch=60):
@@ -138,3 +141,12 @@ def test_teacher_corpus_grades_finite(desk_corpus, desk_reference):
     for total in grade(desk_corpus.chorales, desk_reference).totals.tolist():
         assert total >= 0.0
         assert total < 1e6
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_teacher_walks_match_pool_filtering_oracle(seed):
+    rng, oracle_rng = stream(seed, "teacher", "walks"), stream(seed, "teacher", "walks")
+    walks, expected = _teacher_walks(rng), reference_teacher_walks(oracle_rng)
+    assert len(walks) == 400
+    assert [w.voices for w in walks] == [w.voices for w in expected]
+    assert rng.random() == oracle_rng.random()  # the same draws, so the stream is left in the same state

@@ -6,9 +6,9 @@ import sys
 import pytest
 
 from auggen import features
-from auggen.chorale import realize, validate
+from auggen.chorale import Chorale, realize, validate
 from auggen.cli import main
-from auggen.corpus import load_corpus
+from auggen.corpus import Corpus, load_corpus
 from auggen.experiment import (
     ALL_REGIMES,
     ExperimentConfig,
@@ -78,16 +78,23 @@ class TestConfig:
             ExperimentConfig(features=("nope",))
 
 
+def four_chorales() -> Corpus:
+    return Corpus(tuple(Chorale(id=f"c{i}", voices=((60 + i,), (55,), (48,), (41,))) for i in range(4)))
+
+
 class TestThresholds:
     def test_auggen_threshold_is_train_quantile(self):
+        train = four_chorales()
         grades = [4.0, 1.0, 3.0, 2.0]
-        threshold = regime_threshold("auggen", grades, 0.75, "digest")
-        assert threshold == grade_quantile(grades, 0.75, corpus_digest="digest", label="auggen")
+        threshold = regime_threshold("auggen", train, dict(zip(train.ids(), grades)), 0.75)
+        assert threshold == grade_quantile(grades, 0.75, corpus_digest=train.digest(), label="auggen")
         assert threshold.value == 3.0
 
-    def test_degenerate_regimes(self):
-        assert regime_threshold("baseline_none", [1.0], 0.75, "d").value == -math.inf
-        assert regime_threshold("baseline_all", [1.0], 0.75, "d").value == math.inf
+    def test_degenerate_regimes(self, monkeypatch):
+        # only auggen reads the training split: the baselines need neither its grades nor its digest
+        monkeypatch.setattr(Corpus, "digest", lambda self: pytest.fail("digest computed"))
+        assert regime_threshold("baseline_none", four_chorales(), {}, 0.75).value == -math.inf
+        assert regime_threshold("baseline_all", four_chorales(), {}, 0.75).value == math.inf
 
 
 class TestCompare:

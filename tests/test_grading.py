@@ -2,6 +2,7 @@ import json
 import math
 from dataclasses import replace
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
@@ -20,9 +21,10 @@ from auggen.grading import (
     nearest_rank,
     wasserstein1,
 )
+from auggen.grading import _pass_events
 from auggen.rng import stream
 from conftest import chorales, distributions
-from oracles import extract, reference_grade, threshold_from_json, transport_cost
+from oracles import TOKEN_WALKS, extract, reference_grade, threshold_from_json, transport_cost
 
 TOL = 1e-9
 
@@ -87,6 +89,17 @@ class TestFitReference:
         assert desk_reference.feature_names == DEFAULT_FEATURES
         for name in DEFAULT_FEATURES:
             assert not desk_reference.references[name].is_empty
+
+    def test_desk_reference_pools_token_walk_events_as_a_counter(self, desk_split, desk_reference):
+        for name in DEFAULT_FEATURES:
+            events = [x for chorale in desk_split.train for x in TOKEN_WALKS[name](chorale)]
+            assert desk_reference.references[name] == FeatureDistribution.from_values(name, events), name
+
+    def test_extractors_yield_no_nan_or_negative_zero(self, desk_split):
+        # np.unique in fit_reference merges equal values as a Counter does only when neither kind occurs
+        _, values = _pass_events(desk_split.train.chorales + desk_split.validation.chorales, DEFAULT_FEATURES)
+        assert not np.isnan(values).any()
+        assert not np.signbit(values[values == 0.0]).any()
 
     def test_zero_event_feature_raises(self):
         silent = Chorale(id="s", voices=((REST,), (REST,), (REST,), (60,)))

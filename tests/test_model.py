@@ -7,10 +7,10 @@ from hypothesis import given
 
 from auggen.chorale import HOLD, REST, Chorale, validate
 from auggen import model as model_module
-from auggen.model import START, MarkovModel, iter_token_events
+from auggen.model import START, MarkovModel, _pairwise_sum, iter_token_events
 from auggen.rng import stream
 from conftest import ascending, chorales
-from oracles import count_tables, load_model, reference_sample, replay_counts
+from oracles import count_tables, load_model, reference_next_token_dist, reference_sample, replay_counts
 
 TINY = 1e-12
 
@@ -116,6 +116,30 @@ class TestNextTokenDist:
             for _ in range(125):
                 context = tuple(vocab[int(i)] for i in rng.integers(0, len(vocab), size=2 + v))
                 assert abs(model.next_token_dist(v, context).sum() - 1.0) <= 1e-12
+
+    def test_matches_numpy_formula_for_every_interned_context(self, desk_split):
+        chorales_ = list(desk_split.train)
+        model = MarkovModel.with_vocab_from(chorales_, order=2, alpha=0.1)
+        model.fit(chorales_)
+        model.mean_nll(list(desk_split.validation))  # interns validation contexts: rows the counts do not cover
+        assert model._row_count > len(model._row_totals)
+        unseen = [(v, (START,) * (2 + v)) for v in range(1, 4)]  # the soprano cannot be START, so never interned
+        contexts = [(v, context) for v in range(4) for context in model._rows[v]] + unseen
+        for v, context in contexts:
+            assert np.array_equal(model.next_token_dist(v, context), reference_next_token_dist(model, v, context))
+
+
+class TestPairwiseSum:
+    # the sampler's CDFs are normalized by this sum, so a numpy whose reduction order changes fails here by name
+    def test_equals_numpy_sum_at_every_length(self):
+        rng = stream(6, "pairwise")
+        for n in range(1, 301):
+            xs = (rng.random(n) * 10.0 ** rng.integers(-6, 7, size=n)).tolist()
+            assert _pairwise_sum(xs) == float(np.sum(np.array(xs))), n
+
+    @given(st.lists(st.one_of(st.just(0.0), st.floats(0.0, 1e6, allow_nan=False)), min_size=1, max_size=300))
+    def test_equals_numpy_sum_with_masked_zeros(self, xs):
+        assert _pairwise_sum(xs) == float(np.sum(np.array(xs)))
 
 
 class TestSample:

@@ -51,3 +51,19 @@ def test_extractors_run_in_one_function_per_module():
                         found.append(f"{path.name}:{node.lineno}")
     assert not found, found
     assert callers == allowed, callers
+
+
+def test_sampler_makes_no_numpy_call():
+    # a numpy call per draw or per CDF miss costs more than the Python arithmetic it would replace
+    tree = ast.parse((PACKAGE_DIR / "model.py").read_text(encoding="utf-8"))
+    model = next(node for node in tree.body if isinstance(node, ast.ClassDef) and node.name == "MarkovModel")
+    methods = {node.name: node for node in model.body if isinstance(node, ast.FunctionDef)}
+    found = []
+    for name in ("sample", "_cdf_start"):
+        for node in ast.walk(methods[name]):
+            func = node.func if isinstance(node, ast.Call) else None
+            while isinstance(func, ast.Attribute):
+                func = func.value
+            if isinstance(func, ast.Name) and func.id == "np":
+                found.append(f"{name}:{node.lineno}")
+    assert not found, found
