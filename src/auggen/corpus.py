@@ -149,8 +149,10 @@ _TEACHER_ORDER = 2
 _TEACHER_SMOOTHING = 0.01
 
 _POOLS = tuple(tuple(p for p in range(low, high + 1) if p % 12 in _MAJOR_SCALE) for low, high in _VOICE_RANGES)
+# the weights summed term by term from 0.0, not by sum(), whose float sum is compensated from Python 3.12 on
+_STEP_TOTAL = tuple(accumulate(_STEP_WEIGHTS, initial=0.0))[-1]
 # the cumulative step weights, accumulated from 0.0 term by term; a pick at or above the last cut is no step
-_STEP_CUTS = tuple(accumulate((w / sum(_STEP_WEIGHTS) for w in _STEP_WEIGHTS), initial=0.0))[1:]
+_STEP_CUTS = tuple(accumulate((w / _STEP_TOTAL for w in _STEP_WEIGHTS), initial=0.0))[1:]
 _STEPS = (-2, -1, 0, 1, 2, 0)
 _SOUNDING = range(min(low for low, _ in _VOICE_RANGES), max(high for _, high in _VOICE_RANGES) + 1)
 
@@ -247,7 +249,7 @@ def teacher_model(seed: int) -> MarkovModel:
     """Deterministically construct the teacher from seeded walks."""
     walks = _teacher_walks(stream(seed, "teacher", "walks"))
     model = MarkovModel.with_vocab_from(walks, order=_TEACHER_ORDER, alpha=_TEACHER_SMOOTHING)
-    model.fit(walks)
+    model.fit(walks, [1] * len(walks))
     return model
 
 

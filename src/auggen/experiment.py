@@ -31,9 +31,8 @@ from .chorale import REST
 from .corpus import Corpus, Split, load_corpus, save_split_manifest, split, teacher_corpus
 from .features import DEFAULT_FEATURES, check_feature_set
 from .grading import ReferenceModel, Threshold, fit_reference, grade, grade_quantile, nearest_rank
-from .loop import ORIGIN_TRUE, LoopConfig, RunResult, run, save_run
+from .loop import ORIGIN_TRUE, LoopConfig, RunResult, run, sample_batch, save_run
 from .model import MarkovModel
-from .rng import stream
 
 log = logging.getLogger(__name__)
 
@@ -241,12 +240,8 @@ def run_regime(
     model = MarkovModel.with_vocab_from(data_split.train, order=config.markov_order, alpha=config.smoothing)
     result = run(config.loop_config(threshold), data_split, model, reference)
 
-    length_pool = [c.length for c in data_split.train]
-    samples = []
-    for i in range(config.n_eval):
-        rng = stream(config.seed, "eval", regime, i)
-        length = length_pool[int(rng.integers(0, len(length_pool)))]
-        samples.append(model.sample(length, rng, chorale_id=f"eval-{regime}-{i:04d}"))
+    ids = [f"eval-{regime}-{i:04d}" for i in range(config.n_eval)]
+    samples = sample_batch(model, [c.length for c in data_split.train], config.seed, ("eval", regime), ids)
     final_grades = grade(samples, reference).totals.tolist()
 
     stats = tuple(

@@ -7,7 +7,8 @@ passes the threshold and whose canonical key has never been seen (the seen
 set starts with every true chorale, train and validation, and absorbs every
 candidate ever produced, accepted or not). The training step draws
 ``batches`` × ``batch_size`` chorales uniformly with replacement from the
-augmented dataset and rebuilds the model from that multiset. Validation
+augmented dataset and rebuilds the model from how often each dataset
+chorale was drawn; the train loss scores the draws in draw order. Validation
 loss on the fixed held-out split drives best-snapshot selection and
 optional patience-based early stopping.
 
@@ -20,10 +21,11 @@ from __future__ import annotations
 import csv
 import json
 import math
-from collections import Counter
 from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Sequence
+
+import numpy as np
 
 from .chorale import Chorale, canonical_key, serialize_chorale
 from .corpus import Split
@@ -89,7 +91,7 @@ class EpochLog:
     dataset_size: int
     train_loss: float
     val_loss: float
-    draw_counts: dict[str, int]  # chorale id -> times drawn into this epoch's training multiset
+    draw_counts: dict[str, int]  # chorale id -> times drawn this epoch, for every chorale drawn at least once
 
 
 @dataclass
@@ -117,6 +119,19 @@ class RunResult:
     reference_digest_after: str
 
 
+def sample_batch(
+    model: GenerativeModel, length_pool: Sequence[int], seed: int, key: tuple, ids: Sequence[str]
+) -> list[Chorale]:
+    """One chorale per id: chorale ``j`` draws its length from ``length_pool``, then its tokens,
+    from ``stream(seed, *key, j)``, and is named ``ids[j]``."""
+    chorales = []
+    for j, chorale_id in enumerate(ids):
+        rng = stream(seed, *key, j)
+        length = length_pool[int(rng.integers(0, len(length_pool)))]
+        chorales.append(model.sample(length, rng, chorale_id=chorale_id))
+    return chorales
+
+
 def generation_step(
     state: TrainState,
     model: GenerativeModel,
@@ -125,11 +140,8 @@ def generation_step(
     length_pool: Sequence[int],
 ) -> tuple[CandidateRecord, ...]:
     """Generate ``n_generate`` candidates for the current epoch, grade them in one call, then filter them in order."""
-    candidates = []
-    for j in range(config.n_generate):
-        rng = stream(config.seed, "gen", state.epoch, j)
-        length = length_pool[int(rng.integers(0, len(length_pool)))]
-        candidates.append(model.sample(length, rng, chorale_id=f"gen-e{state.epoch:03d}-c{j:03d}"))
+    ids = [f"gen-e{state.epoch:03d}-c{j:03d}" for j in range(config.n_generate)]
+    candidates = sample_batch(model, length_pool, config.seed, ("gen", state.epoch), ids)
     records = []
     for candidate, total in zip(candidates, grade(candidates, reference).totals.tolist()):
         key = canonical_key(candidate)
@@ -146,13 +158,15 @@ def generation_step(
     return tuple(records)
 
 
-def training_step(state: TrainState, model: GenerativeModel, config: LoopConfig) -> tuple[float, list[Chorale]]:
-    """Draw the epoch's multiset uniformly with replacement, refit on it; returns (train loss, multiset)."""
+def training_step(state: TrainState, model: GenerativeModel, config: LoopConfig) -> tuple[float, np.ndarray]:
+    """Draw the epoch's batches uniformly with replacement and refit on the draw counts;
+    returns (train loss over the draws, times each dataset entry was drawn)."""
     rng = stream(config.seed, "train", state.epoch)
     draws = rng.integers(0, len(state.dataset), size=config.batches * config.batch_size)
-    multiset = [state.dataset[int(i)].chorale for i in draws]
-    model.fit(multiset)
-    return model.mean_nll(multiset), multiset
+    counts = np.bincount(draws, minlength=len(state.dataset))
+    chorales = [entry.chorale for entry in state.dataset]
+    model.fit(chorales, counts)
+    return model.mean_nll(chorales, draws), counts
 
 
 def run(config: LoopConfig, split: Split, model: GenerativeModel, reference: ReferenceModel) -> RunResult:
@@ -175,7 +189,7 @@ def run(config: LoopConfig, split: Split, model: GenerativeModel, reference: Ref
         before = len(state.dataset)
         candidates = generation_step(state, model, reference, config, length_pool)
         additions = len(state.dataset) - before
-        train_loss, multiset = training_step(state, model, config)
+        train_loss, counts = training_step(state, model, config)
         val_loss = model.mean_nll(validation)
         logs.append(
             EpochLog(
@@ -185,7 +199,7 @@ def run(config: LoopConfig, split: Split, model: GenerativeModel, reference: Ref
                 dataset_size=len(state.dataset),
                 train_loss=train_loss,
                 val_loss=val_loss,
-                draw_counts=Counter(c.id for c in multiset),
+                draw_counts={state.dataset[i].chorale.id: n for i, n in enumerate(counts.tolist()) if n},
             )
         )
         if val_loss < state.best_val_loss - config.min_improvement:

@@ -1,20 +1,21 @@
 """Generative-model contract and the order-k Markov reference model.
 
 The training loop depends only on :class:`GenerativeModel`; any sequence
-model that can rebuild itself from the multiset the loop draws each epoch,
-sample a chorale, and score held-out chorales can be plugged in. The shipped
-implementation is :class:`MarkovModel`, an additive-smoothed count model
-over the token grid whose context for voice ``v`` at timestep ``t`` is the
-``order`` previous tokens of voice ``v`` followed by the timestep-``t``
-tokens of the voices above it (soprano first).
+model that can rebuild itself from how often the loop drew each dataset
+chorale this epoch, sample a chorale, and score chorales can be plugged
+in. The shipped implementation is :class:`MarkovModel`, an additive-smoothed
+count model over the token grid whose context for voice ``v`` at timestep
+``t`` is the ``order`` previous tokens of voice ``v`` followed by the
+timestep-``t`` tokens of the voices above it (soprano first).
 
 Its fitted state is integer arrays. Each context is interned once per voice
 as a global row id, and each chorale object is encoded once into row and
 token-index arrays (index −1 outside the voice vocabulary). ``fit`` is one
-weighted ``np.add.at`` into an int32 ``(rows, Vmax)`` count table with int64
-row totals; a row interned after the fit reads as zero counts. ``mean_nll``
-gathers from the table and sums each chorale's scores sequentially, so it
-gives the bits of a per-event ``token_logprob`` loop. ``sample`` draws all
+``np.add.at`` of the draw counts into an int32 ``(rows, Vmax)`` count table
+with int64 row totals; a row interned after the fit reads as zero counts.
+``mean_nll`` gathers from the table, sums each scored chorale's event scores
+sequentially, then adds those sums in draw order, so it gives the bits of a
+per-event log-probability loop over the drawn chorales. ``sample`` draws all
 its uniforms at once and bisects each context's CDF, cached per (row,
 HOLD-masked) in one packed buffer until the next ``fit`` or ``restore``.
 The sampler makes no numpy call: a cache miss builds its CDF from the
@@ -30,7 +31,6 @@ import json
 import math
 from array import array
 from bisect import bisect_right
-from collections import Counter
 from itertools import accumulate
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
@@ -51,16 +51,17 @@ class GenerativeModel(abc.ABC):
     """Behavior contract the training loop relies on."""
 
     @abc.abstractmethod
-    def fit(self, multiset: Sequence[Chorale]) -> None:
-        """Rebuild the model from an epoch's multiset; a chorale drawn n times counts n times."""
+    def fit(self, chorales: Sequence[Chorale], counts: Sequence[int]) -> None:
+        """Rebuild the model from an epoch's draws: ``chorales[i]`` counts ``counts[i]`` times."""
 
     @abc.abstractmethod
     def sample(self, length: int, rng: np.random.Generator, chorale_id: str = "sample") -> Chorale:
         """Draw one chorale of ``length`` timesteps; output always validates."""
 
     @abc.abstractmethod
-    def mean_nll(self, chorales: Sequence[Chorale]) -> float:
-        """Mean negative log-likelihood per (voice, timestep) position."""
+    def mean_nll(self, chorales: Sequence[Chorale], draws: Sequence[int] | None = None) -> float:
+        """Mean negative log-likelihood per (voice, timestep) position of ``chorales``, or of
+        ``chorales[i] for i in draws`` when ``draws`` is given."""
 
     @abc.abstractmethod
     def snapshot(self) -> object:
@@ -79,13 +80,6 @@ def _token_sort_key(tok: Token) -> tuple[int, int | str]:
     if isinstance(tok, int):
         return (0, tok)
     return (1, tok)
-
-
-def _multiplicities(chorales: Sequence[Chorale]) -> dict[int, tuple[Chorale, int]]:
-    """Each distinct chorale object (by identity, first-seen order) with its multiplicity, keyed by ``id``."""
-    counts = Counter(map(id, chorales))
-    first = {id(c): c for c in chorales}
-    return {key: (first[key], n) for key, n in counts.items()}
 
 
 _PAIRWISE_BLOCK = 128  # numpy's PW_BLOCKSIZE
@@ -143,7 +137,7 @@ class MarkovModel(GenerativeModel):
 
     The per-voice vocabulary is fixed at construction; counts can be
     rebuilt at will with :meth:`fit` (the training loop rebuilds them every
-    epoch from the epoch's sampled multiset). A freshly constructed model
+    epoch from the epoch's draw counts). A freshly constructed model
     has zero counts everywhere, i.e. it is the uniform model over each
     voice's vocabulary.
     """
@@ -215,36 +209,36 @@ class MarkovModel(GenerativeModel):
         toks = np.concatenate([k for _, k in encoded])
         return rows, toks, np.array([r.size for r, _ in encoded])
 
-    def _fitted_row(self, voice: int, context: Context) -> int | None:
-        """The row id of ``(voice, context)`` if the current counts cover it, else None."""
-        row = self._rows[voice].get(context)
-        return row if row is not None and row < len(self._row_totals) else None
+    def fit(self, chorales: Sequence[Chorale], counts: Sequence[int]) -> None:
+        """Replace counts with exact event counts over the draws: ``chorales[i]`` counts ``counts[i]`` times.
 
-    def fit(self, multiset: Sequence[Chorale]) -> None:
-        """Replace counts with exact event counts over ``multiset``.
-
-        Each distinct chorale object counts as often as it occurs. The
-        vocabulary stays fixed: chorales using tokens outside it are
-        rejected.
+        Only chorales with a nonzero count are read. The vocabulary stays
+        fixed: a drawn chorale using tokens outside it is rejected.
         """
-        if not multiset:
+        counts = np.asarray(counts)
+        if counts.shape != (len(chorales),):
+            raise ValueError(f"expected {len(chorales)} draw counts, one per chorale, got shape {counts.shape}")
+        if counts.size and (counts.dtype.kind not in "iu" or counts.min() < 0):
+            raise ValueError("draw counts must be non-negative integers")
+        drawn = np.flatnonzero(counts)
+        if not drawn.size:
             raise ValueError("cannot fit on an empty multiset")
-        distinct = list(_multiplicities(multiset).values())
-        rows, toks, sizes = self._encode_all([chorale for chorale, _ in distinct])
+        distinct = [chorales[i] for i in drawn.tolist()]
+        rows, toks, sizes = self._encode_all(distinct)
         unknown = np.flatnonzero(toks < 0)
         if unknown.size:
             ends = np.cumsum(sizes)
             i = int(np.searchsorted(ends, unknown[0], side="right"))
             t, v = divmod(int(unknown[0] - ends[i] + sizes[i]), 4)
-            chorale = distinct[i][0]
+            chorale = distinct[i]
             raise ValueError(f"chorale {chorale.id!r}: token {chorale.voices[v][t]!r} not in voice {v} vocabulary")
-        multiplicities = np.array([n for _, n in distinct], dtype=np.int32)
-        events = int(np.dot(multiplicities.astype(np.int64), sizes))
+        weights = counts[drawn].astype(np.int64)
+        events = int(np.dot(weights, sizes))
         if events > _MAX_COUNT:  # no cell can exceed the event total, so int32 cells cannot wrap below it
             raise ValueError(f"{events} events exceed the count table's limit of {_MAX_COUNT}")
         table = np.zeros((self._row_count, self._width), dtype=np.int32)
         cells = rows.astype(np.int64) * self._width + toks
-        np.add.at(table.reshape(-1), cells, np.repeat(multiplicities, sizes))  # unbuffered: repeats add up
+        np.add.at(table.reshape(-1), cells, np.repeat(weights.astype(np.int32), sizes))  # unbuffered: repeats add up
         self._table = table
         self._row_totals = self._table.sum(axis=1, dtype=np.int64)
         self._reset_cdfs()
@@ -275,18 +269,6 @@ class MarkovModel(GenerativeModel):
     def next_token_dist(self, voice: int, context: Context) -> np.ndarray:
         """P(token | context) over the voice vocabulary; sums to 1."""
         return np.array(self._smoothed(voice, self._rows[voice].get(context)))
-
-    def token_logprob(self, voice: int, context: Context, tok: Token) -> float:
-        """log P(token | context); tokens outside the vocabulary score as
-        zero-count events so held-out scoring stays finite."""
-        count = total = 0
-        row = self._fitted_row(voice, context)
-        if row is not None:
-            total = int(self._row_totals[row])
-            col = self._index[voice].get(tok)
-            count = 0 if col is None else int(self._table[row, col])
-        vocab_size = len(self.vocabs[voice])
-        return float(np.log((count + self.alpha) / (total + self.alpha * vocab_size)))
 
     def _reset_cdfs(self) -> None:
         """Forget every cached CDF; called whenever the counts change."""
@@ -343,16 +325,18 @@ class MarkovModel(GenerativeModel):
                 step = step + (tok,)
         return Chorale(id=chorale_id, voices=tuple(tuple(h[order:]) for h in history))
 
-    def mean_nll(self, chorales: Sequence[Chorale]) -> float:
-        """Mean −ln P(token | context) over all grid positions.
+    def mean_nll(self, chorales: Sequence[Chorale], draws: Sequence[int] | None = None) -> float:
+        """Mean −ln P(token | context) over all grid positions of ``chorales``, or of
+        ``chorales[i] for i in draws``.
 
-        Each distinct object is scored once, and the per-draw scores are
-        summed in draw order.
+        Tokens outside the vocabulary score as zero-count events, so the
+        mean stays finite. Each drawn chorale is scored once, and the
+        per-chorale sums are added in draw order.
         """
-        if not chorales:
+        if not len(chorales) or (draws is not None and not len(draws)):
             raise ValueError("cannot score an empty corpus")
-        distinct = _multiplicities(chorales)
-        rows, toks, sizes = self._encode_all([chorale for chorale, _ in distinct.values()])
+        drawn, order = np.unique(np.arange(len(chorales)) if draws is None else draws, return_inverse=True)
+        rows, toks, sizes = self._encode_all([chorales[i] for i in drawn.tolist()])
         fitted = rows < len(self._row_totals)
         known = fitted & (toks >= 0)
         counts = np.zeros(rows.size, dtype=np.int64)
@@ -364,14 +348,9 @@ class MarkovModel(GenerativeModel):
         # a leading 0.0 and a sequential cumsum per row reproduce `acc = 0.0; acc -= logprob` bit for bit
         padded = np.zeros((len(sizes), int(sizes.max()) + 1))
         padded[:, 1:][np.arange(padded.shape[1] - 1) < sizes[:, None]] = scores
-        per_chorale = dict(zip(distinct, zip(np.cumsum(padded, axis=1)[:, -1].tolist(), sizes.tolist())))
-        total = 0.0
-        positions = 0
-        for chorale in chorales:
-            acc, n = per_chorale[id(chorale)]
-            total += acc
-            positions += n
-        return total / positions
+        per_chorale = np.cumsum(padded, axis=1)[:, -1]
+        # a sequential cumsum, not sum() or math.fsum: Python 3.12's float sum() is compensated
+        return np.cumsum(per_chorale[order]).item(-1) / int(sizes[order].sum())
 
     # fit replaces both arrays wholesale and nothing mutates them, so snapshots share them
     def snapshot(self) -> object:

@@ -85,6 +85,19 @@ def reference_next_token_dist(model, voice: int, context) -> np.ndarray:
     return probs / (total + model.alpha * size)
 
 
+def token_logprob(model, voice: int, context, tok) -> float:
+    """log P(token | context) of a MarkovModel, one event at a time: a context the counts do not cover, or
+    a token outside the vocabulary, scores as a zero-count event, so held-out scoring stays finite."""
+    count = total = 0
+    row = model._rows[voice].get(context)
+    if row is not None and row < len(model._row_totals):
+        total = int(model._row_totals[row])
+        col = model._index[voice].get(tok)
+        count = 0 if col is None else int(model._table[row, col])
+    vocab_size = len(model.vocabs[voice])
+    return float(np.log((count + model.alpha) / (total + model.alpha * vocab_size)))
+
+
 def reference_sample(model, length: int, rng) -> Chorale:
     """Per-token sampler: one ``rng.random()`` per position, a fresh
     :func:`reference_next_token_dist` with HOLD masked where it cannot follow, then
@@ -281,8 +294,16 @@ def _voice_pitch_pool(low: int, high: int) -> list[int]:
     return [p for p in range(low, high + 1) if p % 12 in _MAJOR_SCALE]
 
 
+def step_weight_total() -> float:
+    """The soprano step weights summed term by term from 0.0, as Python 3.11's ``sum`` adds floats."""
+    total = 0.0
+    for weight in _STEP_WEIGHTS:
+        total += weight
+    return total
+
+
 def _draw_step(rng) -> int:
-    total = sum(_STEP_WEIGHTS)
+    total = step_weight_total()
     pick = rng.random()
     cdf = 0.0
     for step, weight in zip(range(-2, 3), _STEP_WEIGHTS):

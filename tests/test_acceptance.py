@@ -120,7 +120,7 @@ def test_criterion_2_structural_invariants(desk_split):
         report(2, "split disjointness and floor sizing", False, f"{len(s.train)}/{len(s.validation)}")
 
     model = MarkovModel.with_vocab_from(teacher_corpus(17, 20), order=2, alpha=0.1)
-    model.fit(list(teacher_corpus(17, 20)))
+    model.fit(teacher_corpus(17, 20).chorales, [1] * 20)
     for i in range(1000):
         sample = model.sample(int(rng.integers(1, 33)), rng, chorale_id=f"s{i}")
         if validate(sample):

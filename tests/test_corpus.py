@@ -14,11 +14,13 @@ from auggen.corpus import (
     split,
     split_manifest,
     teacher_corpus,
+    _STEP_CUTS,
+    _STEP_WEIGHTS,
     _teacher_walks,
 )
 from auggen.grading import grade
 from auggen.rng import stream
-from oracles import reference_teacher_walks
+from oracles import reference_teacher_walks, step_weight_total
 
 
 def tiny(i, pitch=60):
@@ -150,3 +152,14 @@ def test_teacher_walks_match_pool_filtering_oracle(seed):
     assert len(walks) == 400
     assert [w.voices for w in walks] == [w.voices for w in expected]
     assert rng.random() == oracle_rng.random()  # the same draws, so the stream is left in the same state
+
+
+def test_step_cuts_divide_by_the_term_by_term_weight_sum():
+    # builtin sum() of floats is compensated from Python 3.12 on and gives 1.0 here; the walks keep 3.11's bits
+    total = step_weight_total()
+    assert total == 1.0000000000000002
+    cuts, cdf = [], 0.0
+    for weight in _STEP_WEIGHTS:
+        cdf += weight / total
+        cuts.append(cdf)
+    assert _STEP_CUTS == tuple(cuts)

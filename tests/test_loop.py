@@ -1,5 +1,6 @@
 import filecmp
 import math
+from collections import Counter
 
 import pytest
 
@@ -14,12 +15,14 @@ from auggen.loop import (
     TrainState,
     generation_step,
     run,
+    sample_batch,
     save_run,
     training_step,
 )
 from auggen.model import MarkovModel
+from auggen.rng import stream
 from conftest import ascending
-from oracles import count_tables
+from oracles import count_tables, replay_counts
 
 THRESH_ALL = Threshold(value=math.inf, label="baseline_all")
 THRESH_NONE = Threshold(value=-math.inf, label="baseline_none")
@@ -73,11 +76,11 @@ def test_training_step_single_chorale_dataset_multiset():
     c = ascending(60)
     model = MarkovModel.with_vocab_from([c], order=2, alpha=0.1)
     config = small_config(THRESH_ALL, seed=1, batches=3, batch_size=4)
-    _, multiset = training_step(true_state([c]), model, config)
-    assert len(multiset) == 12 and all(m is c for m in multiset)
+    _, counts = training_step(true_state([c]), model, config)
+    assert counts.tolist() == [12]
     direct = MarkovModel.with_vocab_from([c], order=2, alpha=0.1)
-    direct.fit([c] * 12)
-    assert count_tables(direct) == count_tables(model)
+    direct.fit([c], [12])
+    assert count_tables(direct) == count_tables(model) == replay_counts([c] * 12, 2)
 
 
 def test_training_step_same_stream_same_counts(desk_split):
@@ -94,11 +97,11 @@ def test_training_step_draw_frequencies_uniform_within_3_sigma():
     dataset = [ascending(60 + i) for i in range(5)]
     model = MarkovModel.with_vocab_from(dataset, order=1, alpha=0.1)
     config = small_config(THRESH_ALL, seed=11, batches=200, batch_size=10)  # 2000 draws, p = 0.2 each
-    _, multiset = training_step(true_state(dataset), model, config)
+    _, counts = training_step(true_state(dataset), model, config)
+    assert counts.sum() == 2000
     expected = 2000 * 0.2
     sigma = math.sqrt(2000 * 0.2 * 0.8)
-    for member in dataset:
-        observed = sum(1 for m in multiset if m is member)
+    for observed in counts.tolist():
         assert abs(observed - expected) <= 3 * sigma
 
 
@@ -164,7 +167,7 @@ def replaying_model():
         ),
     )
     model = MarkovModel.with_vocab_from([source], order=2, alpha=1e-12)
-    model.fit([source])
+    model.fit([source], [1])
     return source, model
 
 
@@ -250,6 +253,28 @@ def test_accepted_chorales_resampled_uniformly(small_split):
     for cid in accepted_ids:
         observed = second.draw_counts.get(cid, 0)
         assert abs(observed - draws * p) <= 3 * sigma
+
+
+def test_draw_counts_replay_the_train_stream(small_split):
+    config = small_config(THRESH_ALL, max_epochs=3, batches=5, batch_size=3)
+    result = run(config, small_split, fresh_model(small_split), fit_reference(small_split.train, ("pitch",)))
+    ids = [entry.chorale.id for entry in result.manifest]
+    for entry in result.epoch_logs:
+        rng = stream(config.seed, "train", entry.epoch)
+        draws = rng.integers(0, entry.dataset_size, size=config.batches * config.batch_size)
+        assert entry.draw_counts == Counter(ids[i] for i in draws.tolist())
+        assert all(n > 0 for n in entry.draw_counts.values())  # Counter equality ignores zero counts
+
+
+def test_sample_batch_draws_length_then_tokens_from_each_stream(small_split):
+    model = fresh_model(small_split)
+    pool = [5, 9, 13]
+    batch = sample_batch(model, pool, 31, ("eval", "x"), ["a", "b", "c"])
+    assert [c.id for c in batch] == ["a", "b", "c"]
+    for j, chorale in enumerate(batch):
+        rng = stream(31, "eval", "x", j)
+        length = pool[int(rng.integers(0, len(pool)))]
+        assert chorale.voices == model.sample(length, rng).voices
 
 
 def test_frozen_reference_and_validation_isolation(small_split):

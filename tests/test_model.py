@@ -3,14 +3,21 @@ import math
 import hypothesis.strategies as st
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 
 from auggen.chorale import HOLD, REST, Chorale, validate
 from auggen import model as model_module
 from auggen.model import START, MarkovModel, _pairwise_sum, iter_token_events
 from auggen.rng import stream
-from conftest import ascending, chorales
-from oracles import count_tables, load_model, reference_next_token_dist, reference_sample, replay_counts
+from conftest import ascending, chorales, once
+from oracles import (
+    count_tables,
+    load_model,
+    reference_next_token_dist,
+    reference_sample,
+    replay_counts,
+    token_logprob,
+)
 
 TINY = 1e-12
 
@@ -23,9 +30,9 @@ class TestFitCounts:
     def test_duplicates_count_multiply(self):
         c = ascending(60)
         single = MarkovModel.with_vocab_from([c], order=2, alpha=0.1)
-        single.fit([c])
+        single.fit([c], [1])
         double = MarkovModel.with_vocab_from([c], order=2, alpha=0.1)
-        double.fit([c, c])
+        double.fit([c], [2])
         single_counts, _ = count_tables(single)
         double_counts, _ = count_tables(double)
         for v in range(4):
@@ -35,28 +42,56 @@ class TestFitCounts:
 
     @given(
         st.lists(chorales(min_length=1, max_length=6), min_size=1, max_size=4),
-        st.lists(st.integers(0, 3), min_size=1, max_size=24),
+        st.lists(st.integers(0, 3), min_size=8, max_size=8),
         st.booleans(),
     )
-    def test_fit_matches_replay_oracle(self, pool, picks, copy_each_draw):
-        # repeated objects, or with copy_each_draw equal-but-distinct objects, must count alike
-        multiset = [pool[i % len(pool)] for i in picks]
-        if copy_each_draw:
-            multiset = [Chorale(id=c.id, voices=c.voices) for c in multiset]
+    def test_fit_matches_replay_oracle(self, pool, weights, copy_each):
+        # the dataset lists each chorale twice, as the same object or, with copy_each, as an equal-but-distinct
+        # one; both must count alike, and a chorale with count 0 must not count at all
+        dataset = pool + ([Chorale(id=c.id, voices=c.voices) for c in pool] if copy_each else pool)
+        draw_counts = weights[: len(dataset)]
+        assume(any(draw_counts))
         model = MarkovModel.with_vocab_from(pool, order=2, alpha=0.1)
-        model.fit(multiset)
+        model.fit(dataset, draw_counts)
+        multiset = [c for c, n in zip(dataset, draw_counts) for _ in range(n)]
         counts, totals = replay_counts(multiset, 2)
+        assert count_tables(model) == (counts, totals)
+        model.fit(dataset, np.array(draw_counts, dtype=np.int64))
         assert count_tables(model) == (counts, totals)
 
     def test_fit_rejects_empty(self):
         model = MarkovModel.with_vocab_from([ascending(60)], order=1, alpha=0.1)
         with pytest.raises(ValueError):
-            model.fit([])
+            model.fit([], [])
+
+    def test_fit_rejects_all_zero_counts(self):
+        c = ascending(60)
+        model = MarkovModel.with_vocab_from([c], order=1, alpha=0.1)
+        with pytest.raises(ValueError, match="^cannot fit on an empty multiset$"):
+            model.fit([c, ascending(61)], np.zeros(2, dtype=np.int64))
+
+    @pytest.mark.parametrize(
+        "counts, message",
+        [
+            ([1], "expected 2 draw counts, one per chorale, got shape (1,)"),
+            ([1, 1, 1], "expected 2 draw counts, one per chorale, got shape (3,)"),
+            ([[1, 1]], "expected 2 draw counts, one per chorale, got shape (1, 2)"),
+            ([2, -1], "draw counts must be non-negative integers"),
+            ([1.0, 1.0], "draw counts must be non-negative integers"),
+        ],
+    )
+    def test_fit_rejects_malformed_counts(self, counts, message):
+        c = ascending(60)
+        model = MarkovModel.with_vocab_from([c], order=1, alpha=0.1)
+        with pytest.raises(ValueError) as err:
+            model.fit([c, c], counts)
+        assert str(err.value) == message
+        assert "\n" not in str(err.value)
 
     def test_fit_rejects_out_of_vocabulary_tokens(self):
         model = MarkovModel.with_vocab_from([ascending(60)], order=1, alpha=0.1)
         with pytest.raises(ValueError) as err:
-            model.fit([ascending(100)])
+            model.fit([ascending(100)], [1])
         assert "vocabulary" in str(err.value)
 
     def test_fit_names_first_out_of_vocabulary_token(self):
@@ -66,16 +101,22 @@ class TestFitCounts:
         alien = Chorale(id="alien", voices=tuple(voices))
         model = MarkovModel.with_vocab_from([known], order=1, alpha=0.1)
         with pytest.raises(ValueError) as err:
-            model.fit([known, known, alien, alien])
+            model.fit([known, alien], [2, 2])
         assert str(err.value) == "chorale 'alien': token 99 not in voice 2 vocabulary"
+
+    def test_fit_reads_only_drawn_chorales(self):
+        known = ascending(60)
+        model = MarkovModel.with_vocab_from([known], order=1, alpha=0.1)
+        model.fit([ascending(100), known], [0, 3])  # the undrawn chorale's tokens are outside the vocabulary
+        assert count_tables(model) == replay_counts([known] * 3, 1)
 
     def test_fit_rejects_counts_beyond_int32(self, monkeypatch):
         c = ascending(60)  # 32 events
         model = MarkovModel.with_vocab_from([c], order=1, alpha=0.1)
         monkeypatch.setattr(model_module, "_MAX_COUNT", 63)
-        model.fit([c])
+        model.fit([c], [1])
         with pytest.raises(ValueError, match="events exceed"):
-            model.fit([c, c, c])  # 96 events, over the (lowered) limit
+            model.fit([c], [3])  # 96 events, over the (lowered) limit
 
     def test_additive_smoothing_formula(self):
         # soprano vocab {60, 62}; context (60,) seen 4 times: 62 thrice, 60 once
@@ -86,7 +127,7 @@ class TestFitCounts:
             (41,) * 8,
         )
         model = MarkovModel.with_vocab_from([c], order=1, alpha=1.0)
-        model.fit([c])
+        model.fit([c], [1])
         probs = model.next_token_dist(0, (60,))
         by_token = dict(zip(model.vocabs[0], probs))
         assert by_token[62] == pytest.approx((3 + 1) / (4 + 2))
@@ -95,7 +136,7 @@ class TestFitCounts:
     def test_order1_deterministic_transition(self):
         c = quad((60, 62, 60, 62), (41,) * 4, (41,) * 4, (41,) * 4)
         model = MarkovModel.with_vocab_from([c], order=1, alpha=TINY)
-        model.fit([c])
+        model.fit([c], [1])
         probs = model.next_token_dist(0, (60,))
         assert probs[model.vocabs[0].index(62)] == pytest.approx(1.0, abs=1e-9)
 
@@ -103,13 +144,13 @@ class TestFitCounts:
 class TestNextTokenDist:
     def test_unseen_context_is_uniform(self):
         model = MarkovModel.with_vocab_from([ascending(60)], order=2, alpha=0.5)
-        model.fit([ascending(60)])
+        model.fit([ascending(60)], [1])
         probs = model.next_token_dist(0, (1, 2))
         assert np.allclose(probs, 1.0 / len(model.vocabs[0]))
 
     def test_normalization_at_random_contexts(self, desk_split):
         model = MarkovModel.with_vocab_from(desk_split.train, order=2, alpha=0.1)
-        model.fit(list(desk_split.train))
+        model.fit(desk_split.train.chorales, once(desk_split.train))
         rng = stream(5, "contexts")
         for v in range(4):
             vocab = model.vocabs[v] + (START,)
@@ -120,7 +161,7 @@ class TestNextTokenDist:
     def test_matches_numpy_formula_for_every_interned_context(self, desk_split):
         chorales_ = list(desk_split.train)
         model = MarkovModel.with_vocab_from(chorales_, order=2, alpha=0.1)
-        model.fit(chorales_)
+        model.fit(chorales_, once(chorales_))
         model.mean_nll(list(desk_split.validation))  # interns validation contexts: rows the counts do not cover
         assert model._row_count > len(model._row_totals)
         unseen = [(v, (START,) * (2 + v)) for v in range(1, 4)]  # the soprano cannot be START, so never interned
@@ -145,14 +186,14 @@ class TestPairwiseSum:
 class TestSample:
     def test_sampling_deterministic_given_stream(self, desk_split):
         model = MarkovModel.with_vocab_from(desk_split.train, order=2, alpha=0.1)
-        model.fit(list(desk_split.train))
+        model.fit(desk_split.train.chorales, once(desk_split.train))
         a = model.sample(20, stream(3, "s"), chorale_id="a")
         b = model.sample(20, stream(3, "s"), chorale_id="b")
         assert a.voices == b.voices
 
     def test_samples_always_valid(self, desk_split):
         model = MarkovModel.with_vocab_from(desk_split.train, order=2, alpha=0.1)
-        model.fit(list(desk_split.train))
+        model.fit(desk_split.train.chorales, once(desk_split.train))
         rng = stream(4, "validity")
         for i in range(200):
             assert validate(model.sample(int(rng.integers(1, 40)), rng)) == []
@@ -173,7 +214,7 @@ class TestSample:
         for v, ctx, tok in iter_token_events(source, 2):
             assert transitions.setdefault((v, ctx), tok) == tok
         model = MarkovModel.with_vocab_from([source], order=2, alpha=TINY)
-        model.fit([source])
+        model.fit([source], [1])
         clone = model.sample(source.length, stream(0, "clone"))
         assert clone.voices == source.voices
 
@@ -186,9 +227,9 @@ class TestSample:
         model = MarkovModel.with_vocab_from(pool, order=2, alpha=alpha)
         fresh = model.sample(6, stream(seed, "fresh"))
         assert fresh.voices == reference_sample(model, 6, stream(seed, "fresh")).voices
-        model.fit(pool[:1])
+        model.fit(pool[:1], [1])
         early = model.snapshot()
-        model.fit(pool)  # interns the other chorales' contexts after the snapshot
+        model.fit(pool, once(pool))  # interns the other chorales' contexts after the snapshot
         for phase in ("fitted", "restored"):
             for k in range(3):
                 length = 1 + 5 * k
@@ -199,9 +240,9 @@ class TestSample:
     def test_sample_matches_reference_sampler_on_desk_corpus(self, desk_split):
         chorales_ = list(desk_split.train)
         model = MarkovModel.with_vocab_from(chorales_, order=2, alpha=0.1)
-        model.fit(chorales_[:8])
+        model.fit(chorales_[:8], once(chorales_[:8]))
         early = model.snapshot()
-        model.fit(chorales_)
+        model.fit(chorales_, once(chorales_))
         model.mean_nll(list(desk_split.validation))  # interns validation contexts, unfitted rows
         for phase in ("fitted", "restored"):
             for k in range(20):
@@ -212,7 +253,7 @@ class TestSample:
 
     def test_one_draw_per_position(self, desk_split):
         model = MarkovModel.with_vocab_from(desk_split.train, order=2, alpha=0.1)
-        model.fit(list(desk_split.train))
+        model.fit(desk_split.train.chorales, once(desk_split.train))
         rng = stream(2, "draws")
         model.sample(30, rng)
         after = stream(2, "draws")
@@ -226,7 +267,7 @@ def per_event_mean_nll(model, chorales_) -> float:
     for chorale in chorales_:
         acc = 0.0
         for v, context, tok in iter_token_events(chorale, model.order):
-            acc -= model.token_logprob(v, context, tok)
+            acc -= token_logprob(model, v, context, tok)
             positions += 1
         total += acc
     return total / positions
@@ -240,28 +281,33 @@ class TestMeanNll:
     def test_equals_per_event_logprob_loop(self, pool, picks):
         # vocabulary from two chorales only, so the others bring unknown tokens and contexts
         model = MarkovModel.with_vocab_from(pool[:2], order=2, alpha=0.1)
-        draws = [pool[i % len(pool)] for i in picks]
-        assert model.mean_nll(draws) == per_event_mean_nll(model, draws)
-        model.fit(pool[:1])
+        draws = [i % len(pool) for i in picks]
+        drawn = [pool[i] for i in draws]
+        assert model.mean_nll(pool, draws) == per_event_mean_nll(model, drawn)
+        assert model.mean_nll(drawn) == per_event_mean_nll(model, drawn)
+        model.fit(pool[:1], [1])
         early = model.snapshot()
-        model.fit(pool[:2])
-        assert model.mean_nll(draws) == per_event_mean_nll(model, draws)
+        model.fit(pool[:2], [1, 1])
+        assert model.mean_nll(pool, draws) == per_event_mean_nll(model, drawn)
+        assert model.mean_nll(pool, np.array(draws)) == per_event_mean_nll(model, drawn)
         model.restore(early)
-        assert model.mean_nll(draws) == per_event_mean_nll(model, draws)
+        assert model.mean_nll(pool, draws) == per_event_mean_nll(model, drawn)
+        assert model.mean_nll(drawn) == per_event_mean_nll(model, drawn)
 
     def test_equals_per_event_logprob_loop_on_desk_corpus(self, desk_split):
         chorales_ = list(desk_split.train)
         model = MarkovModel.with_vocab_from(chorales_, order=2, alpha=0.1)
-        draws = [chorales_[int(i)] for i in stream(3, "draws").integers(0, len(chorales_), size=500)]
-        model.fit(draws)
+        draws = stream(3, "draws").integers(0, len(chorales_), size=500)
+        model.fit(chorales_, np.bincount(draws, minlength=len(chorales_)))
         validation = list(desk_split.validation)
-        assert model.mean_nll(draws) == per_event_mean_nll(model, draws)
+        drawn = [chorales_[i] for i in draws.tolist()]
+        assert model.mean_nll(chorales_, draws) == per_event_mean_nll(model, drawn)
         assert model.mean_nll(validation) == per_event_mean_nll(model, validation)
 
     def test_zero_on_deterministic_training_data(self):
         c = ascending(72, length=10)
         model = MarkovModel.with_vocab_from([c], order=2, alpha=TINY)
-        model.fit([c])
+        model.fit([c], [1])
         assert model.mean_nll([c]) < 1e-9
 
     def test_uniform_model_scores_log_vocab(self):
@@ -273,7 +319,7 @@ class TestMeanNll:
 
     def test_finite_on_out_of_vocabulary_corpus(self, desk_split):
         model = MarkovModel.with_vocab_from(desk_split.train, order=2, alpha=0.1)
-        model.fit(list(desk_split.train))
+        model.fit(desk_split.train.chorales, once(desk_split.train))
         alien = Chorale(id="alien", voices=((120, 121, 122),) * 4)
         value = model.mean_nll([alien])
         assert math.isfinite(value) and value > 0
@@ -282,7 +328,7 @@ class TestMeanNll:
     def test_fit_model_beats_uniform_on_training_data(self, c, d):
         corpus = [c, Chorale(id=c.id + "-b", voices=d.voices)]
         fitted = MarkovModel.with_vocab_from(corpus, order=2, alpha=TINY)
-        fitted.fit(corpus)
+        fitted.fit(corpus, once(corpus))
         uniform = MarkovModel.with_vocab_from(corpus, order=2, alpha=TINY)
         assert fitted.mean_nll(corpus) <= uniform.mean_nll(corpus) + 1e-9
 
@@ -291,13 +337,13 @@ class TestSnapshotAndSerialization:
     def test_snapshot_restore_roundtrip(self, desk_split):
         chorales_ = list(desk_split.train)
         model = MarkovModel.with_vocab_from(chorales_, order=2, alpha=0.1)
-        model.fit(chorales_[:10])
+        model.fit(chorales_[:10], once(chorales_[:10]))
         state = model.snapshot()
         before = count_tables(model)
-        model.fit(chorales_[10:20])
+        model.fit(chorales_[10:20], once(chorales_[10:20]))
         model.restore(state)
         fresh = MarkovModel.with_vocab_from(chorales_, order=2, alpha=0.1)
-        fresh.fit(chorales_[:10])
+        fresh.fit(chorales_[:10], once(chorales_[:10]))
         rng = stream(8, "spot")
         for v in range(4):
             vocab = model.vocabs[v] + (START,)
@@ -309,13 +355,13 @@ class TestSnapshotAndSerialization:
     def test_restore_same_snapshot_twice(self, desk_split):
         chorales_ = list(desk_split.train)
         model = MarkovModel.with_vocab_from(chorales_, order=2, alpha=0.1)
-        model.fit(chorales_[:10])
+        model.fit(chorales_[:10], once(chorales_[:10]))
         state = model.snapshot()
         counts, _ = count_tables(model)
         contexts = [(v, context) for v in range(4) for context in list(counts[v])[:5]]
         model.restore(state)
         first = [model.next_token_dist(v, context) for v, context in contexts]
-        model.fit(chorales_[10:20])
+        model.fit(chorales_[10:20], once(chorales_[10:20]))
         model.restore(state)
         second = [model.next_token_dist(v, context) for v, context in contexts]
         for a, b in zip(first, second):
@@ -329,7 +375,7 @@ class TestSnapshotAndSerialization:
     def test_save_load_roundtrip(self, desk_split, tmp_path):
         chorales_ = list(desk_split.train)
         model = MarkovModel.with_vocab_from(chorales_, order=2, alpha=0.1)
-        model.fit(chorales_)
+        model.fit(chorales_, once(chorales_))
         path = tmp_path / "model.json"
         model.save(path)
         loaded = load_model(path)
