@@ -2,12 +2,13 @@
 
 Subcommands: ``teacher-gen`` (write a synthetic corpus), ``grade`` (grade a
 corpus against a saved reference), ``train`` (single-regime run),
-``compare`` (all regimes plus figure CSVs), ``report`` (recompute summary
-statistics from a finished run directory). Configuration comes from a
-profile (``--profile desk|paper``), optionally overlaid by a JSON config
-file (``--config``) and individual flags. Exit code 0 on success, 1 on any
-failure, with a diagnostic on stderr; a bad config fails before any file is
-written. Usage errors from argparse exit 2.
+``compare`` (all regimes plus figure CSVs), ``report`` (per-epoch grade
+quintuples of a finished run directory, or one row per regime of a compare
+directory). Configuration comes from a profile (``--profile desk|paper``),
+optionally overlaid by a JSON config file (``--config``) and individual
+flags. Exit code 0 on success, 1 on any failure, with a diagnostic on
+stderr; a bad config fails before any file is written. Usage errors from
+argparse exit 2.
 """
 
 from __future__ import annotations
@@ -17,14 +18,15 @@ import contextlib
 import csv
 import json
 import logging
+import math
 import sys
 from pathlib import Path
 
 from . import experiment
 from .corpus import CorpusError, load_corpus, save_corpus, teacher_corpus
-from .experiment import PROFILES, ExperimentConfig, RegimeError, compare, recompute_epoch_stats, resolve_out_dir, run_regime
+from .experiment import PROFILES, ExperimentConfig, RegimeError, compare, grade_quintuple, resolve_out_dir, run_regime
 from .chorale import ChoraleFormatError
-from .grading import PASS_SIZE, ReferenceModel, grade
+from .grading import PASS_SIZE, ReferenceModel, grade, nearest_rank
 
 log = logging.getLogger(__name__)
 
@@ -130,18 +132,54 @@ def _manifest_origins(manifest: Path) -> list[str]:
     return origins
 
 
+# the compare report copies these from each regime summary, then adds final_median and final_iqr from its final_grades
+_SUMMARY_KEYS = ("regime", "best_epoch", "best_val_loss", "epochs_ran", "generated_count", "generated_fraction")
+
+
+def _regime_rows(summary_json: Path) -> list[list[str]]:
+    """One report row per regime summary of a compare directory's ``summary.json``, in file order."""
+    try:
+        summaries = json.loads(summary_json.read_text(encoding="utf-8"))
+    except ValueError as exc:
+        raise ValueError(f"{summary_json}: {exc}") from None
+    if not isinstance(summaries, list):
+        raise ValueError(f"{summary_json}: expected a list of regime summaries, got {type(summaries).__name__}")
+    rows = []
+    for i, summary in enumerate(summaries):
+        if not isinstance(summary, dict):
+            raise ValueError(f"{summary_json}: entry {i} is not an object")
+        missing = [key for key in (*_SUMMARY_KEYS, "final_grades") if key not in summary]
+        if missing:
+            raise ValueError(f"{summary_json}: entry {i}: missing key(s) {missing}")
+        grades = summary["final_grades"]
+        finite = isinstance(grades, list) and all(
+            isinstance(g, (int, float)) and not isinstance(g, bool) and math.isfinite(g) for g in grades
+        )
+        if not (finite and grades):
+            raise ValueError(f"{summary_json}: entry {i}: final_grades must be a nonempty list of finite numbers")
+        iqr = nearest_rank(grades, 0.75) - nearest_rank(grades, 0.25)
+        cells = [summary[key] for key in _SUMMARY_KEYS[1:]] + [nearest_rank(grades, 0.5), iqr]
+        rows.append([summary["regime"], *map(repr, cells)])
+    return rows
+
+
 def cmd_report(args: argparse.Namespace) -> int:
     run_dir = Path(args.run_dir)
-    logs = run_dir / "epoch_logs.csv"
-    if not logs.exists():
-        raise FileNotFoundError(f"no epoch_logs.csv under {run_dir}")
-    stats = recompute_epoch_stats(logs)
+    logs, summary_json = run_dir / "epoch_logs.csv", run_dir / "summary.json"
+    writer = csv.writer(sys.stdout, lineterminator="\n")
+    if not logs.exists():  # a compare directory: one row per regime
+        if not summary_json.exists():
+            raise FileNotFoundError(f"no epoch_logs.csv or summary.json under {run_dir}")
+        rows = _regime_rows(summary_json)
+        writer.writerow([*_SUMMARY_KEYS, "final_median", "final_iqr"])
+        writer.writerows(rows)
+        return 0
+    grades = experiment.epoch_grades(logs)
     manifest = run_dir / "dataset_manifest.jsonl"
     origins = _manifest_origins(manifest) if manifest.exists() else None  # both files checked before any output
-    writer = csv.writer(sys.stdout, lineterminator="\n")
     writer.writerow(["epoch", "min", "q1", "median", "q3", "max"])
-    for (_, epoch), quint in sorted(stats.items()):
-        writer.writerow([epoch, *[repr(x) for x in quint]])
+    for epoch, values in sorted(grades.items()):
+        writer.writerow([epoch, *map(repr, grade_quintuple(values))])
     if origins is not None:
         generated = sum(1 for o in origins if o == "generated")
         print(f"# dataset: {len(origins)} chorales, {generated} generated "
@@ -177,7 +215,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_config_flags(p)
     p.set_defaults(func=cmd_compare)
 
-    p = sub.add_parser("report", help="recompute summary statistics from a run directory")
+    p = sub.add_parser("report", help="summarise a finished run or compare directory")
     p.add_argument("--run-dir", required=True)
     p.set_defaults(func=cmd_report)
 

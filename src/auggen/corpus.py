@@ -17,7 +17,7 @@ from itertools import accumulate
 from pathlib import Path
 
 from .chorale import HOLD, REST, Chorale, Token, parse_chorale, serialize_chorale
-from .model import MarkovModel
+from .model import MarkovModel, sample_batch
 from .rng import stream
 
 
@@ -262,10 +262,5 @@ def teacher_corpus(seed: int, n: int, length_range: tuple[int, int] = (32, 48)) 
         raise ValueError(f"minimum length must be >= 4, got {t_min}")
     if t_max < t_min:
         raise ValueError(f"empty length range {length_range}")
-    teacher = teacher_model(seed)
-    chorales = []
-    for i in range(n):
-        rng = stream(seed, "teacher", "sample", i)
-        length = t_min + int(rng.integers(0, t_max - t_min + 1))
-        chorales.append(teacher.sample(length, rng, chorale_id=f"teacher-{i:04d}"))
-    return Corpus(tuple(chorales))
+    ids = [f"teacher-{i:04d}" for i in range(n)]
+    return Corpus(sample_batch(teacher_model(seed), range(t_min, t_max + 1), seed, ("teacher", "sample"), ids))

@@ -31,8 +31,8 @@ from .chorale import REST
 from .corpus import Corpus, Split, load_corpus, save_split_manifest, split, teacher_corpus
 from .features import DEFAULT_FEATURES, check_feature_set
 from .grading import ReferenceModel, Threshold, fit_reference, grade, grade_quantile, nearest_rank
-from .loop import ORIGIN_TRUE, LoopConfig, RunResult, run, sample_batch, save_run
-from .model import MarkovModel
+from .loop import ORIGIN_TRUE, LoopConfig, RunResult, run, save_run
+from .model import MarkovModel, sample_batch
 
 log = logging.getLogger(__name__)
 
@@ -336,16 +336,13 @@ def resolve_out_dir(cli_value: str | None, default: str) -> Path:
     return Path(env) if env else Path(default)
 
 
-def recompute_epoch_stats(epoch_logs_csv: str | Path) -> dict[tuple[str, int], tuple[float, ...]]:
-    """Independent per-epoch grade quintuples straight from an epoch_logs.csv.
+def epoch_grades(epoch_logs_csv: str | Path) -> dict[int, list[float]]:
+    """Each epoch's candidate grades, in file order, from an ``epoch_logs.csv``.
 
-    Keys are (regime, epoch); for a single-run log the regime key is "".
-    Uses numpy's inverted-CDF quantile, which realizes the same nearest-rank
-    definition through different code, so it doubles as a consistency oracle.
+    A missing column, or a cell that is not an integer epoch or a finite grade, raises
+    ``ValueError`` naming the file (and the line).
     """
-    import numpy as np
-
-    grades: dict[tuple[str, int], list[float]] = {}
+    grades: dict[int, list[float]] = {}
     with open(epoch_logs_csv, "r", encoding="utf-8", newline="") as fh:
         reader = csv.DictReader(fh)
         missing = {"epoch", "grade"} - set(reader.fieldnames or ())
@@ -353,19 +350,10 @@ def recompute_epoch_stats(epoch_logs_csv: str | Path) -> dict[tuple[str, int], t
             raise ValueError(f"{epoch_logs_csv}: missing column(s) {sorted(missing)}")
         for row in reader:
             try:
-                key = (row.get("regime", ""), int(row["epoch"]))
-                grade = float(row["grade"])
+                epoch, value = int(row["epoch"]), float(row["grade"])
             except (TypeError, ValueError) as exc:  # TypeError: a short row leaves the cell None
                 raise ValueError(f"{epoch_logs_csv}: line {reader.line_num}: {exc}") from None
-            grades.setdefault(key, []).append(grade)
-    out = {}
-    for key, values in grades.items():
-        arr = np.asarray(values)
-        out[key] = (
-            float(arr.min()),
-            float(np.quantile(arr, 0.25, method="inverted_cdf")),
-            float(np.quantile(arr, 0.5, method="inverted_cdf")),
-            float(np.quantile(arr, 0.75, method="inverted_cdf")),
-            float(arr.max()),
-        )
-    return out
+            if not math.isfinite(value):  # the critic's grades are finite sums of finite distances
+                raise ValueError(f"{epoch_logs_csv}: line {reader.line_num}: grade {row['grade']!r} is not finite")
+            grades.setdefault(epoch, []).append(value)
+    return grades

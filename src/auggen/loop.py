@@ -30,7 +30,7 @@ import numpy as np
 from .chorale import Chorale, canonical_key, serialize_chorale
 from .corpus import Split
 from .grading import ReferenceModel, Threshold, grade
-from .model import GenerativeModel
+from .model import GenerativeModel, sample_batch
 from .rng import stream
 
 ORIGIN_TRUE = "true"
@@ -117,19 +117,6 @@ class RunResult:
     reference: ReferenceModel
     reference_digest_before: str
     reference_digest_after: str
-
-
-def sample_batch(
-    model: GenerativeModel, length_pool: Sequence[int], seed: int, key: tuple, ids: Sequence[str]
-) -> list[Chorale]:
-    """One chorale per id: chorale ``j`` draws its length from ``length_pool``, then its tokens,
-    from ``stream(seed, *key, j)``, and is named ``ids[j]``."""
-    chorales = []
-    for j, chorale_id in enumerate(ids):
-        rng = stream(seed, *key, j)
-        length = length_pool[int(rng.integers(0, len(length_pool)))]
-        chorales.append(model.sample(length, rng, chorale_id=chorale_id))
-    return chorales
 
 
 def generation_step(

@@ -8,8 +8,9 @@ count model over the token grid whose context for voice ``v`` at timestep
 ``t`` is the ``order`` previous tokens of voice ``v`` followed by the
 timestep-``t`` tokens of the voices above it (soprano first).
 
-Its fitted state is integer arrays. Each context is interned once per voice
-as a global row id, and each chorale object is encoded once into row and
+Its fitted state is integer arrays. Each context is interned once as a row
+id (voice ``v``'s contexts are ``order + v`` tokens long, so one dict holds
+all four voices), and each chorale object is encoded once into row and
 token-index arrays (index −1 outside the voice vocabulary). ``fit`` is one
 ``np.add.at`` of the draw counts into an int32 ``(rows, Vmax)`` count table
 with int64 row totals; a row interned after the fit reads as zero counts.
@@ -38,6 +39,7 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 from .chorale import HOLD, REST, Chorale, Token
+from .rng import stream
 
 START = "^"  # context padding before timestep 0; never emitted
 
@@ -74,6 +76,19 @@ class GenerativeModel(abc.ABC):
     @abc.abstractmethod
     def save(self, path) -> None:
         """Serialize the model to a single versioned file."""
+
+
+def sample_batch(
+    model: GenerativeModel, length_pool: Sequence[int], seed: int, key: tuple, ids: Sequence[str]
+) -> list[Chorale]:
+    """One chorale per id: chorale ``j`` draws its length from ``length_pool``, then its tokens,
+    from ``stream(seed, *key, j)``, and is named ``ids[j]``."""
+    chorales = []
+    for j, chorale_id in enumerate(ids):
+        rng = stream(seed, *key, j)
+        length = length_pool[int(rng.integers(0, len(length_pool)))]
+        chorales.append(model.sample(length, rng, chorale_id=chorale_id))
+    return chorales
 
 
 def _token_sort_key(tok: Token) -> tuple[int, int | str]:
@@ -120,18 +135,6 @@ def _pairwise_sum(xs: Sequence[float], lo: int = 0, n: int | None = None) -> flo
     return _pairwise_sum(xs, lo, half) + _pairwise_sum(xs, lo + half, n - half)
 
 
-def iter_token_events(chorale: Chorale, order: int) -> Iterator[tuple[int, Context, Token]]:
-    """Yield (voice, context, token) for every grid position of ``chorale``."""
-    voices = chorale.voices
-    padded = [(START,) * order + voice for voice in voices]
-    for t in range(chorale.length):
-        cross: Context = ()
-        for v in range(len(voices)):
-            context = padded[v][t : t + order] + cross
-            yield v, context, voices[v][t]
-            cross = cross + (voices[v][t],)
-
-
 class MarkovModel(GenerativeModel):
     """Order-k count model with additive smoothing over the chorale grid.
 
@@ -162,8 +165,9 @@ class MarkovModel(GenerativeModel):
         self.vocabs: tuple[tuple[Token, ...], ...] = tuple(cleaned)
         self._index = [{tok: i for i, tok in enumerate(vocab)} for vocab in self.vocabs]
         self._width = max(len(vocab) for vocab in self.vocabs)  # Vmax, the count table's column count
-        self._rows: list[dict[Context, int]] = [{} for _ in range(4)]  # context -> global row id, per voice
-        self._row_count = 0
+        # context -> row id, in order of first sight; voice v's contexts are order + v tokens long, so no two
+        # voices share a key, and len(self._rows) is the row count
+        self._rows: dict[Context, int] = {}
         self._encoded: dict[int, tuple[Chorale, np.ndarray, np.ndarray]] = {}  # id -> (chorale, rows, token indices)
         self._table = np.zeros((0, self._width), dtype=np.int32)
         self._row_totals = np.zeros(0, dtype=np.int64)
@@ -182,22 +186,17 @@ class MarkovModel(GenerativeModel):
             raise ValueError("need at least one chorale to build a vocabulary")
         return cls(order=order, alpha=alpha, vocabs=seen)
 
-    def _row(self, voice: int, context: Context) -> int:
-        """The row id of ``(voice, context)``, interned on first sight."""
-        row = self._rows[voice].get(context)
-        if row is None:
-            row = self._rows[voice][context] = self._row_count
-            self._row_count += 1
-        return row
-
     def _encode(self, chorale: Chorale) -> tuple[np.ndarray, np.ndarray]:
         """Row ids and token indices of ``chorale``'s events in event order, cached by object identity."""
         cached = self._encoded.get(id(chorale))
         if cached is None:
+            order, interned, index = self.order, self._rows, self._index
+            padded = [(START,) * order + voice for voice in chorale.voices]
             rows, toks = [], []
-            for v, context, tok in iter_token_events(chorale, self.order):
-                rows.append(self._row(v, context))
-                toks.append(self._index[v].get(tok, -1))
+            for t, step in enumerate(zip(*chorale.voices)):
+                for v in range(4):
+                    rows.append(interned.setdefault(padded[v][t : t + order] + step[:v], len(interned)))
+                    toks.append(index[v].get(step[v], -1))
             # the cache holds the chorale itself, so its id cannot be reused while the entry lives
             cached = self._encoded[id(chorale)] = (chorale, np.array(rows, np.int32), np.array(toks, np.int32))
         return cached[1], cached[2]
@@ -236,7 +235,7 @@ class MarkovModel(GenerativeModel):
         events = int(np.dot(weights, sizes))
         if events > _MAX_COUNT:  # no cell can exceed the event total, so int32 cells cannot wrap below it
             raise ValueError(f"{events} events exceed the count table's limit of {_MAX_COUNT}")
-        table = np.zeros((self._row_count, self._width), dtype=np.int32)
+        table = np.zeros((len(self._rows), self._width), dtype=np.int32)
         cells = rows.astype(np.int64) * self._width + toks
         np.add.at(table.reshape(-1), cells, np.repeat(weights.astype(np.int32), sizes))  # unbuffered: repeats add up
         self._table = table
@@ -245,13 +244,11 @@ class MarkovModel(GenerativeModel):
 
     def _nonzero_cells(self) -> Iterator[tuple[int, Context, Token, int]]:
         """(voice, context, token, count) for every nonzero count, in row order."""
-        contexts: list[tuple[int, Context]] = [(0, ())] * self._row_count
-        for v in range(4):
-            for context, row in self._rows[v].items():
-                contexts[row] = (v, context)
+        contexts = list(self._rows)  # row ids are handed out in insertion order
         rows, cols = np.nonzero(self._table)
         for row, col, count in zip(rows.tolist(), cols.tolist(), self._table[rows, cols].tolist()):
-            v, context = contexts[row]
+            context = contexts[row]
+            v = len(context) - self.order
             yield v, context, self.vocabs[v][col], count
 
     def _smoothed(self, voice: int, row: int | None) -> list[float]:
@@ -267,13 +264,15 @@ class MarkovModel(GenerativeModel):
         return [(count + alpha) / denominator for count in counts]
 
     def next_token_dist(self, voice: int, context: Context) -> np.ndarray:
-        """P(token | context) over the voice vocabulary; sums to 1."""
-        return np.array(self._smoothed(voice, self._rows[voice].get(context)))
+        """P(token | context) over the voice vocabulary; sums to 1. A context that is not ``order + voice``
+        tokens long is not one of the voice's, so it reads as zero counts."""
+        row = self._rows.get(context) if len(context) == self.order + voice else None
+        return np.array(self._smoothed(voice, row))
 
     def _reset_cdfs(self) -> None:
         """Forget every cached CDF; called whenever the counts change."""
         self._cdfs = array("d")  # packed CDFs, each as long as its voice's vocabulary
-        self._cdf_starts = array("q", [-1]) * (2 * self._row_count)  # offset in _cdfs per 2*row + masked
+        self._cdf_starts = array("q", [-1]) * (2 * len(self._rows))  # offset in _cdfs per 2*row + masked
         self._uniform_starts = array("q", [-1]) * 8  # per 2*voice + masked, for contexts never interned
 
     def _cdf_start(self, voice: int, row: int | None, masked: bool) -> int:
@@ -284,7 +283,7 @@ class MarkovModel(GenerativeModel):
         else:
             starts, slot = self._cdf_starts, 2 * row + masked
             if slot >= len(starts):  # rows interned since the last reset
-                starts.extend(array("q", [-1]) * (2 * self._row_count - len(starts)))
+                starts.extend(array("q", [-1]) * (2 * len(self._rows) - len(starts)))
         start = starts[slot]
         if start < 0:
             probs = self._smoothed(voice, row)
@@ -310,7 +309,7 @@ class MarkovModel(GenerativeModel):
                 voice = history[v]
                 context = tuple(voice[-order:]) + step
                 masked = t == 0 or voice[-1] == REST
-                row = rows[v].get(context)  # None for a context never interned
+                row = rows.get(context)  # None for a context never interned
                 if row is None:
                     start = uniform_starts[2 * v + masked]
                 else:

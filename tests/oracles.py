@@ -24,10 +24,13 @@ from auggen.corpus import (
     _REST_PROB,
     _STEP_WEIGHTS,
     _VOICE_RANGES,
+    teacher_model,
 )
+from auggen.experiment import epoch_grades
 from auggen.features import REGISTRY, FeatureDistribution, realize_batch
 from auggen.grading import Threshold, wasserstein1
-from auggen.model import _SNAPSHOT_FORMAT, START, MarkovModel, iter_token_events
+from auggen.model import _SNAPSHOT_FORMAT, START, MarkovModel
+from auggen.rng import stream
 
 
 def tokens_from_grid(grid) -> tuple[tuple, ...]:
@@ -45,6 +48,20 @@ def tokens_from_grid(grid) -> tuple[tuple, ...]:
                 voice.append(HOLD)
         voices.append(tuple(voice))
     return tuple(voices)
+
+
+def iter_token_events(chorale: Chorale, order: int):
+    """Yield (voice, context, token) for every grid position of ``chorale``, timestep by timestep, soprano
+    first: the context is the voice's ``order`` previous tokens (START before timestep 0), then the
+    timestep's tokens of the voices above it."""
+    voices = chorale.voices
+    padded = [(START,) * order + voice for voice in voices]
+    for t in range(chorale.length):
+        cross = ()
+        for v in range(len(voices)):
+            context = padded[v][t : t + order] + cross
+            yield v, context, voices[v][t]
+            cross = cross + (voices[v][t],)
 
 
 def replay_counts(multiset, order: int) -> tuple[list[dict], list[dict]]:
@@ -66,10 +83,9 @@ def count_tables(model) -> tuple[list[dict], list[dict]]:
     for v, context, tok, count in model._nonzero_cells():
         counts[v].setdefault(context, {})[tok] = count
     totals = [{} for _ in range(4)]
-    for v in range(4):
-        for context, row in model._rows[v].items():
-            if row < len(model._row_totals) and model._row_totals[row]:
-                totals[v][context] = int(model._row_totals[row])
+    for context, row in model._rows.items():
+        if row < len(model._row_totals) and model._row_totals[row]:
+            totals[len(context) - model.order][context] = int(model._row_totals[row])
     return counts, totals
 
 def reference_next_token_dist(model, voice: int, context) -> np.ndarray:
@@ -78,7 +94,7 @@ def reference_next_token_dist(model, voice: int, context) -> np.ndarray:
     size = len(model.vocabs[voice])
     probs = np.full(size, model.alpha, dtype=float)
     total = 0
-    row = model._rows[voice].get(context)
+    row = model._rows.get(context) if len(context) == model.order + voice else None
     if row is not None and row < len(model._row_totals):
         probs += model._table[row, :size]
         total = int(model._row_totals[row])
@@ -89,7 +105,7 @@ def token_logprob(model, voice: int, context, tok) -> float:
     """log P(token | context) of a MarkovModel, one event at a time: a context the counts do not cover, or
     a token outside the vocabulary, scores as a zero-count event, so held-out scoring stays finite."""
     count = total = 0
-    row = model._rows[voice].get(context)
+    row = model._rows.get(context) if len(context) == model.order + voice else None
     if row is not None and row < len(model._row_totals):
         total = int(model._row_totals[row])
         col = model._index[voice].get(tok)
@@ -116,6 +132,22 @@ def reference_sample(model, length: int, rng) -> Chorale:
             history[v].append(tok)
             step = step + (tok,)
     return Chorale(id="reference", voices=tuple(tuple(h[model.order :]) for h in history))
+
+def recompute_epoch_stats(epoch_logs_csv) -> dict[tuple[str, int], tuple[float, ...]]:
+    """Per-epoch grade quintuples of an ``epoch_logs.csv``, keyed ``("", epoch)``, through numpy's
+    inverted-CDF quantile: the nearest-rank definition of ``figure1.csv``, reached through different code."""
+    out = {}
+    for epoch, values in epoch_grades(epoch_logs_csv).items():
+        arr = np.asarray(values)
+        out[("", epoch)] = (
+            float(arr.min()),
+            float(np.quantile(arr, 0.25, method="inverted_cdf")),
+            float(np.quantile(arr, 0.5, method="inverted_cdf")),
+            float(np.quantile(arr, 0.75, method="inverted_cdf")),
+            float(arr.max()),
+        )
+    return out
+
 
 def transport_cost(p, q) -> float:
     """Exact minimum-cost transport between two 1-D discrete distributions.
@@ -277,8 +309,11 @@ def load_model(path) -> MarkovModel:
     if payload.get("format") != _SNAPSHOT_FORMAT:
         raise ValueError(f"unrecognized model format {payload.get('format')!r}")
     model = MarkovModel(order=payload["order"], alpha=payload["alpha"], vocabs=[tuple(v) for v in payload["vocabs"]])
-    cells = [(model._row(v, tuple(context)), model._index[v][tok], n) for v, context, tok, n in payload["counts"]]
-    table = np.zeros((model._row_count, model._width), dtype=np.int32)
+    rows = model._rows
+    cells = [
+        (rows.setdefault(tuple(context), len(rows)), model._index[v][tok], n) for v, context, tok, n in payload["counts"]
+    ]
+    table = np.zeros((len(rows), model._width), dtype=np.int32)
     for row, col, n in cells:
         table[row, col] = n
     model.restore({"table": table, "totals": table.sum(axis=1, dtype=np.int64)})
@@ -396,3 +431,16 @@ def reference_teacher_walks(rng) -> list[Chorale]:
     """The teacher's 400 seed walks through :func:`reference_teacher_walk`, 32 to 48 timesteps long."""
     lo, hi = 32, 48
     return [reference_teacher_walk(lo + (i * (hi - lo)) // (_N_SEED_WALKS - 1), rng) for i in range(_N_SEED_WALKS)]
+
+
+def reference_teacher_corpus(seed: int, n: int, length_range: tuple[int, int]) -> list[Chorale]:
+    """The teacher corpus chorale by chorale: chorale ``i`` draws ``t_min`` plus an offset into the length
+    range, then its tokens, from ``stream(seed, "teacher", "sample", i)``."""
+    t_min, t_max = length_range
+    teacher = teacher_model(seed)
+    chorales = []
+    for i in range(n):
+        rng = stream(seed, "teacher", "sample", i)
+        length = t_min + int(rng.integers(0, t_max - t_min + 1))
+        chorales.append(teacher.sample(length, rng, chorale_id=f"teacher-{i:04d}"))
+    return chorales

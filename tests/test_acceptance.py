@@ -16,13 +16,13 @@ import pytest
 
 from auggen.chorale import HOLD, REST, Chorale, canonical_key, parse_chorale, serialize_chorale, validate
 from auggen.corpus import Corpus, load_corpus, split, teacher_corpus
-from auggen.experiment import ALL_REGIMES, ExperimentConfig, compare_detailed, recompute_epoch_stats
+from auggen.experiment import ALL_REGIMES, ExperimentConfig, compare_detailed
 from auggen.features import FeatureDistribution
 from auggen.grading import ReferenceModel, grade, nearest_rank, wasserstein1
 from auggen.loop import ORIGIN_TRUE
 from auggen.model import START, MarkovModel
 from auggen.rng import stream
-from oracles import transport_cost
+from oracles import recompute_epoch_stats, transport_cost
 
 METRIC_TOL = 1e-9
 NORM_TOL = 1e-12

@@ -20,7 +20,7 @@ from auggen.corpus import (
 )
 from auggen.grading import grade
 from auggen.rng import stream
-from oracles import reference_teacher_walks, step_weight_total
+from oracles import reference_teacher_corpus, reference_teacher_walks, step_weight_total
 
 
 def tiny(i, pitch=60):
@@ -122,6 +122,11 @@ def test_teacher_corpus_deterministic():
     b = teacher_corpus(1, 5)
     assert a.chorales == b.chorales
     assert teacher_corpus(2, 5).chorales != a.chorales
+
+
+def test_teacher_corpus_matches_per_index_sampler():
+    # the batch sampler's draw from range(t_min, t_max + 1) is the per-index loop's t_min + offset
+    assert teacher_corpus(17, 12, (20, 30)).chorales == tuple(reference_teacher_corpus(17, 12, (20, 30)))
 
 
 def test_teacher_corpus_members_valid():

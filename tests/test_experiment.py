@@ -1,4 +1,5 @@
 import csv
+import io
 import json
 import math
 import sys
@@ -14,11 +15,11 @@ from auggen.experiment import (
     ExperimentConfig,
     PROFILES,
     grade_quintuple,
-    recompute_epoch_stats,
     regime_threshold,
     compare_detailed,
 )
 from auggen.grading import grade_quantile, nearest_rank
+from oracles import recompute_epoch_stats
 
 SMALL = dict(
     teacher_n=14,
@@ -414,7 +415,83 @@ class TestCli:
         assert "# dataset:" in printed
 
     def test_report_missing_dir_fails(self, tmp_path, capsys):
-        assert main(["report", "--run-dir", str(tmp_path)]) != 0
+        assert main(["report", "--run-dir", str(tmp_path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1, captured.err
+        assert "epoch_logs.csv" in captured.err and "summary.json" in captured.err
+
+    def test_report_summarises_compare_directory(self, small_compare, capsys):
+        config, out, summaries, _ = small_compare
+        assert main(["report", "--run-dir", str(out)]) == 0
+        rows = list(csv.reader(io.StringIO(capsys.readouterr().out)))
+        assert rows[0] == [
+            "regime", "best_epoch", "best_val_loss", "epochs_ran", "generated_count", "generated_fraction",
+            "final_median", "final_iqr",
+        ]
+        assert [row[0] for row in rows[1:]] == list(config.regimes)
+        for row, summary in zip(rows[1:], summaries, strict=True):
+            grades = summary.final_grades
+            median = nearest_rank(grades, 0.5)
+            iqr = nearest_rank(grades, 0.75) - nearest_rank(grades, 0.25)
+            assert row == [
+                summary.regime,
+                str(summary.best_epoch),
+                repr(summary.best_val_loss),
+                str(summary.epochs_ran),
+                str(summary.generated_count),
+                repr(summary.generated_fraction),
+                repr(median),
+                repr(iqr),
+            ]
+
+    @pytest.mark.parametrize(
+        "tamper",
+        [
+            "not_json",
+            "not_list",
+            "entry_not_object",
+            "missing_key",
+            "missing_final_grades",
+            "grades_not_list",
+            "empty_grades",
+            "text_grade",
+            "bool_grade",
+            "nan_grade",
+            "inf_grade",
+        ],
+    )
+    def test_report_malformed_summary_fails(self, small_compare, tmp_path, capsys, tamper):
+        _, out, _, _ = small_compare
+        summaries = json.loads((out / "summary.json").read_text(encoding="utf-8"))
+        last = summaries[-1]  # the earlier entries are well formed, so nothing may be printed for them either
+        if tamper == "not_list":
+            summaries = last
+        elif tamper == "entry_not_object":
+            summaries[-1] = 5
+        elif tamper == "missing_key":
+            del last["best_epoch"]
+        elif tamper == "missing_final_grades":
+            del last["final_grades"]
+        elif tamper == "grades_not_list":
+            last["final_grades"] = 4.5
+        elif tamper == "empty_grades":
+            last["final_grades"] = []
+        elif tamper == "text_grade":
+            last["final_grades"][0] = "4.5"
+        elif tamper == "bool_grade":
+            last["final_grades"][0] = True
+        elif tamper == "nan_grade":
+            last["final_grades"][0] = math.nan
+        elif tamper == "inf_grade":
+            last["final_grades"][0] = math.inf
+        path = tmp_path / "summary.json"
+        path.write_text("not json" if tamper == "not_json" else json.dumps(summaries), encoding="utf-8")
+        assert main(["report", "--run-dir", str(tmp_path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1, captured.err
+        assert str(path) in captured.err
 
     @pytest.mark.parametrize(
         "logs, manifest, bad_file, where",
@@ -432,6 +509,15 @@ class TestCli:
             ),
             pytest.param(
                 "epoch,candidate_id,grade\n0,g0,1.5\n0,g1\n", GOOD_MANIFEST, "epoch_logs.csv", "line 3", id="short_row"
+            ),
+            pytest.param(
+                "epoch,candidate_id,grade\n0,g0,1.5\n0,g1,nan\n", GOOD_MANIFEST, "epoch_logs.csv", "line 3", id="nan_grade"
+            ),
+            pytest.param(
+                "epoch,candidate_id,grade\n0,g0,inf\n0,g1,1.5\n", GOOD_MANIFEST, "epoch_logs.csv", "line 2", id="inf_grade"
+            ),
+            pytest.param(
+                "epoch,candidate_id,grade\n0,g0,1.5\n1,g1,-inf\n", GOOD_MANIFEST, "epoch_logs.csv", "line 3", id="neg_inf_grade"
             ),
             pytest.param(
                 "epoch,candidate_id,grade\n0,g0,1.5\n",

@@ -15,11 +15,10 @@ from auggen.loop import (
     TrainState,
     generation_step,
     run,
-    sample_batch,
     save_run,
     training_step,
 )
-from auggen.model import MarkovModel
+from auggen.model import MarkovModel, sample_batch
 from auggen.rng import stream
 from conftest import ascending
 from oracles import count_tables, replay_counts

@@ -7,11 +7,12 @@ from hypothesis import assume, given
 
 from auggen.chorale import HOLD, REST, Chorale, validate
 from auggen import model as model_module
-from auggen.model import START, MarkovModel, _pairwise_sum, iter_token_events
+from auggen.model import START, MarkovModel, _pairwise_sum
 from auggen.rng import stream
 from conftest import ascending, chorales, once
 from oracles import (
     count_tables,
+    iter_token_events,
     load_model,
     reference_next_token_dist,
     reference_sample,
@@ -163,11 +164,23 @@ class TestNextTokenDist:
         model = MarkovModel.with_vocab_from(chorales_, order=2, alpha=0.1)
         model.fit(chorales_, once(chorales_))
         model.mean_nll(list(desk_split.validation))  # interns validation contexts: rows the counts do not cover
-        assert model._row_count > len(model._row_totals)
+        assert len(model._rows) > len(model._row_totals)
         unseen = [(v, (START,) * (2 + v)) for v in range(1, 4)]  # the soprano cannot be START, so never interned
-        contexts = [(v, context) for v in range(4) for context in model._rows[v]] + unseen
+        contexts = [(len(context) - 2, context) for context in model._rows] + unseen
         for v, context in contexts:
             assert np.array_equal(model.next_token_dist(v, context), reference_next_token_dist(model, v, context))
+
+    def test_another_voices_context_is_uniform(self, desk_split):
+        # one dict interns every voice's contexts; only the length says whose a context is
+        model = MarkovModel.with_vocab_from(desk_split.train, order=2, alpha=0.1)
+        model.fit(desk_split.train.chorales, once(desk_split.train))
+        for context in model._rows:
+            for v in range(4):
+                if len(context) == 2 + v:
+                    continue
+                size = len(model.vocabs[v])
+                uniform = np.full(size, model.alpha) / (model.alpha * size)
+                assert np.array_equal(model.next_token_dist(v, context), uniform), (v, context)
 
 
 class TestPairwiseSum:
