@@ -25,6 +25,8 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from itertools import chain
+from typing import Iterable
 
 import numpy as np
 
@@ -140,22 +142,33 @@ def validate(chorale: Chorale) -> list[str]:
 
 
 def realize(chorale: Chorale) -> RealizedGrid:
-    """Expand tokens into sounding pitches and onset flags."""
-    length = chorale.length
-    pitches = np.full((N_VOICES, length), SILENT, dtype=np.int16)
-    onsets = np.zeros((N_VOICES, length), dtype=bool)
-    for v, voice in enumerate(chorale.voices):
-        sounding = SILENT
-        for t, tok in enumerate(voice):
-            if tok == REST:
-                sounding = SILENT
-            elif tok != HOLD:
-                sounding = tok
-                onsets[v, t] = True
-            pitches[v, t] = sounding
+    """Expand tokens into sounding pitches and onset flags, as read-only arrays.
+
+    One forward fill over the voices' token codes: :func:`fill_grid` with
+    the four voices laid end to end.
+    """
+    pitches, onsets = fill_grid(chorale.voices, chorale.length)
     pitches.setflags(write=False)
     onsets.setflags(write=False)
     return RealizedGrid(pitches=pitches, onsets=onsets)
+
+
+_HOLD_CODE = -2  # below SILENT, so that ``code >= 0`` is exactly a note onset
+_CODE_OF: dict[Token, int] = {**{p: p for p in range(MIN_PITCH, MAX_PITCH + 1)}, REST: SILENT, HOLD: _HOLD_CODE}
+
+
+def fill_grid(parts: Iterable[Iterable[Token]], columns: int) -> tuple[np.ndarray, np.ndarray]:
+    """Sounding pitches (int16) and onset flags (bool), each ``(N_VOICES, columns)``, of valid tokens.
+
+    ``parts`` chained end to end are the ``N_VOICES * columns`` tokens of
+    the grid, row by row. Pitch p codes as p, REST as :data:`SILENT` and HOLD as
+    a sentinel; each cell takes the code of the last non-HOLD cell at or
+    before it in its row. No row may start with a HOLD.
+    """
+    count = N_VOICES * columns
+    codes = np.fromiter(map(_CODE_OF.__getitem__, chain.from_iterable(parts)), np.int16, count).reshape(N_VOICES, columns)
+    last = np.maximum.accumulate(np.where(codes != _HOLD_CODE, np.arange(columns), 0), axis=1)
+    return np.take_along_axis(codes, last, axis=1), codes >= 0
 
 
 def token_to_str(tok: Token) -> str:

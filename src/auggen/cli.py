@@ -19,14 +19,18 @@ import csv
 import json
 import logging
 import math
+import os
 import sys
+import types
 from pathlib import Path
+
+import numpy as np
 
 from . import experiment
 from .corpus import CorpusError, load_corpus, save_corpus, teacher_corpus
 from .experiment import PROFILES, ExperimentConfig, RegimeError, compare, grade_quintuple, resolve_out_dir, run_regime
 from .chorale import ChoraleFormatError
-from .grading import PASS_SIZE, ReferenceModel, grade, nearest_rank
+from .grading import PASS_SIZE, GradeBatch, ReferenceModel, grade, nearest_rank
 
 log = logging.getLogger(__name__)
 
@@ -60,29 +64,66 @@ def cmd_teacher_gen(args: argparse.Namespace) -> int:
     return 0
 
 
-def _open_csv(files: contextlib.ExitStack, path: str):
-    return csv.writer(files.enter_context(open(path, "w", encoding="utf-8", newline="")), lineterminator="\n")
+def _open_text(files: contextlib.ExitStack, path: str):
+    return files.enter_context(open(path, "w", encoding="utf-8", newline=""))
+
+
+def _same_file(a: str, b: str) -> bool:
+    if Path(a).resolve() == Path(b).resolve():
+        return True
+    try:
+        return os.path.samefile(a, b)  # hard links, and paths that resolve() cannot tell apart
+    except OSError:  # one of them does not exist yet
+        return False
+
+
+def _check_outputs(inputs: dict[str, str], outputs: dict[str, str | None]) -> None:
+    """Raise ``ValueError`` when an output path names an input or an earlier output; nothing is opened."""
+    seen = list(inputs.items())
+    for flag, path in outputs.items():
+        if path is None:
+            continue
+        for other_flag, other in seen:
+            if _same_file(path, other):
+                raise ValueError(f"{flag} {path} is the same file as {other_flag} {other}")
+        seen.append((flag, path))
+
+
+def feature_rows(batch: GradeBatch) -> str:
+    """The ``features.csv`` rows of one grading pass: ``chorale_id,feature_name,value,weight``, one per point.
+
+    Ids are quoted as ``csv`` quotes them, and each float is its ``repr``,
+    made once per distinct float64 bit pattern of the pass.
+    """
+    prefixes: list[str] = []  # what csv writes for [chorale_id, feature_name, ""], once per segment
+    csv.writer(types.SimpleNamespace(write=prefixes.append), lineterminator="").writerows(
+        [chorale_id, name, ""] for chorale_id in batch.ids for name in batch.feature_names
+    )
+    floats = np.concatenate([batch.point_value, batch.point_weight])
+    bits, index = np.unique(floats.view(np.int64), return_inverse=True)
+    texts = [repr(x) for x in bits.view(np.float64).tolist()]
+    values, weights = np.split(index, 2)
+    points = zip(batch.point_segment.tolist(), values.tolist(), weights.tolist())
+    return "".join([f"{prefixes[segment]}{texts[value]},{texts[weight]}\n" for segment, value, weight in points])
 
 
 def cmd_grade(args: argparse.Namespace) -> int:
+    outputs = {"--out": args.out, "--dump-features": args.dump_features}
+    _check_outputs({"--corpus": args.corpus, "--reference": args.reference}, outputs)
     corpus = load_corpus(args.corpus)
     reference = ReferenceModel.load(args.reference)
     with contextlib.ExitStack() as files:
-        grades = _open_csv(files, args.out)
+        grades = csv.writer(_open_text(files, args.out), lineterminator="\n")
         grades.writerow(["chorale_id", *[f"d_{name}" for name in reference.feature_names], "total_grade"])
-        dump = _open_csv(files, args.dump_features) if args.dump_features else None
+        dump = _open_text(files, args.dump_features) if args.dump_features else None
         if dump is not None:
-            dump.writerow(["chorale_id", "feature_name", "value", "weight"])
+            dump.write("chorale_id,feature_name,value,weight\n")
         for start in range(0, len(corpus), PASS_SIZE):  # one pass at a time, so memory stays bounded
             batch = grade(corpus.chorales[start : start + PASS_SIZE], reference)
             for chorale_id, distances, total in zip(batch.ids, batch.distances.tolist(), batch.totals.tolist()):
                 grades.writerow([chorale_id, *map(repr, distances), repr(total)])
             if dump is not None:
-                width = len(batch.feature_names)
-                points = zip(batch.point_segment.tolist(), batch.point_value.tolist(), batch.point_weight.tolist())
-                for segment, value, weight in points:
-                    chorale, feature = divmod(segment, width)
-                    dump.writerow([batch.ids[chorale], batch.feature_names[feature], repr(value), repr(weight)])
+                dump.write(feature_rows(batch))
     print(f"graded {len(corpus)} chorales -> {args.out}")
     if dump is not None:
         print(f"dumped feature distributions -> {args.dump_features}")

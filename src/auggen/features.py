@@ -1,7 +1,7 @@
 """Musical feature extractors over realized chorale grids, a batch at a time.
 
-:func:`realize_batch` realizes each chorale of a batch once and joins the
-``(4, T)`` grids along time, with one :data:`~auggen.chorale.SILENT`
+:func:`realize_batch` realizes a batch of chorales in one forward fill and
+joins the ``(4, T)`` grids along time, with one :data:`~auggen.chorale.SILENT`
 column after each chorale. That column ends every note, every sounding
 voice pair and every consecutive-timestep pair at the chorale boundary
 (melodic steps skip rests, so that extractor also compares chorale
@@ -44,10 +44,11 @@ import math
 
 import numpy as np
 
-from .chorale import N_VOICES, SILENT, Chorale, realize
+from .chorale import N_VOICES, REST, SILENT, Chorale, fill_grid
 
 _VOICE_PAIRS = np.triu_indices(N_VOICES, 1)  # (higher voices, lower voices) of every pair, in combinations order
 _NORM_TOL = 1e-12
+_SEPARATOR = (REST,)  # the token after each chorale in every voice of a batch
 
 
 @dataclass(frozen=True)
@@ -115,14 +116,17 @@ class GridBatch:
 
 
 def realize_batch(chorales: Sequence[Chorale]) -> GridBatch:
-    """Realize each chorale once, in order."""
-    grids = [realize(chorale) for chorale in chorales]
-    lengths = np.array([grid.length for grid in grids], dtype=np.intp)
-    silent, no_onset = np.full((N_VOICES, 1), SILENT, dtype=np.int16), np.zeros((N_VOICES, 1), dtype=bool)
-    # each concatenation starts with an empty block, so that an empty batch has a grid too
+    """Realize every chorale of the batch in one forward fill, in order.
+
+    Each voice's row is that voice of every chorale followed by one REST,
+    which realizes to a SILENT separator column with no onset.
+    """
+    lengths = np.array([chorale.length for chorale in chorales], dtype=np.intp)
+    parts = [part for v in range(N_VOICES) for chorale in chorales for part in (chorale.voices[v], _SEPARATOR)]
+    pitches, onsets = fill_grid(parts, int(lengths.sum()) + lengths.size)
     return GridBatch(
-        pitches=np.concatenate([silent[:, :0], *(part for grid in grids for part in (grid.pitches, silent))], axis=1),
-        onsets=np.concatenate([no_onset[:, :0], *(part for grid in grids for part in (grid.onsets, no_onset))], axis=1),
+        pitches=pitches,
+        onsets=onsets,
         owner=np.repeat(np.arange(lengths.size), lengths + 1),
         starts=np.cumsum(lengths + 1) - (lengths + 1),
         lengths=lengths,

@@ -6,6 +6,8 @@ that only tests need: ``threshold_from_json``, ``load_model`` and
 ``extract``.
 """
 
+import csv
+import io
 import json
 import math
 from itertools import combinations
@@ -13,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from auggen.chorale import HOLD, REST, SILENT, Chorale, realize
+from auggen.chorale import HOLD, N_VOICES, REST, SILENT, Chorale, RealizedGrid
 from auggen.corpus import (
     _CONSONANT_CLASSES,
     _FOLLOW_HOLD_PROB,
@@ -27,10 +29,55 @@ from auggen.corpus import (
     teacher_model,
 )
 from auggen.experiment import epoch_grades
-from auggen.features import REGISTRY, FeatureDistribution, realize_batch
-from auggen.grading import Threshold, wasserstein1
+from auggen.features import REGISTRY, FeatureDistribution, GridBatch, realize_batch
+from auggen.grading import GradeBatch, Threshold, wasserstein1
 from auggen.model import _SNAPSHOT_FORMAT, START, MarkovModel
 from auggen.rng import stream
+
+
+def reference_realize(chorale: Chorale) -> RealizedGrid:
+    """:func:`realize` token by token: each voice carries its sounding pitch through holds, a rest clears it."""
+    length = chorale.length
+    pitches = np.full((N_VOICES, length), SILENT, dtype=np.int16)
+    onsets = np.zeros((N_VOICES, length), dtype=bool)
+    for v, voice in enumerate(chorale.voices):
+        sounding = SILENT
+        for t, tok in enumerate(voice):
+            if tok == REST:
+                sounding = SILENT
+            elif tok != HOLD:
+                sounding = tok
+                onsets[v, t] = True
+            pitches[v, t] = sounding
+    pitches.setflags(write=False)
+    onsets.setflags(write=False)
+    return RealizedGrid(pitches=pitches, onsets=onsets)
+
+
+def reference_realize_batch(chorales) -> GridBatch:
+    """:func:`realize_batch` by joining the :func:`reference_realize` grids, each followed by a SILENT column."""
+    grids = [reference_realize(chorale) for chorale in chorales]
+    lengths = np.array([grid.length for grid in grids], dtype=np.intp)
+    silent, no_onset = np.full((N_VOICES, 1), SILENT, dtype=np.int16), np.zeros((N_VOICES, 1), dtype=bool)
+    return GridBatch(
+        pitches=np.concatenate([silent[:, :0], *(part for grid in grids for part in (grid.pitches, silent))], axis=1),
+        onsets=np.concatenate([no_onset[:, :0], *(part for grid in grids for part in (grid.onsets, no_onset))], axis=1),
+        owner=np.repeat(np.arange(lengths.size), lengths + 1),
+        starts=np.cumsum(lengths + 1) - (lengths + 1),
+        lengths=lengths,
+    )
+
+
+def reference_feature_dump(batch: GradeBatch) -> str:
+    """The ``features.csv`` rows of a grade batch, written point by point through ``csv.writer``."""
+    out = io.StringIO()
+    dump = csv.writer(out, lineterminator="\n")
+    width = len(batch.feature_names)
+    points = zip(batch.point_segment.tolist(), batch.point_value.tolist(), batch.point_weight.tolist())
+    for segment, value, weight in points:
+        chorale, feature = divmod(segment, width)
+        dump.writerow([batch.ids[chorale], batch.feature_names[feature], repr(value), repr(weight)])
+    return out.getvalue()
 
 
 def tokens_from_grid(grid) -> tuple[tuple, ...]:
@@ -176,7 +223,7 @@ def transport_cost(p, q) -> float:
 
 def brute_parallel_count(chorale) -> tuple[int, int]:
     """(opportunities, errors) by enumerating every timestep pair and voice pair."""
-    grid = realize(chorale)
+    grid = reference_realize(chorale)
     length = grid.length
     opportunities = 0
     errors = 0

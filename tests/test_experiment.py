@@ -2,14 +2,20 @@ import csv
 import io
 import json
 import math
+import os
 import sys
+from pathlib import Path
 
+import hypothesis.strategies as st
+import numpy as np
 import pytest
+from hypothesis import given
 
-from auggen import features
-from auggen.chorale import Chorale, realize, validate
-from auggen.cli import main
+from auggen import grading
+from auggen.chorale import Chorale, validate
+from auggen.cli import feature_rows, main
 from auggen.corpus import Corpus, load_corpus
+from auggen.features import realize_batch
 from auggen.experiment import (
     ALL_REGIMES,
     ExperimentConfig,
@@ -18,8 +24,8 @@ from auggen.experiment import (
     regime_threshold,
     compare_detailed,
 )
-from auggen.grading import grade_quantile, nearest_rank
-from oracles import recompute_epoch_stats
+from auggen.grading import GradeBatch, grade, grade_quantile, nearest_rank
+from oracles import recompute_epoch_stats, reference_feature_dump
 
 SMALL = dict(
     teacher_n=14,
@@ -256,13 +262,13 @@ class TestCli:
         config, out, _, _ = small_compare
         corpus_path = tmp_path / "corpus.jsonl"
         assert main(["teacher-gen", "--seed", str(config.seed), "--n", "4", "--out", str(corpus_path)]) == 0
-        calls = []
+        calls = []  # the ids each realize_batch call receives, in call order
 
-        def counting_realize(chorale):
-            calls.append(chorale.id)
-            return realize(chorale)
+        def recording_realize_batch(chorales):
+            calls.extend(chorale.id for chorale in chorales)
+            return realize_batch(chorales)
 
-        monkeypatch.setattr(features, "realize", counting_realize)
+        monkeypatch.setattr(grading, "realize_batch", recording_realize_batch)
         args = ["grade", "--corpus", str(corpus_path), "--reference", str(out / "reference.json")]
         assert main(args + ["--out", str(tmp_path / "g.csv"), "--dump-features", str(tmp_path / "f.csv")]) == 0
         assert calls == list(load_corpus(corpus_path).ids())
@@ -291,6 +297,36 @@ class TestCli:
         args = ["grade", "--corpus", str(corpus_path), "--reference", str(out / "reference.json")]
         assert main(args + ["--out", str(tmp_path / "g.csv"), "--dump-features", str(tmp_path / "f.csv")]) == 0
         assert calls == ids
+
+    @pytest.mark.parametrize("clash", ["out=dump", "dump=corpus", "out=reference", "out=corpus", "out=corpus_link"])
+    def test_grade_rejects_an_output_that_is_an_input_or_the_other_output(
+        self, small_compare, tmp_path, capsys, monkeypatch, clash
+    ):
+        _, out, _, _ = small_compare
+        corpus_path, reference_path = tmp_path / "corpus.jsonl", tmp_path / "reference.json"
+        assert main(["teacher-gen", "--seed", "5", "--n", "3", "--out", str(corpus_path)]) == 0
+        reference_path.write_bytes((out / "reference.json").read_bytes())
+        inputs = {path: path.read_bytes() for path in (corpus_path, reference_path)}
+        grades_csv, feats_csv = tmp_path / "g.csv", tmp_path / "f.csv"
+        if clash == "out=dump":
+            feats_csv = grades_csv
+        elif clash == "dump=corpus":
+            monkeypatch.chdir(tmp_path)
+            feats_csv = Path("corpus.jsonl")  # the corpus, spelled relative to the working directory
+        elif clash == "out=reference":
+            grades_csv = reference_path
+        elif clash == "out=corpus":
+            grades_csv = corpus_path
+        else:
+            grades_csv = tmp_path / "link.jsonl"
+            os.link(corpus_path, grades_csv)  # another name for the corpus file
+            inputs[grades_csv] = inputs[corpus_path]
+        args = ["grade", "--corpus", str(corpus_path), "--reference", str(reference_path)]
+        assert main(args + ["--out", str(grades_csv), "--dump-features", str(feats_csv)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1 and "is the same file as" in err, err
+        assert {path: path.read_bytes() for path in inputs} == inputs
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(p.name for p in inputs)
 
     def test_grade_empty_corpus_writes_headers(self, small_compare, tmp_path, capsys):
         _, out, _, _ = small_compare
@@ -538,3 +574,53 @@ class TestCli:
         assert captured.err.startswith("error: ") and captured.err.count("\n") == 1, captured.err
         assert str(tmp_path / bad_file) in captured.err
         assert where in captured.err
+
+
+def test_feature_rows_match_the_csv_writer_on_the_desk_corpus(desk_corpus, desk_reference):
+    batch = grade(desk_corpus.chorales, desk_reference)
+    assert batch.point_segment.size > 1000
+    assert feature_rows(batch) == reference_feature_dump(batch)
+
+
+def point_batch(ids, names, segments, values, weights) -> GradeBatch:
+    """A grade batch that holds only support points; the dump reads nothing else."""
+    empty = np.zeros((len(ids), len(names)))
+    return GradeBatch(
+        ids=tuple(ids),
+        feature_names=tuple(names),
+        distances=empty,
+        totals=empty.sum(axis=1),
+        point_segment=np.asarray(segments, dtype=np.intp),
+        point_value=np.asarray(values, dtype=float),
+        point_weight=np.asarray(weights, dtype=float),
+    )
+
+
+# where repr switches notation or sign, and a sum that is not its decimal
+AWKWARD_FLOATS = [-0.0, 0.0, 5e-324, 1e16, 1e-05, 0.0001, 0.1 + 0.2, 9999999999999998.0, -1.5, 1 / 3]
+
+
+def test_feature_rows_write_floats_as_repr():
+    n = len(AWKWARD_FLOATS)
+    batch = point_batch(["a"], ["pitch"], [0] * n, AWKWARD_FLOATS, AWKWARD_FLOATS[::-1])
+    rows = feature_rows(batch)
+    assert rows == reference_feature_dump(batch)
+    assert rows.splitlines()[0] == "a,pitch,-0.0,0.3333333333333333"
+    assert "a,pitch,0.0,-1.5" in rows.splitlines()
+
+
+ids_text = st.text(alphabet=st.sampled_from([",", '"', "\r", "\n", " ", "a", "Z", "0", "é", "ß", "\u0666", "€"]), max_size=6)
+
+
+@given(
+    ids=st.lists(st.one_of(ids_text, st.just(""), st.just('""')), min_size=1, max_size=4),
+    data=st.data(),
+)
+def test_feature_rows_quote_ids_as_the_csv_writer_does(ids, data):
+    names = ["pitch", "voice_crossing"]
+    segments = sorted(data.draw(st.lists(st.integers(0, len(ids) * len(names) - 1), max_size=12)))
+    floats = st.one_of(st.sampled_from(AWKWARD_FLOATS), st.floats(allow_nan=False, allow_infinity=False))
+    values = data.draw(st.lists(floats, min_size=len(segments), max_size=len(segments)))
+    weights = data.draw(st.lists(floats, min_size=len(segments), max_size=len(segments)))
+    batch = point_batch(ids, names, segments, values, weights)
+    assert feature_rows(batch) == reference_feature_dump(batch)

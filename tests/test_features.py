@@ -1,8 +1,9 @@
+import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 import hypothesis.strategies as st
 
-from auggen import features, grading
+from auggen import grading
 from auggen.chorale import HOLD, REST, Chorale, realize, transpose
 from auggen.corpus import Corpus
 from auggen.features import (
@@ -12,9 +13,11 @@ from auggen.features import (
     feature_events,
     realize_batch,
 )
-from conftest import chorales
+from conftest import chorales, voices
 from oracles import (
     brute_parallel_count,
+    reference_realize,
+    reference_realize_batch,
     extract,
     token_walk_durations,
     token_walk_harmonic_intervals,
@@ -184,15 +187,50 @@ def test_extractor_matches_token_walk(name, oracle, batch):
     assert [sorted(events) for events in events_by_chorale(name, batch)] == [sorted(oracle(c)) for c in batch]
 
 
+@st.composite
+def edge_voice(draw, length: int):
+    """A voice of ``length`` tokens: arbitrary, all rests, or one note held to the end."""
+    kind = draw(st.sampled_from(["any", "rests", "held"]))
+    if kind == "rests":
+        return (REST,) * length
+    if kind == "held":
+        return (draw(st.integers(0, 127)),) + (HOLD,) * (length - 1)
+    return draw(voices(length, 0, 127))
+
+
+@st.composite
+def edge_chorales(draw):
+    length = draw(st.sampled_from([1, 1, 2, 7, 40]))
+    return Chorale(id=f"e{draw(st.integers(0, 99))}", voices=tuple(draw(edge_voice(length)) for _ in range(4)))
+
+
+def assert_same_arrays(got, want, fields):
+    for field in fields:
+        a, b = getattr(got, field), getattr(want, field)
+        assert (a.dtype, a.shape) == (b.dtype, b.shape), field
+        assert np.array_equal(a, b), field
+
+
+@given(batch=st.lists(st.one_of(edge_chorales(), chorales(max_length=10)), max_size=5))
+@example(batch=[])
+@example(batch=[Chorale("long", ((60,) + (HOLD,) * 199, (REST,) * 200, (0,) + (HOLD,) * 199, (127,) * 200))])
+def test_realize_matches_token_walk(batch):
+    for chorale in batch:
+        grid = realize(chorale)
+        assert_same_arrays(grid, reference_realize(chorale), ("pitches", "onsets"))
+        assert not grid.pitches.flags.writeable and not grid.onsets.flags.writeable
+    fields = ("pitches", "onsets", "owner", "starts", "lengths")
+    assert_same_arrays(realize_batch(batch), reference_realize_batch(batch), fields)
+
+
 def test_critic_realizes_each_chorale_once(monkeypatch, desk_reference):
-    calls = []
+    calls = []  # the ids each realize_batch call receives, in call order
 
-    def counting_realize(chorale):
-        calls.append(chorale.id)
-        return realize(chorale)
+    def recording_realize_batch(chorales):
+        calls.extend(chorale.id for chorale in chorales)
+        return realize_batch(chorales)
 
-    for module in (features, grading):
-        monkeypatch.setattr(module, "realize", counting_realize, raising=False)
+    monkeypatch.setattr(grading, "realize_batch", recording_realize_batch)
     c = quad((60, 62, HOLD, 64), (55, REST, 57, HOLD), (48, 50, 52, 53), (41, HOLD, 43, 45))
     grading.grade(c, desk_reference)
     assert calls == ["c"]
