@@ -64,8 +64,29 @@ def cmd_teacher_gen(args: argparse.Namespace) -> int:
     return 0
 
 
-def _open_text(files: contextlib.ExitStack, path: str):
-    return files.enter_context(open(path, "w", encoding="utf-8", newline=""))
+@contextlib.contextmanager
+def _replacing(*paths: str | None):
+    """Text files for ``paths`` (None for an empty path). Each is written to a temporary file in its own
+    directory and moved over its path only when the block ends without error; on any failure every
+    temporary is deleted, so each path keeps its previous bytes."""
+    temps = []
+    try:
+        with contextlib.ExitStack() as files:
+            handles = []
+            for path in paths:
+                handle = None
+                if path:
+                    temp = Path(path).with_name(f".{Path(path).name}.{os.getpid()}.tmp")
+                    handle = files.enter_context(open(temp, "x", encoding="utf-8", newline=""))
+                    temps.append((temp, path))
+                handles.append(handle)
+            yield handles
+        for temp, path in temps:
+            os.replace(temp, path)
+    finally:
+        for temp, _ in temps:
+            with contextlib.suppress(FileNotFoundError):
+                os.remove(temp)
 
 
 def _same_file(a: str, b: str) -> bool:
@@ -112,10 +133,9 @@ def cmd_grade(args: argparse.Namespace) -> int:
     _check_outputs({"--corpus": args.corpus, "--reference": args.reference}, outputs)
     corpus = load_corpus(args.corpus)
     reference = ReferenceModel.load(args.reference)
-    with contextlib.ExitStack() as files:
-        grades = csv.writer(_open_text(files, args.out), lineterminator="\n")
+    with _replacing(args.out, args.dump_features) as (out, dump):
+        grades = csv.writer(out, lineterminator="\n")
         grades.writerow(["chorale_id", *[f"d_{name}" for name in reference.feature_names], "total_grade"])
-        dump = _open_text(files, args.dump_features) if args.dump_features else None
         if dump is not None:
             dump.write("chorale_id,feature_name,value,weight\n")
         for start in range(0, len(corpus), PASS_SIZE):  # one pass at a time, so memory stays bounded

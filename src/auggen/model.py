@@ -8,21 +8,26 @@ count model over the token grid whose context for voice ``v`` at timestep
 ``t`` is the ``order`` previous tokens of voice ``v`` followed by the
 timestep-``t`` tokens of the voices above it (soprano first).
 
-Its fitted state is integer arrays. Each context is interned once as a row
-id (voice ``v``'s contexts are ``order + v`` tokens long, so one dict holds
-all four voices), and each chorale object is encoded once into row and
-token-index arrays (index −1 outside the voice vocabulary). ``fit`` is one
-``np.add.at`` of the draw counts into an int32 ``(rows, Vmax)`` count table
-with int64 row totals; a row interned after the fit reads as zero counts.
-``mean_nll`` gathers from the table, sums each scored chorale's event scores
-sequentially, then adds those sums in draw order, so it gives the bits of a
-per-event log-probability loop over the drawn chorales. ``sample`` draws all
-its uniforms at once and bisects each context's CDF, cached per (row,
-HOLD-masked) in one packed buffer until the next ``fit`` or ``restore``.
-The sampler makes no numpy call: a cache miss builds its CDF from the
-row's counts in plain floats, normalizes it by ``_pairwise_sum`` (numpy's
-pairwise summation order) and accumulates it in order, so each CDF has the
-bits of ``np.cumsum(probs / probs.sum())`` over ``next_token_dist``.
+Its fitted state is integer arrays. Each context is one int64 key, a
+base-131 number whose leading digit is the voice and whose other digits are
+the context's tokens (pitch p is digit p, HOLD 128, REST 129, START 130);
+that fits in int64 for ``order <= 5``, and a larger order is rejected. Keys
+are interned as row ids in order of first sight, and each chorale object is
+encoded once, with numpy, into row and token-index arrays (index −1 outside
+the voice vocabulary). ``fit`` is one ``np.add.at`` of the draw counts into
+an int32 ``(rows, Vmax)`` count table with int64 row totals; a row interned
+after the fit reads as zero counts. ``mean_nll`` gathers from the table,
+sums each scored chorale's event scores sequentially, then adds those sums
+in draw order, so it gives the bits of a per-event log-probability loop over
+the drawn chorales. ``sample`` draws all its uniforms at once, computes each
+context's key arithmetically and bisects its CDF, cached per (row,
+HOLD-masked) in one packed buffer until the next ``fit`` or ``restore``; a
+row without counts shares its voice's uniform CDF. The sampler makes no
+numpy call: a cache miss builds its CDF from the row's counts in plain
+floats, normalizes it by ``_pairwise_sum`` (numpy's pairwise summation
+order) and accumulates it in order, so each CDF has the bits of
+``np.cumsum(probs / probs.sum())`` over ``next_token_dist``. ``save`` orders
+its cells by their text, with ``np.lexsort`` over the text ranks of the digits.
 """
 
 from __future__ import annotations
@@ -32,13 +37,13 @@ import json
 import math
 from array import array
 from bisect import bisect_right
-from itertools import accumulate
+from itertools import accumulate, chain
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
-from .chorale import HOLD, REST, Chorale, Token
+from .chorale import HOLD, MAX_PITCH, MIN_PITCH, REST, Chorale, Token
 from .rng import stream
 
 START = "^"  # context padding before timestep 0; never emitted
@@ -47,6 +52,14 @@ Context = tuple[Token, ...]
 
 _SNAPSHOT_FORMAT = "auggen-markov-v1"
 _MAX_COUNT = int(np.iinfo(np.int32).max)
+
+# a context key's base-131 digits: the voice, then the context's tokens
+_RADIX = 131
+_DIGIT: dict[Token, int] = {**{p: p for p in range(MIN_PITCH, MAX_PITCH + 1)}, HOLD: 128, REST: 129, START: 130}
+_TOKENS = np.array(list(_DIGIT), dtype=object)  # digit -> token
+_TEXT_RANK = np.argsort(sorted(_DIGIT.values(), key=lambda digit: str(_TOKENS[digit])))  # digit -> rank of its text
+_MAX_ORDER = 5  # voice 3's key has order + 4 digits, and 4 * 131**8 < 2**63 <= 4 * 131**9
+_CHUNK = 64  # chorales encoded per numpy batch, so the key arrays stay small
 
 
 class GenerativeModel(abc.ABC):
@@ -146,8 +159,8 @@ class MarkovModel(GenerativeModel):
     """
 
     def __init__(self, order: int, alpha: float, vocabs: Sequence[Sequence[Token]]):
-        if order < 1:
-            raise ValueError(f"order must be >= 1, got {order}")
+        if not 1 <= order <= _MAX_ORDER:
+            raise ValueError(f"order must be in 1..{_MAX_ORDER}, got {order}")
         if not 0 < alpha < math.inf:
             raise ValueError(f"smoothing alpha must be finite and > 0, got {alpha}")
         if len(vocabs) != 4:
@@ -159,15 +172,19 @@ class MarkovModel(GenerativeModel):
                 raise ValueError(f"voice {v} vocabulary is empty")
             if tokens == [HOLD]:
                 raise ValueError(f"voice {v} vocabulary is only {HOLD!r}, which cannot start a voice")
+            unknown = [tok for tok in tokens if tok not in _DIGIT]
+            if unknown:
+                raise ValueError(f"voice {v} vocabulary holds {unknown[0]!r}, which is not a token")
             cleaned.append(tuple(tokens))
         self.order = order
         self.alpha = float(alpha)
         self.vocabs: tuple[tuple[Token, ...], ...] = tuple(cleaned)
-        self._index = [{tok: i for i, tok in enumerate(vocab)} for vocab in self.vocabs]
+        self._digits = [[_DIGIT[tok] for tok in vocab] for vocab in self.vocabs]  # column -> token digit
+        self._columns = np.full((4, _RADIX), -1, dtype=np.int32)  # token digit -> column; -1 outside the vocabulary
+        for v, digits in enumerate(self._digits):
+            self._columns[v, digits] = np.arange(len(digits))
         self._width = max(len(vocab) for vocab in self.vocabs)  # Vmax, the count table's column count
-        # context -> row id, in order of first sight; voice v's contexts are order + v tokens long, so no two
-        # voices share a key, and len(self._rows) is the row count
-        self._rows: dict[Context, int] = {}
+        self._rows: dict[int, int] = {}  # context key -> row id, in order of first sight; its length is the row count
         self._encoded: dict[int, tuple[Chorale, np.ndarray, np.ndarray]] = {}  # id -> (chorale, rows, token indices)
         self._table = np.zeros((0, self._width), dtype=np.int32)
         self._row_totals = np.zeros(0, dtype=np.int64)
@@ -186,27 +203,40 @@ class MarkovModel(GenerativeModel):
             raise ValueError("need at least one chorale to build a vocabulary")
         return cls(order=order, alpha=alpha, vocabs=seen)
 
-    def _encode(self, chorale: Chorale) -> tuple[np.ndarray, np.ndarray]:
-        """Row ids and token indices of ``chorale``'s events in event order, cached by object identity."""
-        cached = self._encoded.get(id(chorale))
-        if cached is None:
-            order, interned, index = self.order, self._rows, self._index
-            padded = [(START,) * order + voice for voice in chorale.voices]
-            rows, toks = [], []
-            for t, step in enumerate(zip(*chorale.voices)):
-                for v in range(4):
-                    rows.append(interned.setdefault(padded[v][t : t + order] + step[:v], len(interned)))
-                    toks.append(index[v].get(step[v], -1))
+    def _encode(self, chorales: Sequence[Chorale]) -> None:
+        """Cache, by object identity, the row ids and token indices of each chorale's events in event order
+        (timestep by timestep, soprano first), interning new context keys in order of first sight."""
+        order, lengths = self.order, np.array([chorale.length for chorale in chorales])
+        padding = (START,) * order
+        tokens = chain.from_iterable(chain(padding, c.voices[v]) for v in range(4) for c in chorales)
+        grid = np.fromiter(map(_DIGIT.__getitem__, tokens), np.int64, 4 * int(order * len(chorales) + lengths.sum()))
+        grid = grid.reshape(4, -1)  # per voice, each chorale's order STARTs, then its tokens
+        steps = np.arange(lengths.sum()) + np.repeat(order * np.arange(1, len(chorales) + 1), lengths)
+        recent = np.zeros((4, steps.size), dtype=np.int64)  # each voice's order previous tokens
+        for lag in range(order, 0, -1):
+            recent = recent * _RADIX + grid[:, steps - lag]
+        keys = np.empty((steps.size, 4), dtype=np.int64)
+        above = np.zeros(steps.size, dtype=np.int64)  # the timestep's tokens of the voices above
+        for v in range(4):
+            keys[:, v] = (v * _RADIX**order + recent[v]) * _RADIX**v + above
+            above = above * _RADIX + grid[v, steps]
+        interned = self._rows  # a new key's row id is the row count when it is first seen
+        rows = np.array([interned.setdefault(key, len(interned)) for key in keys.reshape(-1).tolist()], np.int32)
+        toks = self._columns[np.arange(4), grid[:, steps].T].reshape(-1)
+        cuts = np.cumsum(4 * lengths)[:-1]
+        for chorale, chorale_rows, chorale_toks in zip(chorales, np.split(rows, cuts), np.split(toks, cuts)):
             # the cache holds the chorale itself, so its id cannot be reused while the entry lives
-            cached = self._encoded[id(chorale)] = (chorale, np.array(rows, np.int32), np.array(toks, np.int32))
-        return cached[1], cached[2]
+            self._encoded[id(chorale)] = (chorale, chorale_rows, chorale_toks)
 
     def _encode_all(self, chorales: Sequence[Chorale]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Concatenated row ids and token indices of ``chorales``' events, and each chorale's event count."""
-        encoded = [self._encode(chorale) for chorale in chorales]
-        rows = np.concatenate([r for r, _ in encoded])
-        toks = np.concatenate([k for _, k in encoded])
-        return rows, toks, np.array([r.size for r, _ in encoded])
+        pending = list({id(c): c for c in chorales if id(c) not in self._encoded}.values())
+        for start in range(0, len(pending), _CHUNK):
+            self._encode(pending[start : start + _CHUNK])
+        encoded = [self._encoded[id(chorale)] for chorale in chorales]
+        rows = np.concatenate([r for _, r, _ in encoded])
+        toks = np.concatenate([k for _, _, k in encoded])
+        return rows, toks, np.array([r.size for _, r, _ in encoded])
 
     def fit(self, chorales: Sequence[Chorale], counts: Sequence[int]) -> None:
         """Replace counts with exact event counts over the draws: ``chorales[i]`` counts ``counts[i]`` times.
@@ -242,15 +272,6 @@ class MarkovModel(GenerativeModel):
         self._row_totals = self._table.sum(axis=1, dtype=np.int64)
         self._reset_cdfs()
 
-    def _nonzero_cells(self) -> Iterator[tuple[int, Context, Token, int]]:
-        """(voice, context, token, count) for every nonzero count, in row order."""
-        contexts = list(self._rows)  # row ids are handed out in insertion order
-        rows, cols = np.nonzero(self._table)
-        for row, col, count in zip(rows.tolist(), cols.tolist(), self._table[rows, cols].tolist()):
-            context = contexts[row]
-            v = len(context) - self.order
-            yield v, context, self.vocabs[v][col], count
-
     def _smoothed(self, voice: int, row: int | None) -> list[float]:
         """``(count + alpha) / (total + alpha * size)`` for each token of the voice vocabulary, in plain
         floats; a row the counts do not cover, or none, reads as zero counts."""
@@ -266,50 +287,57 @@ class MarkovModel(GenerativeModel):
     def next_token_dist(self, voice: int, context: Context) -> np.ndarray:
         """P(token | context) over the voice vocabulary; sums to 1. A context that is not ``order + voice``
         tokens long is not one of the voice's, so it reads as zero counts."""
-        row = self._rows.get(context) if len(context) == self.order + voice else None
+        row = None
+        if len(context) == self.order + voice and all(tok in _DIGIT for tok in context):
+            key = voice
+            for tok in context:
+                key = key * _RADIX + _DIGIT[tok]
+            row = self._rows.get(key)
         return np.array(self._smoothed(voice, row))
 
     def _reset_cdfs(self) -> None:
         """Forget every cached CDF; called whenever the counts change."""
         self._cdfs = array("d")  # packed CDFs, each as long as its voice's vocabulary
         self._cdf_starts = array("q", [-1]) * (2 * len(self._rows))  # offset in _cdfs per 2*row + masked
-        self._uniform_starts = array("q", [-1]) * 8  # per 2*voice + masked, for contexts never interned
+        self._uniform_starts = array("q", [-1]) * 8  # per 2*voice + masked, for rows without counts
 
     def _cdf_start(self, voice: int, row: int | None, masked: bool) -> int:
         """Offset in ``_cdfs`` of the sampling CDF of ``row`` (None for a context never interned), with HOLD
-        masked out if ``masked``; built on a miss with numpy's float64 sum and cumsum, in Python."""
-        if row is None:  # every unseen context of a voice has the same (uniform) distribution
-            starts, slot = self._uniform_starts, 2 * voice + masked
-        else:
-            starts, slot = self._cdf_starts, 2 * row + masked
-            if slot >= len(starts):  # rows interned since the last reset
-                starts.extend(array("q", [-1]) * (2 * len(self._rows) - len(starts)))
+        masked out if ``masked``; built on a miss with numpy's float64 sum and cumsum, in Python. A row
+        without counts reads as zero counts, so it shares its voice's uniform CDF."""
+        counted = row is not None and row < len(self._row_totals) and self._row_totals[row] > 0
+        starts, slot = (self._cdf_starts, 2 * row + masked) if counted else (self._uniform_starts, 2 * voice + masked)
+        if row is not None and 2 * row >= len(self._cdf_starts):  # rows interned since the last reset
+            self._cdf_starts.extend(array("q", [-1]) * (2 * len(self._rows) - len(self._cdf_starts)))
         start = starts[slot]
         if start < 0:
-            probs = self._smoothed(voice, row)
-            hold = self._index[voice].get(HOLD)
-            if masked and hold is not None:
+            probs = self._smoothed(voice, row if counted else None)
+            hold = self._columns[voice, _DIGIT[HOLD]]
+            if masked and hold >= 0:
                 probs[hold] = 0.0
             norm = _pairwise_sum(probs)
             start = starts[slot] = len(self._cdfs)
             self._cdfs.fromlist(list(accumulate([p / norm for p in probs])))  # sequential, as np.cumsum
+        if row is not None:
+            self._cdf_starts[2 * row + masked] = start
         return start
 
     def sample(self, length: int, rng: np.random.Generator, chorale_id: str = "sample") -> Chorale:
         if length < 1:
             raise ValueError(f"length must be >= 1, got {length}")
-        order, vocabs = self.order, self.vocabs
-        history: list[list[Token]] = [[START] * order for _ in range(4)]
+        radix, modulus, rest, vocabs, digits = _RADIX, _RADIX**self.order, _DIGIT[REST], self.vocabs, self._digits
+        leads, scales = [v * modulus for v in range(4)], [radix**v for v in range(4)]
+        history: list[list[Token]] = [[] for _ in range(4)]
+        recent = [(modulus - 1) // (radix - 1) * _DIGIT[START]] * 4  # each voice's last order digits; STARTs at t = 0
         uniforms = iter(rng.random(4 * length).tolist())  # the same values as 4 * length single draws
         sizes = [len(vocab) for vocab in vocabs]
         rows, starts, uniform_starts, cdfs = self._rows, self._cdf_starts, self._uniform_starts, self._cdfs
-        for t in range(length):
-            step: Context = ()
+        for _ in range(length):
+            above = 0  # this timestep's digits of the voices above
             for v in range(4):
-                voice = history[v]
-                context = tuple(voice[-order:]) + step
-                masked = t == 0 or voice[-1] == REST
-                row = rows.get(context)  # None for a context never interned
+                last = recent[v]
+                row = rows.get((leads[v] + last) * scales[v] + above)  # None for a context never interned
+                masked = last % radix >= rest  # after a REST, or START at timestep 0
                 if row is None:
                     start = uniform_starts[2 * v + masked]
                 else:
@@ -319,10 +347,13 @@ class MarkovModel(GenerativeModel):
                     start = self._cdf_start(v, row, masked)
                 size = sizes[v]
                 idx = bisect_right(cdfs, next(uniforms), start, start + size) - start
-                tok = vocabs[v][idx if idx < size else size - 1]
-                voice.append(tok)
-                step = step + (tok,)
-        return Chorale(id=chorale_id, voices=tuple(tuple(h[order:]) for h in history))
+                if idx == size:
+                    idx -= 1
+                digit = digits[v][idx]
+                history[v].append(vocabs[v][idx])
+                recent[v] = last * radix % modulus + digit
+                above = above * radix + digit
+        return Chorale(id=chorale_id, voices=tuple(tuple(h) for h in history))
 
     def mean_nll(self, chorales: Sequence[Chorale], draws: Sequence[int] | None = None) -> float:
         """Mean −ln P(token | context) over all grid positions of ``chorales``, or of
@@ -363,17 +394,34 @@ class MarkovModel(GenerativeModel):
         self._reset_cdfs()
 
     def save(self, path: str | Path) -> None:
-        # Entries are ordered by (voice, [str(x) for x in context], str(token)). Joined with NUL, which sorts
-        # below every character of a token's text, and with one voice's contexts all of one length, those
-        # keys compare as plain strings do; each row's part of the key is built once.
-        keys, entries = [], []
-        last = None
-        for v, context, tok, count in self._nonzero_cells():
-            if context is not last:  # cells come row by row
-                last, row_key, context_list = context, "\0".join([str(v), *map(str, context), ""]), list(context)
-            keys.append(row_key + str(tok))
-            entries.append([v, context_list, tok, count])
-        entries = [entries[i] for i in sorted(range(len(keys)), key=keys.__getitem__)]
+        # Entries are ordered by (voice, [str(x) for x in context], str(token)). Rows are sorted by one lexsort
+        # over the text ranks of their key digits: a voice's contexts all have order + voice digits below the
+        # same leading ones, so that is list order. Then cells are sorted by (row rank, token text rank).
+        cell_rows, cols = np.nonzero(self._table)
+        counts = self._table[cell_rows, cols]
+        rows, cell_rows = np.unique(cell_rows, return_inverse=True)
+        keys = np.fromiter(self._rows, np.int64, len(self._rows))[rows]  # row ids are handed out in insertion order
+        voices = np.searchsorted([v * _RADIX ** (self.order + v) for v in range(4)], keys, side="right") - 1
+        digits = np.empty((self.order + 3, rows.size), dtype=np.int64)  # least significant first
+        for i in range(self.order + 3):
+            keys, digits[i] = np.divmod(keys, _RADIX)
+        by_context = np.lexsort(np.vstack([_TEXT_RANK[digits], voices]))
+        rank = np.empty_like(by_context)
+        rank[by_context] = np.arange(rows.size)
+        contexts = []  # in rank order, so voice by voice
+        for v, voice_rows in enumerate(np.split(by_context, np.searchsorted(voices[by_context], [1, 2, 3]))):
+            contexts += _TOKENS[digits[self.order + v - 1 :: -1, voice_rows].T].tolist()
+        cell_voices, cell_ranks = voices[cell_rows], rank[cell_rows]
+        token_digits = np.array([d + [0] * (self._width - len(d)) for d in self._digits])[cell_voices, cols]
+        cells = np.lexsort([_TEXT_RANK[token_digits], cell_ranks])
+        entries = list(
+            zip(
+                cell_voices[cells].tolist(),
+                map(contexts.__getitem__, cell_ranks[cells].tolist()),
+                _TOKENS[token_digits[cells]].tolist(),
+                counts[cells].tolist(),
+            )
+        )
         payload = {
             "format": _SNAPSHOT_FORMAT,
             "order": self.order,
@@ -381,4 +429,5 @@ class MarkovModel(GenerativeModel):
             "vocabs": [list(vocab) for vocab in self.vocabs],
             "counts": entries,
         }
-        Path(path).write_text(json.dumps(payload, sort_keys=True) + "\n", encoding="utf-8")
+        # built here from ints, strings and lists, so it holds no cycle; without the check, dumping is ~30% faster
+        Path(path).write_text(json.dumps(payload, sort_keys=True, check_circular=False) + "\n", encoding="utf-8")

@@ -123,17 +123,80 @@ def replay_counts(multiset, order: int) -> tuple[list[dict], list[dict]]:
     return counts, totals
 
 
+_KEY_TOKENS = (*range(128), HOLD, REST, START)  # a context key's base-131 digit d stands for _KEY_TOKENS[d]
+
+
+def context_key(voice: int, context) -> int:
+    """The int64 key of voice ``voice``'s ``context`` (``order + voice`` tokens): its base-131 digits are the
+    voice, then each token's place in ``_KEY_TOKENS``."""
+    key = voice
+    for tok in context:
+        key = key * 131 + _KEY_TOKENS.index(tok)
+    return key
+
+
+def key_context(order: int, key: int) -> tuple[int, tuple]:
+    """Inverse of :func:`context_key`: (voice, context) of a key."""
+    voice = max(v for v in range(4) if key >= v * 131 ** (order + v))
+    digits = []
+    for _ in range(order + voice):
+        key, digit = divmod(key, 131)
+        digits.append(digit)
+    assert key == voice
+    return voice, tuple(_KEY_TOKENS[digit] for digit in reversed(digits))
+
+
+def interned_contexts(model) -> list[tuple[int, tuple]]:
+    """(voice, context) of each row of a MarkovModel, in row order."""
+    return [key_context(model.order, key) for key in model._rows]  # row ids are handed out in insertion order
+
+
+def interned_row(model, voice: int, context):
+    """Row id of voice ``voice``'s ``context``, or None if the model never interned it."""
+    if len(context) != model.order + voice or not all(tok in _KEY_TOKENS for tok in context):
+        return None
+    return model._rows.get(context_key(voice, context))
+
+
+def nonzero_cells(model):
+    """(voice, context, token, count) for every nonzero count of a MarkovModel, in row order."""
+    contexts = interned_contexts(model)
+    rows, cols = np.nonzero(model._table)
+    for row, col, count in zip(rows.tolist(), cols.tolist(), model._table[rows, cols].tolist()):
+        v, context = contexts[row]
+        yield v, context, model.vocabs[v][col], count
+
+
+def reference_save(model, path) -> None:
+    """``MarkovModel.save`` by sorting text keys: ``(voice, [str(x) for x in context], str(token))`` joined
+    with NUL, which sorts below every character of a token's text."""
+    keys, entries = [], []
+    for v, context, tok, count in nonzero_cells(model):
+        keys.append("\0".join([str(v), *map(str, context), str(tok)]))
+        entries.append([v, list(context), tok, count])
+    entries = [entries[i] for i in sorted(range(len(keys)), key=keys.__getitem__)]
+    payload = {
+        "format": _SNAPSHOT_FORMAT,
+        "order": model.order,
+        "alpha": model.alpha,
+        "vocabs": [list(vocab) for vocab in model.vocabs],
+        "counts": entries,
+    }
+    Path(path).write_text(json.dumps(payload, sort_keys=True) + "\n", encoding="utf-8")
+
+
 def count_tables(model) -> tuple[list[dict], list[dict]]:
     """Dict view of a fitted MarkovModel's count table and row totals, nonzero entries only,
     in the per-voice ``{context: {token: count}}`` / ``{context: total}`` shape of :func:`replay_counts`."""
     counts = [{} for _ in range(4)]
-    for v, context, tok, count in model._nonzero_cells():
+    for v, context, tok, count in nonzero_cells(model):
         counts[v].setdefault(context, {})[tok] = count
     totals = [{} for _ in range(4)]
-    for context, row in model._rows.items():
+    for row, (v, context) in enumerate(interned_contexts(model)):
         if row < len(model._row_totals) and model._row_totals[row]:
-            totals[len(context) - model.order][context] = int(model._row_totals[row])
+            totals[v][context] = int(model._row_totals[row])
     return counts, totals
+
 
 def reference_next_token_dist(model, voice: int, context) -> np.ndarray:
     """P(token | context) as a numpy formula: ``alpha`` plus the row's counts, over the row total plus
@@ -141,7 +204,7 @@ def reference_next_token_dist(model, voice: int, context) -> np.ndarray:
     size = len(model.vocabs[voice])
     probs = np.full(size, model.alpha, dtype=float)
     total = 0
-    row = model._rows.get(context) if len(context) == model.order + voice else None
+    row = interned_row(model, voice, context)
     if row is not None and row < len(model._row_totals):
         probs += model._table[row, :size]
         total = int(model._row_totals[row])
@@ -152,11 +215,11 @@ def token_logprob(model, voice: int, context, tok) -> float:
     """log P(token | context) of a MarkovModel, one event at a time: a context the counts do not cover, or
     a token outside the vocabulary, scores as a zero-count event, so held-out scoring stays finite."""
     count = total = 0
-    row = model._rows.get(context) if len(context) == model.order + voice else None
+    row = interned_row(model, voice, context)
     if row is not None and row < len(model._row_totals):
         total = int(model._row_totals[row])
-        col = model._index[voice].get(tok)
-        count = 0 if col is None else int(model._table[row, col])
+        vocab = model.vocabs[voice]
+        count = int(model._table[row, vocab.index(tok)]) if tok in vocab else 0
     vocab_size = len(model.vocabs[voice])
     return float(np.log((count + model.alpha) / (total + model.alpha * vocab_size)))
 
@@ -358,7 +421,8 @@ def load_model(path) -> MarkovModel:
     model = MarkovModel(order=payload["order"], alpha=payload["alpha"], vocabs=[tuple(v) for v in payload["vocabs"]])
     rows = model._rows
     cells = [
-        (rows.setdefault(tuple(context), len(rows)), model._index[v][tok], n) for v, context, tok, n in payload["counts"]
+        (rows.setdefault(context_key(v, context), len(rows)), model.vocabs[v].index(tok), n)
+        for v, context, tok, n in payload["counts"]
     ]
     table = np.zeros((len(rows), model._width), dtype=np.int32)
     for row, col, n in cells:

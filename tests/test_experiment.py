@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import given
 
-from auggen import grading
+from auggen import cli, grading
 from auggen.chorale import Chorale, validate
 from auggen.cli import feature_rows, main
 from auggen.corpus import Corpus, load_corpus
@@ -328,6 +328,31 @@ class TestCli:
         assert {path: path.read_bytes() for path in inputs} == inputs
         assert sorted(p.name for p in tmp_path.iterdir()) == sorted(p.name for p in inputs)
 
+    @pytest.mark.parametrize("failure", ["unopenable_dump", "error_mid_run"])
+    def test_grade_failure_keeps_previous_outputs(self, small_compare, tmp_path, capsys, monkeypatch, failure):
+        _, out, _, _ = small_compare
+        corpus_path = tmp_path / "corpus.jsonl"
+        assert main(["teacher-gen", "--seed", "5", "--n", "3", "--out", str(corpus_path)]) == 0
+        grades_csv, feats_csv = tmp_path / "g.csv", tmp_path / "f.csv"
+        grades_csv.write_bytes(b"previous grades\n")
+        feats_csv.write_bytes(b"previous features\n")
+        if failure == "unopenable_dump":
+            dump = tmp_path / "nodir" / "f.csv"
+        else:
+            dump = feats_csv
+
+            def failing_feature_rows(batch):  # after the first pass's grades are written
+                raise ValueError("feature rows failed")
+
+            monkeypatch.setattr(cli, "feature_rows", failing_feature_rows)
+        before = {path.name: path.read_bytes() for path in tmp_path.iterdir()}
+        capsys.readouterr()
+        args = ["grade", "--corpus", str(corpus_path), "--reference", str(out / "reference.json")]
+        assert main(args + ["--out", str(grades_csv), "--dump-features", str(dump)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert {path.name: path.read_bytes() for path in tmp_path.iterdir()} == before
+
     def test_grade_empty_corpus_writes_headers(self, small_compare, tmp_path, capsys):
         _, out, _, _ = small_compare
         corpus_path = tmp_path / "empty.jsonl"
@@ -421,6 +446,7 @@ class TestCli:
             pytest.param({"smoothing": math.inf}, id="smoothing_inf"),
             pytest.param({"p_empty": math.nan}, id="p_empty_nan"),
             pytest.param({"p_empty": math.inf}, id="p_empty_inf"),
+            pytest.param({"markov_order": 6}, id="markov_order_6"),
         ],
         ids=lambda override: next(iter(override)),
     )

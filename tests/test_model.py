@@ -7,15 +7,20 @@ from hypothesis import assume, given
 
 from auggen.chorale import HOLD, REST, Chorale, validate
 from auggen import model as model_module
+from auggen.corpus import teacher_model
 from auggen.model import START, MarkovModel, _pairwise_sum
 from auggen.rng import stream
 from conftest import ascending, chorales, once
 from oracles import (
     count_tables,
+    context_key,
+    interned_contexts,
     iter_token_events,
+    key_context,
     load_model,
     reference_next_token_dist,
     reference_sample,
+    reference_save,
     replay_counts,
     token_logprob,
 )
@@ -166,7 +171,7 @@ class TestNextTokenDist:
         model.mean_nll(list(desk_split.validation))  # interns validation contexts: rows the counts do not cover
         assert len(model._rows) > len(model._row_totals)
         unseen = [(v, (START,) * (2 + v)) for v in range(1, 4)]  # the soprano cannot be START, so never interned
-        contexts = [(len(context) - 2, context) for context in model._rows] + unseen
+        contexts = interned_contexts(model) + unseen
         for v, context in contexts:
             assert np.array_equal(model.next_token_dist(v, context), reference_next_token_dist(model, v, context))
 
@@ -174,13 +179,84 @@ class TestNextTokenDist:
         # one dict interns every voice's contexts; only the length says whose a context is
         model = MarkovModel.with_vocab_from(desk_split.train, order=2, alpha=0.1)
         model.fit(desk_split.train.chorales, once(desk_split.train))
-        for context in model._rows:
+        for voice, context in interned_contexts(model):
             for v in range(4):
-                if len(context) == 2 + v:
+                if v == voice:
                     continue
                 size = len(model.vocabs[v])
                 uniform = np.full(size, model.alpha) / (model.alpha * size)
                 assert np.array_equal(model.next_token_dist(v, context), uniform), (v, context)
+
+
+class TestContextKeys:
+    @given(
+        st.integers(1, 5),
+        st.lists(chorales(min_length=1, max_length=8), min_size=2, max_size=4),
+        st.integers(60, 70),
+        st.integers(1, 80),
+        st.data(),
+    )
+    def test_encoding_matches_token_events(self, order, pool, copies, cut, data):
+        # copies of pool[0] push the others past the first 64-chorale chunk; a repeated object is encoded once
+        vocab_pool = pool[: data.draw(st.integers(1, len(pool)))]  # the rest may bring unknown tokens
+        batch = [Chorale(id=f"copy{i}", voices=pool[0].voices) for i in range(copies)] + pool[1:] + pool[1:2]
+        model = MarkovModel.with_vocab_from(vocab_pool, order=order, alpha=0.1)
+        model._encode_all(batch[:cut])  # an earlier call: row ids carry on from it
+        rows, toks, sizes = model._encode_all(batch)
+        first_seen: dict = {}
+        expected_rows, expected_toks = [], []
+        for chorale in batch:
+            for v, context, tok in iter_token_events(chorale, order):
+                expected_rows.append(first_seen.setdefault((v, context), len(first_seen)))
+                expected_toks.append(model.vocabs[v].index(tok) if tok in model.vocabs[v] else -1)
+        assert rows.tolist() == expected_rows
+        assert toks.tolist() == expected_toks
+        assert sizes.tolist() == [4 * chorale.length for chorale in batch]
+        assert interned_contexts(model) == list(first_seen)
+
+    def test_largest_key_fits_int64_up_to_order_5(self):
+        for order in range(1, 7):
+            context = (START,) * (order + 3)  # START is the top digit, and voice 3's contexts are the longest
+            key = context_key(3, context)
+            assert key_context(order, key) == (3, context)
+            assert (key < 2**63) == (order <= 5), order
+
+    @pytest.mark.parametrize("order", [0, 6, 7])
+    def test_order_outside_int64_keys_rejected(self, order):
+        with pytest.raises(ValueError) as err:
+            MarkovModel(order=order, alpha=0.1, vocabs=[(60, REST)] * 4)
+        assert str(err.value) == f"order must be in 1..5, got {order}"
+
+    def test_vocabulary_must_hold_tokens(self):
+        with pytest.raises(ValueError) as err:
+            MarkovModel(order=1, alpha=0.1, vocabs=[(60, REST), (128,), (48,), (36,)])
+        assert str(err.value) == "voice 1 vocabulary holds 128, which is not a token"
+
+    @pytest.mark.parametrize("order", [1, 2, 3, 4, 5])
+    def test_save_matches_text_key_sort_on_desk_model(self, desk_split, tmp_path, order):
+        chorales_ = list(desk_split.train)
+        model = MarkovModel.with_vocab_from(chorales_, order=order, alpha=0.1)
+        model.mean_nll(list(desk_split.validation))  # rows with zero counts, and rows past the table's end
+        model.fit(chorales_, np.arange(len(chorales_)) % 3)
+        model.mean_nll(chorales_[:5] + [ascending(40)])
+        model.save(tmp_path / "a.json")
+        reference_save(model, tmp_path / "b.json")
+        assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
+
+    def test_save_matches_text_key_sort_on_paper_scale_model(self, tmp_path):
+        model = teacher_model(17)
+        assert len(model._rows) > 10_000
+        model.save(tmp_path / "a.json")
+        reference_save(model, tmp_path / "b.json")
+        assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
+
+    def test_unfitted_model_saves_no_counts(self, tmp_path):
+        model = MarkovModel.with_vocab_from([ascending(60)], order=2, alpha=0.1)
+        model.mean_nll([ascending(60)])
+        model.save(tmp_path / "a.json")
+        reference_save(model, tmp_path / "b.json")
+        assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
+        assert load_model(tmp_path / "a.json").vocabs == model.vocabs
 
 
 class TestPairwiseSum:
@@ -263,6 +339,28 @@ class TestSample:
                 sampled = model.sample(length, stream(9, phase, k))
                 assert sampled.voices == reference_sample(model, length, stream(9, phase, k)).voices
             model.restore(early)
+
+    def test_rows_without_counts_share_the_uniform_cdf(self, desk_split):
+        chorales_ = list(desk_split.train)
+        model = MarkovModel.with_vocab_from(chorales_, order=2, alpha=0.1)
+        model.mean_nll(list(desk_split.validation))  # rows in the table whose total will be 0
+        model.fit(chorales_[:8], once(chorales_[:8]))
+        model.mean_nll(chorales_[8:])  # rows interned after the fit
+        kinds = set()
+        for row, (v, context) in enumerate(interned_contexts(model)):
+            counted = row < len(model._row_totals) and model._row_totals[row] > 0
+            kinds.add("counted" if counted else "past the table" if row >= len(model._row_totals) else "total 0")
+            size = len(model.vocabs[v])
+            for masked in (False, True):
+                start = model._cdf_start(v, row, masked)
+                uniform = model._uniform_starts[2 * v + masked]
+                assert (start == uniform) == (not counted), (row, masked)
+                assert model._cdf_starts[2 * row + masked] == start  # the sampler's next visit is a hit
+                probs = reference_next_token_dist(model, v, context)
+                if masked and HOLD in model.vocabs[v]:
+                    probs[model.vocabs[v].index(HOLD)] = 0.0
+                assert model._cdfs[start : start + size].tolist() == np.cumsum(probs / probs.sum()).tolist()
+        assert kinds == {"counted", "total 0", "past the table"}
 
     def test_one_draw_per_position(self, desk_split):
         model = MarkovModel.with_vocab_from(desk_split.train, order=2, alpha=0.1)
