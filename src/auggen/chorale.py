@@ -179,7 +179,8 @@ def token_to_str(tok: Token) -> str:
     raise ValueError(f"unknown token {tok!r}")
 
 
-_TOKEN_BY_TEXT: dict[str, Token] = {token_to_str(tok): tok for tok in (*range(MIN_PITCH, MAX_PITCH + 1), HOLD, REST)}
+_TEXT_BY_TOKEN: dict[Token, str] = {tok: token_to_str(tok) for tok in (*range(MIN_PITCH, MAX_PITCH + 1), HOLD, REST)}
+_TOKEN_BY_TEXT: dict[str, Token] = {text: tok for tok, text in _TEXT_BY_TOKEN.items()}
 
 
 def _token_error(raw_voice: list, v: int, line: int | None) -> ChoraleFormatError:
@@ -207,7 +208,8 @@ def serialize_chorale(chorale: Chorale) -> str:
     """One-line JSON record; ``parse_chorale`` inverts it exactly."""
     record = {
         "id": chorale.id,
-        "voices": [[token_to_str(tok) for tok in voice] for voice in chorale.voices],
+        # a Chorale holds no bool, so True cannot alias the key 1
+        "voices": [list(map(_TEXT_BY_TOKEN.__getitem__, voice)) for voice in chorale.voices],
     }
     return json.dumps(record, separators=(",", ":"))
 

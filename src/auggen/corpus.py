@@ -13,7 +13,7 @@ import json
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
-from itertools import accumulate
+from itertools import accumulate, chain
 from pathlib import Path
 
 from .chorale import HOLD, REST, Chorale, Token, parse_chorale, serialize_chorale
@@ -239,15 +239,60 @@ def _teacher_walk(length: int, rng) -> Chorale:
     return Chorale(id="walk", voices=tuple(tuple(v) for v in voices))
 
 
+_RAW_BLOCK = 4096  # raw 64-bit values read per call to the bit generator
+_HALF = 0xFFFFFFFF
+
+
+class _RawReader:
+    """``random()`` and ``integers(0, k)`` of a PCG64 ``np.random.Generator``, served from blocks of its
+    raw output: each call returns what the same call on the generator would.
+
+    ``random()`` is the top 53 bits of one raw value, scaled by 2**-53. ``integers(0, k)`` is numpy's
+    32-bit Lemire draw: it takes the low half of a raw value and keeps the high half for the next such
+    draw, multiplies it by ``k`` and rejects while the product's low 32 bits are below ``(2**32 - k) % k``;
+    ``k == 1`` takes nothing. The generator itself is read ahead by up to a block.
+    """
+
+    def __init__(self, rng):
+        bits = rng.bit_generator
+        self._raw = chain.from_iterable(iter(lambda: bits.random_raw(_RAW_BLOCK).tolist(), None))
+        self._high: int | None = None  # the high half of the last raw value split for a draw, not yet used
+
+    def random(self) -> float:
+        return (next(self._raw) >> 11) * 2.0**-53
+
+    def integers(self, low: int, high: int) -> int:
+        k = high - low
+        if not 1 <= k <= _HALF:
+            raise ValueError(f"need 1 <= high - low < 2**32, got {k}")
+        if k == 1:
+            return low
+        threshold = (_HALF + 1 - k) % k
+        while True:
+            if self._high is None:
+                raw = next(self._raw)
+                half, self._high = raw & _HALF, raw >> 32
+            else:
+                half, self._high = self._high, None
+            product = half * k
+            if product & _HALF >= threshold:
+                return low + (product >> 32)
+
+
 def _teacher_walks(rng) -> list[Chorale]:
-    """The teacher's seed walks, lengths rising evenly from 32 to 48 timesteps."""
+    """The teacher's seed walks, lengths rising evenly from 32 to 48 timesteps.
+
+    :func:`teacher_model` passes a :class:`_RawReader` over the walk stream, which reads the stream ahead
+    of the last draw the walks use. That is safe: no other code reads the walk stream, so the values read
+    past the last walk change nothing.
+    """
     lo, hi = 32, 48
     return [_teacher_walk(lo + (i * (hi - lo)) // (_N_SEED_WALKS - 1), rng) for i in range(_N_SEED_WALKS)]
 
 
 def teacher_model(seed: int) -> MarkovModel:
     """Deterministically construct the teacher from seeded walks."""
-    walks = _teacher_walks(stream(seed, "teacher", "walks"))
+    walks = _teacher_walks(_RawReader(stream(seed, "teacher", "walks")))
     model = MarkovModel.with_vocab_from(walks, order=_TEACHER_ORDER, alpha=_TEACHER_SMOOTHING)
     model.fit(walks, [1] * len(walks))
     return model

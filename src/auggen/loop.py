@@ -30,7 +30,7 @@ import numpy as np
 from .chorale import Chorale, canonical_key, serialize_chorale
 from .corpus import Split
 from .grading import ReferenceModel, Threshold, grade
-from .model import GenerativeModel, sample_batch
+from .model import _MAX_COUNT, GenerativeModel, sample_batch
 from .rng import stream
 
 ORIGIN_TRUE = "true"
@@ -53,6 +53,11 @@ class LoopConfig:
             raise ValueError(f"batches must be >= 1, got {self.batches}")
         if self.batch_size < 1:
             raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
+        if 4 * self.batches * self.batch_size > _MAX_COUNT:  # every draw is a chorale of 4 or more events
+            raise ValueError(
+                f"batches x batch_size = {self.batches * self.batch_size} draws exceed the count table's limit of "
+                f"{_MAX_COUNT} events at 4 events per draw"
+            )
         if self.n_generate < 0:
             raise ValueError(f"n_generate must be >= 0, got {self.n_generate}")
         if self.max_epochs < 1:

@@ -2,7 +2,7 @@
 
 The training loop depends only on :class:`GenerativeModel`; any sequence
 model that can rebuild itself from how often the loop drew each dataset
-chorale this epoch, sample a chorale, and score chorales can be plugged
+chorale this epoch, sample a batch of chorales, and score chorales can be plugged
 in. The shipped implementation is :class:`MarkovModel`, an additive-smoothed
 count model over the token grid whose context for voice ``v`` at timestep
 ``t`` is the ``order`` previous tokens of voice ``v`` followed by the
@@ -19,15 +19,20 @@ an int32 ``(rows, Vmax)`` count table with int64 row totals; a row interned
 after the fit reads as zero counts. ``mean_nll`` gathers from the table,
 sums each scored chorale's event scores sequentially, then adds those sums
 in draw order, so it gives the bits of a per-event log-probability loop over
-the drawn chorales. ``sample`` draws all its uniforms at once, computes each
-context's key arithmetically and bisects its CDF, cached per (row,
-HOLD-masked) in one packed buffer until the next ``fit`` or ``restore``; a
-row without counts shares its voice's uniform CDF. The sampler makes no
-numpy call: a cache miss builds its CDF from the row's counts in plain
-floats, normalizes it by ``_pairwise_sum`` (numpy's pairwise summation
-order) and accumulates it in order, so each CDF has the bits of
-``np.cumsum(probs / probs.sum())`` over ``next_token_dist``. ``save`` orders
-its cells by their text, with ``np.lexsort`` over the text ranks of the digits.
+the drawn chorales. ``sample_many`` draws a batch in lockstep: each chorale
+takes ``4 * length`` uniforms from its own stream, then every (timestep,
+voice) is one numpy step over the chorales still running. A step computes
+their context keys and finds each counted row (total above 0) by
+``np.searchsorted`` in the sorted keys of the counted rows, indexed at the
+first draw after each ``fit`` or ``restore``; every other key reads its
+voice's uniform CDF. It builds the CDFs its counted rows miss in one batch
+and keeps them until the next ``fit`` or ``restore``; one CDF per row
+suffices, as the row's key says whether HOLD is masked. Each CDF has the
+bits of ``np.cumsum(probs / probs.sum())`` over ``next_token_dist``, but
+for its last entry, stored as +inf, so the first entry above the uniform is
+``bisect_right`` clamped to the vocabulary. ``sample`` is a batch of one.
+``save`` orders its cells by their text, with ``np.lexsort`` over the text
+ranks of the digits.
 """
 
 from __future__ import annotations
@@ -35,9 +40,7 @@ from __future__ import annotations
 import abc
 import json
 import math
-from array import array
-from bisect import bisect_right
-from itertools import accumulate, chain
+from itertools import chain
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -60,6 +63,7 @@ _TOKENS = np.array(list(_DIGIT), dtype=object)  # digit -> token
 _TEXT_RANK = np.argsort(sorted(_DIGIT.values(), key=lambda digit: str(_TOKENS[digit])))  # digit -> rank of its text
 _MAX_ORDER = 5  # voice 3's key has order + 4 digits, and 4 * 131**8 < 2**63 <= 4 * 131**9
 _CHUNK = 64  # chorales encoded per numpy batch, so the key arrays stay small
+_NO_KEY = np.iinfo(np.int64).max  # above every context key
 
 
 class GenerativeModel(abc.ABC):
@@ -70,8 +74,11 @@ class GenerativeModel(abc.ABC):
         """Rebuild the model from an epoch's draws: ``chorales[i]`` counts ``counts[i]`` times."""
 
     @abc.abstractmethod
-    def sample(self, length: int, rng: np.random.Generator, chorale_id: str = "sample") -> Chorale:
-        """Draw one chorale of ``length`` timesteps; output always validates."""
+    def sample_many(
+        self, lengths: Sequence[int], rngs: Sequence[np.random.Generator], ids: Sequence[str]
+    ) -> list[Chorale]:
+        """Draw chorale ``j`` of ``lengths[j]`` timesteps from ``rngs[j]`` alone and name it ``ids[j]``;
+        output always validates."""
 
     @abc.abstractmethod
     def mean_nll(self, chorales: Sequence[Chorale], draws: Sequence[int] | None = None) -> float:
@@ -96,56 +103,14 @@ def sample_batch(
 ) -> list[Chorale]:
     """One chorale per id: chorale ``j`` draws its length from ``length_pool``, then its tokens,
     from ``stream(seed, *key, j)``, and is named ``ids[j]``."""
-    chorales = []
-    for j, chorale_id in enumerate(ids):
-        rng = stream(seed, *key, j)
-        length = length_pool[int(rng.integers(0, len(length_pool)))]
-        chorales.append(model.sample(length, rng, chorale_id=chorale_id))
-    return chorales
+    rngs = [stream(seed, *key, j) for j in range(len(ids))]
+    return model.sample_many([length_pool[int(rng.integers(0, len(length_pool)))] for rng in rngs], rngs, ids)
 
 
 def _token_sort_key(tok: Token) -> tuple[int, int | str]:
     if isinstance(tok, int):
         return (0, tok)
     return (1, tok)
-
-
-_PAIRWISE_BLOCK = 128  # numpy's PW_BLOCKSIZE
-
-
-def _pairwise_sum(xs: Sequence[float], lo: int = 0, n: int | None = None) -> float:
-    """``float(np.sum(np.array(xs[lo:lo + n])))`` bit for bit: numpy's pairwise float64 summation, in Python.
-
-    Under 8 terms, a sequential sum from 0.0; up to a block, eight strided
-    accumulators combined as a tree, then the remainder in order; above a
-    block, the two halves split at a multiple of 8.
-    """
-    if n is None:
-        n = len(xs) - lo
-    if n < 8:
-        total = 0.0
-        for i in range(lo, lo + n):
-            total += xs[i]
-        return total
-    if n <= _PAIRWISE_BLOCK:
-        r0, r1, r2, r3, r4, r5, r6, r7 = xs[lo : lo + 8]
-        end = lo + n - n % 8
-        for i in range(lo + 8, end, 8):
-            r0 += xs[i]
-            r1 += xs[i + 1]
-            r2 += xs[i + 2]
-            r3 += xs[i + 3]
-            r4 += xs[i + 4]
-            r5 += xs[i + 5]
-            r6 += xs[i + 6]
-            r7 += xs[i + 7]
-        total = ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7))
-        for i in range(end, lo + n):
-            total += xs[i]
-        return total
-    half = n // 2
-    half -= half % 8
-    return _pairwise_sum(xs, lo, half) + _pairwise_sum(xs, lo + half, n - half)
 
 
 class MarkovModel(GenerativeModel):
@@ -163,6 +128,8 @@ class MarkovModel(GenerativeModel):
             raise ValueError(f"order must be in 1..{_MAX_ORDER}, got {order}")
         if not 0 < alpha < math.inf:
             raise ValueError(f"smoothing alpha must be finite and > 0, got {alpha}")
+        if not math.isfinite(alpha * _RADIX):  # no vocabulary has more tokens than the radix has digits
+            raise ValueError(f"smoothing alpha {alpha} overflows: alpha * {_RADIX} is not finite")
         if len(vocabs) != 4:
             raise ValueError(f"expected 4 per-voice vocabularies, got {len(vocabs)}")
         cleaned = []
@@ -179,15 +146,18 @@ class MarkovModel(GenerativeModel):
         self.order = order
         self.alpha = float(alpha)
         self.vocabs: tuple[tuple[Token, ...], ...] = tuple(cleaned)
-        self._digits = [[_DIGIT[tok] for tok in vocab] for vocab in self.vocabs]  # column -> token digit
+        self._digits = [np.array([_DIGIT[tok] for tok in vocab]) for vocab in self.vocabs]  # column -> token digit
         self._columns = np.full((4, _RADIX), -1, dtype=np.int32)  # token digit -> column; -1 outside the vocabulary
         for v, digits in enumerate(self._digits):
             self._columns[v, digits] = np.arange(len(digits))
+        self._token_arrays = [np.array(vocab, dtype=object) for vocab in self.vocabs]  # column -> token
         self._width = max(len(vocab) for vocab in self.vocabs)  # Vmax, the count table's column count
         self._rows: dict[int, int] = {}  # context key -> row id, in order of first sight; its length is the row count
         self._encoded: dict[int, tuple[Chorale, np.ndarray, np.ndarray]] = {}  # id -> (chorale, rows, token indices)
         self._table = np.zeros((0, self._width), dtype=np.int32)
         self._row_totals = np.zeros(0, dtype=np.int64)
+        zeros = np.zeros((2, self._width), dtype=np.int32)
+        self._uniform_cdfs = [self._cdf_rows(v, zeros, np.zeros(2, np.int64), np.array([False, True])) for v in range(4)]
         self._reset_cdfs()
 
     @classmethod
@@ -272,17 +242,11 @@ class MarkovModel(GenerativeModel):
         self._row_totals = self._table.sum(axis=1, dtype=np.int64)
         self._reset_cdfs()
 
-    def _smoothed(self, voice: int, row: int | None) -> list[float]:
-        """``(count + alpha) / (total + alpha * size)`` for each token of the voice vocabulary, in plain
-        floats; a row the counts do not cover, or none, reads as zero counts."""
+    def _smoothed(self, voice: int, counts: np.ndarray, totals: np.ndarray) -> np.ndarray:
+        """``(count + alpha) / (total + alpha * size)`` for each token of the voice vocabulary, one row per
+        row of ``counts`` (count table rows) and entry of ``totals`` (their totals)."""
         size = len(self.vocabs[voice])
-        if row is None or row >= len(self._row_totals):
-            counts, total = [0] * size, 0
-        else:
-            counts, total = self._table[row, :size].tolist(), int(self._row_totals[row])
-        alpha = self.alpha
-        denominator = total + alpha * size
-        return [(count + alpha) / denominator for count in counts]
+        return (counts[:, :size] + self.alpha) / (totals[:, None] + self.alpha * size)
 
     def next_token_dist(self, voice: int, context: Context) -> np.ndarray:
         """P(token | context) over the voice vocabulary; sums to 1. A context that is not ``order + voice``
@@ -293,67 +257,106 @@ class MarkovModel(GenerativeModel):
             for tok in context:
                 key = key * _RADIX + _DIGIT[tok]
             row = self._rows.get(key)
-        return np.array(self._smoothed(voice, row))
+        if row is None or row >= len(self._row_totals):  # a row the counts do not cover reads as zero counts
+            return self._smoothed(voice, np.zeros((1, self._width), np.int32), np.zeros(1, np.int64))[0]
+        return self._smoothed(voice, self._table[row : row + 1], self._row_totals[row : row + 1])[0]
+
+    def _cdf_rows(self, voice: int, counts: np.ndarray, totals: np.ndarray, masked: np.ndarray) -> np.ndarray:
+        """``np.cumsum(probs / probs.sum())`` for each row of :meth:`_smoothed`, with HOLD's probability zeroed
+        where ``masked``, and the last entry raised to +inf. A sum over the last axis of a C-ordered array is
+        numpy's pairwise sum of each row, so every other entry has the bits of the one-row formula."""
+        probs = self._smoothed(voice, counts, totals)
+        hold = self._columns[voice, _DIGIT[HOLD]]
+        if hold >= 0:
+            probs[masked, hold] = 0.0
+        cdfs = np.cumsum(probs / probs.sum(axis=1, keepdims=True), axis=1)
+        cdfs[:, -1] = np.inf
+        return cdfs
 
     def _reset_cdfs(self) -> None:
-        """Forget every cached CDF; called whenever the counts change."""
-        self._cdfs = array("d")  # packed CDFs, each as long as its voice's vocabulary
-        self._cdf_starts = array("q", [-1]) * (2 * len(self._rows))  # offset in _cdfs per 2*row + masked
-        self._uniform_starts = array("q", [-1]) * 8  # per 2*voice + masked, for rows without counts
+        """Forget every built CDF and the index of counted rows; called whenever the counts change."""
+        self._counted_keys: np.ndarray | None = None  # built by _index_counted_rows before the next draw
+        # per voice, its built CDFs: rows 0 and 1 uniform, HOLD masked in 1; the first build copies them out
+        self._cdfs = list(self._uniform_cdfs)
+        self._built = [2] * 4  # per voice, the rows of _cdfs[v] in use
 
-    def _cdf_start(self, voice: int, row: int | None, masked: bool) -> int:
-        """Offset in ``_cdfs`` of the sampling CDF of ``row`` (None for a context never interned), with HOLD
-        masked out if ``masked``; built on a miss with numpy's float64 sum and cumsum, in Python. A row
-        without counts reads as zero counts, so it shares its voice's uniform CDF."""
-        counted = row is not None and row < len(self._row_totals) and self._row_totals[row] > 0
-        starts, slot = (self._cdf_starts, 2 * row + masked) if counted else (self._uniform_starts, 2 * voice + masked)
-        if row is not None and 2 * row >= len(self._cdf_starts):  # rows interned since the last reset
-            self._cdf_starts.extend(array("q", [-1]) * (2 * len(self._rows) - len(self._cdf_starts)))
-        start = starts[slot]
-        if start < 0:
-            probs = self._smoothed(voice, row if counted else None)
-            hold = self._columns[voice, _DIGIT[HOLD]]
-            if masked and hold >= 0:
-                probs[hold] = 0.0
-            norm = _pairwise_sum(probs)
-            start = starts[slot] = len(self._cdfs)
-            self._cdfs.fromlist(list(accumulate([p / norm for p in probs])))  # sequential, as np.cumsum
-        if row is not None:
-            self._cdf_starts[2 * row + masked] = start
-        return start
+    def _index_counted_rows(self) -> None:
+        """Sort the keys of the rows with counts, so that a draw finds its row by ``np.searchsorted``."""
+        counted = np.flatnonzero(self._row_totals)
+        keys = np.fromiter(self._rows, np.int64, len(self._row_totals))[counted]  # row ids are in insertion order
+        by_key = np.argsort(keys)
+        self._counted_keys = np.append(keys[by_key], _NO_KEY)  # a search past the last key lands on no key
+        self._counted_rows = counted[by_key]
+        self._slots = np.full(self._counted_keys.size, -1, dtype=np.intp)  # sorted position -> row of _cdfs[v]
+
+    def _build_cdfs(self, voice: int, positions: np.ndarray) -> None:
+        """Build the CDFs of the counted rows at the distinct sorted ``positions``, all of ``voice``, in one
+        batch. A row's key says whether HOLD is masked: its voice's last token is a REST or START."""
+        rows = self._counted_rows[positions]
+        masked = self._counted_keys[positions] // _RADIX**voice % _RADIX >= _DIGIT[REST]
+        cdfs = self._cdf_rows(voice, self._table[rows], self._row_totals[rows], masked)
+        store, built = self._cdfs[voice], self._built[voice]
+        if built + len(cdfs) > len(store):
+            grown = np.empty((max(2 * len(store), built + len(cdfs)), store.shape[1]))
+            grown[:built] = store[:built]
+            store = self._cdfs[voice] = grown
+        store[built : built + len(cdfs)] = cdfs
+        self._slots[positions] = np.arange(built, built + len(cdfs))
+        self._built[voice] = built + len(cdfs)
 
     def sample(self, length: int, rng: np.random.Generator, chorale_id: str = "sample") -> Chorale:
-        if length < 1:
-            raise ValueError(f"length must be >= 1, got {length}")
-        radix, modulus, rest, vocabs, digits = _RADIX, _RADIX**self.order, _DIGIT[REST], self.vocabs, self._digits
-        leads, scales = [v * modulus for v in range(4)], [radix**v for v in range(4)]
-        history: list[list[Token]] = [[] for _ in range(4)]
-        recent = [(modulus - 1) // (radix - 1) * _DIGIT[START]] * 4  # each voice's last order digits; STARTs at t = 0
-        uniforms = iter(rng.random(4 * length).tolist())  # the same values as 4 * length single draws
-        sizes = [len(vocab) for vocab in vocabs]
-        rows, starts, uniform_starts, cdfs = self._rows, self._cdf_starts, self._uniform_starts, self._cdfs
-        for _ in range(length):
+        """Draw one chorale of ``length`` timesteps from ``rng``: a batch of one."""
+        return self.sample_many([length], [rng], [chorale_id])[0]
+
+    def sample_many(
+        self, lengths: Sequence[int], rngs: Sequence[np.random.Generator], ids: Sequence[str]
+    ) -> list[Chorale]:
+        if not len(lengths) == len(rngs) == len(ids):
+            raise ValueError(f"expected a length, stream and id per chorale, got {len(lengths)}, {len(rngs)}, {len(ids)}")
+        if not len(lengths):
+            return []
+        if min(lengths) < 1:
+            raise ValueError(f"length must be >= 1, got {min(lengths)}")
+        if self._counted_keys is None:
+            self._index_counted_rows()
+        # longest first, so that the chorales still running at any timestep are a prefix of the batch
+        by_length = sorted(range(len(lengths)), key=lengths.__getitem__, reverse=True)
+        rank = np.empty(len(lengths), dtype=np.intp)
+        rank[by_length] = np.arange(len(lengths))
+        longest = lengths[by_length[0]]
+        uniforms = np.zeros((len(lengths), 4 * longest))
+        for j, (length, rng) in enumerate(zip(lengths, rngs)):  # in batch order, as one draw at a time would be
+            uniforms[rank[j], : 4 * length] = rng.random(4 * length)
+        uniforms = uniforms.reshape(len(lengths), longest, 4).transpose(1, 2, 0).copy()  # [t, v, ranked chorale]
+        running = (np.array(lengths) > np.arange(longest)[:, None]).sum(axis=1).tolist()
+        radix, modulus, rest = _RADIX, _RADIX**self.order, _DIGIT[REST]
+        recent = np.full((4, len(lengths)), (modulus - 1) // (radix - 1) * _DIGIT[START])  # last order digits
+        picks = np.zeros((longest, 4, len(lengths)), dtype=np.intp)  # the drawn column of each voice vocabulary
+        counted_keys, slots = self._counted_keys, self._slots
+        for t, n in enumerate(running):
             above = 0  # this timestep's digits of the voices above
             for v in range(4):
-                last = recent[v]
-                row = rows.get((leads[v] + last) * scales[v] + above)  # None for a context never interned
-                masked = last % radix >= rest  # after a REST, or START at timestep 0
-                if row is None:
-                    start = uniform_starts[2 * v + masked]
-                else:
-                    slot = 2 * row + masked
-                    start = starts[slot] if slot < len(starts) else -1  # rows interned since the last reset
-                if start < 0:
-                    start = self._cdf_start(v, row, masked)
-                size = sizes[v]
-                idx = bisect_right(cdfs, next(uniforms), start, start + size) - start
-                if idx == size:
-                    idx -= 1
-                digit = digits[v][idx]
-                history[v].append(vocabs[v][idx])
-                recent[v] = last * radix % modulus + digit
+                last = recent[v, :n]
+                keys = (v * modulus + last) * radix**v + above
+                at = counted_keys.searchsorted(keys)
+                # a counted row reads its own CDF (-1 until built), any other key its voice's uniform CDF
+                slot = np.where(counted_keys[at] == keys, slots[at], last % radix >= rest)
+                if np.minimum.reduce(slot) < 0:
+                    missing = slot < 0
+                    self._build_cdfs(v, np.unique(at[missing]))
+                    slot[missing] = slots[at[missing]]
+                # the first entry above u: a cumsum of non-negative floats never decreases, so this is
+                # bisect_right, and the +inf last entry clamps it to the vocabulary
+                column = (self._cdfs[v][slot] > uniforms[t, v, :n, None]).argmax(axis=1)
+                picks[t, v, :n] = column
+                digit = self._digits[v][column]
+                recent[v, :n] = last * radix % modulus + digit
                 above = above * radix + digit
-        return Chorale(id=chorale_id, voices=tuple(tuple(h) for h in history))
+        tokens = [self._token_arrays[v][picks[:, v].T].tolist() for v in range(4)]  # [v][ranked chorale][t]
+        return [
+            Chorale(id=chorale_id, voices=tuple(tuple(tokens[v][rank[j]][:length]) for v in range(4)))
+            for j, (length, chorale_id) in enumerate(zip(lengths, ids))
+        ]
 
     def mean_nll(self, chorales: Sequence[Chorale], draws: Sequence[int] | None = None) -> float:
         """Mean −ln P(token | context) over all grid positions of ``chorales``, or of
@@ -412,7 +415,7 @@ class MarkovModel(GenerativeModel):
         for v, voice_rows in enumerate(np.split(by_context, np.searchsorted(voices[by_context], [1, 2, 3]))):
             contexts += _TOKENS[digits[self.order + v - 1 :: -1, voice_rows].T].tolist()
         cell_voices, cell_ranks = voices[cell_rows], rank[cell_rows]
-        token_digits = np.array([d + [0] * (self._width - len(d)) for d in self._digits])[cell_voices, cols]
+        token_digits = np.array([np.pad(d, (0, self._width - len(d))) for d in self._digits])[cell_voices, cols]
         cells = np.lexsort([_TEXT_RANK[token_digits], cell_ranks])
         entries = list(
             zip(

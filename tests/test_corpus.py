@@ -16,6 +16,8 @@ from auggen.corpus import (
     teacher_corpus,
     _STEP_CUTS,
     _STEP_WEIGHTS,
+    _RAW_BLOCK,
+    _RawReader,
     _teacher_walks,
 )
 from auggen.grading import grade
@@ -152,11 +154,37 @@ def test_teacher_corpus_grades_finite(desk_corpus, desk_reference):
 
 @pytest.mark.parametrize("seed", range(5))
 def test_teacher_walks_match_pool_filtering_oracle(seed):
-    rng, oracle_rng = stream(seed, "teacher", "walks"), stream(seed, "teacher", "walks")
+    rng, oracle_rng = _RawReader(stream(seed, "teacher", "walks")), stream(seed, "teacher", "walks")
     walks, expected = _teacher_walks(rng), reference_teacher_walks(oracle_rng)
     assert len(walks) == 400
     assert [w.voices for w in walks] == [w.voices for w in expected]
     assert rng.random() == oracle_rng.random()  # the same draws, so the stream is left in the same state
+
+
+_BOUNDS = st.one_of(st.integers(1, 2**32 - 1), st.sampled_from([1, 2, 3, 12, 2**31 + 1, 3 * 2**30 + 1, 2**32 - 1]))
+
+
+@given(st.integers(0, 2**64 - 1), st.lists(st.one_of(st.none(), _BOUNDS), max_size=300))
+def test_raw_reader_matches_the_generator(seed, calls):
+    # None is a random() call, k an integers(0, k) call; bounds just above 2**31 reject about half the draws
+    reader, rng = _RawReader(stream(seed, "reader")), stream(seed, "reader")
+    for k in calls:
+        if k is None:
+            assert reader.random() == rng.random()
+        else:
+            assert reader.integers(0, k) == rng.integers(0, k), k
+
+
+def test_raw_reader_matches_the_generator_across_blocks():
+    reader, rng, picks = _RawReader(stream(3, "reader")), stream(3, "reader"), stream(4, "picks")
+    for k in picks.integers(0, 14, size=3 * _RAW_BLOCK).tolist():
+        if k:
+            assert reader.integers(0, k) == rng.integers(0, k)
+        else:
+            assert reader.random() == rng.random()
+    for k in (0, -1, 2**32):
+        with pytest.raises(ValueError):
+            reader.integers(0, k)
 
 
 def test_step_cuts_divide_by_the_term_by_term_weight_sum():

@@ -447,6 +447,8 @@ class TestCli:
             pytest.param({"p_empty": math.nan}, id="p_empty_nan"),
             pytest.param({"p_empty": math.inf}, id="p_empty_inf"),
             pytest.param({"markov_order": 6}, id="markov_order_6"),
+            pytest.param({"smoothing": 1e308}, id="smoothing_overflow"),
+            pytest.param({"batches": 100_000_000, "batch_size": 100_000_000}, id="draws_over_count_limit"),
         ],
         ids=lambda override: next(iter(override)),
     )

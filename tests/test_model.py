@@ -8,7 +8,7 @@ from hypothesis import assume, given
 from auggen.chorale import HOLD, REST, Chorale, validate
 from auggen import model as model_module
 from auggen.corpus import teacher_model
-from auggen.model import START, MarkovModel, _pairwise_sum
+from auggen.model import START, MarkovModel, sample_batch
 from auggen.rng import stream
 from conftest import ascending, chorales, once
 from oracles import (
@@ -259,19 +259,6 @@ class TestContextKeys:
         assert load_model(tmp_path / "a.json").vocabs == model.vocabs
 
 
-class TestPairwiseSum:
-    # the sampler's CDFs are normalized by this sum, so a numpy whose reduction order changes fails here by name
-    def test_equals_numpy_sum_at_every_length(self):
-        rng = stream(6, "pairwise")
-        for n in range(1, 301):
-            xs = (rng.random(n) * 10.0 ** rng.integers(-6, 7, size=n)).tolist()
-            assert _pairwise_sum(xs) == float(np.sum(np.array(xs))), n
-
-    @given(st.lists(st.one_of(st.just(0.0), st.floats(0.0, 1e6, allow_nan=False)), min_size=1, max_size=300))
-    def test_equals_numpy_sum_with_masked_zeros(self, xs):
-        assert _pairwise_sum(xs) == float(np.sum(np.array(xs)))
-
-
 class TestSample:
     def test_sampling_deterministic_given_stream(self, desk_split):
         model = MarkovModel.with_vocab_from(desk_split.train, order=2, alpha=0.1)
@@ -346,21 +333,55 @@ class TestSample:
         model.mean_nll(list(desk_split.validation))  # rows in the table whose total will be 0
         model.fit(chorales_[:8], once(chorales_[:8]))
         model.mean_nll(chorales_[8:])  # rows interned after the fit
+        model._index_counted_rows()
+        rows = list(enumerate(interned_contexts(model)))
+        positions = {}  # counted row -> its position among the sorted counted keys
+        for row, (v, context) in rows:
+            at = int(np.searchsorted(model._counted_keys, context_key(v, context)))
+            if model._counted_keys[at] == context_key(v, context):
+                positions[row] = at
+        for v in range(4):  # each voice's counted rows in one batch, as a sampler step builds them
+            model._build_cdfs(v, np.array([at for row, at in positions.items() if rows[row][1][0] == v], dtype=np.intp))
         kinds = set()
-        for row, (v, context) in enumerate(interned_contexts(model)):
+        for row, (v, context) in rows:
             counted = row < len(model._row_totals) and model._row_totals[row] > 0
             kinds.add("counted" if counted else "past the table" if row >= len(model._row_totals) else "total 0")
-            size = len(model.vocabs[v])
-            for masked in (False, True):
-                start = model._cdf_start(v, row, masked)
-                uniform = model._uniform_starts[2 * v + masked]
-                assert (start == uniform) == (not counted), (row, masked)
-                assert model._cdf_starts[2 * row + masked] == start  # the sampler's next visit is a hit
-                probs = reference_next_token_dist(model, v, context)
-                if masked and HOLD in model.vocabs[v]:
-                    probs[model.vocabs[v].index(HOLD)] = 0.0
-                assert model._cdfs[start : start + size].tolist() == np.cumsum(probs / probs.sum()).tolist()
+            assert (row in positions) == counted, row
+            masked = context[model.order - 1] in (REST, START)  # the voice's own last token
+            cdf = model._cdfs[v][model._slots[positions[row]] if counted else int(masked)]
+            probs = reference_next_token_dist(model, v, context)
+            if masked and HOLD in model.vocabs[v]:
+                probs[model.vocabs[v].index(HOLD)] = 0.0
+            assert cdf[:-1].tolist() == np.cumsum(probs / probs.sum())[:-1].tolist(), row
+            assert cdf[-1] == np.inf  # so the first entry above a uniform is bisect_right clamped to the vocabulary
         assert kinds == {"counted", "total 0", "past the table"}
+
+    @given(
+        st.lists(chorales(min_length=2, max_length=8), min_size=2, max_size=5),
+        st.integers(0, 2**32 - 1),
+        st.sampled_from([1e-3, 0.1, 1.0]),
+        st.sampled_from([0, 1, 2, 60]),
+        st.sampled_from(["fresh", "fitted", "restored", "new rows"]),
+    )
+    def test_sample_batch_matches_reference_sampler_per_stream(self, pool, seed, alpha, size, state):
+        model = MarkovModel.with_vocab_from(pool, order=2, alpha=alpha)
+        if state != "fresh":
+            model.fit(pool[:1], [1])
+            early = model.snapshot()
+            if state == "new rows":
+                model.mean_nll(pool)  # interns the other chorales' contexts after the fit
+            else:
+                model.fit(pool, once(pool))
+            if state == "restored":
+                model.restore(early)
+        lengths = range(1, 13)
+        ids = [f"c{j}" for j in range(size)]
+        batch = sample_batch(model, lengths, seed, ("batch",), ids)
+        assert [chorale.id for chorale in batch] == ids
+        for j, chorale in enumerate(batch):
+            rng = stream(seed, "batch", j)
+            length = lengths[int(rng.integers(0, len(lengths)))]
+            assert chorale.voices == reference_sample(model, length, rng).voices, j
 
     def test_one_draw_per_position(self, desk_split):
         model = MarkovModel.with_vocab_from(desk_split.train, order=2, alpha=0.1)

@@ -53,17 +53,30 @@ def test_extractors_run_in_one_function_per_module():
     assert callers == allowed, callers
 
 
-def test_sampler_makes_no_numpy_call():
-    # a numpy call per draw or per CDF miss costs more than the Python arithmetic it would replace
+def _loops(node: ast.AST) -> list[ast.AST]:
+    return [n for n in ast.walk(node) if isinstance(n, (ast.For, ast.While, ast.comprehension))]
+
+
+def test_sampler_steps_the_batch_in_lockstep():
+    # each (timestep, voice) is one numpy step over every running chorale: inside the timestep loop the only
+    # Python loop is over the four voices, and what it calls on the model has no loop of its own
     tree = ast.parse((PACKAGE_DIR / "model.py").read_text(encoding="utf-8"))
     model = next(node for node in tree.body if isinstance(node, ast.ClassDef) and node.name == "MarkovModel")
     methods = {node.name: node for node in model.body if isinstance(node, ast.FunctionDef)}
-    found = []
-    for name in ("sample", "_cdf_start"):
-        for node in ast.walk(methods[name]):
+    sampler = methods["sample_many"]
+    steps = [loop for loop in ast.walk(sampler) if isinstance(loop, ast.For) and len(_loops(loop)) > 1]
+    assert len(steps) == 1, [loop.lineno for loop in steps]
+    inner = [loop for loop in _loops(steps[0]) if loop is not steps[0]]
+    assert [ast.unparse(loop.iter) for loop in inner] == ["range(4)"], [loop.lineno for loop in inner]
+    called, pending = set(), [steps[0]]
+    while pending:
+        for node in ast.walk(pending.pop()):
             func = node.func if isinstance(node, ast.Call) else None
-            while isinstance(func, ast.Attribute):
-                func = func.value
-            if isinstance(func, ast.Name) and func.id == "np":
-                found.append(f"{name}:{node.lineno}")
-    assert not found, found
+            if isinstance(func, ast.Attribute) and ast.unparse(func.value) == "self" and func.attr in methods:
+                if func.attr not in called:
+                    called.add(func.attr)
+                    pending.append(methods[func.attr])
+    assert called, "the step loop builds no CDF"
+    assert not [name for name in sorted(called) if _loops(methods[name])], called
+    # `sample` is a batch of one, not a second sampling path
+    assert [_called_name(node) for node in ast.walk(methods["sample"]) if isinstance(node, ast.Call)] == ["sample_many"]
