@@ -32,7 +32,7 @@ from .corpus import Corpus, Split, load_corpus, save_split_manifest, split, teac
 from .features import DEFAULT_FEATURES, check_feature_set
 from .grading import ReferenceModel, Threshold, fit_reference, grade, grade_quantile, nearest_rank
 from .loop import ORIGIN_TRUE, LoopConfig, RunResult, run, save_run
-from .model import MarkovModel, sample_batch
+from .model import _MAX_COUNT, MarkovModel, sample_batch
 
 log = logging.getLogger(__name__)
 
@@ -91,6 +91,18 @@ class ExperimentConfig:
         # throwaway instances run the range checks that LoopConfig and MarkovModel own
         self.loop_config(Threshold(value=math.inf, label=REGIME_ALL))
         MarkovModel(order=self.markov_order, alpha=self.smoothing, vocabs=[(REST,)] * 4)
+        if self.corpus_path is None:  # prepare checks a corpus's chorales once it has read them
+            self.check_longest(self.teacher_max_length, "teacher_max_length")
+
+    def check_longest(self, length: int, source: str) -> None:
+        """Reject chorales of up to ``length`` timesteps, named ``source`` in the message, if a refit whose
+        every draw is that long would exceed the count table's limit (LoopConfig checks one timestep)."""
+        draws = self.batches * self.batch_size
+        if 4 * draws * length > _MAX_COUNT:
+            raise ValueError(
+                f"{source} ({length} timesteps) is too long: {draws} draws (batches x batch_size) that long "
+                f"exceed the count table's limit of {_MAX_COUNT} events at 4 events per timestep"
+            )
 
     def loop_config(self, threshold: Threshold) -> LoopConfig:
         """The loop settings of one regime run; regimes differ only in ``threshold``."""
@@ -201,6 +213,8 @@ def prepare(config: ExperimentConfig) -> tuple[Corpus, Split, ReferenceModel, di
     The only way from a config to the critic, so every entry point and regime sees the same inputs.
     """
     corpus = load_or_synthesize_corpus(config)
+    if config.corpus_path is not None:
+        config.check_longest(max((c.length for c in corpus), default=0), f"the longest chorale of {config.corpus_path}")
     data_split = split(corpus, config.split_fraction, config.seed)
     reference = fit_reference(data_split.train, config.features, weights=config.weights, p_empty=config.p_empty)
     grade_by_id = dict(zip(corpus.ids(), grade(corpus.chorales, reference).totals.tolist()))

@@ -21,18 +21,18 @@ sums each scored chorale's event scores sequentially, then adds those sums
 in draw order, so it gives the bits of a per-event log-probability loop over
 the drawn chorales. ``sample_many`` draws a batch in lockstep: each chorale
 takes ``4 * length`` uniforms from its own stream, then every (timestep,
-voice) is one numpy step over the chorales still running. A step computes
-their context keys and finds each counted row (total above 0) by
-``np.searchsorted`` in the sorted keys of the counted rows, indexed at the
-first draw after each ``fit`` or ``restore``; every other key reads its
-voice's uniform CDF. It builds the CDFs its counted rows miss in one batch
-and keeps them until the next ``fit`` or ``restore``; one CDF per row
-suffices, as the row's key says whether HOLD is masked. Each CDF has the
-bits of ``np.cumsum(probs / probs.sum())`` over ``next_token_dist``, but
-for its last entry, stored as +inf, so the first entry above the uniform is
-``bisect_right`` clamped to the vocabulary. ``sample`` is a batch of one.
-``save`` orders its cells by their text, with ``np.lexsort`` over the text
-ranks of the digits.
+voice) is one numpy step over the chorales still running. The first draw
+after each ``fit`` or ``restore`` builds one sampling table per voice: the
+sorted keys of its counted rows (total above 0), their CDFs in key order,
+then its uniform CDF without and with HOLD masked; a row's key says whether
+HOLD is masked. A step finds the running chorales' context keys by
+``np.searchsorted`` in their voice's keys and sends any other key (unknown,
+total 0, or interned after the fit) to the uniform CDF, masked after a REST
+or START. Each CDF has the bits of ``np.cumsum(probs / probs.sum())``
+over ``next_token_dist``, but for its last entry, stored as +inf, so the
+first entry above the uniform is ``bisect_right`` clamped to the
+vocabulary. ``sample`` is a batch of one. ``save`` orders its cells by
+their text, with ``np.lexsort`` over the text ranks of the digits.
 """
 
 from __future__ import annotations
@@ -156,9 +156,7 @@ class MarkovModel(GenerativeModel):
         self._encoded: dict[int, tuple[Chorale, np.ndarray, np.ndarray]] = {}  # id -> (chorale, rows, token indices)
         self._table = np.zeros((0, self._width), dtype=np.int32)
         self._row_totals = np.zeros(0, dtype=np.int64)
-        zeros = np.zeros((2, self._width), dtype=np.int32)
-        self._uniform_cdfs = [self._cdf_rows(v, zeros, np.zeros(2, np.int64), np.array([False, True])) for v in range(4)]
-        self._reset_cdfs()
+        self._tables: list[tuple[np.ndarray, np.ndarray]] | None = None  # built by _build_tables at the next draw
 
     @classmethod
     def with_vocab_from(cls, chorales: Iterable[Chorale], order: int, alpha: float) -> "MarkovModel":
@@ -240,13 +238,15 @@ class MarkovModel(GenerativeModel):
         np.add.at(table.reshape(-1), cells, np.repeat(weights.astype(np.int32), sizes))  # unbuffered: repeats add up
         self._table = table
         self._row_totals = self._table.sum(axis=1, dtype=np.int64)
-        self._reset_cdfs()
+        self._tables = None
 
     def _smoothed(self, voice: int, counts: np.ndarray, totals: np.ndarray) -> np.ndarray:
         """``(count + alpha) / (total + alpha * size)`` for each token of the voice vocabulary, one row per
         row of ``counts`` (count table rows) and entry of ``totals`` (their totals)."""
         size = len(self.vocabs[voice])
-        return (counts[:, :size] + self.alpha) / (totals[:, None] + self.alpha * size)
+        probs = counts[:, :size] + self.alpha
+        probs /= totals[:, None] + self.alpha * size  # in place, as in _cdf_rows: a table build holds one float copy
+        return probs
 
     def next_token_dist(self, voice: int, context: Context) -> np.ndarray:
         """P(token | context) over the voice vocabulary; sums to 1. A context that is not ``order + voice``
@@ -269,40 +269,28 @@ class MarkovModel(GenerativeModel):
         hold = self._columns[voice, _DIGIT[HOLD]]
         if hold >= 0:
             probs[masked, hold] = 0.0
-        cdfs = np.cumsum(probs / probs.sum(axis=1, keepdims=True), axis=1)
+        probs /= probs.sum(axis=1, keepdims=True)
+        cdfs = np.cumsum(probs, axis=1, out=probs)
         cdfs[:, -1] = np.inf
         return cdfs
 
-    def _reset_cdfs(self) -> None:
-        """Forget every built CDF and the index of counted rows; called whenever the counts change."""
-        self._counted_keys: np.ndarray | None = None  # built by _index_counted_rows before the next draw
-        # per voice, its built CDFs: rows 0 and 1 uniform, HOLD masked in 1; the first build copies them out
-        self._cdfs = list(self._uniform_cdfs)
-        self._built = [2] * 4  # per voice, the rows of _cdfs[v] in use
-
-    def _index_counted_rows(self) -> None:
-        """Sort the keys of the rows with counts, so that a draw finds its row by ``np.searchsorted``."""
+    def _build_tables(self) -> None:
+        """Per voice, its sampling table: the sorted keys of its counted rows (total above 0), then ``_NO_KEY``,
+        which a search past the last key lands on and no key matches; their CDFs in key order, then the voice's
+        uniform CDF and that CDF with HOLD masked. A row's key says whether HOLD is masked: its voice's last
+        token is a REST or START."""
         counted = np.flatnonzero(self._row_totals)
         keys = np.fromiter(self._rows, np.int64, len(self._row_totals))[counted]  # row ids are in insertion order
         by_key = np.argsort(keys)
-        self._counted_keys = np.append(keys[by_key], _NO_KEY)  # a search past the last key lands on no key
-        self._counted_rows = counted[by_key]
-        self._slots = np.full(self._counted_keys.size, -1, dtype=np.intp)  # sorted position -> row of _cdfs[v]
-
-    def _build_cdfs(self, voice: int, positions: np.ndarray) -> None:
-        """Build the CDFs of the counted rows at the distinct sorted ``positions``, all of ``voice``, in one
-        batch. A row's key says whether HOLD is masked: its voice's last token is a REST or START."""
-        rows = self._counted_rows[positions]
-        masked = self._counted_keys[positions] // _RADIX**voice % _RADIX >= _DIGIT[REST]
-        cdfs = self._cdf_rows(voice, self._table[rows], self._row_totals[rows], masked)
-        store, built = self._cdfs[voice], self._built[voice]
-        if built + len(cdfs) > len(store):
-            grown = np.empty((max(2 * len(store), built + len(cdfs)), store.shape[1]))
-            grown[:built] = store[:built]
-            store = self._cdfs[voice] = grown
-        store[built : built + len(cdfs)] = cdfs
-        self._slots[positions] = np.arange(built, built + len(cdfs))
-        self._built[voice] = built + len(cdfs)
+        keys, rows = keys[by_key], counted[by_key]
+        cuts = np.searchsorted(keys, [v * _RADIX ** (self.order + v) for v in range(1, 4)])  # each voice's first key
+        self._tables = []
+        for v, (voice_keys, voice_rows) in enumerate(zip(np.split(keys, cuts), np.split(rows, cuts))):
+            counts = np.zeros((voice_rows.size + 2, self._width), dtype=np.int32)  # two zero rows: the uniform CDFs
+            counts[: voice_rows.size] = self._table[voice_rows]
+            totals = np.append(self._row_totals[voice_rows], [0, 0])
+            masked = np.append(voice_keys // _RADIX**v % _RADIX >= _DIGIT[REST], [False, True])
+            self._tables.append((np.append(voice_keys, _NO_KEY), self._cdf_rows(v, counts, totals, masked)))
 
     def sample(self, length: int, rng: np.random.Generator, chorale_id: str = "sample") -> Chorale:
         """Draw one chorale of ``length`` timesteps from ``rng``: a batch of one."""
@@ -317,8 +305,8 @@ class MarkovModel(GenerativeModel):
             return []
         if min(lengths) < 1:
             raise ValueError(f"length must be >= 1, got {min(lengths)}")
-        if self._counted_keys is None:
-            self._index_counted_rows()
+        if self._tables is None:
+            self._build_tables()
         # longest first, so that the chorales still running at any timestep are a prefix of the batch
         by_length = sorted(range(len(lengths)), key=lengths.__getitem__, reverse=True)
         rank = np.empty(len(lengths), dtype=np.intp)
@@ -331,26 +319,24 @@ class MarkovModel(GenerativeModel):
         running = (np.array(lengths) > np.arange(longest)[:, None]).sum(axis=1).tolist()
         radix, modulus, rest = _RADIX, _RADIX**self.order, _DIGIT[REST]
         recent = np.full((4, len(lengths)), (modulus - 1) // (radix - 1) * _DIGIT[START])  # last order digits
+        masked = np.ones((4, len(lengths)), dtype=bool)  # whether HOLD is masked: the last token is a REST or START
         picks = np.zeros((longest, 4, len(lengths)), dtype=np.intp)  # the drawn column of each voice vocabulary
-        counted_keys, slots = self._counted_keys, self._slots
         for t, n in enumerate(running):
             above = 0  # this timestep's digits of the voices above
             for v in range(4):
                 last = recent[v, :n]
                 keys = (v * modulus + last) * radix**v + above
+                counted_keys, cdfs = self._tables[v]
                 at = counted_keys.searchsorted(keys)
-                # a counted row reads its own CDF (-1 until built), any other key its voice's uniform CDF
-                slot = np.where(counted_keys[at] == keys, slots[at], last % radix >= rest)
-                if np.minimum.reduce(slot) < 0:
-                    missing = slot < 0
-                    self._build_cdfs(v, np.unique(at[missing]))
-                    slot[missing] = slots[at[missing]]
+                # a counted row reads its own CDF, any other key its voice's uniform CDF after the last counted one
+                slot = np.where(counted_keys[at] == keys, at, counted_keys.size - 1 + masked[v, :n])
                 # the first entry above u: a cumsum of non-negative floats never decreases, so this is
                 # bisect_right, and the +inf last entry clamps it to the vocabulary
-                column = (self._cdfs[v][slot] > uniforms[t, v, :n, None]).argmax(axis=1)
+                column = (cdfs[slot] > uniforms[t, v, :n, None]).argmax(axis=1)
                 picks[t, v, :n] = column
                 digit = self._digits[v][column]
                 recent[v, :n] = last * radix % modulus + digit
+                masked[v, :n] = digit >= rest
                 above = above * radix + digit
         tokens = [self._token_arrays[v][picks[:, v].T].tolist() for v in range(4)]  # [v][ranked chorale][t]
         return [
@@ -394,7 +380,7 @@ class MarkovModel(GenerativeModel):
             raise TypeError(f"not a MarkovModel snapshot: {type(state).__name__}")
         self._table = state["table"]
         self._row_totals = state["totals"]
-        self._reset_cdfs()
+        self._tables = None
 
     def save(self, path: str | Path) -> None:
         # Entries are ordered by (voice, [str(x) for x in context], str(token)). Rows are sorted by one lexsort

@@ -449,6 +449,7 @@ class TestCli:
             pytest.param({"markov_order": 6}, id="markov_order_6"),
             pytest.param({"smoothing": 1e308}, id="smoothing_overflow"),
             pytest.param({"batches": 100_000_000, "batch_size": 100_000_000}, id="draws_over_count_limit"),
+            pytest.param({"teacher_max_length": 100_000_000}, id="teacher_length_over_count_limit"),
         ],
         ids=lambda override: next(iter(override)),
     )
@@ -462,6 +463,18 @@ class TestCli:
         assert main(["compare", "--config", str(config), "--out-dir", str(out)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert not out.exists()
+
+    def test_corpus_too_long_for_count_table_fails_before_writing(self, tmp_path, capsys):
+        # 2**24 draws fit the count table at the teacher's 24 timesteps, but not at the corpus's 32 or more
+        corpus_path = tmp_path / "corpus.jsonl"
+        assert main(["teacher-gen", "--seed", "5", "--n", "2", "--min-length", "32", "--out", str(corpus_path)]) == 0
+        config = write_small_config(tmp_path, batches=2**22, batch_size=4)
+        out = tmp_path / "out"
+        capsys.readouterr()
+        assert main(["compare", "--config", str(config), "--corpus", str(corpus_path), "--out-dir", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: the longest chorale of {corpus_path} (") and err.count("\n") == 1, err
         assert not out.exists()
 
     def test_compare_cli_reruns_byte_identical(self, tmp_path):

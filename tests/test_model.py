@@ -333,28 +333,57 @@ class TestSample:
         model.mean_nll(list(desk_split.validation))  # rows in the table whose total will be 0
         model.fit(chorales_[:8], once(chorales_[:8]))
         model.mean_nll(chorales_[8:])  # rows interned after the fit
-        model._index_counted_rows()
-        rows = list(enumerate(interned_contexts(model)))
-        positions = {}  # counted row -> its position among the sorted counted keys
-        for row, (v, context) in rows:
-            at = int(np.searchsorted(model._counted_keys, context_key(v, context)))
-            if model._counted_keys[at] == context_key(v, context):
-                positions[row] = at
-        for v in range(4):  # each voice's counted rows in one batch, as a sampler step builds them
-            model._build_cdfs(v, np.array([at for row, at in positions.items() if rows[row][1][0] == v], dtype=np.intp))
+        model._build_tables()
+        for vocab, (keys, cdfs) in zip(model.vocabs, model._tables):  # counted keys, _NO_KEY; CDFs, two uniform
+            assert keys[-1] == model_module._NO_KEY and (np.diff(keys) > 0).all()
+            assert cdfs.shape == (keys.size + 1, len(vocab))
+        assert sum(keys.size - 1 for keys, _ in model._tables) == np.count_nonzero(model._row_totals)
         kinds = set()
-        for row, (v, context) in rows:
+        for row, (v, context) in enumerate(interned_contexts(model)):
+            keys, cdfs = model._tables[v]
             counted = row < len(model._row_totals) and model._row_totals[row] > 0
             kinds.add("counted" if counted else "past the table" if row >= len(model._row_totals) else "total 0")
-            assert (row in positions) == counted, row
+            at = int(np.searchsorted(keys, context_key(v, context)))
+            assert (keys[at] == context_key(v, context)) == counted, row
             masked = context[model.order - 1] in (REST, START)  # the voice's own last token
-            cdf = model._cdfs[v][model._slots[positions[row]] if counted else int(masked)]
+            cdf = cdfs[at if counted else keys.size - 1 + masked]
             probs = reference_next_token_dist(model, v, context)
             if masked and HOLD in model.vocabs[v]:
                 probs[model.vocabs[v].index(HOLD)] = 0.0
             assert cdf[:-1].tolist() == np.cumsum(probs / probs.sum())[:-1].tolist(), row
             assert cdf[-1] == np.inf  # so the first entry above a uniform is bisect_right clamped to the vocabulary
         assert kinds == {"counted", "total 0", "past the table"}
+
+    def test_tables_are_built_once_per_fit_or_restore(self, desk_split, monkeypatch):
+        chorales_ = list(desk_split.train)
+        model = MarkovModel.with_vocab_from(chorales_, order=2, alpha=0.1)
+        model._build_tables()
+        for v, (keys, cdfs) in enumerate(model._tables):  # unfitted: only the voice's two uniform CDFs
+            assert keys.tolist() == [model_module._NO_KEY]
+            probs = reference_next_token_dist(model, v, (START,) * (model.order + v))
+            masked = probs.copy()
+            if HOLD in model.vocabs[v]:
+                masked[model.vocabs[v].index(HOLD)] = 0.0
+            expected = [np.cumsum(p / p.sum())[:-1].tolist() + [math.inf] for p in (probs, masked)]
+            assert cdfs.tolist() == expected, v
+        builds = []
+        build = model._build_tables
+        monkeypatch.setattr(model, "_build_tables", lambda: builds.append(1) or build())
+        model.fit(chorales_[:8], once(chorales_[:8]))
+        early = model.snapshot()
+        for _ in range(2):
+            sample_batch(model, range(1, 13), 3, ("first",), ["a", "b"])
+        model.mean_nll(chorales_)  # interns rows after the fit, which read the uniform CDFs
+        model.sample(5, stream(3, "after mean_nll"))
+        assert len(builds) == 1
+        model.fit(chorales_, once(chorales_))
+        for _ in range(2):
+            sample_batch(model, range(1, 13), 3, ("refit",), ["a", "b"])
+        assert len(builds) == 2
+        model.restore(early)
+        for _ in range(2):
+            sample_batch(model, range(1, 13), 3, ("restored",), ["a", "b"])
+        assert len(builds) == 3
 
     @given(
         st.lists(chorales(min_length=2, max_length=8), min_size=2, max_size=5),

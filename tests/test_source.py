@@ -59,7 +59,7 @@ def _loops(node: ast.AST) -> list[ast.AST]:
 
 def test_sampler_steps_the_batch_in_lockstep():
     # each (timestep, voice) is one numpy step over every running chorale: inside the timestep loop the only
-    # Python loop is over the four voices, and what it calls on the model has no loop of its own
+    # Python loop is over the four voices, and it calls no model method; the sampling tables are built before it
     tree = ast.parse((PACKAGE_DIR / "model.py").read_text(encoding="utf-8"))
     model = next(node for node in tree.body if isinstance(node, ast.ClassDef) and node.name == "MarkovModel")
     methods = {node.name: node for node in model.body if isinstance(node, ast.FunctionDef)}
@@ -68,15 +68,9 @@ def test_sampler_steps_the_batch_in_lockstep():
     assert len(steps) == 1, [loop.lineno for loop in steps]
     inner = [loop for loop in _loops(steps[0]) if loop is not steps[0]]
     assert [ast.unparse(loop.iter) for loop in inner] == ["range(4)"], [loop.lineno for loop in inner]
-    called, pending = set(), [steps[0]]
-    while pending:
-        for node in ast.walk(pending.pop()):
-            func = node.func if isinstance(node, ast.Call) else None
-            if isinstance(func, ast.Attribute) and ast.unparse(func.value) == "self" and func.attr in methods:
-                if func.attr not in called:
-                    called.add(func.attr)
-                    pending.append(methods[func.attr])
-    assert called, "the step loop builds no CDF"
-    assert not [name for name in sorted(called) if _loops(methods[name])], called
+    called = [node.lineno for node in ast.walk(steps[0]) if _called_name(node) in methods]
+    assert not called, called
+    builds = [node.lineno for node in ast.walk(sampler) if _called_name(node) == "_build_tables"]
+    assert builds and max(builds) < steps[0].lineno, (builds, steps[0].lineno)
     # `sample` is a batch of one, not a second sampling path
     assert [_called_name(node) for node in ast.walk(methods["sample"]) if isinstance(node, ast.Call)] == ["sample_many"]
