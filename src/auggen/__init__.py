@@ -8,12 +8,12 @@ training loop, and an experiment harness comparing the three threshold
 regimes (quantile threshold, accept-none, accept-all).
 """
 
-from .chorale import HOLD, REST, Chorale, canonical_key, parse_chorale, realize, serialize_chorale, validate
+from .chorale import HOLD, REST, Chorale, canonical_key, parse_chorale, serialize_chorale, validate
 from .corpus import Corpus, Split, load_corpus, save_corpus, split, teacher_corpus
 from .features import DEFAULT_FEATURES, FeatureDistribution
-from .grading import GradeBatch, ReferenceModel, Threshold, fit_reference, grade, grade_quantile, wasserstein1
+from .grading import GradeBatch, ReferenceModel, Threshold, fit_reference, grade, grade_quantile
 from .loop import LoopConfig, RunResult, run, save_run
-from .model import GenerativeModel, MarkovModel
+from .model import MarkovModel
 from .experiment import ExperimentConfig, PROFILES, RegimeSummary, compare
 
 __version__ = "0.1.0"
@@ -26,7 +26,6 @@ __all__ = [
     "Split",
     "LoopConfig",
     "RunResult",
-    "GenerativeModel",
     "MarkovModel",
     "FeatureDistribution",
     "GradeBatch",
@@ -39,7 +38,6 @@ __all__ = [
     "canonical_key",
     "parse_chorale",
     "serialize_chorale",
-    "realize",
     "validate",
     "load_corpus",
     "save_corpus",
@@ -48,7 +46,6 @@ __all__ = [
     "fit_reference",
     "grade",
     "grade_quantile",
-    "wasserstein1",
     "run",
     "save_run",
     "compare",

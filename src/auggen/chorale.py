@@ -171,15 +171,7 @@ def fill_grid(parts: Iterable[Iterable[Token]], columns: int) -> tuple[np.ndarra
     return np.take_along_axis(codes, last, axis=1), codes >= 0
 
 
-def token_to_str(tok: Token) -> str:
-    if isinstance(tok, int) and not isinstance(tok, bool):
-        return str(tok)
-    if tok in (HOLD, REST):
-        return tok
-    raise ValueError(f"unknown token {tok!r}")
-
-
-_TEXT_BY_TOKEN: dict[Token, str] = {tok: token_to_str(tok) for tok in (*range(MIN_PITCH, MAX_PITCH + 1), HOLD, REST)}
+_TEXT_BY_TOKEN: dict[Token, str] = {tok: str(tok) for tok in (*range(MIN_PITCH, MAX_PITCH + 1), HOLD, REST)}
 _TOKEN_BY_TEXT: dict[str, Token] = {text: tok for tok, text in _TEXT_BY_TOKEN.items()}
 
 

@@ -30,7 +30,7 @@ from typing import Mapping, Sequence
 from .chorale import REST
 from .corpus import Corpus, Split, load_corpus, save_split_manifest, split, teacher_corpus
 from .features import DEFAULT_FEATURES, check_feature_set
-from .grading import ReferenceModel, Threshold, fit_reference, grade, grade_quantile, nearest_rank
+from .grading import DEFAULT_P_EMPTY, ReferenceModel, Threshold, fit_reference, grade, grade_quantile, nearest_rank
 from .loop import ORIGIN_TRUE, LoopConfig, RunResult, run, save_run
 from .model import _MAX_COUNT, MarkovModel, sample_batch
 
@@ -63,7 +63,7 @@ class ExperimentConfig:
     split_fraction: float = 0.8
     features: tuple[str, ...] = DEFAULT_FEATURES
     weights: dict[str, float] | None = None
-    p_empty: float = 100.0
+    p_empty: float = DEFAULT_P_EMPTY
     regimes: tuple[str, ...] = ALL_REGIMES
     quantile: float = 0.75
     n_generate: int = 20

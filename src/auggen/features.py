@@ -36,7 +36,6 @@ corpus reference pools the events of every chorale either way.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
@@ -80,24 +79,6 @@ class FeatureDistribution:
             raise ValueError("support must be strictly increasing")
         if abs(sum(self.weights) - 1.0) > _NORM_TOL:
             raise ValueError(f"weights sum to {sum(self.weights)!r}, expected 1")
-
-    @classmethod
-    def from_values(cls, name: str, values: Iterable[float]) -> "FeatureDistribution":
-        """Empirical distribution of ``values``; duplicates merge into weight."""
-        counts = Counter(float(v) for v in values)
-        if not counts:
-            return cls.empty(name)
-        total = sum(counts.values())
-        support = tuple(sorted(counts))
-        return cls(name, support, tuple(counts[x] / total for x in support))
-
-    @classmethod
-    def point(cls, name: str, value: float) -> "FeatureDistribution":
-        return cls(name, (float(value),), (1.0,))
-
-    @classmethod
-    def empty(cls, name: str) -> "FeatureDistribution":
-        return cls(name, (), ())
 
     @property
     def is_empty(self) -> bool:

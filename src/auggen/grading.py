@@ -193,7 +193,7 @@ def fit_reference(
             pooled.append(value[feature == k])
     references: dict[str, FeatureDistribution] = {}
     for name, pooled in zip(names, events):
-        # no extractor yields NaN or -0.0, so equal values merge as FeatureDistribution.from_values merges them
+        # no extractor yields NaN or -0.0, so np.unique merges equal values as a Counter of floats would
         support, counts = np.unique(np.concatenate(pooled), return_counts=True)
         if not support.size:
             raise ValueError(f"corpus yields zero events for feature {name!r}")

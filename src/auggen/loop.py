@@ -30,7 +30,7 @@ import numpy as np
 from .chorale import Chorale, canonical_key, serialize_chorale
 from .corpus import Split
 from .grading import ReferenceModel, Threshold, grade
-from .model import _MAX_COUNT, GenerativeModel, sample_batch
+from .model import _MAX_COUNT, MarkovModel, sample_batch
 from .rng import stream
 
 ORIGIN_TRUE = "true"
@@ -126,7 +126,7 @@ class RunResult:
 
 def generation_step(
     state: TrainState,
-    model: GenerativeModel,
+    model: MarkovModel,
     reference: ReferenceModel,
     config: LoopConfig,
     length_pool: Sequence[int],
@@ -150,7 +150,7 @@ def generation_step(
     return tuple(records)
 
 
-def training_step(state: TrainState, model: GenerativeModel, config: LoopConfig) -> tuple[float, np.ndarray]:
+def training_step(state: TrainState, model: MarkovModel, config: LoopConfig) -> tuple[float, np.ndarray]:
     """Draw the epoch's batches uniformly with replacement and refit on the draw counts;
     returns (train loss over the draws, times each dataset entry was drawn)."""
     rng = stream(config.seed, "train", state.epoch)
@@ -161,7 +161,7 @@ def training_step(state: TrainState, model: GenerativeModel, config: LoopConfig)
     return model.mean_nll(chorales, draws), counts
 
 
-def run(config: LoopConfig, split: Split, model: GenerativeModel, reference: ReferenceModel) -> RunResult:
+def run(config: LoopConfig, split: Split, model: MarkovModel, reference: ReferenceModel) -> RunResult:
     """Run the full loop; see the module docstring for the epoch structure.
 
     ``model`` is left restored to the best epoch's snapshot.
@@ -227,7 +227,7 @@ def run(config: LoopConfig, split: Split, model: GenerativeModel, reference: Ref
 # ---------------------------------------------------------------------------
 
 
-def save_run(result: RunResult, model: GenerativeModel, out_dir: str | Path, extra_config: dict | None = None) -> Path:
+def save_run(result: RunResult, model: MarkovModel, out_dir: str | Path, extra_config: dict | None = None) -> Path:
     """Write the run artifacts into ``out_dir`` and return that path.
 
     Files: config.json, epoch_logs.csv, metrics.csv, dataset_manifest.jsonl,

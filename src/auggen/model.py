@@ -1,12 +1,10 @@
-"""Generative-model contract and the order-k Markov reference model.
+"""The order-k Markov model that the training loop trains and samples.
 
-The training loop depends only on :class:`GenerativeModel`; any sequence
-model that can rebuild itself from how often the loop drew each dataset
-chorale this epoch, sample a batch of chorales, and score chorales can be plugged
-in. The shipped implementation is :class:`MarkovModel`, an additive-smoothed
-count model over the token grid whose context for voice ``v`` at timestep
-``t`` is the ``order`` previous tokens of voice ``v`` followed by the
-timestep-``t`` tokens of the voices above it (soprano first).
+:class:`MarkovModel` is an additive-smoothed count model over the token
+grid whose context for voice ``v`` at timestep ``t`` is the ``order``
+previous tokens of voice ``v`` followed by the timestep-``t`` tokens of the
+voices above it (soprano first). The training loop calls its ``fit``,
+``sample_many``, ``mean_nll``, ``snapshot``, ``restore`` and ``save``.
 
 Its fitted state is integer arrays. Each context is one int64 key, a
 base-131 number whose leading digit is the voice and whose other digits are
@@ -37,7 +35,6 @@ their text, with ``np.lexsort`` over the text ranks of the digits.
 
 from __future__ import annotations
 
-import abc
 import json
 import math
 from itertools import chain
@@ -66,40 +63,8 @@ _CHUNK = 64  # chorales encoded per numpy batch, so the key arrays stay small
 _NO_KEY = np.iinfo(np.int64).max  # above every context key
 
 
-class GenerativeModel(abc.ABC):
-    """Behavior contract the training loop relies on."""
-
-    @abc.abstractmethod
-    def fit(self, chorales: Sequence[Chorale], counts: Sequence[int]) -> None:
-        """Rebuild the model from an epoch's draws: ``chorales[i]`` counts ``counts[i]`` times."""
-
-    @abc.abstractmethod
-    def sample_many(
-        self, lengths: Sequence[int], rngs: Sequence[np.random.Generator], ids: Sequence[str]
-    ) -> list[Chorale]:
-        """Draw chorale ``j`` of ``lengths[j]`` timesteps from ``rngs[j]`` alone and name it ``ids[j]``;
-        output always validates."""
-
-    @abc.abstractmethod
-    def mean_nll(self, chorales: Sequence[Chorale], draws: Sequence[int] | None = None) -> float:
-        """Mean negative log-likelihood per (voice, timestep) position of ``chorales``, or of
-        ``chorales[i] for i in draws`` when ``draws`` is given."""
-
-    @abc.abstractmethod
-    def snapshot(self) -> object:
-        """Opaque immutable state for :meth:`restore`."""
-
-    @abc.abstractmethod
-    def restore(self, state: object) -> None:
-        """Reset the model to a previously captured snapshot."""
-
-    @abc.abstractmethod
-    def save(self, path) -> None:
-        """Serialize the model to a single versioned file."""
-
-
 def sample_batch(
-    model: GenerativeModel, length_pool: Sequence[int], seed: int, key: tuple, ids: Sequence[str]
+    model: MarkovModel, length_pool: Sequence[int], seed: int, key: tuple, ids: Sequence[str]
 ) -> list[Chorale]:
     """One chorale per id: chorale ``j`` draws its length from ``length_pool``, then its tokens,
     from ``stream(seed, *key, j)``, and is named ``ids[j]``."""
@@ -113,7 +78,7 @@ def _token_sort_key(tok: Token) -> tuple[int, int | str]:
     return (1, tok)
 
 
-class MarkovModel(GenerativeModel):
+class MarkovModel:
     """Order-k count model with additive smoothing over the chorale grid.
 
     The per-voice vocabulary is fixed at construction; counts can be
@@ -130,6 +95,8 @@ class MarkovModel(GenerativeModel):
             raise ValueError(f"smoothing alpha must be finite and > 0, got {alpha}")
         if not math.isfinite(alpha * _RADIX):  # no vocabulary has more tokens than the radix has digits
             raise ValueError(f"smoothing alpha {alpha} overflows: alpha * {_RADIX} is not finite")
+        if not alpha / (_MAX_COUNT + alpha * _RADIX) > 0:  # the least probability a fit can give, as fit caps totals
+            raise ValueError(f"smoothing alpha {alpha} underflows: alpha / ({_MAX_COUNT} + alpha * {_RADIX}) is 0")
         if len(vocabs) != 4:
             raise ValueError(f"expected 4 per-voice vocabularies, got {len(vocabs)}")
         cleaned = []
@@ -299,6 +266,8 @@ class MarkovModel(GenerativeModel):
     def sample_many(
         self, lengths: Sequence[int], rngs: Sequence[np.random.Generator], ids: Sequence[str]
     ) -> list[Chorale]:
+        """Draw chorale ``j`` of ``lengths[j]`` timesteps from ``rngs[j]`` alone and name it ``ids[j]``;
+        output always validates."""
         if not len(lengths) == len(rngs) == len(ids):
             raise ValueError(f"expected a length, stream and id per chorale, got {len(lengths)}, {len(rngs)}, {len(ids)}")
         if not len(lengths):
@@ -373,9 +342,11 @@ class MarkovModel(GenerativeModel):
 
     # fit replaces both arrays wholesale and nothing mutates them, so snapshots share them
     def snapshot(self) -> object:
+        """Opaque immutable state for :meth:`restore`."""
         return {"table": self._table, "totals": self._row_totals}
 
     def restore(self, state: object) -> None:
+        """Reset the model to a previously captured snapshot."""
         if not (isinstance(state, dict) and "table" in state and "totals" in state):
             raise TypeError(f"not a MarkovModel snapshot: {type(state).__name__}")
         self._table = state["table"]
@@ -383,6 +354,7 @@ class MarkovModel(GenerativeModel):
         self._tables = None
 
     def save(self, path: str | Path) -> None:
+        """Serialize the model to a single versioned file."""
         # Entries are ordered by (voice, [str(x) for x in context], str(token)). Rows are sorted by one lexsort
         # over the text ranks of their key digits: a voice's contexts all have order + voice digits below the
         # same leading ones, so that is list order. Then cells are sorted by (row rank, token text rank).

@@ -2,16 +2,19 @@
 
 These deliberately re-derive results through different algorithms than the
 implementations they verify. The module also holds the readers and views
-that only tests need: ``threshold_from_json``, ``load_model`` and
-``extract``.
+that only tests need: ``threshold_from_json``, ``load_model``, ``extract``
+and the distribution builders ``from_values``, ``point_distribution`` and
+``empty_distribution``.
 """
 
 import csv
 import io
 import json
 import math
+from collections import Counter
 from itertools import combinations
 from pathlib import Path
+from typing import Iterable
 
 import numpy as np
 
@@ -390,11 +393,11 @@ TOKEN_WALKS = {
 
 def reference_grade(chorale, reference) -> tuple[dict[str, float], float]:
     """(distances, total) of one chorale, feature by feature: token-walk events,
-    ``FeatureDistribution.from_values``, then ``wasserstein1`` or ``p_empty``."""
+    :func:`from_values`, then ``wasserstein1`` or ``p_empty``."""
     distances = {}
     total = 0.0
     for name in reference.feature_names:
-        dist = FeatureDistribution.from_values(name, TOKEN_WALKS[name](chorale))
+        dist = from_values(name, TOKEN_WALKS[name](chorale))
         d = reference.p_empty if dist.is_empty else wasserstein1(dist, reference.references[name])
         distances[name] = d
         total += reference.weights[name] * d
@@ -431,9 +434,27 @@ def load_model(path) -> MarkovModel:
     return model
 
 
+def from_values(name: str, values: Iterable[float]) -> FeatureDistribution:
+    """Empirical distribution of ``values``; duplicates merge into weight."""
+    counts = Counter(float(v) for v in values)
+    if not counts:
+        return empty_distribution(name)
+    total = sum(counts.values())
+    support = tuple(sorted(counts))
+    return FeatureDistribution(name, support, tuple(counts[x] / total for x in support))
+
+
+def point_distribution(name: str, value: float) -> FeatureDistribution:
+    return FeatureDistribution(name, (float(value),), (1.0,))
+
+
+def empty_distribution(name: str) -> FeatureDistribution:
+    return FeatureDistribution(name, (), ())
+
+
 def extract(chorale, name: str) -> FeatureDistribution:
     """The distribution of feature ``name`` over one chorale's events, through the production extractor."""
-    return FeatureDistribution.from_values(name, REGISTRY[name].extractor(realize_batch((chorale,)))[0].tolist())
+    return from_values(name, REGISTRY[name].extractor(realize_batch((chorale,)))[0].tolist())
 
 
 def _voice_pitch_pool(low: int, high: int) -> list[int]:

@@ -448,6 +448,7 @@ class TestCli:
             pytest.param({"p_empty": math.inf}, id="p_empty_inf"),
             pytest.param({"markov_order": 6}, id="markov_order_6"),
             pytest.param({"smoothing": 1e308}, id="smoothing_overflow"),
+            pytest.param({"smoothing": 5e-324}, id="smoothing_underflow"),
             pytest.param({"batches": 100_000_000, "batch_size": 100_000_000}, id="draws_over_count_limit"),
             pytest.param({"teacher_max_length": 100_000_000}, id="teacher_length_over_count_limit"),
         ],

@@ -16,6 +16,9 @@ from auggen.features import (
 from conftest import chorales, voices
 from oracles import (
     brute_parallel_count,
+    empty_distribution,
+    from_values,
+    point_distribution,
     reference_realize,
     reference_realize_batch,
     extract,
@@ -42,7 +45,7 @@ def rests(length):
 
 class TestFeatureDistribution:
     def test_normalizes_and_merges(self):
-        dist = FeatureDistribution.from_values("x", [3, 1, 3, 3])
+        dist = from_values("x", [3, 1, 3, 3])
         assert dist.support == (1.0, 3.0)
         assert dist.weights == (0.25, 0.75)
 
@@ -57,9 +60,9 @@ class TestFeatureDistribution:
             FeatureDistribution("x", (float("inf"),), (1.0,))
 
     def test_empty_sentinel(self):
-        dist = FeatureDistribution.empty("x")
+        dist = empty_distribution("x")
         assert dist.is_empty
-        assert not FeatureDistribution.point("x", 0.0).is_empty
+        assert not point_distribution("x", 0.0).is_empty
 
 
 def test_whole_note_chorale_has_no_parallel_errors():
@@ -151,7 +154,7 @@ def test_feature_events_consistent_with_extractor(c):
             continue
         events = feature_events(c, name)
         dist = extract(c, name)
-        assert FeatureDistribution.from_values(name, events) == dist
+        assert from_values(name, events) == dist
 
 
 def test_feature_events_rejects_point_features(desk_corpus):

@@ -24,13 +24,22 @@ from auggen.grading import (
 from auggen.grading import _pass_events
 from auggen.rng import stream
 from conftest import chorales, distributions
-from oracles import TOKEN_WALKS, extract, reference_grade, threshold_from_json, transport_cost
+from oracles import (
+    TOKEN_WALKS,
+    empty_distribution,
+    extract,
+    from_values,
+    point_distribution,
+    reference_grade,
+    threshold_from_json,
+    transport_cost,
+)
 
 TOL = 1e-9
 
 
 def point(x):
-    return FeatureDistribution.point("test", x)
+    return point_distribution("test", x)
 
 
 class TestWasserstein1:
@@ -47,7 +56,7 @@ class TestWasserstein1:
 
     def test_rejects_empty(self):
         with pytest.raises(EmptyDistributionError):
-            wasserstein1(FeatureDistribution.empty("test"), point(0))
+            wasserstein1(empty_distribution("test"), point(0))
 
     @given(distributions(), distributions())
     @settings(max_examples=250)
@@ -93,7 +102,7 @@ class TestFitReference:
     def test_desk_reference_pools_token_walk_events_as_a_counter(self, desk_split, desk_reference):
         for name in DEFAULT_FEATURES:
             events = [x for chorale in desk_split.train for x in TOKEN_WALKS[name](chorale)]
-            assert desk_reference.references[name] == FeatureDistribution.from_values(name, events), name
+            assert desk_reference.references[name] == from_values(name, events), name
 
     def test_extractors_yield_no_nan_or_negative_zero(self, desk_split):
         # np.unique in fit_reference merges equal values as a Counter does only when neither kind occurs

@@ -561,6 +561,26 @@ class TestConstruction:
         with pytest.raises(ValueError):
             MarkovModel.with_vocab_from([], order=1, alpha=0.1)
 
+    def test_least_accepted_alpha_scores_zero_count_events_finitely(self):
+        # bisect the bit patterns of positive floats, which run in the floats' order, for the least alpha whose
+        # alpha / (_MAX_COUNT + alpha * 131) is above 0: the least probability a fit can give
+        low, high = 1, int(np.float64(1e-300).view(np.int64))
+        while high - low > 1:
+            mid = (low + high) // 2
+            alpha = float(np.int64(mid).view(np.float64))
+            if alpha / (model_module._MAX_COUNT + alpha * 131) > 0:
+                high = mid
+            else:
+                low = mid
+        least = float(np.int64(high).view(np.float64))
+        with pytest.raises(ValueError, match="underflows"):
+            MarkovModel(order=1, alpha=float(np.nextafter(least, 0.0)), vocabs=[(60, 62)] * 4)
+        seen, unseen = quad((60,), (55,), (48,), (40,)), quad((62,), (55,), (48,), (40,))
+        model = MarkovModel.with_vocab_from([seen, unseen], order=1, alpha=least)
+        model.fit([seen, unseen], [model_module._MAX_COUNT // 4, 0])  # the soprano's START row counts only 60
+        nll = model.mean_nll([unseen])
+        assert math.isfinite(nll) and nll > 100, nll
+
     def test_hold_only_vocabulary_rejected(self):
         # a voice must start with a note or a rest, so such a model could never sample
         with pytest.raises(ValueError, match="only"):
