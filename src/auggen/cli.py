@@ -27,12 +27,9 @@ from pathlib import Path
 import numpy as np
 
 from . import experiment
-from .corpus import CorpusError, load_corpus, save_corpus, teacher_corpus
+from .corpus import load_corpus, save_corpus, teacher_corpus
 from .experiment import PROFILES, ExperimentConfig, RegimeError, compare, grade_quintuple, resolve_out_dir, run_regime
-from .chorale import ChoraleFormatError
 from .grading import PASS_SIZE, GradeBatch, ReferenceModel, grade, nearest_rank
-
-log = logging.getLogger(__name__)
 
 
 def _build_config(args: argparse.Namespace) -> ExperimentConfig:
@@ -289,10 +286,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except RegimeError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (OSError, ValueError, CorpusError, ChoraleFormatError) as exc:
+    except (OSError, ValueError, RegimeError) as exc:  # CorpusError and ChoraleFormatError are ValueErrors
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import csv
 import json
-import logging
 import math
 import os
 import types
@@ -32,9 +31,7 @@ from .corpus import Corpus, Split, load_corpus, save_split_manifest, split, teac
 from .features import DEFAULT_FEATURES, check_feature_set
 from .grading import DEFAULT_P_EMPTY, ReferenceModel, Threshold, fit_reference, grade, grade_quantile, nearest_rank
 from .loop import ORIGIN_TRUE, LoopConfig, RunResult, run, save_run
-from .model import _MAX_COUNT, MarkovModel, sample_batch
-
-log = logging.getLogger(__name__)
+from .model import MarkovModel, check_events, sample_batch
 
 REGIME_AUGGEN = "auggen"
 REGIME_NONE = "baseline_none"
@@ -84,6 +81,8 @@ class ExperimentConfig:
         unknown = [r for r in self.regimes if r not in ALL_REGIMES]
         if unknown:
             raise ValueError(f"unknown regime(s) {unknown}; choose from {ALL_REGIMES}")
+        if len(set(self.regimes)) != len(self.regimes):
+            raise ValueError(f"regimes {list(self.regimes)} have duplicates")
         if not 0.0 < self.quantile <= 1.0:
             raise ValueError(f"quantile must be in (0, 1], got {self.quantile}")
         if self.n_eval < 1:
@@ -98,11 +97,8 @@ class ExperimentConfig:
         """Reject chorales of up to ``length`` timesteps, named ``source`` in the message, if a refit whose
         every draw is that long would exceed the count table's limit (LoopConfig checks one timestep)."""
         draws = self.batches * self.batch_size
-        if 4 * draws * length > _MAX_COUNT:
-            raise ValueError(
-                f"{source} ({length} timesteps) is too long: {draws} draws (batches x batch_size) that long "
-                f"exceed the count table's limit of {_MAX_COUNT} events at 4 events per timestep"
-            )
+        what = f"{source} ({length} timesteps) in each of {draws} draws (batches x batch_size)"
+        check_events(4 * draws * length, what)
 
     def loop_config(self, threshold: Threshold) -> LoopConfig:
         """The loop settings of one regime run; regimes differ only in ``threshold``."""
@@ -247,9 +243,10 @@ def run_regime(
     data_split: Split,
     reference: ReferenceModel,
     grade_by_id: Mapping[str, float],
-    out_dir: Path | None = None,
+    out_dir: Path,
 ) -> tuple[RunResult, RegimeSummary]:
-    """One regime's run on :func:`prepare`'s outputs, its threshold taken from the training split's grades."""
+    """One regime's run on :func:`prepare`'s outputs, its threshold taken from the training split's grades;
+    writes its artifacts and ``summary.json`` into ``out_dir``."""
     threshold = regime_threshold(regime, data_split.train, grade_by_id, config.quantile)
     model = MarkovModel.with_vocab_from(data_split.train, order=config.markov_order, alpha=config.smoothing)
     result = run(config.loop_config(threshold), data_split, model, reference)
@@ -275,9 +272,8 @@ def run_regime(
         true_count=true_count,
         generated_count=len(result.manifest) - true_count,
     )
-    if out_dir is not None:
-        save_run(result, model, out_dir, extra_config={"regime": regime, "experiment": config.to_json()})
-        (out_dir / "summary.json").write_text(json.dumps(summary.to_json(), sort_keys=True) + "\n", encoding="utf-8")
+    save_run(result, model, out_dir, extra_config={"regime": regime, "experiment": config.to_json()})
+    (out_dir / "summary.json").write_text(json.dumps(summary.to_json(), sort_keys=True) + "\n", encoding="utf-8")
     return result, summary
 
 
@@ -322,7 +318,6 @@ def compare_detailed(config: ExperimentConfig, out_dir: str | Path) -> tuple[lis
         try:
             result, summary = run_regime(config, regime, data_split, reference, grade_by_id, out_dir=out / regime)
         except Exception as exc:  # flush partial results below, then surface
-            log.error("regime %s failed: %s", regime, exc)
             failure = RegimeError(regime, exc)
             break
         summaries.append(summary)

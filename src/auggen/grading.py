@@ -94,6 +94,13 @@ class ReferenceModel:
                 raise ValueError(f"weight for {name!r} must be finite and >= 0, got {w}")
         if not any(w > 0 for w in self.weights.values()):
             raise ValueError("at least one feature weight must be > 0")
+        # a distance is at most p_empty or a feature's value span, which is at most 254 or a chorale's length, and
+        # no chorale of 2**32 timesteps fits in memory: this running sum in feature order bounds every grade
+        bound = 0.0
+        for name in self.feature_names:
+            bound += self.weights[name] * max(self.p_empty, 2.0**32)
+        if not math.isfinite(bound):
+            raise ValueError(f"weights {dict(self.weights)} with p_empty {self.p_empty} could overflow a grade")
 
     @cached_property
     def _cdf_table(self) -> _CdfTable:

@@ -30,7 +30,7 @@ import numpy as np
 from .chorale import Chorale, canonical_key, serialize_chorale
 from .corpus import Split
 from .grading import ReferenceModel, Threshold, grade
-from .model import _MAX_COUNT, MarkovModel, sample_batch
+from .model import MarkovModel, check_events, sample_batch
 from .rng import stream
 
 ORIGIN_TRUE = "true"
@@ -53,11 +53,8 @@ class LoopConfig:
             raise ValueError(f"batches must be >= 1, got {self.batches}")
         if self.batch_size < 1:
             raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
-        if 4 * self.batches * self.batch_size > _MAX_COUNT:  # every draw is a chorale of 4 or more events
-            raise ValueError(
-                f"batches x batch_size = {self.batches * self.batch_size} draws exceed the count table's limit of "
-                f"{_MAX_COUNT} events at 4 events per draw"
-            )
+        draws = self.batches * self.batch_size
+        check_events(4 * draws, f"batches x batch_size = {draws} draws of 4 or more events each")
         if self.n_generate < 0:
             raise ValueError(f"n_generate must be >= 0, got {self.n_generate}")
         if self.max_epochs < 1:
@@ -106,10 +103,6 @@ class TrainState:
     dataset: list[DatasetEntry]
     seen_keys: set[tuple]
     epoch: int = 0
-    best_val_loss: float = math.inf
-    best_epoch: int = -1
-    best_snapshot: object = None
-    epochs_since_improvement: int = 0
 
 
 @dataclass(frozen=True)
@@ -176,6 +169,7 @@ def run(config: LoopConfig, split: Split, model: MarkovModel, reference: Referen
     validation = list(split.validation)
 
     logs: list[EpochLog] = []
+    best_epoch, best_val_loss, best_snapshot = -1, math.inf, None
     for epoch in range(config.max_epochs):
         state.epoch = epoch
         before = len(state.dataset)
@@ -194,27 +188,17 @@ def run(config: LoopConfig, split: Split, model: MarkovModel, reference: Referen
                 draw_counts={state.dataset[i].chorale.id: n for i, n in enumerate(counts.tolist()) if n},
             )
         )
-        if val_loss < state.best_val_loss - config.min_improvement:
-            state.best_val_loss = val_loss
-            state.best_epoch = epoch
-            state.best_snapshot = model.snapshot()
-            state.epochs_since_improvement = 0
-        else:
-            state.epochs_since_improvement += 1
-            if config.patience is not None and state.epochs_since_improvement >= config.patience:
-                break
-
-    if state.best_snapshot is None:  # every epoch failed to improve on +inf: impossible, but stay safe
-        state.best_epoch = logs[-1].epoch
-        state.best_val_loss = logs[-1].val_loss
-        state.best_snapshot = model.snapshot()
-    model.restore(state.best_snapshot)
+        if val_loss < best_val_loss - config.min_improvement:  # val_loss is finite, so epoch 0 always improves
+            best_epoch, best_val_loss, best_snapshot = epoch, val_loss, model.snapshot()
+        elif config.patience is not None and epoch - best_epoch >= config.patience:
+            break
+    model.restore(best_snapshot)
 
     return RunResult(
         config=config,
         epoch_logs=tuple(logs),
-        best_epoch=state.best_epoch,
-        best_val_loss=state.best_val_loss,
+        best_epoch=best_epoch,
+        best_val_loss=best_val_loss,
         manifest=tuple(state.dataset),
         reference=reference,
         reference_digest_before=digest_before,

@@ -63,6 +63,12 @@ _CHUNK = 64  # chorales encoded per numpy batch, so the key arrays stay small
 _NO_KEY = np.iinfo(np.int64).max  # above every context key
 
 
+def check_events(events: int, what: str) -> None:
+    """Reject ``events`` count-table events, which ``what`` describes, above the table's int32 limit."""
+    if events > _MAX_COUNT:
+        raise ValueError(f"{what}: {events} events exceed the count table's limit of {_MAX_COUNT}")
+
+
 def sample_batch(
     model: MarkovModel, length_pool: Sequence[int], seed: int, key: tuple, ids: Sequence[str]
 ) -> list[Chorale]:
@@ -197,9 +203,7 @@ class MarkovModel:
             chorale = distinct[i]
             raise ValueError(f"chorale {chorale.id!r}: token {chorale.voices[v][t]!r} not in voice {v} vocabulary")
         weights = counts[drawn].astype(np.int64)
-        events = int(np.dot(weights, sizes))
-        if events > _MAX_COUNT:  # no cell can exceed the event total, so int32 cells cannot wrap below it
-            raise ValueError(f"{events} events exceed the count table's limit of {_MAX_COUNT}")
+        check_events(int(np.dot(weights, sizes)), "the draws")  # no cell exceeds the total, so none can wrap
         table = np.zeros((len(self._rows), self._width), dtype=np.int32)
         cells = rows.astype(np.int64) * self._width + toks
         np.add.at(table.reshape(-1), cells, np.repeat(weights.astype(np.int32), sizes))  # unbuffered: repeats add up

@@ -3,6 +3,7 @@ import io
 import json
 import math
 import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -11,6 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import given
 
+import auggen
 from auggen import cli, grading
 from auggen.chorale import Chorale, validate
 from auggen.cli import feature_rows, main
@@ -218,6 +220,25 @@ class TestCli:
         assert code != 0
         assert "error" in capsys.readouterr().err
 
+
+    def test_failing_regime_prints_one_error_line(self, tmp_path):
+        # in a child process, so that stderr holds what the logging set-up of `main` writes as well
+        script = "\n".join([
+            "import sys",
+            "from auggen import cli, experiment",
+            "real_run_regime = experiment.run_regime",
+            "def run_regime(config, regime, *args, **kwargs):",
+            "    if regime == 'baseline_none':",
+            "        raise OSError('disk full')",
+            "    return real_run_regime(config, regime, *args, **kwargs)",
+            "experiment.run_regime = run_regime",
+            "sys.exit(cli.main(sys.argv[1:]))",
+        ])
+        args = ["compare", "--config", str(write_small_config(tmp_path)), "--out-dir", str(tmp_path / "out")]
+        env = {**os.environ, "PYTHONPATH": str(Path(auggen.__file__).resolve().parents[1])}
+        done = subprocess.run([sys.executable, "-c", script, *args], capture_output=True, text=True, env=env, timeout=300)
+        assert done.returncode == 1, done.stderr
+        assert done.stderr == "error: regime 'baseline_none' failed: disk full\n"
 
     def test_out_dir_env_override(self, tmp_path, monkeypatch):
         monkeypatch.setenv("AUGGEN_OUT_DIR", str(tmp_path / "from_env"))
@@ -451,6 +472,9 @@ class TestCli:
             pytest.param({"smoothing": 5e-324}, id="smoothing_underflow"),
             pytest.param({"batches": 100_000_000, "batch_size": 100_000_000}, id="draws_over_count_limit"),
             pytest.param({"teacher_max_length": 100_000_000}, id="teacher_length_over_count_limit"),
+            pytest.param({"weights": {"pitch": 1e308}}, id="weights_overflow"),
+            pytest.param({"p_empty": 1e308}, id="p_empty_overflow"),
+            pytest.param({"regimes": ["auggen", "auggen"]}, id="regimes_duplicate"),
         ],
         ids=lambda override: next(iter(override)),
     )

@@ -1,5 +1,6 @@
 import json
 import math
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -125,6 +126,23 @@ class TestFitReference:
             fit_reference(corpus, weights={name: 0.0 for name in DEFAULT_FEATURES})
         with pytest.raises(ValueError):
             fit_reference(corpus, feature_set=("pitch",), weights={"rhythm": 1.0})
+
+    def test_weights_that_could_overflow_a_grade_are_rejected(self):
+        # a distance is at most max(p_empty, 2**32), so weights up to the float maximum / 2**32 keep grades finite
+        c = Chorale(id="one", voices=((60, 64), (55, 57), (48, 50), (41, 43)))
+        silent = Chorale(id="silent", voices=((REST,),) * 4)  # no pitch events: graded p_empty
+        largest = sys.float_info.max / 2**32
+        reference = fit_reference(Corpus((c,)), feature_set=("pitch",), weights={"pitch": largest})
+        assert np.isfinite(grade([c, silent], reference).totals).all()
+        with pytest.raises(ValueError, match="overflow"):
+            fit_reference(Corpus((c,)), feature_set=("pitch",), weights={"pitch": largest * 1.001})
+        with pytest.raises(ValueError, match="overflow"):
+            fit_reference(Corpus((c,)), feature_set=("pitch", "rhythm"), p_empty=1e308)
+        # a saved reference is checked as it is read, so `auggen grade --reference` rejects it too
+        payload = reference.to_json()
+        payload["weights"]["pitch"] = 1e308
+        with pytest.raises(ValueError, match="overflow"):
+            ReferenceModel.from_json(payload)
 
 
 class TestGrade:

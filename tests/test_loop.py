@@ -332,6 +332,35 @@ def test_patience_stops_early(small_split):
     assert result.best_epoch == 0
 
 
+def _counter_rule(losses, patience, min_improvement):
+    """(best epoch, best loss, epochs run) of the rule that counted the epochs since the last improvement."""
+    best_epoch, best_loss, since = -1, math.inf, 0
+    for epoch, loss in enumerate(losses):
+        if loss < best_loss - min_improvement:
+            best_epoch, best_loss, since = epoch, loss, 0
+        else:
+            since += 1
+            if since >= patience:
+                return best_epoch, best_loss, epoch + 1
+    return best_epoch, best_loss, len(losses)
+
+
+@pytest.mark.parametrize("threshold", [THRESH_ALL, THRESH_NONE], ids=["all", "none"])
+def test_patience_stops_where_the_counter_rule_stops(small_split, threshold):
+    reference = fit_reference(small_split.train, ("pitch",))
+    full = run(small_config(threshold, max_epochs=8), small_split, fresh_model(small_split), reference)
+    losses = [entry.val_loss for entry in full.epoch_logs]
+    outcomes = set()
+    for patience in (1, 2, 3):
+        for min_improvement in (0.0, 1e-3, 1e-2, 0.1):
+            config = small_config(threshold, max_epochs=8, patience=patience, min_improvement=min_improvement)
+            result = run(config, small_split, fresh_model(small_split), reference)
+            expected = _counter_rule(losses, patience, min_improvement)
+            assert (result.best_epoch, result.best_val_loss, len(result.epoch_logs)) == expected, (patience, min_improvement)
+            outcomes.add(expected)
+    assert len(outcomes) > 3, outcomes  # some bar changes where a patience stops, or which epoch is best
+
+
 def test_restored_model_matches_best_epoch(small_split):
     config = small_config(THRESH_NONE, max_epochs=4, patience=None)
     model = fresh_model(small_split)

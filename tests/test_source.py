@@ -86,3 +86,16 @@ def test_sampler_steps_the_batch_in_lockstep():
     assert builds and max(builds) < steps[0].lineno, (builds, steps[0].lineno)
     # `sample` is a batch of one, not a second sampling path
     assert [_called_name(node) for node in ast.walk(methods["sample"]) if isinstance(node, ast.Call)] == ["sample_many"]
+
+
+def test_no_module_imports_a_private_name():
+    # an underscore name belongs to its module; another module that needs it should get a public name or function
+    paths = sorted(PACKAGE_DIR.glob("*.py"))
+    assert paths, PACKAGE_DIR
+    found = []
+    for path in paths:
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and any(alias.name.startswith("_") for alias in node.names):
+                found.append(f"{path.name}:{node.lineno}")
+    assert not found, found
