@@ -12,7 +12,7 @@ from .chorale import HOLD, REST, Chorale, canonical_key, parse_chorale, serializ
 from .corpus import Corpus, Split, load_corpus, save_corpus, split, teacher_corpus
 from .features import DEFAULT_FEATURES, FeatureDistribution
 from .grading import GradeBatch, ReferenceModel, Threshold, fit_reference, grade, grade_quantile
-from .loop import LoopConfig, RunResult, run, save_run
+from .loop import RunResult, run, save_run
 from .model import MarkovModel
 from .experiment import ExperimentConfig, PROFILES, RegimeSummary, compare
 
@@ -24,7 +24,6 @@ __all__ = [
     "Chorale",
     "Corpus",
     "Split",
-    "LoopConfig",
     "RunResult",
     "MarkovModel",
     "FeatureDistribution",

@@ -18,7 +18,6 @@ import contextlib
 import csv
 import json
 import logging
-import math
 import os
 import sys
 import types
@@ -211,7 +210,7 @@ def _regime_rows(summary_json: Path) -> list[list[str]]:
             raise ValueError(f"{summary_json}: entry {i}: missing key(s) {missing}")
         grades = summary["final_grades"]
         finite = isinstance(grades, list) and all(
-            isinstance(g, (int, float)) and not isinstance(g, bool) and math.isfinite(g) for g in grades
+            isinstance(g, (int, float)) and not isinstance(g, bool) and abs(g) <= sys.float_info.max for g in grades
         )
         if not (finite and grades):
             raise ValueError(f"{summary_json}: entry {i}: final_grades must be a nonempty list of finite numbers")

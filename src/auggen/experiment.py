@@ -20,6 +20,7 @@ import csv
 import json
 import math
 import os
+import sys
 import types
 import typing
 from dataclasses import dataclass, fields
@@ -30,7 +31,7 @@ from .chorale import REST
 from .corpus import Corpus, Split, load_corpus, save_split_manifest, split, teacher_corpus
 from .features import DEFAULT_FEATURES, check_feature_set
 from .grading import DEFAULT_P_EMPTY, ReferenceModel, Threshold, fit_reference, grade, grade_quantile, nearest_rank
-from .loop import ORIGIN_TRUE, LoopConfig, RunResult, run, save_run
+from .loop import ORIGIN_TRUE, RunResult, run, save_run
 from .model import MarkovModel, check_events, sample_batch
 
 REGIME_AUGGEN = "auggen"
@@ -63,11 +64,11 @@ class ExperimentConfig:
     p_empty: float = DEFAULT_P_EMPTY
     regimes: tuple[str, ...] = ALL_REGIMES
     quantile: float = 0.75
-    n_generate: int = 20
-    batches: int = 64
+    n_generate: int = 20  # candidates per epoch
+    batches: int = 64  # each epoch refits on batches × batch_size draws, however large the dataset grows
     batch_size: int = 4
     max_epochs: int = 30
-    patience: int | None = 5
+    patience: int | None = 5  # None: never stop early
     min_improvement: float = 1e-4
     markov_order: int = 2
     smoothing: float = 0.1
@@ -87,31 +88,31 @@ class ExperimentConfig:
             raise ValueError(f"quantile must be in (0, 1], got {self.quantile}")
         if self.n_eval < 1:
             raise ValueError(f"n_eval must be >= 1, got {self.n_eval}")
-        # throwaway instances run the range checks that LoopConfig and MarkovModel own
-        self.loop_config(Threshold(value=math.inf, label=REGIME_ALL))
+        if self.batches < 1:
+            raise ValueError(f"batches must be >= 1, got {self.batches}")
+        if self.batch_size < 1:
+            raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
+        draws = self.batches * self.batch_size
+        check_events(4 * draws, f"batches x batch_size = {draws} draws of 4 or more events each")
+        if self.n_generate < 0:
+            raise ValueError(f"n_generate must be >= 0, got {self.n_generate}")
+        if self.max_epochs < 1:
+            raise ValueError(f"max_epochs must be >= 1, got {self.max_epochs}")
+        if self.patience is not None and self.patience < 1:
+            raise ValueError(f"patience must be >= 1 or None, got {self.patience}")
+        if not 0 <= self.min_improvement < math.inf:
+            raise ValueError(f"min_improvement must be finite and >= 0, got {self.min_improvement}")
+        # a throwaway model runs the range checks that MarkovModel owns
         MarkovModel(order=self.markov_order, alpha=self.smoothing, vocabs=[(REST,)] * 4)
         if self.corpus_path is None:  # prepare checks a corpus's chorales once it has read them
             self.check_longest(self.teacher_max_length, "teacher_max_length")
 
     def check_longest(self, length: int, source: str) -> None:
         """Reject chorales of up to ``length`` timesteps, named ``source`` in the message, if a refit whose
-        every draw is that long would exceed the count table's limit (LoopConfig checks one timestep)."""
+        every draw is that long would exceed the count table's limit (__post_init__ checks one timestep)."""
         draws = self.batches * self.batch_size
         what = f"{source} ({length} timesteps) in each of {draws} draws (batches x batch_size)"
         check_events(4 * draws * length, what)
-
-    def loop_config(self, threshold: Threshold) -> LoopConfig:
-        """The loop settings of one regime run; regimes differ only in ``threshold``."""
-        return LoopConfig(
-            n_generate=self.n_generate,
-            threshold=threshold,
-            batches=self.batches,
-            batch_size=self.batch_size,
-            max_epochs=self.max_epochs,
-            patience=self.patience,
-            min_improvement=self.min_improvement,
-            seed=self.seed,
-        )
 
     def to_json(self) -> dict:
         payload = {f.name: getattr(self, f.name) for f in fields(self)}
@@ -137,7 +138,8 @@ class ExperimentConfig:
 
 
 def _json_fits(value: object, hint: object) -> bool:
-    """Whether decoded JSON ``value`` has field type ``hint``; a list stands for a tuple, an int for a float."""
+    """Whether decoded JSON ``value`` has field type ``hint``; a list stands for a tuple, and an int for a float
+    unless it is beyond the largest float (its bytes are kept: it is not converted)."""
     origin, args = typing.get_origin(hint), typing.get_args(hint)
     if origin in (typing.Union, types.UnionType):
         return any(_json_fits(value, arg) for arg in args)
@@ -147,7 +149,9 @@ def _json_fits(value: object, hint: object) -> bool:
         return isinstance(value, dict) and all(_json_fits(k, args[0]) and _json_fits(v, args[1]) for k, v in value.items())
     if isinstance(value, bool) and hint is not bool:
         return False
-    return isinstance(value, (int, float) if hint is float else hint)
+    if hint is float and isinstance(value, int):
+        return abs(value) <= sys.float_info.max
+    return isinstance(value, hint)
 
 
 # The paper profile carries full-scale experiment settings; they are
@@ -249,7 +253,7 @@ def run_regime(
     writes its artifacts and ``summary.json`` into ``out_dir``."""
     threshold = regime_threshold(regime, data_split.train, grade_by_id, config.quantile)
     model = MarkovModel.with_vocab_from(data_split.train, order=config.markov_order, alpha=config.smoothing)
-    result = run(config.loop_config(threshold), data_split, model, reference)
+    result = run(config, threshold, data_split, model, reference)
 
     ids = [f"eval-{regime}-{i:04d}" for i in range(config.n_eval)]
     samples = sample_batch(model, [c.length for c in data_split.train], config.seed, ("eval", regime), ids)
@@ -272,7 +276,7 @@ def run_regime(
         true_count=true_count,
         generated_count=len(result.manifest) - true_count,
     )
-    save_run(result, model, out_dir, extra_config={"regime": regime, "experiment": config.to_json()})
+    save_run(result, model, out_dir)
     (out_dir / "summary.json").write_text(json.dumps(summary.to_json(), sort_keys=True) + "\n", encoding="utf-8")
     return result, summary
 

@@ -61,7 +61,7 @@ class FeatureDistribution:
     def __post_init__(self) -> None:
         try:
             self._check()
-        except TypeError as exc:  # a value that is not a number
+        except (TypeError, OverflowError) as exc:  # a value that is not a number, or an int beyond the largest float
             raise ValueError(f"feature {self.feature_name!r}: support and weights must be numbers ({exc})") from None
 
     def _check(self) -> None:

@@ -57,7 +57,10 @@ def wasserstein1(p: FeatureDistribution, q: FeatureDistribution) -> float:
 def _number(value: object, what: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ValueError(f"{what} must be a number, got {value!r}")
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError:  # an int beyond the largest float
+        raise ValueError(f"{what} {value} is too large for a float") from None
 
 
 def _require_keys(payload: Mapping, keys: Sequence[str], what: str) -> None:
@@ -134,7 +137,10 @@ class ReferenceModel:
         if found != _REFERENCE_FORMAT:
             raise ValueError(f"unrecognized reference format {found!r}")
         _require_keys(payload, ("features", "references", "weights", "p_empty"), "reference")
-        names = check_feature_set(payload["features"])
+        features = payload["features"]
+        if not (isinstance(features, list) and all(isinstance(name, str) for name in features)):
+            raise ValueError(f"features must be a list of feature names, got {features!r}")
+        names = check_feature_set(features)
         for key in ("references", "weights"):
             if not isinstance(payload[key], dict):
                 raise ValueError(f"{key} must be an object keyed by feature name")

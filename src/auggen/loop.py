@@ -12,7 +12,7 @@ chorale was drawn; the train loss scores the draws in draw order. Validation
 loss on the fixed held-out split drives best-snapshot selection and
 optional patience-based early stopping.
 
-Everything is a pure function of (config, split, model, reference):
+Everything is a pure function of (config, threshold, split, model, reference):
 rerunning with the same inputs reproduces every file byte for byte.
 """
 
@@ -21,53 +21,26 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
 from .chorale import Chorale, canonical_key, serialize_chorale
 from .corpus import Split
 from .grading import ReferenceModel, Threshold, grade
-from .model import MarkovModel, check_events, sample_batch
+from .model import MarkovModel, sample_batch
 from .rng import stream
+
+if TYPE_CHECKING:  # experiment imports this module
+    from .experiment import ExperimentConfig
 
 ORIGIN_TRUE = "true"
 ORIGIN_GENERATED = "generated"
 
-
-@dataclass(frozen=True)
-class LoopConfig:
-    n_generate: int  # candidates per epoch
-    threshold: Threshold
-    batches: int  # each epoch refits on batches × batch_size draws, however large the dataset grows
-    batch_size: int
-    max_epochs: int
-    patience: int | None  # None: never stop early
-    min_improvement: float
-    seed: int
-
-    def __post_init__(self) -> None:
-        if self.batches < 1:
-            raise ValueError(f"batches must be >= 1, got {self.batches}")
-        if self.batch_size < 1:
-            raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
-        draws = self.batches * self.batch_size
-        check_events(4 * draws, f"batches x batch_size = {draws} draws of 4 or more events each")
-        if self.n_generate < 0:
-            raise ValueError(f"n_generate must be >= 0, got {self.n_generate}")
-        if self.max_epochs < 1:
-            raise ValueError(f"max_epochs must be >= 1, got {self.max_epochs}")
-        if self.patience is not None and self.patience < 1:
-            raise ValueError(f"patience must be >= 1 or None, got {self.patience}")
-        if not 0 <= self.min_improvement < math.inf:
-            raise ValueError(f"min_improvement must be finite and >= 0, got {self.min_improvement}")
-
-    def to_json(self) -> dict:
-        payload = {f.name: getattr(self, f.name) for f in fields(self)}
-        payload["threshold"] = self.threshold.to_json()
-        return payload
+# the settings that config.json lists under "loop", beside the threshold
+_LOOP_KEYS = ("n_generate", "batches", "batch_size", "max_epochs", "patience", "min_improvement", "seed")
 
 
 @dataclass(frozen=True)
@@ -107,7 +80,8 @@ class TrainState:
 
 @dataclass(frozen=True)
 class RunResult:
-    config: LoopConfig
+    config: ExperimentConfig
+    threshold: Threshold
     epoch_logs: tuple[EpochLog, ...]
     best_epoch: int
     best_val_loss: float
@@ -121,7 +95,8 @@ def generation_step(
     state: TrainState,
     model: MarkovModel,
     reference: ReferenceModel,
-    config: LoopConfig,
+    config: ExperimentConfig,
+    threshold: Threshold,
     length_pool: Sequence[int],
 ) -> tuple[CandidateRecord, ...]:
     """Generate ``n_generate`` candidates for the current epoch, grade them in one call, then filter them in order."""
@@ -132,7 +107,7 @@ def generation_step(
         key = canonical_key(candidate)
         duplicate = key in state.seen_keys
         state.seen_keys.add(key)
-        passes = total <= config.threshold.value
+        passes = total <= threshold.value
         accepted = passes and not duplicate
         if accepted:
             state.dataset.append(
@@ -143,7 +118,7 @@ def generation_step(
     return tuple(records)
 
 
-def training_step(state: TrainState, model: MarkovModel, config: LoopConfig) -> tuple[float, np.ndarray]:
+def training_step(state: TrainState, model: MarkovModel, config: ExperimentConfig) -> tuple[float, np.ndarray]:
     """Draw the epoch's batches uniformly with replacement and refit on the draw counts;
     returns (train loss over the draws, times each dataset entry was drawn)."""
     rng = stream(config.seed, "train", state.epoch)
@@ -154,7 +129,9 @@ def training_step(state: TrainState, model: MarkovModel, config: LoopConfig) -> 
     return model.mean_nll(chorales, draws), counts
 
 
-def run(config: LoopConfig, split: Split, model: MarkovModel, reference: ReferenceModel) -> RunResult:
+def run(
+    config: ExperimentConfig, threshold: Threshold, split: Split, model: MarkovModel, reference: ReferenceModel
+) -> RunResult:
     """Run the full loop; see the module docstring for the epoch structure.
 
     ``model`` is left restored to the best epoch's snapshot.
@@ -173,7 +150,7 @@ def run(config: LoopConfig, split: Split, model: MarkovModel, reference: Referen
     for epoch in range(config.max_epochs):
         state.epoch = epoch
         before = len(state.dataset)
-        candidates = generation_step(state, model, reference, config, length_pool)
+        candidates = generation_step(state, model, reference, config, threshold, length_pool)
         additions = len(state.dataset) - before
         train_loss, counts = training_step(state, model, config)
         val_loss = model.mean_nll(validation)
@@ -196,6 +173,7 @@ def run(config: LoopConfig, split: Split, model: MarkovModel, reference: Referen
 
     return RunResult(
         config=config,
+        threshold=threshold,
         epoch_logs=tuple(logs),
         best_epoch=best_epoch,
         best_val_loss=best_val_loss,
@@ -211,7 +189,7 @@ def run(config: LoopConfig, split: Split, model: MarkovModel, reference: Referen
 # ---------------------------------------------------------------------------
 
 
-def save_run(result: RunResult, model: MarkovModel, out_dir: str | Path, extra_config: dict | None = None) -> Path:
+def save_run(result: RunResult, model: MarkovModel, out_dir: str | Path) -> Path:
     """Write the run artifacts into ``out_dir`` and return that path.
 
     Files: config.json, epoch_logs.csv, metrics.csv, dataset_manifest.jsonl,
@@ -221,8 +199,9 @@ def save_run(result: RunResult, model: MarkovModel, out_dir: str | Path, extra_c
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
 
-    config_payload = dict(extra_config or {})
-    config_payload["loop"] = result.config.to_json()
+    loop = {key: getattr(result.config, key) for key in _LOOP_KEYS}
+    loop["threshold"] = result.threshold.to_json()
+    config_payload = {"regime": result.threshold.label, "experiment": result.config.to_json(), "loop": loop}
     (out / "config.json").write_text(json.dumps(config_payload, sort_keys=True) + "\n", encoding="utf-8")
 
     with open(out / "epoch_logs.csv", "w", encoding="utf-8", newline="") as fh:

@@ -410,6 +410,12 @@ class TestCli:
             "string_support",
             "entry_not_object",
             "top_level_list",
+            "features_int",
+            "features_nested_list",
+            "huge_int_support",
+            "huge_int_reference_weight",
+            "huge_int_weight",
+            "huge_int_p_empty",
         ],
     )
     def test_grade_rejects_inconsistent_reference(self, small_compare, tmp_path, capsys, tamper):
@@ -435,6 +441,18 @@ class TestCli:
             payload["references"]["pitch"] = 5
         elif tamper == "top_level_list":
             payload = [payload]
+        elif tamper == "features_int":
+            payload["features"] = 5
+        elif tamper == "features_nested_list":
+            payload["features"] = [[name] for name in payload["features"]]
+        elif tamper == "huge_int_support":
+            payload["references"]["pitch"]["support"][-1] = 10**400
+        elif tamper == "huge_int_reference_weight":
+            payload["references"]["pitch"]["weights"][0] = 10**400
+        elif tamper == "huge_int_weight":
+            payload["weights"]["pitch"] = 10**400
+        elif tamper == "huge_int_p_empty":
+            payload["p_empty"] = 10**400
         else:
             support = payload["references"]["pitch"]["support"]
             payload["references"]["pitch"]["support"] = ["a", *support[1:]]
@@ -475,6 +493,11 @@ class TestCli:
             pytest.param({"weights": {"pitch": 1e308}}, id="weights_overflow"),
             pytest.param({"p_empty": 1e308}, id="p_empty_overflow"),
             pytest.param({"regimes": ["auggen", "auggen"]}, id="regimes_duplicate"),
+            # integers beyond the largest float: float() of them overflows
+            pytest.param({"smoothing": 10**400}, id="smoothing_huge_int"),
+            pytest.param({"p_empty": 10**400}, id="p_empty_huge_int"),
+            pytest.param({"weights": {"pitch": 10**400}}, id="weights_huge_int"),
+            pytest.param({"min_improvement": 10**400}, id="min_improvement_huge_int"),
         ],
         ids=lambda override: next(iter(override)),
     )
@@ -561,6 +584,7 @@ class TestCli:
             "bool_grade",
             "nan_grade",
             "inf_grade",
+            "huge_int_grade",
         ],
     )
     def test_report_malformed_summary_fails(self, small_compare, tmp_path, capsys, tamper):
@@ -587,6 +611,8 @@ class TestCli:
             last["final_grades"][0] = math.nan
         elif tamper == "inf_grade":
             last["final_grades"][0] = math.inf
+        elif tamper == "huge_int_grade":
+            last["final_grades"][0] = 10**400
         path = tmp_path / "summary.json"
         path.write_text("not json" if tamper == "not_json" else json.dumps(summaries), encoding="utf-8")
         assert main(["report", "--run-dir", str(tmp_path)]) == 1

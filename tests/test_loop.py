@@ -6,12 +6,12 @@ import pytest
 
 from auggen.chorale import HOLD, Chorale, canonical_key
 from auggen.corpus import Corpus, split, teacher_corpus
+from auggen.experiment import ExperimentConfig
 from auggen.grading import Threshold, fit_reference, grade
 from auggen.loop import (
     ORIGIN_GENERATED,
     ORIGIN_TRUE,
     DatasetEntry,
-    LoopConfig,
     TrainState,
     generation_step,
     run,
@@ -27,12 +27,9 @@ THRESH_ALL = Threshold(value=math.inf, label="baseline_all")
 THRESH_NONE = Threshold(value=-math.inf, label="baseline_none")
 
 
-def small_config(
-    threshold, *, n_generate=4, max_epochs=3, patience=None, seed=23, min_improvement=0.0, batches=4, batch_size=2
-):
-    return LoopConfig(
+def small_config(*, n_generate=4, max_epochs=3, patience=None, seed=23, min_improvement=0.0, batches=4, batch_size=2):
+    return ExperimentConfig(
         n_generate=n_generate,
-        threshold=threshold,
         batches=batches,
         batch_size=batch_size,
         max_epochs=max_epochs,
@@ -53,18 +50,18 @@ def fresh_model(data_split, alpha=0.1):
 
 def test_loop_config_validation():
     with pytest.raises(ValueError):
-        small_config(THRESH_ALL, max_epochs=0)
+        small_config(max_epochs=0)
     with pytest.raises(ValueError):
-        small_config(THRESH_ALL, patience=0)
+        small_config(patience=0)
     with pytest.raises(ValueError):
-        small_config(THRESH_ALL, n_generate=-1)
+        small_config(n_generate=-1)
 
 
 def test_plan_validation():
     with pytest.raises(ValueError, match="batches must be >= 1, got 0"):
-        small_config(THRESH_ALL, batches=0, batch_size=1)
+        small_config(batches=0, batch_size=1)
     with pytest.raises(ValueError, match="batch_size must be >= 1, got 0"):
-        small_config(THRESH_ALL, batches=1, batch_size=0)
+        small_config(batches=1, batch_size=0)
 
 
 def true_state(chorales_):
@@ -74,7 +71,7 @@ def true_state(chorales_):
 def test_training_step_single_chorale_dataset_multiset():
     c = ascending(60)
     model = MarkovModel.with_vocab_from([c], order=2, alpha=0.1)
-    config = small_config(THRESH_ALL, seed=1, batches=3, batch_size=4)
+    config = small_config(seed=1, batches=3, batch_size=4)
     _, counts = training_step(true_state([c]), model, config)
     assert counts.tolist() == [12]
     direct = MarkovModel.with_vocab_from([c], order=2, alpha=0.1)
@@ -84,7 +81,7 @@ def test_training_step_single_chorale_dataset_multiset():
 
 def test_training_step_same_stream_same_counts(desk_split):
     chorales_ = list(desk_split.train)
-    config = small_config(THRESH_ALL, seed=6, batches=8, batch_size=2)
+    config = small_config(seed=6, batches=8, batch_size=2)
     a = MarkovModel.with_vocab_from(chorales_, order=2, alpha=0.1)
     training_step(true_state(chorales_), a, config)
     b = MarkovModel.with_vocab_from(chorales_, order=2, alpha=0.1)
@@ -95,7 +92,7 @@ def test_training_step_same_stream_same_counts(desk_split):
 def test_training_step_draw_frequencies_uniform_within_3_sigma():
     dataset = [ascending(60 + i) for i in range(5)]
     model = MarkovModel.with_vocab_from(dataset, order=1, alpha=0.1)
-    config = small_config(THRESH_ALL, seed=11, batches=200, batch_size=10)  # 2000 draws, p = 0.2 each
+    config = small_config(seed=11, batches=200, batch_size=10)  # 2000 draws, p = 0.2 each
     _, counts = training_step(true_state(dataset), model, config)
     assert counts.sum() == 2000
     expected = 2000 * 0.2
@@ -105,8 +102,9 @@ def test_training_step_draw_frequencies_uniform_within_3_sigma():
 
 
 def test_single_epoch_run(small_split):
-    config = small_config(THRESH_ALL, max_epochs=1)
-    result = run(config, small_split, fresh_model(small_split), fit_reference(small_split.train, ("pitch", "rhythm")))
+    config = small_config(max_epochs=1)
+    reference = fit_reference(small_split.train, ("pitch", "rhythm"))
+    result = run(config, THRESH_ALL, small_split, fresh_model(small_split), reference)
     assert len(result.epoch_logs) == 1
     entry = result.epoch_logs[0]
     assert len(entry.candidates) == config.n_generate
@@ -117,7 +115,8 @@ def test_single_epoch_run(small_split):
 
 def test_baseline_none_keeps_dataset_fixed(small_split):
     result = run(
-        small_config(THRESH_NONE),
+        small_config(),
+        THRESH_NONE,
         small_split,
         fresh_model(small_split),
         fit_reference(small_split.train, ("pitch",)),
@@ -132,7 +131,8 @@ def test_baseline_none_keeps_dataset_fixed(small_split):
 
 def test_baseline_all_accepts_every_unique_candidate(small_split):
     result = run(
-        small_config(THRESH_ALL),
+        small_config(),
+        THRESH_ALL,
         small_split,
         fresh_model(small_split),
         fit_reference(small_split.train, ("pitch",)),
@@ -144,7 +144,8 @@ def test_baseline_all_accepts_every_unique_candidate(small_split):
 
 def test_zero_generation_run_is_plain_training(small_split):
     result = run(
-        small_config(THRESH_ALL, n_generate=0),
+        small_config(n_generate=0),
+        THRESH_ALL,
         small_split,
         fresh_model(small_split),
         fit_reference(small_split.train, ("pitch",)),
@@ -173,12 +174,12 @@ def replaying_model():
 def test_candidate_identical_to_true_chorale_rejected_as_duplicate():
     source, model = replaying_model()
     reference = fit_reference(Corpus((source,)), ("pitch",))
-    config = small_config(THRESH_ALL, n_generate=1)
+    config = small_config(n_generate=1)
     state = TrainState(
         dataset=[DatasetEntry(source, ORIGIN_TRUE, None)],
         seen_keys={canonical_key(source)},
     )
-    records = generation_step(state, model, reference, config, [source.length])
+    records = generation_step(state, model, reference, config, THRESH_ALL, [source.length])
     assert len(records) == 1
     assert not records[0].accepted
     assert records[0].reason == "duplicate"  # grade passes (+inf) but the key is known
@@ -189,9 +190,10 @@ def test_grade_tie_at_threshold_accepted():
     source, model = replaying_model()
     reference = fit_reference(Corpus((source,)), ("pitch", "rhythm"))
     exact_grade = grade(source, reference).totals[0].item()
-    config = small_config(Threshold(value=exact_grade, label="tie"), n_generate=1)
+    config = small_config(n_generate=1)
     state = TrainState(dataset=[], seen_keys=set())
-    records = generation_step(state, model, reference, config, [source.length])
+    tie = Threshold(value=exact_grade, label="tie")
+    records = generation_step(state, model, reference, config, tie, [source.length])
     assert records[0].grade == exact_grade
     assert records[0].accepted
 
@@ -199,9 +201,9 @@ def test_grade_tie_at_threshold_accepted():
 def test_duplicate_candidates_rejected_within_epoch():
     source, model = replaying_model()
     reference = fit_reference(Corpus((source,)), ("pitch",))
-    config = small_config(THRESH_ALL, n_generate=3)
+    config = small_config(n_generate=3)
     state = TrainState(dataset=[], seen_keys=set())
-    records = generation_step(state, model, reference, config, [source.length])
+    records = generation_step(state, model, reference, config, THRESH_ALL, [source.length])
     assert records[0].accepted
     assert not records[1].accepted and records[1].reason == "duplicate"
     assert not records[2].accepted and records[2].reason == "duplicate"
@@ -211,8 +213,8 @@ def test_filter_and_uniqueness_soundness(small_split):
     reference = fit_reference(small_split.train)
     train_grades = grade(small_split.train.chorales, reference).totals.tolist()
     threshold = Threshold(value=sorted(train_grades)[len(train_grades) // 2], label="median")
-    config = small_config(threshold, max_epochs=6, n_generate=6)
-    result = run(config, small_split, fresh_model(small_split), reference)
+    config = small_config(max_epochs=6, n_generate=6)
+    result = run(config, threshold, small_split, fresh_model(small_split), reference)
 
     keys = [canonical_key(e.chorale) for e in result.manifest]
     assert len(keys) == len(set(keys))
@@ -230,9 +232,8 @@ def test_filter_and_uniqueness_soundness(small_split):
 
 
 def test_accepted_chorales_resampled_uniformly(small_split):
-    config = LoopConfig(
+    config = ExperimentConfig(
         n_generate=4,
-        threshold=THRESH_ALL,
         batches=50,
         batch_size=4,  # 200 draws per epoch
         max_epochs=2,
@@ -240,7 +241,8 @@ def test_accepted_chorales_resampled_uniformly(small_split):
         min_improvement=0.0,
         seed=29,
     )
-    result = run(config, small_split, fresh_model(small_split), fit_reference(small_split.train, ("pitch", "rhythm")))
+    reference = fit_reference(small_split.train, ("pitch", "rhythm"))
+    result = run(config, THRESH_ALL, small_split, fresh_model(small_split), reference)
     first = result.epoch_logs[0]
     accepted_ids = [rec.candidate_id for rec in first.candidates if rec.accepted]
     assert accepted_ids, "expected at least one acceptance with threshold +inf"
@@ -255,8 +257,8 @@ def test_accepted_chorales_resampled_uniformly(small_split):
 
 
 def test_draw_counts_replay_the_train_stream(small_split):
-    config = small_config(THRESH_ALL, max_epochs=3, batches=5, batch_size=3)
-    result = run(config, small_split, fresh_model(small_split), fit_reference(small_split.train, ("pitch",)))
+    config = small_config(max_epochs=3, batches=5, batch_size=3)
+    result = run(config, THRESH_ALL, small_split, fresh_model(small_split), fit_reference(small_split.train, ("pitch",)))
     ids = [entry.chorale.id for entry in result.manifest]
     for entry in result.epoch_logs:
         rng = stream(config.seed, "train", entry.epoch)
@@ -278,7 +280,8 @@ def test_sample_batch_draws_length_then_tokens_from_each_stream(small_split):
 
 def test_frozen_reference_and_validation_isolation(small_split):
     result = run(
-        small_config(THRESH_ALL, max_epochs=4),
+        small_config(max_epochs=4),
+        THRESH_ALL,
         small_split,
         fresh_model(small_split),
         fit_reference(small_split.train, ("pitch", "rhythm")),
@@ -294,10 +297,10 @@ def test_frozen_reference_and_validation_isolation(small_split):
 
 
 def test_run_deterministic_and_serialization_byte_identical(small_split, tmp_path):
-    config = small_config(THRESH_ALL, max_epochs=3)
+    config = small_config(max_epochs=3)
     model_a, model_b = fresh_model(small_split), fresh_model(small_split)
-    a = run(config, small_split, model_a, fit_reference(small_split.train, ("pitch", "rhythm")))
-    b = run(config, small_split, model_b, fit_reference(small_split.train, ("pitch", "rhythm")))
+    a = run(config, THRESH_ALL, small_split, model_a, fit_reference(small_split.train, ("pitch", "rhythm")))
+    b = run(config, THRESH_ALL, small_split, model_b, fit_reference(small_split.train, ("pitch", "rhythm")))
     dir_a = save_run(a, model_a, tmp_path / "a")
     dir_b = save_run(b, model_b, tmp_path / "b")
     files = [p.name for p in dir_a.iterdir()]
@@ -315,8 +318,8 @@ def test_run_deterministic_and_serialization_byte_identical(small_split, tmp_pat
 
 
 def test_best_epoch_tracks_minimum_validation_loss(small_split):
-    config = small_config(THRESH_ALL, max_epochs=5, patience=None, min_improvement=0.0)
-    result = run(config, small_split, fresh_model(small_split), fit_reference(small_split.train, ("pitch",)))
+    config = small_config(max_epochs=5, patience=None, min_improvement=0.0)
+    result = run(config, THRESH_ALL, small_split, fresh_model(small_split), fit_reference(small_split.train, ("pitch",)))
     losses = [entry.val_loss for entry in result.epoch_logs]
     assert len(losses) == 5
     assert result.best_val_loss == min(losses)
@@ -324,8 +327,8 @@ def test_best_epoch_tracks_minimum_validation_loss(small_split):
 
 
 def test_patience_stops_early(small_split):
-    config = small_config(THRESH_NONE, max_epochs=30, patience=2, min_improvement=1e9)
-    result = run(config, small_split, fresh_model(small_split), fit_reference(small_split.train, ("pitch",)))
+    config = small_config(max_epochs=30, patience=2, min_improvement=1e9)
+    result = run(config, THRESH_NONE, small_split, fresh_model(small_split), fit_reference(small_split.train, ("pitch",)))
     # an absurd improvement bar means the first epoch is best and patience
     # expires exactly two epochs later
     assert len(result.epoch_logs) == 3
@@ -348,13 +351,13 @@ def _counter_rule(losses, patience, min_improvement):
 @pytest.mark.parametrize("threshold", [THRESH_ALL, THRESH_NONE], ids=["all", "none"])
 def test_patience_stops_where_the_counter_rule_stops(small_split, threshold):
     reference = fit_reference(small_split.train, ("pitch",))
-    full = run(small_config(threshold, max_epochs=8), small_split, fresh_model(small_split), reference)
+    full = run(small_config(max_epochs=8), threshold, small_split, fresh_model(small_split), reference)
     losses = [entry.val_loss for entry in full.epoch_logs]
     outcomes = set()
     for patience in (1, 2, 3):
         for min_improvement in (0.0, 1e-3, 1e-2, 0.1):
-            config = small_config(threshold, max_epochs=8, patience=patience, min_improvement=min_improvement)
-            result = run(config, small_split, fresh_model(small_split), reference)
+            config = small_config(max_epochs=8, patience=patience, min_improvement=min_improvement)
+            result = run(config, threshold, small_split, fresh_model(small_split), reference)
             expected = _counter_rule(losses, patience, min_improvement)
             assert (result.best_epoch, result.best_val_loss, len(result.epoch_logs)) == expected, (patience, min_improvement)
             outcomes.add(expected)
@@ -362,8 +365,8 @@ def test_patience_stops_where_the_counter_rule_stops(small_split, threshold):
 
 
 def test_restored_model_matches_best_epoch(small_split):
-    config = small_config(THRESH_NONE, max_epochs=4, patience=None)
+    config = small_config(max_epochs=4, patience=None)
     model = fresh_model(small_split)
-    result = run(config, small_split, model, fit_reference(small_split.train, ("pitch",)))
+    result = run(config, THRESH_NONE, small_split, model, fit_reference(small_split.train, ("pitch",)))
     restored_loss = model.mean_nll(list(small_split.validation))
     assert restored_loss == result.best_val_loss

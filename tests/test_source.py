@@ -12,7 +12,7 @@ def test_package_exports_resolve():
     assert not missing, missing
     exec("from auggen import *", {})
     # these stay in their modules; the package does not export them
-    removed = {"GenerativeModel", "realize", "wasserstein1"}
+    removed = {"GenerativeModel", "realize", "wasserstein1", "LoopConfig"}
     assert not removed & set(auggen.__all__) and not any(hasattr(auggen, name) for name in removed)
 
 
@@ -99,3 +99,22 @@ def test_no_module_imports_a_private_name():
             if isinstance(node, ast.ImportFrom) and any(alias.name.startswith("_") for alias in node.names):
                 found.append(f"{path.name}:{node.lineno}")
     assert not found, found
+
+
+RUN_SETTINGS = {"n_generate", "batches", "batch_size", "max_epochs", "patience", "min_improvement"}
+
+
+def test_run_settings_are_declared_once():
+    # every regime trains with the same settings, so one dataclass declares them; a second is a copy to keep in step
+    declared: dict[str, list[str]] = {}
+    for path in sorted(PACKAGE_DIR.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.ClassDef):
+                continue
+            if not any(ast.unparse(d).split("(")[0].endswith("dataclass") for d in node.decorator_list):
+                continue
+            for item in node.body:
+                if isinstance(item, ast.AnnAssign) and ast.unparse(item.target) in RUN_SETTINGS:
+                    declared.setdefault(ast.unparse(item.target), []).append(f"{path.name}:{node.name}")
+    assert declared == {name: ["experiment.py:ExperimentConfig"] for name in RUN_SETTINGS}, declared
