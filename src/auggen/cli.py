@@ -288,6 +288,9 @@ def main(argv: list[str] | None = None) -> int:
     except (OSError, ValueError, RegimeError) as exc:  # CorpusError and ChoraleFormatError are ValueErrors
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except MemoryError as exc:  # e.g. numpy refusing the arrays of a huge --max-length or teacher_max_length
+        print(f"error: out of memory: {exc}" if str(exc) else "error: out of memory", file=sys.stderr)
+        return 1
 
 
 def entrypoint() -> None:

@@ -13,7 +13,7 @@ import json
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
-from itertools import accumulate, chain
+from itertools import accumulate
 from pathlib import Path
 
 from .chorale import HOLD, REST, Chorale, Token, parse_chorale, serialize_chorale
@@ -126,12 +126,15 @@ def save_split_manifest(s: Split, path: str | Path) -> None:
 # voice above. Desk-scale corpora therefore carry melodic, rhythmic, and
 # cross-voice regularities a student model has to earn.
 #
-# A walk reads its constraints from tables built once from the constants
-# below. Bit i of a lower voice's mask stands for pitch i of its pool, so
-# each set of admissible pitches is a few integer ANDs, and a draw picks
-# among the set bits in pool order. Every walk makes the same random draws,
-# in the same order and with the same bounds, as a walk that filters the
-# pool pitch by pitch.
+# The walks run as one loop that reads the constraints from lists built once
+# from the constants below, and its random draws inline from a list of raw
+# PCG64 output, so a ``random() < p`` test is one compare of a raw value with
+# a cut. Bit i of a lower voice's mask stands for pitch i of its pool,
+# so each set of admissible pitches is a few integer ANDs of entries of
+# 129-entry lists indexed by pitch, entry 128 for a silent voice. The pitches
+# of each mask the walks meet are memoized as a tuple, so a pick is one index.
+# Every walk makes the same random draws, in the same order and with the same
+# bounds, as a walk that filters the pool pitch by pitch.
 
 _MAJOR_SCALE = (0, 2, 4, 5, 7, 9, 11)
 _CONSONANT_CLASSES = (0, 3, 4, 7, 8, 9)  # unison/octave, thirds, fifths, sixths
@@ -154,112 +157,91 @@ _STEP_TOTAL = tuple(accumulate(_STEP_WEIGHTS, initial=0.0))[-1]
 # the cumulative step weights, accumulated from 0.0 term by term; a pick at or above the last cut is no step
 _STEP_CUTS = tuple(accumulate((w / _STEP_TOTAL for w in _STEP_WEIGHTS), initial=0.0))[1:]
 _STEPS = (-2, -1, 0, 1, 2, 0)
-_SOUNDING = range(min(low for low, _ in _VOICE_RANGES), max(high for _, high in _VOICE_RANGES) + 1)
+
+
+def _raw_cut(p: float) -> int:
+    """The raw values whose ``random()`` is below ``p`` are those below this cut.
+
+    ``random()`` is ``(raw >> 11) * 2**-53``, so it is below ``p`` when ``raw >> 11 < p * 2**53`` (scaling by a
+    power of two is exact), that is when the integer ``raw >> 11`` is below the ceiling of ``p * 2**53``.
+    """
+    return math.ceil(p * 2.0**53) << 11
+
+
+_REST_CUT = _raw_cut(_REST_PROB)
+_HOLD_CUT = _raw_cut(_REST_PROB + _HOLD_PROB)
+_FOLLOW_CUT = _raw_cut(_FOLLOW_HOLD_PROB)
+_RAW_STEP_CUTS = tuple(map(_raw_cut, _STEP_CUTS))
+# the soprano's next pool index, per index and per step pick, kept inside the pool
+_SOPRANO_NEXT = tuple(tuple(min(max(j + s, 0), len(_POOLS[0]) - 1) for s in _STEPS) for j in range(len(_POOLS[0])))
+
+_SILENT = 128  # a silent voice's pitch in the walks and its entry in the lists below
+_HALF = 0xFFFFFFFF
+# integers(0, k) rejects a 32-bit draw whose product with k has its low half below (2**32 - k) % k
+_REJECT_BELOW = tuple((_HALF + 1 - k) % k if k else 0 for k in range(max(map(len, _POOLS)) + 1))
+# the most raw values a timestep reads, redraws aside: a soprano roll that takes no step, then a rest, a hold
+# and a pitch draw per lower voice
+_STEP_RAW = 10
 
 
 def _mask(pool: tuple[int, ...], admits) -> int:
     return sum(1 << i for i, p in enumerate(pool) if admits(p))
 
 
-# per lower voice, keyed by a pitch any voice can sound: pool pitches at or below it, within a leap of it,
-# consonant with it, and a unison/octave or fifth away from it (keyed with the interval class)
-_FULL = tuple((1 << len(pool)) - 1 for pool in _POOLS)
-_AT_MOST = tuple({c: _mask(pool, lambda p: p <= c) for c in _SOUNDING} for pool in _POOLS)
-_NEAR = tuple({c: _mask(pool, lambda p: abs(p - c) <= _MAX_LEAP) for c in _SOUNDING} for pool in _POOLS)
-_CONSONANT = tuple(
-    {c: _mask(pool, lambda p: abs(c - p) % 12 in _CONSONANT_CLASSES) for c in _SOUNDING} for pool in _POOLS
-)
-_PARALLEL = tuple(
-    {(c, k): _mask(pool, lambda p: abs(c - p) % 12 == k) for c in _SOUNDING for k in _PARALLEL_CLASSES}
-    for pool in _POOLS
-)
-_BIT = tuple({p: 1 << i for i, p in enumerate(pool)} for pool in _POOLS)
+def _lower_voice_tables(pool: tuple[int, ...]) -> tuple:
+    """One lower voice's pool, full mask and pitch-indexed masks: pool pitches at or below a pitch, within a
+    leap of it, consonant with it, a unison/octave or fifth away from it (one list per interval class, empty
+    masks for the others), and the bit of each pool pitch. Entry 128, a silent voice, constrains nothing."""
+    full = (1 << len(pool)) - 1
+    pitches = range(_SILENT)
+    at_most = [_mask(pool, lambda p: p <= c) for c in pitches] + [full]
+    near = [_mask(pool, lambda p: abs(p - c) <= _MAX_LEAP) for c in pitches] + [full]
+    consonant = [_mask(pool, lambda p: abs(c - p) % 12 in _CONSONANT_CLASSES) for c in pitches] + [full]
+    parallel = tuple(
+        [_mask(pool, lambda p: abs(c - p) % 12 == k) if k in _PARALLEL_CLASSES else 0 for c in pitches] + [0]
+        for k in range(12)
+    )
+    bit = [1 << pool.index(c) if c in pool else 0 for c in range(_SILENT + 1)]
+    return pool, full, at_most, near, consonant, parallel, bit
 
 
-def _draw_step(rng) -> int:
-    return _STEPS[bisect_right(_STEP_CUTS, rng.random())]
-
-
-def _support_pitch(v: int, previous: list[int | None], sounding: list[int | None], rng) -> int:
-    """Pick a pitch for lower voice ``v``: near its previous one, consonant with the soprano
-    without moving in parallel perfect intervals against any upper voice, and not above the
-    voice directly above; constraints relax in that order if nothing qualifies."""
-    ceiling, soprano, prev = sounding[v - 1], sounding[0], sounding[v]
-    base = _FULL[v] if ceiling is None else _AT_MOST[v][ceiling]
-    consonant = base if soprano is None else base & _CONSONANT[v][soprano]
-    near = base
-    if prev is not None:
-        near &= _NEAR[v][prev]
-        for u in range(v):
-            upper_prev, upper_now = previous[u], sounding[u]
-            if upper_prev is None or upper_now is None or upper_prev == upper_now:
-                continue
-            before = abs(upper_prev - prev) % 12
-            if before in _PARALLEL_CLASSES:
-                consonant &= ~_PARALLEL[v][upper_now, before] | _BIT[v][prev]  # keeping the previous pitch is no motion
-    for candidates in (consonant & near, consonant, base & near, base, _FULL[v]):
-        if candidates:
-            break
-    for _ in range(rng.integers(0, candidates.bit_count())):
-        candidates &= candidates - 1  # drop the lowest set bit
-    return _POOLS[v][(candidates & -candidates).bit_length() - 1]
-
-
-def _teacher_walk(length: int, rng) -> Chorale:
-    soprano_pool = _POOLS[0]
-    voices: list[list[Token]] = [[] for _ in range(4)]
-    sounding: list[int | None] = [None] * 4
-    sop_idx = len(soprano_pool) // 2
-
-    for t in range(length):
-        previous = list(sounding)
-        roll = rng.random()
-        if roll < _REST_PROB:
-            sop_tok: Token = REST
-        elif t > 0 and voices[0][-1] != REST and roll < _REST_PROB + _HOLD_PROB:
-            sop_tok = HOLD
-        else:
-            sop_idx = min(max(sop_idx + _draw_step(rng), 0), len(soprano_pool) - 1)
-            sop_tok = soprano_pool[sop_idx]
-        voices[0].append(sop_tok)
-        sounding[0] = None if sop_tok == REST else (sounding[0] if sop_tok == HOLD else sop_tok)
-        soprano_moved = isinstance(sop_tok, int)
-
-        for v in range(1, 4):
-            can_hold = t > 0 and voices[v][-1] != REST and sounding[v] is not None
-            if rng.random() < _REST_PROB:
-                tok: Token = REST
-            elif can_hold and not soprano_moved and rng.random() < _FOLLOW_HOLD_PROB:
-                tok = HOLD
-            else:
-                tok = _support_pitch(v, previous, sounding, rng)
-            voices[v].append(tok)
-            sounding[v] = None if tok == REST else (sounding[v] if tok == HOLD else tok)
-
-    return Chorale(id="walk", voices=tuple(tuple(v) for v in voices))
+# per lower voice: its index, then its tables
+_LOWER = tuple((v, *_lower_voice_tables(_POOLS[v])) for v in range(1, 4))
 
 
 _RAW_BLOCK = 4096  # raw 64-bit values read per call to the bit generator
-_HALF = 0xFFFFFFFF
 
 
 class _RawReader:
-    """``random()`` and ``integers(0, k)`` of a PCG64 ``np.random.Generator``, served from blocks of its
-    raw output: each call returns what the same call on the generator would.
+    """The raw output of a PCG64 ``np.random.Generator``, read in blocks, and the draws made from it.
 
-    ``random()`` is the top 53 bits of one raw value, scaled by 2**-53. ``integers(0, k)`` is numpy's
-    32-bit Lemire draw: it takes the low half of a raw value and keeps the high half for the next such
+    ``raw[pos:]`` are the values not yet used and ``high`` is the high half of the last raw value split for
+    a bounded draw, if not yet used. :meth:`random` and :meth:`integers` return what the same call on the
+    generator would. ``random()`` is the top 53 bits of one raw value, scaled by 2**-53. ``integers(0, k)`` is
+    numpy's 32-bit Lemire draw: it takes the low half of a raw value and keeps the high half for the next such
     draw, multiplies it by ``k`` and rejects while the product's low 32 bits are below ``(2**32 - k) % k``;
-    ``k == 1`` takes nothing. The generator itself is read ahead by up to a block.
+    ``k == 1`` takes nothing. The walks read ``raw`` inline and call :meth:`integers` only to redraw.
     """
 
     def __init__(self, rng):
-        bits = rng.bit_generator
-        self._raw = chain.from_iterable(iter(lambda: bits.random_raw(_RAW_BLOCK).tolist(), None))
-        self._high: int | None = None  # the high half of the last raw value split for a draw, not yet used
+        self._bits = rng.bit_generator
+        self.raw: list[int] = []
+        self.pos = 0
+        self.high: int | None = None
+
+    def fill(self, n: int) -> None:
+        """Have at least ``n`` values unread, reading at least a block if there are fewer."""
+        if len(self.raw) - self.pos < n:
+            self.raw = self.raw[self.pos :] + self._bits.random_raw(max(n, _RAW_BLOCK)).tolist()
+            self.pos = 0
+
+    def _next(self) -> int:
+        self.fill(1)
+        self.pos += 1
+        return self.raw[self.pos - 1]
 
     def random(self) -> float:
-        return (next(self._raw) >> 11) * 2.0**-53
+        return (self._next() >> 11) * 2.0**-53
 
     def integers(self, low: int, high: int) -> int:
         k = high - low
@@ -269,29 +251,116 @@ class _RawReader:
             return low
         threshold = (_HALF + 1 - k) % k
         while True:
-            if self._high is None:
-                raw = next(self._raw)
-                half, self._high = raw & _HALF, raw >> 32
+            if self.high is None:
+                raw = self._next()
+                half, self.high = raw & _HALF, raw >> 32
             else:
-                half, self._high = self._high, None
+                half, self.high = self.high, None
             product = half * k
             if product & _HALF >= threshold:
                 return low + (product >> 32)
 
 
-def _teacher_walks(rng) -> list[Chorale]:
-    """The teacher's seed walks, lengths rising evenly from 32 to 48 timesteps.
+def _teacher_walks(reader: _RawReader) -> list[Chorale]:
+    """The teacher's seed walks, lengths rising evenly from 32 to 48 timesteps, drawn from ``reader``.
 
-    :func:`teacher_model` passes a :class:`_RawReader` over the walk stream, which reads the stream ahead
-    of the last draw the walks use. That is safe: no other code reads the walk stream, so the values read
-    past the last walk change nothing.
+    A lower voice picks a pitch near its previous one, consonant with the soprano without moving in parallel
+    perfect intervals against any upper voice, and not above the voice directly above; the constraints relax
+    in that order if nothing qualifies. The draws are read from ``reader.raw`` by index, with at least
+    ``_STEP_RAW`` values per timestep made unread before each walk; a rejected bounded draw is redrawn by
+    ``reader.integers``. ``reader`` is left where the last draw leaves the generator.
     """
-    lo, hi = 32, 48
-    return [_teacher_walk(lo + (i * (hi - lo)) // (_N_SEED_WALKS - 1), rng) for i in range(_N_SEED_WALKS)]
+    soprano_pool = _POOLS[0]
+    lower = tuple((*tables, {}) for tables in _LOWER)  # each voice's picks by mask, for this call
+    walks = []
+    raw, i, high = reader.raw, reader.pos, reader.high
+    for n in range(_N_SEED_WALKS):
+        length = 32 + (n * 16) // (_N_SEED_WALKS - 1)
+        if len(raw) - i < _STEP_RAW * length:
+            reader.pos = i
+            reader.fill(_STEP_RAW * length)
+            raw, i = reader.raw, reader.pos
+        voices: tuple[list[Token], ...] = ([], [], [], [])
+        sounding = [_SILENT] * 4
+        sop_idx = len(soprano_pool) // 2
+        for _ in range(length):
+            moves = []  # (previous, new) pitch of each voice above that moved from one pitch to another
+            roll = raw[i]
+            i += 1
+            struck = False  # whether the soprano strikes a note, which the lower voices then do not hold
+            if roll < _REST_CUT:
+                voices[0].append(REST)
+                sounding[0] = _SILENT
+            elif roll < _HOLD_CUT and sounding[0] != _SILENT:
+                voices[0].append(HOLD)
+            else:
+                sop_idx = _SOPRANO_NEXT[sop_idx][bisect_right(_RAW_STEP_CUTS, raw[i])]
+                i += 1
+                pitch = soprano_pool[sop_idx]
+                if sounding[0] != pitch and sounding[0] != _SILENT:
+                    moves.append((sounding[0], pitch))
+                sounding[0] = pitch
+                voices[0].append(pitch)
+                struck = True
+
+            for v, pool, full, at_most, near, consonant, parallel, bit, picks_of in lower:
+                prev = sounding[v]
+                rest = raw[i] < _REST_CUT
+                i += 1
+                if rest:
+                    voices[v].append(REST)
+                    sounding[v] = _SILENT
+                    continue
+                if prev != _SILENT and not struck:
+                    hold = raw[i] < _FOLLOW_CUT
+                    i += 1
+                    if hold:
+                        voices[v].append(HOLD)
+                        continue
+                base = at_most[sounding[v - 1]]
+                agree = base & consonant[sounding[0]]
+                close = base & near[prev]
+                if prev != _SILENT:
+                    keep = bit[prev]  # keeping the previous pitch is no motion
+                    for upper_prev, upper_now in moves:
+                        agree &= ~parallel[abs(upper_prev - prev) % 12][upper_now] | keep
+                candidates = agree & close or agree or close or base or full
+                picks = picks_of.get(candidates)
+                if picks is None:
+                    picks = picks_of[candidates] = tuple(p for j, p in enumerate(pool) if candidates >> j & 1)
+                k = len(picks)
+                if k == 1:
+                    pitch = picks[0]
+                else:
+                    if high is None:
+                        half, high = raw[i] & _HALF, raw[i] >> 32
+                        i += 1
+                    else:
+                        half, high = high, None
+                    product = half * k
+                    if product & _HALF >= _REJECT_BELOW[k]:
+                        pitch = picks[product >> 32]
+                    else:
+                        reader.pos, reader.high = i, high
+                        pitch = picks[reader.integers(0, k)]
+                        reader.fill(_STEP_RAW * length)
+                        raw, i, high = reader.raw, reader.pos, reader.high
+                if prev != pitch and prev != _SILENT:
+                    moves.append((prev, pitch))
+                voices[v].append(pitch)
+                sounding[v] = pitch
+        walks.append(Chorale(id="walk", voices=voices))
+    reader.pos, reader.high = i, high
+    return walks
 
 
 def teacher_model(seed: int) -> MarkovModel:
-    """Deterministically construct the teacher from seeded walks."""
+    """Deterministically construct the teacher from seeded walks.
+
+    The walks read the walk stream in blocks of raw output, so it is read ahead of their last draw, by fewer
+    than ``_RAW_BLOCK + _STEP_RAW * 48`` values. That is safe: no other code reads the walk stream, so the
+    values read past the last walk change nothing.
+    """
     walks = _teacher_walks(_RawReader(stream(seed, "teacher", "walks")))
     model = MarkovModel.with_vocab_from(walks, order=_TEACHER_ORDER, alpha=_TEACHER_SMOOTHING)
     model.fit(walks, [1] * len(walks))

@@ -1,9 +1,11 @@
 import json
 
+import numpy as np
 import pytest
 from hypothesis import given
 import hypothesis.strategies as st
 
+from auggen import corpus as corpus_module
 from auggen.chorale import Chorale, InvalidChoraleError, validate
 from auggen.corpus import (
     Corpus,
@@ -14,10 +16,14 @@ from auggen.corpus import (
     split,
     split_manifest,
     teacher_corpus,
+    _FOLLOW_HOLD_PROB,
+    _HOLD_PROB,
+    _REST_PROB,
     _STEP_CUTS,
     _STEP_WEIGHTS,
     _RAW_BLOCK,
     _RawReader,
+    _raw_cut,
     _teacher_walks,
 )
 from auggen.grading import grade
@@ -185,6 +191,79 @@ def test_raw_reader_matches_the_generator_across_blocks():
     for k in (0, -1, 2**32):
         with pytest.raises(ValueError):
             reader.integers(0, k)
+
+
+def test_raw_reader_redraws_a_rejected_carried_half_from_a_fresh_block():
+    # numpy keeps the high half of a raw value for the next bounded draw; a carried 0 rejects for any k
+    # that is not a power of two, so the redraw reads the first raw value, which the reader fetches as a block
+    rng = stream(8, "reader")
+    rng.bit_generator.state = {**rng.bit_generator.state, "has_uint32": 1, "uinteger": 0}
+    reader = _RawReader(stream(8, "reader"))
+    reader.high = 0
+    for k in (3, 12, 5, 7):
+        assert reader.integers(0, k) == rng.integers(0, k)
+    assert reader.random() == rng.random()
+
+
+class _StubBits:
+    """A bit generator serving fixed raw values, counting the blocks read."""
+
+    def __init__(self, values):
+        self.values, self.at, self.blocks = values, 0, 0
+
+    def random_raw(self, n):
+        self.at, self.blocks = self.at + n, self.blocks + 1
+        return self.values[self.at - n : self.at].copy()
+
+
+class _Stub:
+    def __init__(self, values):
+        self.bit_generator = _StubBits(values)
+
+
+def test_teacher_walks_redraw_rejected_bounded_draws(monkeypatch):
+    # every raw value has a zero low half, so each bounded draw that splits a fresh raw value for a k that is
+    # not a power of two rejects it and redraws from its high half; the oracle draws through the reader's
+    # methods, which the tests above hold to the generator. Blocks are small, so refills fall mid-walk.
+    monkeypatch.setattr(corpus_module, "_RAW_BLOCK", 97)
+    values = stream(6, "stub").bit_generator.random_raw(2**18) & np.uint64(0xFFFFFFFF00000000)
+
+    def walks_and_redraws(values):
+        reader, redraws = _RawReader(_Stub(values)), []
+        draw = reader.integers
+
+        def redraw(low, high):  # records the stream position of the rejected value and the blocks read
+            bits = reader._bits
+            position, blocks = bits.at - (len(reader.raw) - reader.pos) - 1, bits.blocks
+            out = draw(low, high)
+            redraws.append((position, bits.blocks - blocks))
+            return out
+
+        reader.integers = redraw
+        walks = _teacher_walks(reader)
+        oracle_reader = _RawReader(_Stub(values))
+        assert [w.voices for w in walks] == [w.voices for w in reference_teacher_walks(oracle_reader)]
+        assert reader.random() == oracle_reader.random()
+        return redraws
+
+    redraws = walks_and_redraws(values)
+    assert len(redraws) > 1000
+    # a raw value of 0 rejects both halves, so a run of zeros from the first rejected value on is one redraw
+    # that rejects until it has read past the buffer the walk filled, on into fresh blocks
+    first = redraws[0][0]
+    values[first : first + 1000] = 0
+    redraws = walks_and_redraws(values)
+    position, blocks_read = redraws[0]
+    assert position == first and blocks_read > 0
+
+
+@pytest.mark.parametrize("p", [_REST_PROB, _REST_PROB + _HOLD_PROB, _FOLLOW_HOLD_PROB, *_STEP_CUTS, 2.0**-60, 0.5])
+def test_raw_cut_is_where_random_reaches_p(p):
+    # the walks test a raw value against the cut where the generator tests random() < p
+    cut = _raw_cut(p)
+    assert ((cut - 1) >> 11) * 2.0**-53 < p <= (cut >> 11) * 2.0**-53
+    for raw in (cut - 2**11, cut - 1, cut, cut + 2**11 - 1):
+        assert (raw < cut) == ((raw >> 11) * 2.0**-53 < p)
 
 
 def test_step_cuts_divide_by_the_term_by_term_weight_sum():

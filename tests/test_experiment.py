@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given
 
 import auggen
-from auggen import cli, grading
+from auggen import cli, experiment, grading
 from auggen.chorale import Chorale, validate
 from auggen.cli import feature_rows, main
 from auggen.corpus import Corpus, load_corpus
@@ -220,6 +220,30 @@ class TestCli:
         assert code != 0
         assert "error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("message", ["Unable to allocate 14.9 GiB for an array", ""])
+    def test_teacher_gen_out_of_memory_prints_one_error_line(self, tmp_path, capsys, monkeypatch, message):
+        # the teacher is stubbed to refuse, so nothing is allocated for real
+        def refuse(*args):
+            raise MemoryError(message)
+
+        monkeypatch.setattr(cli, "teacher_corpus", refuse)
+        out = tmp_path / "x.jsonl"
+        args = ["teacher-gen", "--n", "5", "--min-length", "100000000", "--max-length", "100000000"]
+        assert main(args + ["--out", str(out)]) == 1
+        expected = f"error: out of memory: {message}\n" if message else "error: out of memory\n"
+        assert capsys.readouterr().err == expected
+        assert not out.exists()
+
+    def test_compare_out_of_memory_in_prepare_fails_before_writing(self, tmp_path, capsys, monkeypatch):
+        # prepare builds the teacher before any regime runs, outside the per-regime RegimeError wrapper
+        def refuse(*args, **kwargs):
+            raise MemoryError("Unable to allocate 2.1 GiB for an array")
+
+        monkeypatch.setattr(experiment, "teacher_corpus", refuse)
+        out = tmp_path / "out"
+        assert main(["compare", "--config", str(write_small_config(tmp_path)), "--out-dir", str(out)]) == 1
+        assert capsys.readouterr().err == "error: out of memory: Unable to allocate 2.1 GiB for an array\n"
+        assert not out.exists()
 
     def test_failing_regime_prints_one_error_line(self, tmp_path):
         # in a child process, so that stderr holds what the logging set-up of `main` writes as well
