@@ -12,6 +12,11 @@ A hold can only extend a note: it is invalid at timestep 0 and directly
 after a rest. :class:`Chorale` checks this grammar when it is built, so
 every chorale that exists is valid and no operation checks it again.
 
+This module owns the one integer code of a token: pitch p is p, HOLD 128,
+REST 129 (:data:`TOKENS` maps a code back). Each chorale carries its code
+grid, built with it; the grammar is checked on it, the critic realizes it
+(:func:`fill_grid`) and the model's context keys take it as their digits.
+
 The wire format is one JSON object per line, pitches written as decimal
 strings::
 
@@ -24,9 +29,9 @@ shared freely across parallel workers.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
-from itertools import chain
-from typing import Iterable
+from dataclasses import dataclass, field
+from itertools import chain, repeat
+from typing import Sequence
 
 import numpy as np
 
@@ -39,6 +44,18 @@ MIN_PITCH = 0
 MAX_PITCH = 127
 
 Token = int | str
+
+TOKENS: tuple[Token, ...] = (*range(MIN_PITCH, MAX_PITCH + 1), HOLD, REST)  # code -> token
+HOLD_CODE = TOKENS.index(HOLD)
+REST_CODE = TOKENS.index(REST)
+_CODE_BY_TOKEN: dict[Token, int] = {tok: code for code, tok in enumerate(TOKENS)}
+_NOT_A_TOKEN = 255  # the code of anything else; a chorale holding one is never built
+_HOLD_AFTER_REST = bytes((REST_CODE, HOLD_CODE))
+
+
+def token_code(tok: object) -> int | None:
+    """The code of ``tok``, or None if it is not a token: ``True``, ``60.0`` and ``np.int64(60)`` are not."""
+    return _CODE_BY_TOKEN.get(tok) if isinstance(tok, (int, str)) and not isinstance(tok, bool) else None
 
 
 class ChoraleFormatError(ValueError):
@@ -70,14 +87,22 @@ class Chorale:
 
     Construction enforces the grammar invariants: it raises
     :class:`InvalidChoraleError` with every violation :func:`validate`
-    finds.
+    finds. ``codes`` is its code grid, every token's code voice by voice,
+    read with ``np.frombuffer``; the voices determine it, so it is not
+    compared or hashed.
     """
 
     id: str
     voices: tuple[tuple[Token, ...], ...]
+    codes: bytes = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "voices", tuple(tuple(v) for v in self.voices))
+        voices = tuple(tuple(v) for v in self.voices)
+        tokens = [*chain.from_iterable(voices)]
+        if not {*map(type, tokens)} <= {int, str}:  # True, 60.0 and np.int64(60) would find the codes of 1 and 60
+            tokens = [tok if token_code(tok) is not None else None for tok in tokens]
+        object.__setattr__(self, "voices", voices)
+        object.__setattr__(self, "codes", bytes(map(_CODE_BY_TOKEN.get, tokens, repeat(_NOT_A_TOKEN))))
         violations = validate(self)
         if violations:
             raise InvalidChoraleError(self.id, violations)
@@ -108,71 +133,65 @@ def validate(chorale: Chorale) -> list[str]:
     """Return all invariant violations, each naming voice and timestep.
 
     An empty list means the chorale is valid, as every constructed
-    :class:`Chorale` is.
+    :class:`Chorale` is. Three byte searches of the code grid find a valid
+    one; only the cells at fault are read one by one.
     """
-    violations: list[str] = []
     voices = chorale.voices
     if len(voices) != N_VOICES:
-        violations.append(f"expected {N_VOICES} voices, got {len(voices)}")
-        return violations
+        return [f"expected {N_VOICES} voices, got {len(voices)}"]
     length = len(voices[0])
     if length < 1:
-        violations.append("voices must have at least 1 timestep")
+        return ["voices must have at least 1 timestep"]
+    violations = [f"voice {v}: length {n} != voice 0 length {length}" for v, n in enumerate(map(len, voices)) if n != length]
+    codes = chorale.codes
+    # a REST that ends one voice and a HOLD that starts the next are a HOLD at timestep 0 as well
+    if violations or not (_NOT_A_TOKEN in codes or HOLD_CODE in codes[::length] or _HOLD_AFTER_REST in codes):
         return violations
-    for v, voice in enumerate(voices):
-        if len(voice) != length:
-            violations.append(f"voice {v}: length {len(voice)} != voice 0 length {length}")
-    if violations:
-        return violations
-    for v, voice in enumerate(voices):
-        for t, tok in enumerate(voice):
-            if isinstance(tok, bool):
-                violations.append(f"voice {v}: unknown token {tok!r} at timestep {t}")
-            elif isinstance(tok, int):
-                if not MIN_PITCH <= tok <= MAX_PITCH:
-                    violations.append(f"voice {v}: pitch {tok} out of range at timestep {t}")
-            elif tok == HOLD:
-                if t == 0:
-                    violations.append(f"voice {v}: HOLD at timestep 0")
-                elif voice[t - 1] == REST:
-                    violations.append(f"voice {v}: HOLD after REST at timestep {t}")
-            elif tok != REST:
-                violations.append(f"voice {v}: unknown token {tok!r} at timestep {t}")
+    grid = np.frombuffer(codes, np.uint8).reshape(N_VOICES, length)
+    before = np.pad(grid[:, :-1], ((0, 0), (1, 0)), constant_values=REST_CODE)  # a REST before timestep 0
+    faults = (grid == _NOT_A_TOKEN) | ((grid == HOLD_CODE) & (before == REST_CODE))
+    for v, t in np.argwhere(faults).tolist():
+        tok = voices[v][t]
+        if grid[v, t] == HOLD_CODE:
+            violations.append(f"voice {v}: HOLD at timestep 0" if t == 0 else f"voice {v}: HOLD after REST at timestep {t}")
+        elif isinstance(tok, int) and not isinstance(tok, bool):
+            violations.append(f"voice {v}: pitch {tok} out of range at timestep {t}")
+        else:
+            violations.append(f"voice {v}: unknown token {tok!r} at timestep {t}")
     return violations
 
 
 def realize(chorale: Chorale) -> RealizedGrid:
-    """Expand tokens into sounding pitches and onset flags, as read-only arrays.
-
-    One forward fill over the voices' token codes: :func:`fill_grid` with
-    the four voices laid end to end.
-    """
-    pitches, onsets = fill_grid(chorale.voices, chorale.length)
+    """Expand tokens into sounding pitches and onset flags, as read-only arrays: :func:`fill_grid` of the
+    chorale alone, without its closing column."""
+    pitches, onsets = fill_grid([chorale])
+    pitches, onsets = pitches[:, :-1], onsets[:, :-1]
     pitches.setflags(write=False)
     onsets.setflags(write=False)
     return RealizedGrid(pitches=pitches, onsets=onsets)
 
 
-_HOLD_CODE = -2  # below SILENT, so that ``code >= 0`` is exactly a note onset
-_CODE_OF: dict[Token, int] = {**{p: p for p in range(MIN_PITCH, MAX_PITCH + 1)}, REST: SILENT, HOLD: _HOLD_CODE}
+def join_codes(chorales: Sequence[Chorale], gap: int, code: int) -> np.ndarray:
+    """The chorales' code grids side by side, each followed by ``gap`` columns of ``code``: a read-only
+    ``(N_VOICES, columns)`` uint8 array."""
+    fill = bytes((code,)) * gap
+    rows = [fill.join([*(c.codes[v * c.length : (v + 1) * c.length] for c in chorales), b""]) for v in range(N_VOICES)]
+    return np.frombuffer(b"".join(rows), np.uint8).reshape(N_VOICES, -1)
 
 
-def fill_grid(parts: Iterable[Iterable[Token]], columns: int) -> tuple[np.ndarray, np.ndarray]:
-    """Sounding pitches (int16) and onset flags (bool), each ``(N_VOICES, columns)``, of valid tokens.
-
-    ``parts`` chained end to end are the ``N_VOICES * columns`` tokens of
-    the grid, row by row. Pitch p codes as p, REST as :data:`SILENT` and HOLD as
-    a sentinel; each cell takes the code of the last non-HOLD cell at or
-    before it in its row. No row may start with a HOLD.
-    """
-    count = N_VOICES * columns
-    codes = np.fromiter(map(_CODE_OF.__getitem__, chain.from_iterable(parts)), np.int16, count).reshape(N_VOICES, columns)
-    last = np.maximum.accumulate(np.where(codes != _HOLD_CODE, np.arange(columns), 0), axis=1)
-    return np.take_along_axis(codes, last, axis=1), codes >= 0
+def fill_grid(chorales: Sequence[Chorale]) -> tuple[np.ndarray, np.ndarray]:
+    """Sounding pitches (int16) and onset flags (bool), each ``(N_VOICES, columns)``, of the chorales side by
+    side, each followed by a REST, which realizes to a :data:`SILENT` column with no onset. One forward fill:
+    each cell takes the code of the last non-HOLD cell at or before it in its row."""
+    codes = join_codes(chorales, 1, REST_CODE)
+    last = np.maximum.accumulate(np.where(codes != HOLD_CODE, np.arange(codes.shape[1]), 0), axis=1)
+    pitches = np.take_along_axis(codes, last, axis=1).astype(np.int16)
+    pitches[pitches > MAX_PITCH] = SILENT
+    return pitches, codes <= MAX_PITCH
 
 
-_TEXT_BY_TOKEN: dict[Token, str] = {tok: str(tok) for tok in (*range(MIN_PITCH, MAX_PITCH + 1), HOLD, REST)}
-_TOKEN_BY_TEXT: dict[str, Token] = {text: tok for tok, text in _TEXT_BY_TOKEN.items()}
+_TEXTS: tuple[str, ...] = tuple(map(str, TOKENS))  # code -> text
+_TOKEN_BY_TEXT: dict[str, Token] = dict(zip(_TEXTS, TOKENS))
 
 
 def _token_error(raw_voice: list, v: int, line: int | None) -> ChoraleFormatError:
@@ -198,10 +217,10 @@ def canonical_key(chorale: Chorale) -> tuple[tuple[Token, ...], ...]:
 
 def serialize_chorale(chorale: Chorale) -> str:
     """One-line JSON record; ``parse_chorale`` inverts it exactly."""
+    length = chorale.length
     record = {
         "id": chorale.id,
-        # a Chorale holds no bool, so True cannot alias the key 1
-        "voices": [list(map(_TEXT_BY_TOKEN.__getitem__, voice)) for voice in chorale.voices],
+        "voices": [[_TEXTS[code] for code in chorale.codes[v * length : (v + 1) * length]] for v in range(N_VOICES)],
     }
     return json.dumps(record, separators=(",", ":"))
 

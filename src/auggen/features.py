@@ -1,7 +1,8 @@
 """Musical feature extractors over realized chorale grids, a batch at a time.
 
-:func:`realize_batch` realizes a batch of chorales in one forward fill and
-joins the ``(4, T)`` grids along time, with one :data:`~auggen.chorale.SILENT`
+:func:`realize_batch` realizes a batch of chorales in one forward fill over
+their code grids (:func:`~auggen.chorale.fill_grid`), so the ``(4, T)``
+grids come out joined along time, with one :data:`~auggen.chorale.SILENT`
 column after each chorale. That column ends every note, every sounding
 voice pair and every consecutive-timestep pair at the chorale boundary
 (melodic steps skip rests, so that extractor also compares chorale
@@ -43,11 +44,10 @@ import math
 
 import numpy as np
 
-from .chorale import N_VOICES, REST, SILENT, Chorale, fill_grid
+from .chorale import N_VOICES, SILENT, Chorale, fill_grid
 
 _VOICE_PAIRS = np.triu_indices(N_VOICES, 1)  # (higher voices, lower voices) of every pair, in combinations order
 _NORM_TOL = 1e-12
-_SEPARATOR = (REST,)  # the token after each chorale in every voice of a batch
 
 
 @dataclass(frozen=True)
@@ -97,14 +97,9 @@ class GridBatch:
 
 
 def realize_batch(chorales: Sequence[Chorale]) -> GridBatch:
-    """Realize every chorale of the batch in one forward fill, in order.
-
-    Each voice's row is that voice of every chorale followed by one REST,
-    which realizes to a SILENT separator column with no onset.
-    """
+    """Realize the chorales in one forward fill, in order, each followed by a SILENT separator column."""
     lengths = np.array([chorale.length for chorale in chorales], dtype=np.intp)
-    parts = [part for v in range(N_VOICES) for chorale in chorales for part in (chorale.voices[v], _SEPARATOR)]
-    pitches, onsets = fill_grid(parts, int(lengths.sum()) + lengths.size)
+    pitches, onsets = fill_grid(chorales)
     return GridBatch(
         pitches=pitches,
         onsets=onsets,

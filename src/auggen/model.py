@@ -8,42 +8,44 @@ voices above it (soprano first). The training loop calls its ``fit``,
 
 Its fitted state is integer arrays. Each context is one int64 key, a
 base-131 number whose leading digit is the voice and whose other digits are
-the context's tokens (pitch p is digit p, HOLD 128, REST 129, START 130);
-that fits in int64 for ``order <= 5``, and a larger order is rejected. Keys
-are interned as row ids in order of first sight, and each chorale object is
-encoded once, with numpy, into row and token-index arrays (index −1 outside
-the voice vocabulary). ``fit`` is one ``np.add.at`` of the draw counts into
-an int32 ``(rows, Vmax)`` count table with int64 row totals; a row interned
-after the fit reads as zero counts. ``mean_nll`` gathers from the table,
-sums each scored chorale's event scores sequentially, then adds those sums
-in draw order, so it gives the bits of a per-event log-probability loop over
-the drawn chorales. ``sample_many`` draws a batch in lockstep: each chorale
-takes ``4 * length`` uniforms from its own stream, then every (timestep,
-voice) is one numpy step over the chorales still running. The first draw
-after each ``fit`` or ``restore`` builds one sampling table per voice: the
-sorted keys of its counted rows (total above 0), their CDFs in key order,
-then its uniform CDF without and with HOLD masked; a row's key says whether
-HOLD is masked. A step finds the running chorales' context keys by
+the context's tokens: a token's digit is its code from
+:mod:`auggen.chorale`, and START is the digit after the last code. That
+fits in int64 for ``order <= 5``, and a larger order is rejected. Keys are
+interned as row ids in order of first sight, and each chorale object is
+encoded once, with numpy, from its code grid into row and token-index
+arrays (index −1 outside the voice vocabulary). ``fit`` is one
+``np.add.at`` of the draw counts into an int32 ``(rows, Vmax)`` count table
+with int64 row totals; a row interned after the fit reads as zero counts.
+``mean_nll`` gathers from the table, sums each scored chorale's event
+scores sequentially, then adds those sums in draw order, so it gives the
+bits of a per-event log-probability loop over the drawn chorales.
+``sample_many`` draws a batch in lockstep: each chorale takes
+``4 * length`` uniforms from its own stream, then every (timestep, voice)
+is one numpy step over the chorales still running. The first draw after
+each ``fit`` or ``restore`` builds one sampling table per voice: the sorted
+keys of its counted rows (total above 0), their CDFs in key order, then its
+uniform CDF without and with HOLD masked; a row's key says whether HOLD is
+masked. A step finds the running chorales' context keys by
 ``np.searchsorted`` in their voice's keys and sends any other key (unknown,
 total 0, or interned after the fit) to the uniform CDF, masked after a REST
-or START. Each CDF has the bits of ``np.cumsum(probs / probs.sum())``
-over ``next_token_dist``, but for its last entry, stored as +inf, so the
-first entry above the uniform is ``bisect_right`` clamped to the
-vocabulary. ``sample`` is a batch of one. ``save`` orders its cells by
-their text, with ``np.lexsort`` over the text ranks of the digits.
+or START. Each CDF has the bits of ``np.cumsum(probs / probs.sum())`` over
+``next_token_dist``, but for its last entry, stored as +inf, so the first
+entry above the uniform is ``bisect_right`` clamped to the vocabulary. The
+drawn digits are decoded through chorale's :data:`~auggen.chorale.TOKENS`.
+``sample`` is a batch of one. ``save`` orders its cells by their text, with
+``np.lexsort`` over the text ranks of the digits.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from itertools import chain
 from pathlib import Path
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from .chorale import HOLD, MAX_PITCH, MIN_PITCH, REST, Chorale, Token
+from .chorale import HOLD, HOLD_CODE, REST_CODE, TOKENS, Chorale, Token, join_codes, token_code
 from .rng import stream
 
 START = "^"  # context padding before timestep 0; never emitted
@@ -53,11 +55,11 @@ Context = tuple[Token, ...]
 _SNAPSHOT_FORMAT = "auggen-markov-v1"
 _MAX_COUNT = int(np.iinfo(np.int32).max)
 
-# a context key's base-131 digits: the voice, then the context's tokens
-_RADIX = 131
-_DIGIT: dict[Token, int] = {**{p: p for p in range(MIN_PITCH, MAX_PITCH + 1)}, HOLD: 128, REST: 129, START: 130}
-_TOKENS = np.array(list(_DIGIT), dtype=object)  # digit -> token
-_TEXT_RANK = np.argsort(sorted(_DIGIT.values(), key=lambda digit: str(_TOKENS[digit])))  # digit -> rank of its text
+# a context key's digits: the voice, then the context's tokens, each its chorale code or START's digit
+_START = len(TOKENS)
+_RADIX = _START + 1
+_TOKENS = np.array([*TOKENS, START], dtype=object)  # digit -> token
+_TEXT_RANK = np.argsort(sorted(range(_RADIX), key=lambda digit: str(_TOKENS[digit])))  # digit -> rank of its text
 _MAX_ORDER = 5  # voice 3's key has order + 4 digits, and 4 * 131**8 < 2**63 <= 4 * 131**9
 _CHUNK = 64  # chorales encoded per numpy batch, so the key arrays stay small
 _NO_KEY = np.iinfo(np.int64).max  # above every context key
@@ -76,12 +78,6 @@ def sample_batch(
     from ``stream(seed, *key, j)``, and is named ``ids[j]``."""
     rngs = [stream(seed, *key, j) for j in range(len(ids))]
     return model.sample_many([length_pool[int(rng.integers(0, len(length_pool)))] for rng in rngs], rngs, ids)
-
-
-def _token_sort_key(tok: Token) -> tuple[int, int | str]:
-    if isinstance(tok, int):
-        return (0, tok)
-    return (1, tok)
 
 
 class MarkovModel:
@@ -107,23 +103,23 @@ class MarkovModel:
             raise ValueError(f"expected 4 per-voice vocabularies, got {len(vocabs)}")
         cleaned = []
         for v, vocab in enumerate(vocabs):
-            tokens = sorted({tok for tok in vocab if tok != START}, key=_token_sort_key)
+            tokens = [tok for tok in vocab if tok != START]
+            unknown = [tok for tok in tokens if token_code(tok) is None]  # before the set, where True would be 1
+            if unknown:
+                raise ValueError(f"voice {v} vocabulary holds {unknown[0]!r}, which is not a token")
+            tokens = sorted(set(tokens), key=lambda tok: (isinstance(tok, str), tok))  # pitches, then "R", then "__"
             if not tokens:
                 raise ValueError(f"voice {v} vocabulary is empty")
             if tokens == [HOLD]:
                 raise ValueError(f"voice {v} vocabulary is only {HOLD!r}, which cannot start a voice")
-            unknown = [tok for tok in tokens if tok not in _DIGIT]
-            if unknown:
-                raise ValueError(f"voice {v} vocabulary holds {unknown[0]!r}, which is not a token")
             cleaned.append(tuple(tokens))
         self.order = order
         self.alpha = float(alpha)
         self.vocabs: tuple[tuple[Token, ...], ...] = tuple(cleaned)
-        self._digits = [np.array([_DIGIT[tok] for tok in vocab]) for vocab in self.vocabs]  # column -> token digit
+        self._digits = [np.array([token_code(tok) for tok in vocab]) for vocab in self.vocabs]  # column -> token digit
         self._columns = np.full((4, _RADIX), -1, dtype=np.int32)  # token digit -> column; -1 outside the vocabulary
         for v, digits in enumerate(self._digits):
             self._columns[v, digits] = np.arange(len(digits))
-        self._token_arrays = [np.array(vocab, dtype=object) for vocab in self.vocabs]  # column -> token
         self._width = max(len(vocab) for vocab in self.vocabs)  # Vmax, the count table's column count
         self._rows: dict[int, int] = {}  # context key -> row id, in order of first sight; its length is the row count
         self._encoded: dict[int, tuple[Chorale, np.ndarray, np.ndarray]] = {}  # id -> (chorale, rows, token indices)
@@ -134,24 +130,17 @@ class MarkovModel:
     @classmethod
     def with_vocab_from(cls, chorales: Iterable[Chorale], order: int, alpha: float) -> "MarkovModel":
         """Build an untrained model whose vocabularies cover ``chorales``."""
-        seen: list[set[Token]] = [set() for _ in range(4)]
-        count = 0
-        for chorale in chorales:
-            count += 1
-            for v, voice in enumerate(chorale.voices):
-                seen[v].update(voice)
-        if count == 0:
+        chorales = list(chorales)
+        if not chorales:
             raise ValueError("need at least one chorale to build a vocabulary")
-        return cls(order=order, alpha=alpha, vocabs=seen)
+        return cls(order=order, alpha=alpha, vocabs=[set().union(*(c.voices[v] for c in chorales)) for v in range(4)])
 
     def _encode(self, chorales: Sequence[Chorale]) -> None:
         """Cache, by object identity, the row ids and token indices of each chorale's events in event order
         (timestep by timestep, soprano first), interning new context keys in order of first sight."""
         order, lengths = self.order, np.array([chorale.length for chorale in chorales])
-        padding = (START,) * order
-        tokens = chain.from_iterable(chain(padding, c.voices[v]) for v in range(4) for c in chorales)
-        grid = np.fromiter(map(_DIGIT.__getitem__, tokens), np.int64, 4 * int(order * len(chorales) + lengths.sum()))
-        grid = grid.reshape(4, -1)  # per voice, each chorale's order STARTs, then its tokens
+        # per voice, each chorale's order STARTs, then its codes
+        grid = np.hstack([np.full((4, order), _START, np.uint8), join_codes(chorales, order, _START)])
         steps = np.arange(lengths.sum()) + np.repeat(order * np.arange(1, len(chorales) + 1), lengths)
         recent = np.zeros((4, steps.size), dtype=np.int64)  # each voice's order previous tokens
         for lag in range(order, 0, -1):
@@ -223,10 +212,11 @@ class MarkovModel:
         """P(token | context) over the voice vocabulary; sums to 1. A context that is not ``order + voice``
         tokens long is not one of the voice's, so it reads as zero counts."""
         row = None
-        if len(context) == self.order + voice and all(tok in _DIGIT for tok in context):
+        digits = [_START if isinstance(tok, str) and tok == START else token_code(tok) for tok in context]
+        if len(context) == self.order + voice and None not in digits:
             key = voice
-            for tok in context:
-                key = key * _RADIX + _DIGIT[tok]
+            for digit in digits:
+                key = key * _RADIX + digit
             row = self._rows.get(key)
         if row is None or row >= len(self._row_totals):  # a row the counts do not cover reads as zero counts
             return self._smoothed(voice, np.zeros((1, self._width), np.int32), np.zeros(1, np.int64))[0]
@@ -237,7 +227,7 @@ class MarkovModel:
         where ``masked``, and the last entry raised to +inf. A sum over the last axis of a C-ordered array is
         numpy's pairwise sum of each row, so every other entry has the bits of the one-row formula."""
         probs = self._smoothed(voice, counts, totals)
-        hold = self._columns[voice, _DIGIT[HOLD]]
+        hold = self._columns[voice, HOLD_CODE]
         if hold >= 0:
             probs[masked, hold] = 0.0
         probs /= probs.sum(axis=1, keepdims=True)
@@ -260,7 +250,7 @@ class MarkovModel:
             counts = np.zeros((voice_rows.size + 2, self._width), dtype=np.int32)  # two zero rows: the uniform CDFs
             counts[: voice_rows.size] = self._table[voice_rows]
             totals = np.append(self._row_totals[voice_rows], [0, 0])
-            masked = np.append(voice_keys // _RADIX**v % _RADIX >= _DIGIT[REST], [False, True])
+            masked = np.append(voice_keys // _RADIX**v % _RADIX >= REST_CODE, [False, True])
             self._tables.append((np.append(voice_keys, _NO_KEY), self._cdf_rows(v, counts, totals, masked)))
 
     def sample(self, length: int, rng: np.random.Generator, chorale_id: str = "sample") -> Chorale:
@@ -290,10 +280,10 @@ class MarkovModel:
             uniforms[rank[j], : 4 * length] = rng.random(4 * length)
         uniforms = uniforms.reshape(len(lengths), longest, 4).transpose(1, 2, 0).copy()  # [t, v, ranked chorale]
         running = (np.array(lengths) > np.arange(longest)[:, None]).sum(axis=1).tolist()
-        radix, modulus, rest = _RADIX, _RADIX**self.order, _DIGIT[REST]
-        recent = np.full((4, len(lengths)), (modulus - 1) // (radix - 1) * _DIGIT[START])  # last order digits
+        radix, modulus = _RADIX, _RADIX**self.order
+        recent = np.full((4, len(lengths)), (modulus - 1) // (radix - 1) * _START)  # last order digits
         masked = np.ones((4, len(lengths)), dtype=bool)  # whether HOLD is masked: the last token is a REST or START
-        picks = np.zeros((longest, 4, len(lengths)), dtype=np.intp)  # the drawn column of each voice vocabulary
+        digits = np.zeros((longest, 4, len(lengths)), dtype=np.intp)  # the drawn digit of each voice
         for t, n in enumerate(running):
             above = 0  # this timestep's digits of the voices above
             for v in range(4):
@@ -305,17 +295,13 @@ class MarkovModel:
                 slot = np.where(counted_keys[at] == keys, at, counted_keys.size - 1 + masked[v, :n])
                 # the first entry above u: a cumsum of non-negative floats never decreases, so this is
                 # bisect_right, and the +inf last entry clamps it to the vocabulary
-                column = (cdfs[slot] > uniforms[t, v, :n, None]).argmax(axis=1)
-                picks[t, v, :n] = column
-                digit = self._digits[v][column]
+                digit = self._digits[v][(cdfs[slot] > uniforms[t, v, :n, None]).argmax(axis=1)]
+                digits[t, v, :n] = digit
                 recent[v, :n] = last * radix % modulus + digit
-                masked[v, :n] = digit >= rest
+                masked[v, :n] = digit >= REST_CODE
                 above = above * radix + digit
-        tokens = [self._token_arrays[v][picks[:, v].T].tolist() for v in range(4)]  # [v][ranked chorale][t]
-        return [
-            Chorale(id=chorale_id, voices=tuple(tuple(tokens[v][rank[j]][:length]) for v in range(4)))
-            for j, (length, chorale_id) in enumerate(zip(lengths, ids))
-        ]
+        tokens = _TOKENS[digits.transpose(2, 1, 0)[rank]].tolist()  # [chorale][v][t]
+        return [Chorale(name, [voice[:length] for voice in voices]) for voices, length, name in zip(tokens, lengths, ids)]
 
     def mean_nll(self, chorales: Sequence[Chorale], draws: Sequence[int] | None = None) -> float:
         """Mean −ln P(token | context) over all grid positions of ``chorales``, or of

@@ -18,7 +18,7 @@ from typing import Iterable
 
 import numpy as np
 
-from auggen.chorale import HOLD, N_VOICES, REST, SILENT, Chorale, RealizedGrid
+from auggen.chorale import HOLD, MAX_PITCH, MIN_PITCH, N_VOICES, REST, SILENT, Chorale, RealizedGrid
 from auggen.corpus import (
     _CONSONANT_CLASSES,
     _FOLLOW_HOLD_PROB,
@@ -36,6 +36,39 @@ from auggen.features import REGISTRY, FeatureDistribution, GridBatch, realize_ba
 from auggen.grading import GradeBatch, Threshold, wasserstein1
 from auggen.model import _SNAPSHOT_FORMAT, START, MarkovModel
 from auggen.rng import stream
+
+
+def reference_validate(chorale) -> list[str]:
+    """:func:`validate` token by token, on anything with ``voices``: a tuple of token tuples, valid or not."""
+    violations: list[str] = []
+    voices = chorale.voices
+    if len(voices) != N_VOICES:
+        violations.append(f"expected {N_VOICES} voices, got {len(voices)}")
+        return violations
+    length = len(voices[0])
+    if length < 1:
+        violations.append("voices must have at least 1 timestep")
+        return violations
+    for v, voice in enumerate(voices):
+        if len(voice) != length:
+            violations.append(f"voice {v}: length {len(voice)} != voice 0 length {length}")
+    if violations:
+        return violations
+    for v, voice in enumerate(voices):
+        for t, tok in enumerate(voice):
+            if isinstance(tok, bool):
+                violations.append(f"voice {v}: unknown token {tok!r} at timestep {t}")
+            elif isinstance(tok, int):
+                if not MIN_PITCH <= tok <= MAX_PITCH:
+                    violations.append(f"voice {v}: pitch {tok} out of range at timestep {t}")
+            elif tok == HOLD:
+                if t == 0:
+                    violations.append(f"voice {v}: HOLD at timestep 0")
+                elif voice[t - 1] == REST:
+                    violations.append(f"voice {v}: HOLD after REST at timestep {t}")
+            elif tok != REST:
+                violations.append(f"voice {v}: unknown token {tok!r} at timestep {t}")
+    return violations
 
 
 def reference_realize(chorale: Chorale) -> RealizedGrid:

@@ -154,6 +154,14 @@ class TestNextTokenDist:
         probs = model.next_token_dist(0, (1, 2))
         assert np.allclose(probs, 1.0 / len(model.vocabs[0]))
 
+    @pytest.mark.parametrize("context", [(True,), (1.0,), (np.int64(1),)])
+    def test_context_of_values_that_only_equal_a_token_is_uniform(self, context):
+        c = quad((1, 62, 1, 62), (41,) * 4, (41,) * 4, (41,) * 4)
+        model = MarkovModel.with_vocab_from([c], order=1, alpha=TINY)
+        model.fit([c], [1])
+        assert model.next_token_dist(0, (1,))[model.vocabs[0].index(62)] == pytest.approx(1.0, abs=1e-9)
+        assert np.allclose(model.next_token_dist(0, context), 1.0 / len(model.vocabs[0]))
+
     def test_normalization_at_random_contexts(self, desk_split):
         model = MarkovModel.with_vocab_from(desk_split.train, order=2, alpha=0.1)
         model.fit(desk_split.train.chorales, once(desk_split.train))
@@ -231,6 +239,13 @@ class TestContextKeys:
         with pytest.raises(ValueError) as err:
             MarkovModel(order=1, alpha=0.1, vocabs=[(60, REST), (128,), (48,), (36,)])
         assert str(err.value) == "voice 1 vocabulary holds 128, which is not a token"
+
+    @pytest.mark.parametrize("vocab", [(True,), (60.0,), (np.int64(60),), (True, 60), (60.0, REST)])
+    def test_vocabulary_rejects_values_that_only_equal_a_token(self, vocab):
+        # True == 1 and 60.0 == 60, and each hashes alike, but a chorale cannot hold them
+        with pytest.raises(ValueError) as err:
+            MarkovModel(order=1, alpha=0.1, vocabs=[vocab, (60,), (60,), (60,)])
+        assert str(err.value) == f"voice 0 vocabulary holds {vocab[0]!r}, which is not a token"
 
     @pytest.mark.parametrize("order", [1, 2, 3, 4, 5])
     def test_save_matches_text_key_sort_on_desk_model(self, desk_split, tmp_path, order):

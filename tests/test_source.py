@@ -1,4 +1,5 @@
 import ast
+import re
 from pathlib import Path
 
 import auggen
@@ -44,6 +45,23 @@ def test_grammar_checked_only_in_chorale():
             continue
         tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
         found.extend(f"{path.name}:{node.lineno}" for node in ast.walk(tree) if _called_name(node) == "validate")
+    assert not found, found
+
+
+def test_token_code_is_declared_only_in_chorale():
+    # chorale maps a token to its one integer code and back; a token map anywhere else is a second code
+    found = []
+    for path in sorted(PACKAGE_DIR.glob("*.py")):
+        if path.name == "chorale.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Dict) and any(
+                getattr(key, "id", getattr(key, "attr", None)) in {"HOLD", "REST"} for key in node.keys if key
+            ):
+                found.append(f"{path.name}:{node.lineno}: dict keyed by a token")
+            if _called_name(node) == "fromiter" and node.args and re.search(r"tok|voices", ast.unparse(node.args[0])):
+                found.append(f"{path.name}:{node.lineno}: np.fromiter over tokens")
     assert not found, found
 
 
