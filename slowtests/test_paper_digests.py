@@ -4,7 +4,7 @@ must match its blessed SHA-256.
 This covers what no Tier-1 test reaches: 40 refits of 16,384 draws,
 ``baseline_all``'s dataset grown to ~2,280 chorales, ``baseline_none``'s
 restore of an earlier snapshot and 351 evaluation samples per regime. It
-takes about 10 s on a 2-vCPU host, so it lives outside ``testpaths``:
+takes about 4 s on a 2-vCPU host, so it lives outside ``testpaths``:
 
     python -m pytest -q slowtests
 

@@ -29,6 +29,7 @@ from . import experiment
 from .corpus import load_corpus, save_corpus, teacher_corpus
 from .experiment import PROFILES, ExperimentConfig, RegimeError, compare, grade_quintuple, resolve_out_dir, run_regime
 from .grading import PASS_SIZE, GradeBatch, ReferenceModel, grade, nearest_rank
+from .loop import ORIGIN_GENERATED
 
 
 def _build_config(args: argparse.Namespace) -> ExperimentConfig:
@@ -189,8 +190,24 @@ def _manifest_origins(manifest: Path) -> list[str]:
     return origins
 
 
-# the compare report copies these from each regime summary, then adds final_median and final_iqr from its final_grades
-_SUMMARY_KEYS = ("regime", "best_epoch", "best_val_loss", "epochs_ran", "generated_count", "generated_fraction")
+def _is_int(value: object) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_finite(value: object) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool) and abs(value) <= sys.float_info.max
+
+
+# the compare report copies these from each regime summary, each checked by its test, then adds final_median
+# and final_iqr from its final_grades
+_SUMMARY_KEYS = {
+    "regime": (lambda value: isinstance(value, str), "a string"),
+    "best_epoch": (_is_int, "an integer"),
+    "best_val_loss": (_is_finite, "a finite number"),
+    "epochs_ran": (_is_int, "an integer"),
+    "generated_count": (_is_int, "an integer"),
+    "generated_fraction": (_is_finite, "a finite number"),
+}
 
 
 def _regime_rows(summary_json: Path) -> list[list[str]]:
@@ -208,14 +225,14 @@ def _regime_rows(summary_json: Path) -> list[list[str]]:
         missing = [key for key in (*_SUMMARY_KEYS, "final_grades") if key not in summary]
         if missing:
             raise ValueError(f"{summary_json}: entry {i}: missing key(s) {missing}")
+        for key, (valid, kind) in _SUMMARY_KEYS.items():
+            if not valid(summary[key]):
+                raise ValueError(f"{summary_json}: entry {i}: {key} must be {kind}, got {summary[key]!r}")
         grades = summary["final_grades"]
-        finite = isinstance(grades, list) and all(
-            isinstance(g, (int, float)) and not isinstance(g, bool) and abs(g) <= sys.float_info.max for g in grades
-        )
-        if not (finite and grades):
+        if not (isinstance(grades, list) and grades and all(map(_is_finite, grades))):
             raise ValueError(f"{summary_json}: entry {i}: final_grades must be a nonempty list of finite numbers")
         iqr = nearest_rank(grades, 0.75) - nearest_rank(grades, 0.25)
-        cells = [summary[key] for key in _SUMMARY_KEYS[1:]] + [nearest_rank(grades, 0.5), iqr]
+        cells = [summary[key] for key in _SUMMARY_KEYS if key != "regime"] + [nearest_rank(grades, 0.5), iqr]
         rows.append([summary["regime"], *map(repr, cells)])
     return rows
 
@@ -238,7 +255,7 @@ def cmd_report(args: argparse.Namespace) -> int:
     for epoch, values in sorted(grades.items()):
         writer.writerow([epoch, *map(repr, grade_quintuple(values))])
     if origins is not None:
-        generated = sum(1 for o in origins if o == "generated")
+        generated = sum(1 for o in origins if o == ORIGIN_GENERATED)
         print(f"# dataset: {len(origins)} chorales, {generated} generated "
               f"({generated / len(origins):.3f} of total)")
     return 0

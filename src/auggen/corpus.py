@@ -127,9 +127,11 @@ def save_split_manifest(s: Split, path: str | Path) -> None:
 # cross-voice regularities a student model has to earn.
 #
 # The walks run as one loop that reads the constraints from lists built once
-# from the constants below, and its random draws inline from a list of raw
-# PCG64 output, so a ``random() < p`` test is one compare of a raw value with
-# a cut. Bit i of a lower voice's mask stands for pitch i of its pool,
+# from the constants below, and its random draws inline from a list of the
+# walk stream's raw PCG64 output, as numpy's Generator draws them from the
+# same values: a ``random() < p`` test is one compare of a raw value with a
+# cut, and a bounded pick is numpy's 32-bit Lemire draw, half-word carry
+# included. Bit i of a lower voice's mask stands for pitch i of its pool,
 # so each set of admissible pitches is a few integer ANDs of entries of
 # 129-entry lists indexed by pitch, entry 128 for a silent voice. The pitches
 # of each mask the walks meet are memoized as a tuple, so a pick is one index.
@@ -182,6 +184,7 @@ _REJECT_BELOW = tuple((_HALF + 1 - k) % k if k else 0 for k in range(max(map(len
 # the most raw values a timestep reads, redraws aside: a soprano roll that takes no step, then a rest, a hold
 # and a pitch draw per lower voice
 _STEP_RAW = 10
+_RAW_BLOCK = 4096  # the fewest raw 64-bit values read per call to the bit generator
 
 
 def _mask(pool: tuple[int, ...], admits) -> int:
@@ -209,77 +212,27 @@ def _lower_voice_tables(pool: tuple[int, ...]) -> tuple:
 _LOWER = tuple((v, *_lower_voice_tables(_POOLS[v])) for v in range(1, 4))
 
 
-_RAW_BLOCK = 4096  # raw 64-bit values read per call to the bit generator
-
-
-class _RawReader:
-    """The raw output of a PCG64 ``np.random.Generator``, read in blocks, and the draws made from it.
-
-    ``raw[pos:]`` are the values not yet used and ``high`` is the high half of the last raw value split for
-    a bounded draw, if not yet used. :meth:`random` and :meth:`integers` return what the same call on the
-    generator would. ``random()`` is the top 53 bits of one raw value, scaled by 2**-53. ``integers(0, k)`` is
-    numpy's 32-bit Lemire draw: it takes the low half of a raw value and keeps the high half for the next such
-    draw, multiplies it by ``k`` and rejects while the product's low 32 bits are below ``(2**32 - k) % k``;
-    ``k == 1`` takes nothing. The walks read ``raw`` inline and call :meth:`integers` only to redraw.
-    """
-
-    def __init__(self, rng):
-        self._bits = rng.bit_generator
-        self.raw: list[int] = []
-        self.pos = 0
-        self.high: int | None = None
-
-    def fill(self, n: int) -> None:
-        """Have at least ``n`` values unread, reading at least a block if there are fewer."""
-        if len(self.raw) - self.pos < n:
-            self.raw = self.raw[self.pos :] + self._bits.random_raw(max(n, _RAW_BLOCK)).tolist()
-            self.pos = 0
-
-    def _next(self) -> int:
-        self.fill(1)
-        self.pos += 1
-        return self.raw[self.pos - 1]
-
-    def random(self) -> float:
-        return (self._next() >> 11) * 2.0**-53
-
-    def integers(self, low: int, high: int) -> int:
-        k = high - low
-        if not 1 <= k <= _HALF:
-            raise ValueError(f"need 1 <= high - low < 2**32, got {k}")
-        if k == 1:
-            return low
-        threshold = (_HALF + 1 - k) % k
-        while True:
-            if self.high is None:
-                raw = self._next()
-                half, self.high = raw & _HALF, raw >> 32
-            else:
-                half, self.high = self.high, None
-            product = half * k
-            if product & _HALF >= threshold:
-                return low + (product >> 32)
-
-
-def _teacher_walks(reader: _RawReader) -> list[Chorale]:
-    """The teacher's seed walks, lengths rising evenly from 32 to 48 timesteps, drawn from ``reader``.
+def _teacher_walks(rng) -> list[Chorale]:
+    """The teacher's seed walks, lengths rising evenly from 32 to 48 timesteps, drawn from ``rng``.
 
     A lower voice picks a pitch near its previous one, consonant with the soprano without moving in parallel
     perfect intervals against any upper voice, and not above the voice directly above; the constraints relax
-    in that order if nothing qualifies. The draws are read from ``reader.raw`` by index, with at least
-    ``_STEP_RAW`` values per timestep made unread before each walk; a rejected bounded draw is redrawn by
-    ``reader.integers``. ``reader`` is left where the last draw leaves the generator.
+    in that order if nothing qualifies. The draws are read by index from a list of ``rng``'s raw output, with
+    at least ``_STEP_RAW`` values per timestep of the walk unread at its start and after each rejected draw.
+    ``random() < p`` is ``raw < _raw_cut(p)``. ``integers(0, k)`` is numpy's 32-bit Lemire draw: it takes the
+    low half of a raw value and keeps the high half for the next such draw, multiplies it by ``k`` and draws
+    again while the product's low 32 bits are below ``(2**32 - k) % k``; ``k == 1`` takes nothing.
     """
+    bits = rng.bit_generator
     soprano_pool = _POOLS[0]
     lower = tuple((*tables, {}) for tables in _LOWER)  # each voice's picks by mask, for this call
     walks = []
-    raw, i, high = reader.raw, reader.pos, reader.high
+    raw: list[int] = []
+    i, high = 0, None  # the next unread raw value, and the high half kept for the next bounded draw
     for n in range(_N_SEED_WALKS):
         length = 32 + (n * 16) // (_N_SEED_WALKS - 1)
         if len(raw) - i < _STEP_RAW * length:
-            reader.pos = i
-            reader.fill(_STEP_RAW * length)
-            raw, i = reader.raw, reader.pos
+            raw, i = raw[i:] + bits.random_raw(max(_STEP_RAW * length, _RAW_BLOCK)).tolist(), 0
         voices: tuple[list[Token], ...] = ([], [], [], [])
         sounding = [_SILENT] * 4
         sop_idx = len(soprano_pool) // 2
@@ -332,36 +285,34 @@ def _teacher_walks(reader: _RawReader) -> list[Chorale]:
                 if k == 1:
                     pitch = picks[0]
                 else:
-                    if high is None:
-                        half, high = raw[i] & _HALF, raw[i] >> 32
-                        i += 1
-                    else:
-                        half, high = high, None
-                    product = half * k
-                    if product & _HALF >= _REJECT_BELOW[k]:
-                        pitch = picks[product >> 32]
-                    else:
-                        reader.pos, reader.high = i, high
-                        pitch = picks[reader.integers(0, k)]
-                        reader.fill(_STEP_RAW * length)
-                        raw, i, high = reader.raw, reader.pos, reader.high
+                    while True:
+                        if high is None:
+                            half, high = raw[i] & _HALF, raw[i] >> 32
+                            i += 1
+                        else:
+                            half, high = high, None
+                        product = half * k
+                        if product & _HALF >= _REJECT_BELOW[k]:
+                            break
+                        if len(raw) - i < _STEP_RAW * length:
+                            raw, i = raw[i:] + bits.random_raw(max(_STEP_RAW * length, _RAW_BLOCK)).tolist(), 0
+                    pitch = picks[product >> 32]
                 if prev != pitch and prev != _SILENT:
                     moves.append((prev, pitch))
                 voices[v].append(pitch)
                 sounding[v] = pitch
         walks.append(Chorale(id="walk", voices=voices))
-    reader.pos, reader.high = i, high
     return walks
 
 
 def teacher_model(seed: int) -> MarkovModel:
     """Deterministically construct the teacher from seeded walks.
 
-    The walks read the walk stream in blocks of raw output, so it is read ahead of their last draw, by fewer
-    than ``_RAW_BLOCK + _STEP_RAW * 48`` values. That is safe: no other code reads the walk stream, so the
-    values read past the last walk change nothing.
+    The walks read the walk stream's raw output in blocks, so they read ahead of their last draw, by fewer than
+    ``_RAW_BLOCK + _STEP_RAW * 48`` values. That is safe: no other code reads the walk stream, so the values
+    read past the last walk change nothing.
     """
-    walks = _teacher_walks(_RawReader(stream(seed, "teacher", "walks")))
+    walks = _teacher_walks(stream(seed, "teacher", "walks"))
     model = MarkovModel.with_vocab_from(walks, order=_TEACHER_ORDER, alpha=_TEACHER_SMOOTHING)
     model.fit(walks, [1] * len(walks))
     return model

@@ -150,8 +150,11 @@ class ReferenceModel:
             if not isinstance(entry, dict):
                 raise ValueError(f"reference entry {name!r} must be an object")
             _require_keys(entry, ("support", "weights"), f"reference entry {name!r}")
-            if not (isinstance(entry["support"], list) and isinstance(entry["weights"], list)):
-                raise ValueError(f"reference entry {name!r}: support and weights must be lists")
+            for key in ("support", "weights"):
+                if not isinstance(entry[key], list):
+                    raise ValueError(f"reference entry {name!r}: {key} must be a list")
+                if any(isinstance(x, bool) for x in entry[key]):  # JSON true would read as 1
+                    raise ValueError(f"reference entry {name!r}: {key} must be numbers, got a bool")
         references = {
             name: FeatureDistribution(name, tuple(entry["support"]), tuple(entry["weights"]))
             for name, entry in payload["references"].items()

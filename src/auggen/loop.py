@@ -27,8 +27,8 @@ from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
-from .chorale import Chorale, canonical_key, serialize_chorale
-from .corpus import Split
+from .chorale import Chorale, canonical_key
+from .corpus import Corpus, Split, save_corpus
 from .grading import ReferenceModel, Threshold, grade
 from .model import MarkovModel, sample_batch
 from .rng import stream
@@ -233,11 +233,8 @@ def save_run(result: RunResult, model: MarkovModel, out_dir: str | Path) -> Path
             )
             fh.write("\n")
 
-    with open(out / "generated.jsonl", "w", encoding="utf-8", newline="\n") as fh:
-        for entry in result.manifest:
-            if entry.origin == ORIGIN_GENERATED:
-                fh.write(serialize_chorale(entry.chorale))
-                fh.write("\n")
+    generated = Corpus(tuple(entry.chorale for entry in result.manifest if entry.origin == ORIGIN_GENERATED))
+    save_corpus(generated, out / "generated.jsonl")
 
     model.save(out / "best_model.json")
     result.reference.save(out / "reference.json")

@@ -598,6 +598,49 @@ def reference_teacher_walks(rng) -> list[Chorale]:
     return [reference_teacher_walk(lo + (i * (hi - lo)) // (_N_SEED_WALKS - 1), rng) for i in range(_N_SEED_WALKS)]
 
 
+class RawDraws:
+    """``random()`` and ``integers(low, high)`` as a numpy ``Generator`` makes them from the raw 64-bit output
+    of ``rng.bit_generator``, which may be a stub serving fixed values; one raw value is read at a time.
+
+    ``random()`` is the top 53 bits of one raw value, scaled by 2**-53. ``integers(0, k)`` is numpy's 32-bit
+    Lemire draw: it takes the low half of a raw value and keeps the high half (``high``) for the next such draw,
+    multiplies it by ``k`` and draws again while the product's low 32 bits are below ``(2**32 - k) % k``;
+    ``k == 1`` takes nothing. ``rejected`` lists, for each rejected half, the stream index of its raw value.
+    """
+
+    _HALF = 0xFFFFFFFF
+
+    def __init__(self, rng):
+        self.bits = rng.bit_generator
+        self.high: int | None = None
+        self.read = 0  # raw values read
+        self.rejected: list[int] = []
+
+    def raw(self) -> int:
+        self.read += 1
+        return int(self.bits.random_raw(1)[0])
+
+    def random(self) -> float:
+        return (self.raw() >> 11) * 2.0**-53
+
+    def integers(self, low: int, high: int) -> int:
+        k = high - low
+        if not 1 <= k <= self._HALF:
+            raise ValueError(f"need 1 <= high - low < 2**32, got {k}")
+        if k == 1:
+            return low
+        while True:
+            if self.high is None:
+                value = self.raw()
+                half, self.high = value & self._HALF, value >> 32
+            else:
+                half, self.high = self.high, None
+            product = half * k
+            if product & self._HALF >= (self._HALF + 1 - k) % k:
+                return low + (product >> 32)
+            self.rejected.append(self.read - 1)
+
+
 def reference_teacher_corpus(seed: int, n: int, length_range: tuple[int, int]) -> list[Chorale]:
     """The teacher corpus chorale by chorale: chorale ``i`` draws ``t_min`` plus an offset into the length
     range, then its tokens, from ``stream(seed, "teacher", "sample", i)``."""

@@ -21,14 +21,13 @@ from auggen.corpus import (
     _REST_PROB,
     _STEP_CUTS,
     _STEP_WEIGHTS,
-    _RAW_BLOCK,
-    _RawReader,
+    _STEP_RAW,
     _raw_cut,
     _teacher_walks,
 )
 from auggen.grading import grade
 from auggen.rng import stream
-from oracles import reference_teacher_corpus, reference_teacher_walks, step_weight_total
+from oracles import RawDraws, reference_teacher_corpus, reference_teacher_walks, step_weight_total
 
 
 def tiny(i, pitch=60):
@@ -160,11 +159,10 @@ def test_teacher_corpus_grades_finite(desk_corpus, desk_reference):
 
 @pytest.mark.parametrize("seed", range(5))
 def test_teacher_walks_match_pool_filtering_oracle(seed):
-    rng, oracle_rng = _RawReader(stream(seed, "teacher", "walks")), stream(seed, "teacher", "walks")
-    walks, expected = _teacher_walks(rng), reference_teacher_walks(oracle_rng)
+    walks = _teacher_walks(stream(seed, "teacher", "walks"))
+    expected = reference_teacher_walks(stream(seed, "teacher", "walks"))
     assert len(walks) == 400
     assert [w.voices for w in walks] == [w.voices for w in expected]
-    assert rng.random() == oracle_rng.random()  # the same draws, so the stream is left in the same state
 
 
 _BOUNDS = st.one_of(st.integers(1, 2**32 - 1), st.sampled_from([1, 2, 3, 12, 2**31 + 1, 3 * 2**30 + 1, 2**32 - 1]))
@@ -172,8 +170,9 @@ _BOUNDS = st.one_of(st.integers(1, 2**32 - 1), st.sampled_from([1, 2, 3, 12, 2**
 
 @given(st.integers(0, 2**64 - 1), st.lists(st.one_of(st.none(), _BOUNDS), max_size=300))
 def test_raw_reader_matches_the_generator(seed, calls):
-    # None is a random() call, k an integers(0, k) call; bounds just above 2**31 reject about half the draws
-    reader, rng = _RawReader(stream(seed, "reader")), stream(seed, "reader")
+    # the oracle's draws from raw values, which the walks' stub test below relies on, are numpy's: None is a
+    # random() call, k an integers(0, k) call; bounds just above 2**31 reject about half the draws
+    reader, rng = RawDraws(stream(seed, "reader")), stream(seed, "reader")
     for k in calls:
         if k is None:
             assert reader.random() == rng.random()
@@ -182,8 +181,9 @@ def test_raw_reader_matches_the_generator(seed, calls):
 
 
 def test_raw_reader_matches_the_generator_across_blocks():
-    reader, rng, picks = _RawReader(stream(3, "reader")), stream(3, "reader"), stream(4, "picks")
-    for k in picks.integers(0, 14, size=3 * _RAW_BLOCK).tolist():
+    # thousands of the oracle's draws in a row, then the bounds it refuses
+    reader, rng, picks = RawDraws(stream(3, "reader")), stream(3, "reader"), stream(4, "picks")
+    for k in picks.integers(0, 14, size=3 * 4096).tolist():
         if k:
             assert reader.integers(0, k) == rng.integers(0, k)
         else:
@@ -195,24 +195,26 @@ def test_raw_reader_matches_the_generator_across_blocks():
 
 def test_raw_reader_redraws_a_rejected_carried_half_from_a_fresh_block():
     # numpy keeps the high half of a raw value for the next bounded draw; a carried 0 rejects for any k
-    # that is not a power of two, so the redraw reads the first raw value, which the reader fetches as a block
+    # that is not a power of two, so the redraw reads the first raw value
     rng = stream(8, "reader")
     rng.bit_generator.state = {**rng.bit_generator.state, "has_uint32": 1, "uinteger": 0}
-    reader = _RawReader(stream(8, "reader"))
+    reader = RawDraws(stream(8, "reader"))
     reader.high = 0
     for k in (3, 12, 5, 7):
         assert reader.integers(0, k) == rng.integers(0, k)
     assert reader.random() == rng.random()
+    assert reader.rejected[0] == -1  # the carried half was rejected before any raw value was read
 
 
 class _StubBits:
-    """A bit generator serving fixed raw values, counting the blocks read."""
+    """A bit generator serving fixed raw values, recording the stream index at which each read starts."""
 
     def __init__(self, values):
-        self.values, self.at, self.blocks = values, 0, 0
+        self.values, self.at, self.reads = values, 0, []
 
     def random_raw(self, n):
-        self.at, self.blocks = self.at + n, self.blocks + 1
+        self.reads.append(self.at)
+        self.at += n
         return self.values[self.at - n : self.at].copy()
 
 
@@ -223,38 +225,30 @@ class _Stub:
 
 def test_teacher_walks_redraw_rejected_bounded_draws(monkeypatch):
     # every raw value has a zero low half, so each bounded draw that splits a fresh raw value for a k that is
-    # not a power of two rejects it and redraws from its high half; the oracle draws through the reader's
-    # methods, which the tests above hold to the generator. Blocks are small, so refills fall mid-walk.
+    # not a power of two rejects it and redraws from its high half; the oracle draws the same walks through
+    # RawDraws, which the tests above hold to the generator. Blocks are small, so refills fall mid-walk.
     monkeypatch.setattr(corpus_module, "_RAW_BLOCK", 97)
     values = stream(6, "stub").bit_generator.random_raw(2**18) & np.uint64(0xFFFFFFFF00000000)
+    budget = _STEP_RAW * 48  # the most unread values a walk needs; the walks refill when fewer are left
 
-    def walks_and_redraws(values):
-        reader, redraws = _RawReader(_Stub(values)), []
-        draw = reader.integers
+    def walks_and_oracle(values):
+        stub, oracle = _Stub(values), RawDraws(_Stub(values))
+        walks = _teacher_walks(stub)
+        assert [w.voices for w in walks] == [w.voices for w in reference_teacher_walks(oracle)]
+        assert 0 <= stub.bit_generator.at - oracle.read < budget + max(budget, 97)  # teacher_model's read-ahead
+        return stub.bit_generator.reads, oracle.rejected
 
-        def redraw(low, high):  # records the stream position of the rejected value and the blocks read
-            bits = reader._bits
-            position, blocks = bits.at - (len(reader.raw) - reader.pos) - 1, bits.blocks
-            out = draw(low, high)
-            redraws.append((position, bits.blocks - blocks))
-            return out
-
-        reader.integers = redraw
-        walks = _teacher_walks(reader)
-        oracle_reader = _RawReader(_Stub(values))
-        assert [w.voices for w in walks] == [w.voices for w in reference_teacher_walks(oracle_reader)]
-        assert reader.random() == oracle_reader.random()
-        return redraws
-
-    redraws = walks_and_redraws(values)
-    assert len(redraws) > 1000
-    # a raw value of 0 rejects both halves, so a run of zeros from the first rejected value on is one redraw
-    # that rejects until it has read past the buffer the walk filled, on into fresh blocks
-    first = redraws[0][0]
+    reads, rejected = walks_and_oracle(values)
+    assert len(rejected) > 1000
+    # a raw value of 0 rejects both halves, so a run of zeros from the first rejected value on is one draw
+    # that rejects 2,000 times, reading more values than the walks ever hold unread
+    first = rejected[0]
     values[first : first + 1000] = 0
-    redraws = walks_and_redraws(values)
-    position, blocks_read = redraws[0]
-    assert position == first and blocks_read > 0
+    reads, rejected = walks_and_oracle(values)
+    assert set(range(first, first + 1000)) <= set(rejected)
+    # a read that starts more than a budget past `first` comes after the walks read `first`, and one that starts
+    # at most at `first + 1000` before they read that value: a refill inside the run of rejections
+    assert any(first + budget < start <= first + 1000 for start in reads)
 
 
 @pytest.mark.parametrize("p", [_REST_PROB, _REST_PROB + _HOLD_PROB, _FOLLOW_HOLD_PROB, *_STEP_CUTS, 2.0**-60, 0.5])

@@ -440,6 +440,8 @@ class TestCli:
             "huge_int_reference_weight",
             "huge_int_weight",
             "huge_int_p_empty",
+            "bool_support",
+            "bool_reference_weight",
         ],
     )
     def test_grade_rejects_inconsistent_reference(self, small_compare, tmp_path, capsys, tamper):
@@ -477,6 +479,12 @@ class TestCli:
             payload["weights"]["pitch"] = 10**400
         elif tamper == "huge_int_p_empty":
             payload["p_empty"] = 10**400
+        elif tamper == "bool_support":  # a support of [true] reads as [1], so the entry would pass as a number
+            payload["references"]["pitch"]["support"] = [True]
+            payload["references"]["pitch"]["weights"] = [1.0]
+        elif tamper == "bool_reference_weight":
+            payload["references"]["pitch"]["support"] = [60]
+            payload["references"]["pitch"]["weights"] = [True]
         else:
             support = payload["references"]["pitch"]["support"]
             payload["references"]["pitch"]["support"] = ["a", *support[1:]]
@@ -489,6 +497,8 @@ class TestCli:
         assert main(args) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1, err
+        if tamper.startswith("bool_"):
+            assert "'pitch'" in err, err
 
     @pytest.mark.parametrize(
         "override",
@@ -609,6 +619,13 @@ class TestCli:
             "nan_grade",
             "inf_grade",
             "huge_int_grade",
+            "text_best_epoch",
+            "null_best_val_loss",
+            "list_epochs_ran",
+            "bool_generated_count",
+            "list_regime",
+            "float_best_epoch",
+            "inf_generated_fraction",
         ],
     )
     def test_report_malformed_summary_fails(self, small_compare, tmp_path, capsys, tamper):
@@ -637,6 +654,20 @@ class TestCli:
             last["final_grades"][0] = math.inf
         elif tamper == "huge_int_grade":
             last["final_grades"][0] = 10**400
+        elif tamper == "text_best_epoch":
+            last["best_epoch"] = "zero"
+        elif tamper == "null_best_val_loss":
+            last["best_val_loss"] = None
+        elif tamper == "list_epochs_ran":
+            last["epochs_ran"] = [1]
+        elif tamper == "bool_generated_count":
+            last["generated_count"] = True
+        elif tamper == "list_regime":
+            last["regime"] = ["a"]
+        elif tamper == "float_best_epoch":
+            last["best_epoch"] = 1.0
+        elif tamper == "inf_generated_fraction":
+            last["generated_fraction"] = math.inf
         path = tmp_path / "summary.json"
         path.write_text("not json" if tamper == "not_json" else json.dumps(summaries), encoding="utf-8")
         assert main(["report", "--run-dir", str(tmp_path)]) == 1
