@@ -26,7 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from . import experiment
-from .corpus import load_corpus, save_corpus, teacher_corpus
+from .corpus import load_corpus, load_json, read_text, save_corpus, teacher_corpus
 from .experiment import PROFILES, ExperimentConfig, RegimeError, compare, grade_quintuple, resolve_out_dir, run_regime
 from .grading import PASS_SIZE, GradeBatch, ReferenceModel, grade, nearest_rank
 from .loop import ORIGIN_GENERATED
@@ -35,7 +35,7 @@ from .loop import ORIGIN_GENERATED
 def _build_config(args: argparse.Namespace) -> ExperimentConfig:
     payload = PROFILES[args.profile].to_json()
     if args.config:
-        overlay = json.loads(Path(args.config).read_text(encoding="utf-8"))
+        overlay = load_json(args.config)
         if not isinstance(overlay, dict):
             raise ValueError(f"{args.config}: config must be a JSON object, got {type(overlay).__name__}")
         payload.update(overlay)
@@ -176,7 +176,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
 
 def _manifest_origins(manifest: Path) -> list[str]:
     origins = []
-    for number, line in enumerate(manifest.read_text(encoding="utf-8").splitlines(), 1):
+    for number, line in enumerate(read_text(manifest).splitlines(), 1):
         if line:
             try:
                 record = json.loads(line)
@@ -212,10 +212,7 @@ _SUMMARY_KEYS = {
 
 def _regime_rows(summary_json: Path) -> list[list[str]]:
     """One report row per regime summary of a compare directory's ``summary.json``, in file order."""
-    try:
-        summaries = json.loads(summary_json.read_text(encoding="utf-8"))
-    except ValueError as exc:
-        raise ValueError(f"{summary_json}: {exc}") from None
+    summaries = load_json(summary_json)
     if not isinstance(summaries, list):
         raise ValueError(f"{summary_json}: expected a list of regime summaries, got {type(summaries).__name__}")
     rows = []

@@ -65,14 +65,38 @@ class Split:
     fraction: float
 
 
+def read_text(path: str | Path) -> str:
+    """The text of the UTF-8 file ``path``. A byte that is not UTF-8 raises a ``ValueError`` that starts
+    ``<path>: line N:``, N counted as text mode counts lines."""
+    data = Path(path).read_bytes()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = len((data[: exc.start] + b".").splitlines())  # bytes end lines at \n, \r\n and \r, as text mode does
+        raise ValueError(f"{path}: line {line}: byte 0x{data[exc.start]:02x} is not UTF-8 ({exc.reason})") from None
+
+
+def load_json(path: str | Path) -> object:
+    """The JSON value held in the UTF-8 file ``path``; an error decoding it raises a ``ValueError`` that starts
+    ``<path>: line N:``."""
+    try:
+        return json.loads(read_text(path))
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{path}: line {exc.lineno}: {exc.msg} (column {exc.colno})") from None
+
+
 def load_corpus(path: str | Path) -> Corpus:
     chorales = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            chorales.append(parse_chorale(line, line=line_no))
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            for line_no, line in enumerate(fh, start=1):
+                line = line.strip()
+                if not line:
+                    continue
+                chorales.append(parse_chorale(line, line=line_no))
+    except UnicodeDecodeError:  # raised for a block of the file, so read it again to name the line
+        read_text(path)
+        raise
     return Corpus(tuple(chorales))
 
 

@@ -17,6 +17,7 @@ generations from each regime's best snapshot.
 from __future__ import annotations
 
 import csv
+import io
 import json
 import math
 import os
@@ -28,7 +29,7 @@ from pathlib import Path
 from typing import Mapping, Sequence
 
 from .chorale import REST
-from .corpus import Corpus, Split, load_corpus, save_split_manifest, split, teacher_corpus
+from .corpus import Corpus, Split, load_corpus, read_text, save_split_manifest, split, teacher_corpus
 from .features import DEFAULT_FEATURES, check_feature_set
 from .grading import DEFAULT_P_EMPTY, ReferenceModel, Threshold, fit_reference, grade, grade_quantile, nearest_rank
 from .loop import ORIGIN_TRUE, RunResult, run, save_run
@@ -356,17 +357,16 @@ def epoch_grades(epoch_logs_csv: str | Path) -> dict[int, list[float]]:
     ``ValueError`` naming the file (and the line).
     """
     grades: dict[int, list[float]] = {}
-    with open(epoch_logs_csv, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.DictReader(fh)
-        missing = {"epoch", "grade"} - set(reader.fieldnames or ())
-        if missing:
-            raise ValueError(f"{epoch_logs_csv}: missing column(s) {sorted(missing)}")
-        for row in reader:
-            try:
-                epoch, value = int(row["epoch"]), float(row["grade"])
-            except (TypeError, ValueError) as exc:  # TypeError: a short row leaves the cell None
-                raise ValueError(f"{epoch_logs_csv}: line {reader.line_num}: {exc}") from None
-            if not math.isfinite(value):  # the critic's grades are finite sums of finite distances
-                raise ValueError(f"{epoch_logs_csv}: line {reader.line_num}: grade {row['grade']!r} is not finite")
-            grades.setdefault(epoch, []).append(value)
+    reader = csv.DictReader(io.StringIO(read_text(epoch_logs_csv), newline=""))
+    missing = {"epoch", "grade"} - set(reader.fieldnames or ())
+    if missing:
+        raise ValueError(f"{epoch_logs_csv}: missing column(s) {sorted(missing)}")
+    for row in reader:
+        try:
+            epoch, value = int(row["epoch"]), float(row["grade"])
+        except (TypeError, ValueError) as exc:  # TypeError: a short row leaves the cell None
+            raise ValueError(f"{epoch_logs_csv}: line {reader.line_num}: {exc}") from None
+        if not math.isfinite(value):  # the critic's grades are finite sums of finite distances
+            raise ValueError(f"{epoch_logs_csv}: line {reader.line_num}: grade {row['grade']!r} is not finite")
+        grades.setdefault(epoch, []).append(value)
     return grades

@@ -26,7 +26,7 @@ from typing import Iterable, Mapping, NamedTuple, Sequence
 import numpy as np
 
 from .chorale import Chorale
-from .corpus import Corpus
+from .corpus import Corpus, load_json
 from .features import REGISTRY, DEFAULT_FEATURES, FeatureDistribution, check_feature_set, realize_batch
 
 DEFAULT_P_EMPTY = 100.0
@@ -176,7 +176,7 @@ class ReferenceModel:
 
     @classmethod
     def load(cls, path: str | Path) -> "ReferenceModel":
-        return cls.from_json(json.loads(Path(path).read_text(encoding="utf-8")))
+        return cls.from_json(load_json(path))
 
 
 def fit_reference(
@@ -282,9 +282,10 @@ def _grade_pass(chorales: Sequence[Chorale], reference: ReferenceModel) -> Grade
     grid, key, point_value, point_weight = _support_points(chorales, reference)
     stride = grid.size
     point_segment = key // stride
+    points = np.bincount(point_segment, minlength=segments)  # support points per segment
     # the CDF after each point: a sequential cumsum along its segment's row, the bits np.cumsum of its weights gives
-    column = np.arange(key.size) - np.searchsorted(point_segment, point_segment)
-    padded = np.zeros((segments, int(column.max(initial=-1)) + 1))
+    column = np.arange(key.size) - (np.cumsum(points) - points)[point_segment]
+    padded = np.zeros((segments, int(points.max(initial=0))))
     padded[point_segment, column] = point_weight
     point_cdf = np.cumsum(padded, axis=1)[point_segment, column]
     # each segment's merged support: its own points and its feature's reference points
@@ -301,7 +302,7 @@ def _grade_pass(chorales: Sequence[Chorale], reference: ReferenceModel) -> Grade
     same = merged_segment[1:] == merged_segment[:-1]
     terms = (np.abs(cdf - reference_cdf)[:-1] * np.diff(grid[merged_rank]))[same]
     sums = _row_sums(terms, np.bincount(merged_segment, minlength=segments) - 1)
-    distances = np.where(np.bincount(point_segment, minlength=segments) > 0, sums, reference.p_empty).reshape(-1, width)
+    distances = np.where(points > 0, sums, reference.p_empty).reshape(-1, width)
     # the weighted sum in feature order, as a running `total +=` from 0.0 gives: a sequential cumsum along each row
     weighted = np.zeros((len(chorales), width + 1))
     weighted[:, 1:] = distances * [reference.weights[name] for name in names]
@@ -323,17 +324,23 @@ def _support_points(chorales: Sequence[Chorale], reference: ReferenceModel) -> t
     Returns the ascending distinct values of all events and reference points,
     and for each support point its key, ``segment * len(grid) + rank of its
     value``, its value and its weight, ordered by key: by segment, then value.
+    No event is sorted by key: one ``np.unique`` ranks the event values, and
+    one ``np.bincount`` counts every (segment, rank) pair. Its count array has
+    segments × distinct event values cells, however large the reference's
+    support, and its nonzero cells are the support points in key order.
     """
+    segments = len(chorales) * len(reference.feature_names)
     segment, value = _pass_events(chorales, reference.feature_names)
+    distinct, rank = np.unique(value, return_inverse=True)
+    # events per (segment, distinct event value): a cell is a support point where its count is above 0
+    counts = np.bincount(segment * distinct.size + rank, minlength=segments * distinct.size)
+    cells = np.flatnonzero(counts)
+    point_segment, point_rank = np.divmod(cells, distinct.size)
     # the rank among all event and reference values makes (segment, value) one exact integer key
-    grid = np.sort(np.concatenate([value, reference._cdf_table.value]))
-    grid = grid[_run_starts(grid)]
-    event_key = segment * grid.size + np.searchsorted(grid, value)
-    order = np.argsort(event_key, kind="stable")
-    runs = _run_starts(event_key[order])
-    first = order[runs]  # the first event of each distinct key
-    total = np.bincount(segment, minlength=len(chorales) * len(reference.feature_names))  # events per segment
-    return grid, event_key[first], value[first], np.diff(runs, append=order.size) / total[segment[first]]
+    grid = np.union1d(distinct, reference._cdf_table.value)
+    key = point_segment * grid.size + np.searchsorted(grid, distinct)[point_rank]
+    total = np.bincount(segment, minlength=segments)  # events per segment
+    return grid, key, distinct[point_rank], counts[cells] / total[point_segment]
 
 
 def _pass_events(chorales: Sequence[Chorale], names: tuple[str, ...]) -> tuple[np.ndarray, np.ndarray]:

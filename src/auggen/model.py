@@ -25,15 +25,21 @@ is one numpy step over the chorales still running. The first draw after
 each ``fit`` or ``restore`` builds one sampling table per voice: the sorted
 keys of its counted rows (total above 0), their CDFs in key order, then its
 uniform CDF without and with HOLD masked; a row's key says whether HOLD is
-masked. A step finds the running chorales' context keys by
-``np.searchsorted`` in their voice's keys and sends any other key (unknown,
-total 0, or interned after the fit) to the uniform CDF, masked after a REST
-or START. Each CDF has the bits of ``np.cumsum(probs / probs.sum())`` over
-``next_token_dist``, but for its last entry, stored as +inf, so the first
-entry above the uniform is ``bisect_right`` clamped to the vocabulary. The
-drawn digits are decoded through chorale's :data:`~auggen.chorale.TOKENS`.
-``sample`` is a batch of one. ``save`` orders its cells by their text, with
-``np.lexsort`` over the text ranks of the digits.
+masked. Each timestep starts from every running chorale's history, its
+last ``order`` digits per voice and whether each voice's last token masks
+HOLD, and computes all four voices' key prefixes and fallback slots as one
+``(4, n)`` array each. A step adds the digits of the voices above to its
+voice's prefixes, finds the keys by ``np.searchsorted`` in the voice's
+keys, sends any other key (unknown, total 0, or interned after the fit) to
+the uniform CDF, masked after a REST or START, and draws each digit from
+its row's CDF. After the four steps the histories advance by the
+timestep's drawn digits. Each CDF has the bits of
+``np.cumsum(probs / probs.sum())`` over ``next_token_dist``, but for its
+last entry, stored as +inf, so the first entry above the uniform is
+``bisect_right`` clamped to the vocabulary. The drawn digits are decoded
+through chorale's :data:`~auggen.chorale.TOKENS`. ``sample`` is a batch of
+one. ``save`` orders its cells by their text, with ``np.lexsort`` over the
+text ranks of the digits.
 """
 
 from __future__ import annotations
@@ -281,25 +287,31 @@ class MarkovModel:
         uniforms = uniforms.reshape(len(lengths), longest, 4).transpose(1, 2, 0).copy()  # [t, v, ranked chorale]
         running = (np.array(lengths) > np.arange(longest)[:, None]).sum(axis=1).tolist()
         radix, modulus = _RADIX, _RADIX**self.order
-        recent = np.full((4, len(lengths)), (modulus - 1) // (radix - 1) * _START)  # last order digits
+        leading = np.arange(4)[:, None] * modulus  # each voice's leading key digit, above its order digits
+        place = radix ** np.arange(4)[:, None]  # each voice's key ends with the digits of the voices above
+        uniform_slots = np.array([[keys.size - 1] for keys, _ in self._tables])  # each voice's unmasked uniform CDF
+        recent = np.full((4, len(lengths)), (modulus - 1) // (radix - 1) * _START)  # each voice's last order digits
         masked = np.ones((4, len(lengths)), dtype=bool)  # whether HOLD is masked: the last token is a REST or START
         digits = np.zeros((longest, 4, len(lengths)), dtype=np.intp)  # the drawn digit of each voice
         for t, n in enumerate(running):
+            recent, masked, drawn = recent[:, :n], masked[:, :n], digits[t, :, :n]
+            # each voice's key without the digits of the voices above, and the CDF a key that is not counted reads
+            prefixes = (leading + recent) * place
+            misses = uniform_slots + masked
             above = 0  # this timestep's digits of the voices above
             for v in range(4):
-                last = recent[v, :n]
-                keys = (v * modulus + last) * radix**v + above
+                keys = prefixes[v] + above
                 counted_keys, cdfs = self._tables[v]
                 at = counted_keys.searchsorted(keys)
                 # a counted row reads its own CDF, any other key its voice's uniform CDF after the last counted one
-                slot = np.where(counted_keys[at] == keys, at, counted_keys.size - 1 + masked[v, :n])
+                slot = np.where(counted_keys[at] == keys, at, misses[v])
                 # the first entry above u: a cumsum of non-negative floats never decreases, so this is
                 # bisect_right, and the +inf last entry clamps it to the vocabulary
                 digit = self._digits[v][(cdfs[slot] > uniforms[t, v, :n, None]).argmax(axis=1)]
-                digits[t, v, :n] = digit
-                recent[v, :n] = last * radix % modulus + digit
-                masked[v, :n] = digit >= REST_CODE
+                drawn[v] = digit
                 above = above * radix + digit
+            recent = recent * radix % modulus + drawn
+            masked = drawn >= REST_CODE
         tokens = _TOKENS[digits.transpose(2, 1, 0)[rank]].tolist()  # [chorale][v][t]
         return [Chorale(name, [voice[:length] for voice in voices]) for voices, length, name in zip(tokens, lengths, ids)]
 

@@ -501,6 +501,36 @@ class TestCli:
             assert "'pitch'" in err, err
 
     @pytest.mark.parametrize(
+        "bad_input, line",
+        [
+            ("reference_jsonl", 2),  # two JSON records: "Extra data" where the second starts
+            ("reference_not_utf8", 2),
+            ("corpus_not_utf8", 3),
+        ],
+    )
+    def test_grade_names_the_file_it_cannot_decode(self, small_compare, tmp_path, capsys, bad_input, line):
+        config, out, _, _ = small_compare
+        reference_path = tmp_path / "reference.json"
+        corpus_path = tmp_path / "corpus.jsonl"
+        reference = (out / "reference.json").read_text(encoding="utf-8")
+        assert main(["teacher-gen", "--seed", str(config.seed), "--n", "3", "--out", str(corpus_path)]) == 0
+        capsys.readouterr()
+        if bad_input == "reference_jsonl":
+            reference_path.write_text(reference + reference, encoding="utf-8")
+        elif bad_input == "reference_not_utf8":  # the one-line reference moved to line 2, with a key that is not UTF-8
+            reference_path.write_bytes(b"{\n" + reference.encode("utf-8")[1:].replace(b'"features"', b'"\xff"', 1))
+        else:
+            reference_path.write_text(reference, encoding="utf-8")
+            records = corpus_path.read_bytes().splitlines(keepends=True)
+            corpus_path.write_bytes(b"".join(records[:2]) + records[2].replace(b'"id":"', b'"id":"\xff', 1))
+        bad = reference_path if bad_input.startswith("reference") else corpus_path
+        grades_csv = tmp_path / "g.csv"
+        assert main(["grade", "--corpus", str(corpus_path), "--reference", str(reference_path), "--out", str(grades_csv)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {bad}: line {line}: ") and err.count("\n") == 1, err
+        assert not grades_csv.exists()
+
+    @pytest.mark.parametrize(
         "override",
         [
             {"bogus": 1},
@@ -545,6 +575,30 @@ class TestCli:
         assert main(["compare", "--config", str(config), "--out-dir", str(out)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "flag, contents, line",
+        [
+            pytest.param("--config", b"{bad", 1, id="config_not_json"),
+            pytest.param("--config", b'{"seed": 3,\n"bogus": "\xff"}', 2, id="config_not_utf8"),
+            pytest.param("--corpus", None, 3, id="corpus_not_utf8"),
+        ],
+    )
+    def test_undecodable_file_fails_before_writing(self, tmp_path, capsys, flag, contents, line):
+        bad = tmp_path / "bad"
+        if contents is None:  # a corpus whose third record holds a byte that is not UTF-8
+            assert main(["teacher-gen", "--seed", "5", "--n", "4", "--out", str(bad)]) == 0
+            capsys.readouterr()
+            records = bad.read_bytes().splitlines(keepends=True)
+            contents = b"".join(records[:2]) + records[2].replace(b'"id":"', b'"id":"\xff', 1) + b"".join(records[3:])
+        bad.write_bytes(contents)
+        config = bad if flag == "--config" else write_small_config(tmp_path)
+        out = tmp_path / "out"
+        args = ["compare", "--config", str(config), "--out-dir", str(out)]
+        assert main(args + ["--corpus", str(bad)] if flag == "--corpus" else args) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {bad}: line {line}: ") and err.count("\n") == 1, err
         assert not out.exists()
 
     def test_corpus_too_long_for_count_table_fails_before_writing(self, tmp_path, capsys):

@@ -229,6 +229,51 @@ class TestBatchGrade:
                 assert batch.point_weight[last].tolist() == lone.point_weight.tolist()
         assert all(d == desk_reference.p_empty for d in grade(self.ALL_REST, desk_reference).distances[0].tolist())
 
+    @staticmethod
+    def loaded_reference(reference, kind):
+        """``reference`` rebuilt by ``ReferenceModel.from_json`` with every support replaced as ``kind`` says."""
+        payload = reference.to_json()
+        for entry in payload["references"].values():
+            support = np.array(entry["support"])
+            if kind == "shifted":  # between integer events; 2**-20 keeps the fractional features off theirs too
+                support += 0.5 + 2.0**-20
+            elif kind == "one_point":
+                support, entry["weights"] = support[:1], [1.0]
+            elif kind == "negative_zero":
+                support[support == 0] = -0.0
+            elif kind == "dense":
+                support = np.linspace(support[0] - 3, support[-1] + 3, 2_000)
+                entry["weights"] = (np.arange(1, support.size + 1) / (support.size * (support.size + 1) / 2)).tolist()
+            entry["support"] = support.tolist()
+        return ReferenceModel.from_json(payload)
+
+    @pytest.mark.parametrize("kind", ["shifted", "one_point", "negative_zero", "dense"])
+    def test_batch_matches_oracle_against_loaded_references(self, desk_reference, desk_split, kind):
+        reference = self.loaded_reference(desk_reference, kind)
+        pool = [self.ALL_REST, self.ONE_STEP, *desk_split.train.chorales[:10]]
+        names = reference.feature_names
+        width = len(names)
+        segment, value = _pass_events(pool, names)
+        supports = [reference.references[name].support for name in names]
+        if kind == "shifted":
+            assert all(not set(value[segment % width == f].tolist()) & set(supports[f]) for f in range(width))
+        elif kind == "negative_zero":  # a reference zero that is -0.0 where the pool has events of 0.0
+            assert any(0.0 in value[segment % width == f] and -0.0 in supports[f] for f in range(width))
+            assert all(math.copysign(1, x) < 0 for support in supports for x in support if x == 0)
+        expected = [reference_grade(c, reference) for c in pool]
+        lone = [grade(c, reference) for c in pool]
+        for size in (len(pool), PASS_SIZE + 1):
+            members = [k % len(pool) for k in range(size)]
+            batch = grade([pool[k] for k in members], reference)
+            for row, k in enumerate(members):
+                distances, total = expected[k]
+                assert [repr(d) for d in batch.distances[row].tolist()] == [repr(distances[n]) for n in names], row
+                assert repr(batch.totals[row].item()) == repr(total), row
+                mine = (batch.point_segment >= row * width) & (batch.point_segment < (row + 1) * width)
+                assert (batch.point_segment[mine] - row * width).tolist() == lone[k].point_segment.tolist(), row
+                assert batch.point_value[mine].tolist() == lone[k].point_value.tolist(), row
+                assert batch.point_weight[mine].tolist() == lone[k].point_weight.tolist(), row
+
     def test_empty_sequence_grades_to_empty_batch(self, desk_reference):
         batch = grade([], desk_reference)
         assert batch.ids == () and batch.totals.shape == (0,)

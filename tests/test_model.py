@@ -313,9 +313,10 @@ class TestSample:
         st.lists(chorales(min_length=2, max_length=8), min_size=2, max_size=5),
         st.integers(0, 2**32 - 1),
         st.sampled_from([1e-3, 0.1, 1.0]),
+        st.integers(1, 5),
     )
-    def test_sample_matches_reference_sampler(self, pool, seed, alpha):
-        model = MarkovModel.with_vocab_from(pool, order=2, alpha=alpha)
+    def test_sample_matches_reference_sampler(self, pool, seed, alpha, order):
+        model = MarkovModel.with_vocab_from(pool, order=order, alpha=alpha)
         fresh = model.sample(6, stream(seed, "fresh"))
         assert fresh.voices == reference_sample(model, 6, stream(seed, "fresh")).voices
         model.fit(pool[:1], [1])
@@ -406,9 +407,10 @@ class TestSample:
         st.sampled_from([1e-3, 0.1, 1.0]),
         st.sampled_from([0, 1, 2, 60]),
         st.sampled_from(["fresh", "fitted", "restored", "new rows"]),
+        st.integers(1, 5),
     )
-    def test_sample_batch_matches_reference_sampler_per_stream(self, pool, seed, alpha, size, state):
-        model = MarkovModel.with_vocab_from(pool, order=2, alpha=alpha)
+    def test_sample_batch_matches_reference_sampler_per_stream(self, pool, seed, alpha, size, state, order):
+        model = MarkovModel.with_vocab_from(pool, order=order, alpha=alpha)
         if state != "fresh":
             model.fit(pool[:1], [1])
             early = model.snapshot()

@@ -87,6 +87,18 @@ def _loops(node: ast.AST) -> list[ast.AST]:
     return [n for n in ast.walk(node) if isinstance(n, (ast.For, ast.While, ast.comprehension))]
 
 
+def _stored_names(node: ast.AST) -> set[str]:
+    """Names that ``node`` assigns, or assigns into by a subscript, slice or attribute."""
+    stored = set()
+    for target in ast.walk(node):
+        if isinstance(target, (ast.Subscript, ast.Attribute, ast.Name)) and isinstance(target.ctx, ast.Store):
+            while isinstance(target, (ast.Subscript, ast.Attribute)):
+                target = target.value
+            if isinstance(target, ast.Name):
+                stored.add(target.id)
+    return stored
+
+
 def test_sampler_steps_the_batch_in_lockstep():
     # each (timestep, voice) is one numpy step over every running chorale: inside the timestep loop the only
     # Python loop is over the four voices, and it calls no model method; the sampling tables are built before it
@@ -102,6 +114,12 @@ def test_sampler_steps_the_batch_in_lockstep():
     assert not called, called
     builds = [node.lineno for node in ast.walk(sampler) if _called_name(node) == "_build_tables"]
     assert builds and max(builds) < steps[0].lineno, (builds, steps[0].lineno)
+    # each chorale's history (its last tokens, and whether HOLD is masked) advances once per timestep, after the
+    # voice loop, from the timestep's drawn digits: the voice loop writes neither
+    history = {"recent", "masked"}
+    assert history <= _stored_names(steps[0]), _stored_names(steps[0])
+    written = history & _stored_names(inner[0])
+    assert not written, (written, inner[0].lineno)
     # `sample` is a batch of one, not a second sampling path
     assert [_called_name(node) for node in ast.walk(methods["sample"]) if isinstance(node, ast.Call)] == ["sample_many"]
 
