@@ -70,6 +70,7 @@ class ChoraleFormatError(ValueError):
         super().__init__(f"{message} ({', '.join(where)})" if where else message)
         self.line = line
         self.field = field
+        self.reason = f"{message} (field {field})" if field is not None else message  # the message without its line
 
 
 class InvalidChoraleError(ValueError):

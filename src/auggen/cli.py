@@ -26,7 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from . import experiment
-from .corpus import load_corpus, load_json, read_text, save_corpus, teacher_corpus
+from .corpus import check_fields, json_fits, load_corpus, load_json, naming, read_text, save_corpus, teacher_corpus
 from .experiment import PROFILES, ExperimentConfig, RegimeError, compare, grade_quintuple, resolve_out_dir, run_regime
 from .grading import PASS_SIZE, GradeBatch, ReferenceModel, grade, nearest_rank
 from .loop import ORIGIN_GENERATED
@@ -34,16 +34,16 @@ from .loop import ORIGIN_GENERATED
 
 def _build_config(args: argparse.Namespace) -> ExperimentConfig:
     payload = PROFILES[args.profile].to_json()
-    if args.config:
-        overlay = load_json(args.config)
-        if not isinstance(overlay, dict):
-            raise ValueError(f"{args.config}: config must be a JSON object, got {type(overlay).__name__}")
+    with naming(args.config) if args.config else contextlib.nullcontext():
+        overlay = load_json(args.config) if args.config else {}
+        if not json_fits(overlay, dict):
+            raise ValueError(f"config must be a JSON object, got {type(overlay).__name__}")
         payload.update(overlay)
-    if getattr(args, "corpus", None):
-        payload["corpus_path"] = args.corpus
-    if args.seed is not None:
-        payload["seed"] = args.seed
-    return ExperimentConfig.from_json(payload)
+        if getattr(args, "corpus", None):
+            payload["corpus_path"] = args.corpus
+        if args.seed is not None:
+            payload["seed"] = args.seed
+        return ExperimentConfig.from_json(payload)
 
 
 def _add_config_flags(parser: argparse.ArgumentParser) -> None:
@@ -176,61 +176,44 @@ def cmd_compare(args: argparse.Namespace) -> int:
 
 def _manifest_origins(manifest: Path) -> list[str]:
     origins = []
-    for number, line in enumerate(read_text(manifest).splitlines(), 1):
-        if line:
-            try:
-                record = json.loads(line)
-            except ValueError as exc:
-                raise ValueError(f"{manifest}: line {number}: {exc}") from None
-            if not isinstance(record, dict) or "origin" not in record:
-                raise ValueError(f"{manifest}: line {number} has no 'origin'")
-            origins.append(record["origin"])
-    if not origins:
-        raise ValueError(f"{manifest}: no chorales listed")
+    with naming(manifest):
+        for number, line in enumerate(read_text(manifest).splitlines(), 1):
+            if line:
+                try:
+                    record = json.loads(line)
+                except ValueError as exc:
+                    raise ValueError(f"line {number}: {exc}") from None
+                check_fields(record, {"origin": object}, f"line {number}")
+                origins.append(record["origin"])
+        if not origins:
+            raise ValueError("no chorales listed")
     return origins
 
 
-def _is_int(value: object) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
-def _is_finite(value: object) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool) and abs(value) <= sys.float_info.max
-
-
-# the compare report copies these from each regime summary, each checked by its test, then adds final_median
-# and final_iqr from its final_grades
+# the compare report copies these from each regime summary, then adds final_median and final_iqr from its final_grades
 _SUMMARY_KEYS = {
-    "regime": (lambda value: isinstance(value, str), "a string"),
-    "best_epoch": (_is_int, "an integer"),
-    "best_val_loss": (_is_finite, "a finite number"),
-    "epochs_ran": (_is_int, "an integer"),
-    "generated_count": (_is_int, "an integer"),
-    "generated_fraction": (_is_finite, "a finite number"),
+    "regime": str, "best_epoch": int, "best_val_loss": float, "epochs_ran": int, "generated_count": int,
+    "generated_fraction": float,
 }
 
 
 def _regime_rows(summary_json: Path) -> list[list[str]]:
-    """One report row per regime summary of a compare directory's ``summary.json``, in file order."""
-    summaries = load_json(summary_json)
-    if not isinstance(summaries, list):
-        raise ValueError(f"{summary_json}: expected a list of regime summaries, got {type(summaries).__name__}")
+    """One report row per regime summary of a compare directory's ``summary.json``, in file order. Each summary
+    holds a value of each type of ``_SUMMARY_KEYS``, as :func:`~auggen.corpus.json_fits` checks it, and a nonempty
+    ``final_grades`` of ``tuple[float, ...]``; other keys are ignored."""
     rows = []
-    for i, summary in enumerate(summaries):
-        if not isinstance(summary, dict):
-            raise ValueError(f"{summary_json}: entry {i} is not an object")
-        missing = [key for key in (*_SUMMARY_KEYS, "final_grades") if key not in summary]
-        if missing:
-            raise ValueError(f"{summary_json}: entry {i}: missing key(s) {missing}")
-        for key, (valid, kind) in _SUMMARY_KEYS.items():
-            if not valid(summary[key]):
-                raise ValueError(f"{summary_json}: entry {i}: {key} must be {kind}, got {summary[key]!r}")
-        grades = summary["final_grades"]
-        if not (isinstance(grades, list) and grades and all(map(_is_finite, grades))):
-            raise ValueError(f"{summary_json}: entry {i}: final_grades must be a nonempty list of finite numbers")
-        iqr = nearest_rank(grades, 0.75) - nearest_rank(grades, 0.25)
-        cells = [summary[key] for key in _SUMMARY_KEYS if key != "regime"] + [nearest_rank(grades, 0.5), iqr]
-        rows.append([summary["regime"], *map(repr, cells)])
+    with naming(summary_json):
+        summaries = load_json(summary_json)
+        if not json_fits(summaries, list):
+            raise ValueError(f"expected a list of regime summaries, got {type(summaries).__name__}")
+        for i, summary in enumerate(summaries):
+            check_fields(summary, {**_SUMMARY_KEYS, "final_grades": tuple[float, ...]}, f"entry {i}")
+            grades = summary["final_grades"]
+            if not grades:
+                raise ValueError(f"entry {i}: final_grades must not be empty")
+            iqr = nearest_rank(grades, 0.75) - nearest_rank(grades, 0.25)
+            cells = [summary[key] for key in _SUMMARY_KEYS if key != "regime"] + [nearest_rank(grades, 0.5), iqr]
+            rows.append([summary["regime"], *map(repr, cells)])
     return rows
 
 

@@ -1,4 +1,9 @@
-"""Corpus loading/saving, deterministic splitting, and synthetic corpora.
+"""Input files, corpus loading/saving, deterministic splitting, and synthetic corpora.
+
+This module owns the readers of the files the program takes in and their
+two rules: :func:`json_fits` is the one type check of a decoded JSON value,
+and :func:`naming` starts the message of an error about what a file holds
+with ``<path>: ``, then ``line N: `` where the line is known.
 
 The split shuffle is a keyed-hash permutation: indices are ordered by
 SHA-256 of ``"{seed}:{index}"`` before the cut. This is specified here so
@@ -8,15 +13,19 @@ library version, forever.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
 import math
+import sys
+import types
+import typing
 from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import accumulate
 from pathlib import Path
 
-from .chorale import HOLD, REST, Chorale, Token, parse_chorale, serialize_chorale
+from .chorale import HOLD, REST, Chorale, ChoraleFormatError, Token, parse_chorale, serialize_chorale
 from .model import MarkovModel, sample_batch
 from .rng import stream
 
@@ -65,39 +74,85 @@ class Split:
     fraction: float
 
 
-def read_text(path: str | Path) -> str:
-    """The text of the UTF-8 file ``path``. A byte that is not UTF-8 raises a ``ValueError`` that starts
-    ``<path>: line N:``, N counted as text mode counts lines."""
-    data = Path(path).read_bytes()
+@contextlib.contextmanager
+def naming(path: str | Path):
+    """Name ``path`` in a ``ValueError`` raised in the block: the message of the same exception, so its type and
+    fields are kept, starts ``<path>: ``, then ``line N: `` for a record error that knows its line. A message
+    that already starts with the path is left as it is, so blocks may nest."""
     try:
-        return data.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        line = len((data[: exc.start] + b".").splitlines())  # bytes end lines at \n, \r\n and \r, as text mode does
-        raise ValueError(f"{path}: line {line}: byte 0x{data[exc.start]:02x} is not UTF-8 ({exc.reason})") from None
+        yield
+    except ValueError as exc:
+        if not str(exc).startswith(f"{path}: "):
+            located = isinstance(exc, ChoraleFormatError) and exc.line is not None
+            exc.args = (f"{path}: line {exc.line}: {exc.reason}" if located else f"{path}: {exc}",)
+        raise
+
+
+def json_fits(value: object, hint: object) -> bool:
+    """Whether decoded JSON ``value`` has type ``hint``. A list stands for a tuple, and no bool for a number; where
+    a float is expected, an int or a float fits only if its size is at most the largest float, which rejects NaN
+    and the infinities (an int is kept as it is, not converted)."""
+    origin, args = typing.get_origin(hint), typing.get_args(hint)
+    if origin in (typing.Union, types.UnionType):
+        return any(json_fits(value, arg) for arg in args)
+    if origin is tuple:
+        return isinstance(value, (list, tuple)) and all(json_fits(item, args[0]) for item in value)
+    if origin is dict:
+        return isinstance(value, dict) and all(json_fits(k, args[0]) and json_fits(v, args[1]) for k, v in value.items())
+    if isinstance(value, bool) and hint in (int, float):  # JSON true is not the number 1
+        return False
+    if hint is float:
+        return isinstance(value, (int, float)) and abs(value) <= sys.float_info.max
+    return isinstance(value, hint)
+
+
+def check_fields(payload: object, hints: typing.Mapping[str, object], what: str) -> None:
+    """Raise ``ValueError`` unless ``payload`` is a JSON object holding every key of ``hints``, each with a value
+    that :func:`json_fits` the key's type; ``what`` names the object in the message."""
+    if not json_fits(payload, dict):
+        raise ValueError(f"{what} must be an object, got {type(payload).__name__}")
+    missing = [key for key in hints if key not in payload]
+    if missing:
+        raise ValueError(f"{what} is missing key(s) {missing}")
+    for key, hint in hints.items():
+        if not json_fits(payload[key], hint):
+            expected = str(hint) if typing.get_origin(hint) else hint.__name__
+            raise ValueError(f"{what} key {key!r} must be {expected}, got {payload[key]!r}")
+
+
+def read_text(path: str | Path) -> str:
+    """The text of the UTF-8 file ``path``; a byte that is not UTF-8 is an error at its line, as text mode counts."""
+    data = Path(path).read_bytes()
+    with naming(path):
+        try:
+            return data.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            line = len((data[: exc.start] + b".").splitlines())  # bytes end lines at \n, \r\n and \r, as text mode does
+            raise ValueError(f"line {line}: byte 0x{data[exc.start]:02x} is not UTF-8 ({exc.reason})") from None
 
 
 def load_json(path: str | Path) -> object:
-    """The JSON value held in the UTF-8 file ``path``; an error decoding it raises a ``ValueError`` that starts
-    ``<path>: line N:``."""
-    try:
-        return json.loads(read_text(path))
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"{path}: line {exc.lineno}: {exc.msg} (column {exc.colno})") from None
+    """The JSON value held in the UTF-8 file ``path``; an error decoding it names its line."""
+    with naming(path):
+        try:
+            return json.loads(read_text(path))
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"line {exc.lineno}: {exc.msg} (column {exc.colno})") from None
 
 
 def load_corpus(path: str | Path) -> Corpus:
     chorales = []
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            for line_no, line in enumerate(fh, start=1):
-                line = line.strip()
-                if not line:
-                    continue
-                chorales.append(parse_chorale(line, line=line_no))
-    except UnicodeDecodeError:  # raised for a block of the file, so read it again to name the line
-        read_text(path)
-        raise
-    return Corpus(tuple(chorales))
+    with naming(path):
+        try:
+            with open(path, "r", encoding="utf-8") as fh:
+                for line_no, line in enumerate(fh, start=1):
+                    line = line.strip()
+                    if line:
+                        chorales.append(parse_chorale(line, line=line_no))
+        except UnicodeDecodeError:  # raised for a block of the file, so read it again to name the line
+            read_text(path)
+            raise
+        return Corpus(tuple(chorales))
 
 
 def save_corpus(corpus: Corpus, path: str | Path) -> None:

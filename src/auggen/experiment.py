@@ -21,15 +21,13 @@ import io
 import json
 import math
 import os
-import sys
-import types
 import typing
 from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Mapping, Sequence
 
 from .chorale import REST
-from .corpus import Corpus, Split, load_corpus, read_text, save_split_manifest, split, teacher_corpus
+from .corpus import Corpus, Split, check_fields, load_corpus, naming, read_text, save_split_manifest, split, teacher_corpus
 from .features import DEFAULT_FEATURES, check_feature_set
 from .grading import DEFAULT_P_EMPTY, ReferenceModel, Threshold, fit_reference, grade, grade_quantile, nearest_rank
 from .loop import ORIGIN_TRUE, RunResult, run, save_run
@@ -127,32 +125,8 @@ class ExperimentConfig:
         if unknown:
             raise ValueError(f"unknown config key(s) {unknown}")
         hints = typing.get_type_hints(cls)
-        for key, value in payload.items():
-            if not _json_fits(value, hints[key]):
-                expected = hints[key].__name__ if hints[key] in (int, float) else hints[key]
-                raise ValueError(f"config key {key!r} must be {expected}, got {value!r}")
-        kwargs = dict(payload)
-        for key in ("features", "regimes"):
-            if key in kwargs:
-                kwargs[key] = tuple(kwargs[key])
-        return cls(**kwargs)
-
-
-def _json_fits(value: object, hint: object) -> bool:
-    """Whether decoded JSON ``value`` has field type ``hint``; a list stands for a tuple, and an int for a float
-    unless it is beyond the largest float (its bytes are kept: it is not converted)."""
-    origin, args = typing.get_origin(hint), typing.get_args(hint)
-    if origin in (typing.Union, types.UnionType):
-        return any(_json_fits(value, arg) for arg in args)
-    if origin is tuple:
-        return isinstance(value, (list, tuple)) and all(_json_fits(item, args[0]) for item in value)
-    if origin is dict:
-        return isinstance(value, dict) and all(_json_fits(k, args[0]) and _json_fits(v, args[1]) for k, v in value.items())
-    if isinstance(value, bool) and hint is not bool:
-        return False
-    if hint is float and isinstance(value, int):
-        return abs(value) <= sys.float_info.max
-    return isinstance(value, hint)
+        check_fields(payload, {key: hints[key] for key in payload}, "config")
+        return cls(**{key: tuple(v) if typing.get_origin(hints[key]) is tuple else v for key, v in payload.items()})
 
 
 # The paper profile carries full-scale experiment settings; they are
@@ -357,16 +331,17 @@ def epoch_grades(epoch_logs_csv: str | Path) -> dict[int, list[float]]:
     ``ValueError`` naming the file (and the line).
     """
     grades: dict[int, list[float]] = {}
-    reader = csv.DictReader(io.StringIO(read_text(epoch_logs_csv), newline=""))
-    missing = {"epoch", "grade"} - set(reader.fieldnames or ())
-    if missing:
-        raise ValueError(f"{epoch_logs_csv}: missing column(s) {sorted(missing)}")
-    for row in reader:
-        try:
-            epoch, value = int(row["epoch"]), float(row["grade"])
-        except (TypeError, ValueError) as exc:  # TypeError: a short row leaves the cell None
-            raise ValueError(f"{epoch_logs_csv}: line {reader.line_num}: {exc}") from None
-        if not math.isfinite(value):  # the critic's grades are finite sums of finite distances
-            raise ValueError(f"{epoch_logs_csv}: line {reader.line_num}: grade {row['grade']!r} is not finite")
-        grades.setdefault(epoch, []).append(value)
+    with naming(epoch_logs_csv):
+        reader = csv.DictReader(io.StringIO(read_text(epoch_logs_csv), newline=""))
+        missing = {"epoch", "grade"} - set(reader.fieldnames or ())
+        if missing:
+            raise ValueError(f"missing column(s) {sorted(missing)}")
+        for row in reader:
+            try:
+                epoch, value = int(row["epoch"]), float(row["grade"])
+            except (TypeError, ValueError) as exc:  # TypeError: a short row leaves the cell None
+                raise ValueError(f"line {reader.line_num}: {exc}") from None
+            if not math.isfinite(value):  # the critic's grades are finite sums of finite distances
+                raise ValueError(f"line {reader.line_num}: grade {row['grade']!r} is not finite")
+            grades.setdefault(epoch, []).append(value)
     return grades

@@ -61,8 +61,8 @@ class FeatureDistribution:
     def __post_init__(self) -> None:
         try:
             self._check()
-        except (TypeError, OverflowError) as exc:  # a value that is not a number, or an int beyond the largest float
-            raise ValueError(f"feature {self.feature_name!r}: support and weights must be numbers ({exc})") from None
+        except ValueError as exc:
+            raise ValueError(f"feature {self.feature_name!r}: {exc}") from None
 
     def _check(self) -> None:
         if len(self.support) != len(self.weights):

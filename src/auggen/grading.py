@@ -26,13 +26,18 @@ from typing import Iterable, Mapping, NamedTuple, Sequence
 import numpy as np
 
 from .chorale import Chorale
-from .corpus import Corpus, load_json
+from .corpus import Corpus, check_fields, json_fits, load_json, naming
 from .features import REGISTRY, DEFAULT_FEATURES, FeatureDistribution, check_feature_set, realize_batch
 
 DEFAULT_P_EMPTY = 100.0
 PASS_SIZE = 64  # chorales per vectorised pass of the critic; bounds the pass's working arrays
 
 _REFERENCE_FORMAT = "auggen-reference-v1"
+# the type of each key of a saved reference, and of each entry of its "references"
+_REFERENCE_TYPES = {
+    "features": tuple[str, ...], "references": dict, "weights": dict[str, float], "p_empty": float, "provenance": dict
+}
+_ENTRY_TYPES = {"support": tuple[float, ...], "weights": tuple[float, ...]}
 
 
 class EmptyDistributionError(ValueError):
@@ -52,21 +57,6 @@ def wasserstein1(p: FeatureDistribution, q: FeatureDistribution) -> float:
     cdf_p = cum_p[np.searchsorted(p.support, xs, side="right")]
     cdf_q = cum_q[np.searchsorted(q.support, xs, side="right")]
     return float(np.sum(np.abs(cdf_p - cdf_q)[:-1] * np.diff(xs)))
-
-
-def _number(value: object, what: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ValueError(f"{what} must be a number, got {value!r}")
-    try:
-        return float(value)
-    except OverflowError:  # an int beyond the largest float
-        raise ValueError(f"{what} {value} is too large for a float") from None
-
-
-def _require_keys(payload: Mapping, keys: Sequence[str], what: str) -> None:
-    missing = [key for key in keys if key not in payload]
-    if missing:
-        raise ValueError(f"{what} is missing key(s) {missing}")
 
 
 class _CdfTable(NamedTuple):
@@ -132,39 +122,30 @@ class ReferenceModel:
         }
 
     @classmethod
-    def from_json(cls, payload: dict) -> "ReferenceModel":
-        found = payload.get("format") if isinstance(payload, dict) else None
+    def from_json(cls, payload: object) -> "ReferenceModel":
+        """The reference whose decoded :meth:`to_json` is ``payload``. :func:`~auggen.corpus.json_fits` checks
+        ``features`` as ``tuple[str, ...]``, ``weights`` as ``dict[str, float]``, ``p_empty`` as ``float``, the
+        optional ``provenance`` as an object, and each entry's ``support`` and ``weights`` as ``tuple[float, ...]``;
+        the reference and its :class:`~auggen.features.FeatureDistribution` entries check the ranges."""
+        found = payload.get("format") if json_fits(payload, dict) else None
         if found != _REFERENCE_FORMAT:
             raise ValueError(f"unrecognized reference format {found!r}")
-        _require_keys(payload, ("features", "references", "weights", "p_empty"), "reference")
-        features = payload["features"]
-        if not (isinstance(features, list) and all(isinstance(name, str) for name in features)):
-            raise ValueError(f"features must be a list of feature names, got {features!r}")
-        names = check_feature_set(features)
+        provenance = payload.get("provenance", {})
+        check_fields({**payload, "provenance": provenance}, _REFERENCE_TYPES, "reference")
+        names = check_feature_set(payload["features"])
         for key in ("references", "weights"):
-            if not isinstance(payload[key], dict):
-                raise ValueError(f"{key} must be an object keyed by feature name")
             if set(payload[key]) != set(names):
                 raise ValueError(f"{key} keys {sorted(payload[key])} do not match features {sorted(names)}")
+        references = {}
         for name, entry in payload["references"].items():
-            if not isinstance(entry, dict):
-                raise ValueError(f"reference entry {name!r} must be an object")
-            _require_keys(entry, ("support", "weights"), f"reference entry {name!r}")
-            for key in ("support", "weights"):
-                if not isinstance(entry[key], list):
-                    raise ValueError(f"reference entry {name!r}: {key} must be a list")
-                if any(isinstance(x, bool) for x in entry[key]):  # JSON true would read as 1
-                    raise ValueError(f"reference entry {name!r}: {key} must be numbers, got a bool")
-        references = {
-            name: FeatureDistribution(name, tuple(entry["support"]), tuple(entry["weights"]))
-            for name, entry in payload["references"].items()
-        }
+            check_fields(entry, _ENTRY_TYPES, f"reference entry {name!r}")
+            references[name] = FeatureDistribution(name, tuple(entry["support"]), tuple(entry["weights"]))
         return cls(
             feature_names=names,
             references=references,
-            weights={k: _number(v, f"weight for {k!r}") for k, v in payload["weights"].items()},
-            p_empty=_number(payload["p_empty"], "p_empty"),
-            provenance=payload.get("provenance", {}),
+            weights={name: float(w) for name, w in payload["weights"].items()},
+            p_empty=float(payload["p_empty"]),
+            provenance=provenance,
         )
 
     def digest(self) -> str:
@@ -176,7 +157,8 @@ class ReferenceModel:
 
     @classmethod
     def load(cls, path: str | Path) -> "ReferenceModel":
-        return cls.from_json(load_json(path))
+        with naming(path):
+            return cls.from_json(load_json(path))
 
 
 def fit_reference(

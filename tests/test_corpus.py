@@ -6,10 +6,11 @@ from hypothesis import given
 import hypothesis.strategies as st
 
 from auggen import corpus as corpus_module
-from auggen.chorale import Chorale, InvalidChoraleError, validate
+from auggen.chorale import Chorale, ChoraleFormatError, InvalidChoraleError, validate
 from auggen.corpus import (
     Corpus,
     CorpusError,
+    json_fits,
     load_corpus,
     save_corpus,
     save_split_manifest,
@@ -64,7 +65,40 @@ def test_load_reports_duplicate_id(tmp_path):
     path.write_text(line + "\n" + line + "\n", encoding="utf-8")
     with pytest.raises(CorpusError) as err:
         load_corpus(path)
-    assert "dup" in str(err.value)
+    assert str(err.value) == f"{path}: duplicate chorale id 'dup'"
+
+
+@pytest.mark.parametrize(
+    "value, hint, fits",
+    [
+        (1, float, True),  # an int stands for a float
+        (-(2**1024), float, False),  # unless it is beyond the largest float
+        (float("nan"), float, False),
+        (float("-inf"), float, False),
+        (True, int, False),  # no bool is a number
+        (True, float, False),
+        (1.0, int, False),
+        ([1, 2.5], tuple[float, ...], True),  # a list stands for a tuple
+        ([1, "2"], tuple[float, ...], False),
+        ({"a": 1}, dict[str, float], True),
+        ({"a": None}, dict[str, float], False),
+        (None, int | None, True),
+        ({}, dict, True),
+        ([], dict, False),
+    ],
+)
+def test_json_fits(value, hint, fits):
+    assert json_fits(value, hint) is fits
+
+
+def test_load_names_the_file_and_line_of_a_bad_record(tmp_path):
+    # the message starts with the path, then the line; the error keeps its type and fields
+    path = tmp_path / "corpus.jsonl"
+    path.write_text('\n{"id":"x","voices":[["60"],["55"],["48"],["060"]]}\n', encoding="utf-8")
+    with pytest.raises(ChoraleFormatError) as err:
+        load_corpus(path)
+    assert str(err.value) == f"{path}: line 2: unknown token '060' (field voices[3][0])"
+    assert (err.value.line, err.value.field) == (2, "voices[3][0]")
 
 
 def test_load_empty_file_gives_empty_corpus(tmp_path):

@@ -1,3 +1,4 @@
+import contextlib
 import csv
 import io
 import json
@@ -5,12 +6,14 @@ import math
 import os
 import subprocess
 import sys
+import tempfile
+from copy import deepcopy
 from pathlib import Path
 
 import hypothesis.strategies as st
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 
 import auggen
 from auggen import cli, experiment, grading
@@ -43,6 +46,7 @@ SMALL = dict(
 )
 
 GOOD_MANIFEST = '{"origin": "true"}\n'
+GOOD_RECORD = '{"id":"x","voices":[["60"],["55"],["48"],["41"]]}\n'
 
 
 @pytest.fixture(scope="module")
@@ -442,6 +446,9 @@ class TestCli:
             "huge_int_p_empty",
             "bool_support",
             "bool_reference_weight",
+            "provenance_list",
+            "unsorted_support",
+            "negative_reference_weight",
         ],
     )
     def test_grade_rejects_inconsistent_reference(self, small_compare, tmp_path, capsys, tamper):
@@ -485,6 +492,12 @@ class TestCli:
         elif tamper == "bool_reference_weight":
             payload["references"]["pitch"]["support"] = [60]
             payload["references"]["pitch"]["weights"] = [True]
+        elif tamper == "provenance_list":  # read back, a list would break digest() and save()
+            payload["provenance"] = [1]
+        elif tamper == "unsorted_support":
+            payload["references"]["pitch"]["support"].reverse()
+        elif tamper == "negative_reference_weight":
+            payload["references"]["pitch"]["weights"][0] = -1
         else:
             support = payload["references"]["pitch"]["support"]
             payload["references"]["pitch"]["support"] = ["a", *support[1:]]
@@ -496,8 +509,8 @@ class TestCli:
         args = ["grade", "--corpus", str(corpus_path), "--reference", str(reference_path), "--out", str(tmp_path / "g.csv")]
         assert main(args) == 1
         err = capsys.readouterr().err
-        assert err.startswith("error: ") and err.count("\n") == 1, err
-        if tamper.startswith("bool_"):
+        assert err.startswith(f"error: {reference_path}: ") and err.count("\n") == 1, err
+        if tamper.startswith("bool_") or tamper in ("unsorted_support", "negative_reference_weight"):
             assert "'pitch'" in err, err
 
     @pytest.mark.parametrize(
@@ -528,6 +541,31 @@ class TestCli:
         assert main(["grade", "--corpus", str(corpus_path), "--reference", str(reference_path), "--out", str(grades_csv)]) == 1
         err = capsys.readouterr().err
         assert err.startswith(f"error: {bad}: line {line}: ") and err.count("\n") == 1, err
+        assert not grades_csv.exists()
+
+    @pytest.mark.parametrize(
+        "flag, contents, message",
+        [
+            pytest.param(
+                "--corpus", '{"voices":[["60"],["55"],["48"],["41"]]}\n', "line 1: missing or non-string 'id' (field id)",
+                id="corpus_missing_id",
+            ),
+            pytest.param(
+                "--corpus", '\n{"id":"x","voices":[["60"],["55"],["48"],["060"]]}\n',
+                "line 2: unknown token '060' (field voices[3][0])", id="corpus_unknown_token",
+            ),
+            pytest.param("--corpus", GOOD_RECORD + GOOD_RECORD, "duplicate chorale id 'x'", id="corpus_duplicate_id"),
+            pytest.param("--reference", '{"format": "nope"}', "unrecognized reference format 'nope'", id="reference_format"),
+        ],
+    )
+    def test_grade_names_the_file_of_a_bad_record(self, small_compare, tmp_path, capsys, flag, contents, message):
+        _, out, _, _ = small_compare
+        bad, good_corpus, grades_csv = tmp_path / "bad", tmp_path / "good.jsonl", tmp_path / "g.csv"
+        bad.write_text(contents, encoding="utf-8")
+        good_corpus.write_text(GOOD_RECORD, encoding="utf-8")
+        files = {"--corpus": good_corpus, "--reference": out / "reference.json", flag: bad}
+        assert main(["grade", *[str(arg) for item in files.items() for arg in item], "--out", str(grades_csv)]) == 1
+        assert capsys.readouterr().err == f"error: {bad}: {message}\n"
         assert not grades_csv.exists()
 
     @pytest.mark.parametrize(
@@ -825,3 +863,83 @@ def test_feature_rows_quote_ids_as_the_csv_writer_does(ids, data):
     weights = data.draw(st.lists(floats, min_size=len(segments), max_size=len(segments)))
     batch = point_batch(ids, names, segments, values, weights)
     assert feature_rows(batch) == reference_feature_dump(batch)
+
+
+@st.composite
+def json_paths(draw, document):
+    """A path into the JSON ``document``, a tuple of keys and indices, and the value it leads to. The path goes a
+    drawn number of levels down, each step to a drawn member, so a shallow value is drawn as often as a deep one."""
+    path, value = (), document
+    for _ in range(draw(st.integers(0, 4))):
+        if not (isinstance(value, (dict, list)) and value):
+            break
+        key = draw(st.sampled_from(list(value) if isinstance(value, dict) else range(len(value))))
+        path, value = (*path, key), value[key]
+    return path, value
+
+
+def replaced(document, path, new):
+    """A copy of the JSON ``document`` with the value at ``path`` replaced by ``new``."""
+    if not path:
+        return new
+    copy = deepcopy(document)
+    parent = copy
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = new
+    return copy
+
+
+# what a corruption writes in place of a value; no in-range integer is drawn, since a count key such as n_eval
+# allocates in proportion to its value
+BAD_VALUES = st.one_of(
+    st.booleans(),
+    st.none(),
+    st.text(max_size=6),
+    st.sampled_from([math.nan, math.inf, -math.inf, [], {}]),
+    st.lists(st.lists(st.integers(-2, 2), max_size=2), min_size=1, max_size=2),
+)
+TOO_LARGE_FOR_A_FLOAT = st.sampled_from([2**1024, -(2**1024), 10**400])
+
+
+@pytest.fixture(scope="module")
+def valid_inputs(small_compare, desk_reference, tmp_path_factory):
+    """A desk reference, a compare summary and a small config with every float key, each decoded, with a corpus
+    to grade. The config names no corpus_path: a missing corpus is reported under its own path."""
+    _, out, _, _ = small_compare
+    corpus = tmp_path_factory.mktemp("corpus") / "corpus.jsonl"
+    assert main(["teacher-gen", "--seed", "5", "--n", "3", "--out", str(corpus)]) == 0
+    return corpus, {
+        "reference": desk_reference.to_json(),
+        "summary": json.loads((out / "summary.json").read_text(encoding="utf-8")),
+        "config": {**SMALL, "split_fraction": 0.8, "quantile": 0.75, "min_improvement": 1e-4, "smoothing": 0.1,
+                   "p_empty": 100.0, "weights": {"pitch": 2.0, "rhythm": 0.5}},
+    }
+
+
+@pytest.mark.parametrize("kind", ["reference", "summary", "config"])
+@given(data=st.data())
+@settings(max_examples=40)
+def test_a_corrupted_input_fails_in_one_line_that_names_it(valid_inputs, kind, data):
+    corpus, documents = valid_inputs
+    document = documents[kind]
+    path, original = data.draw(json_paths(document))
+    bad = data.draw(BAD_VALUES | TOO_LARGE_FOR_A_FLOAT if isinstance(original, float) else BAD_VALUES)
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        bad_file, out = tmp / f"{kind}.json", tmp / "out"
+        bad_file.write_text(json.dumps(replaced(document, path, bad)), encoding="utf-8")
+        args = {
+            "reference": ["grade", "--corpus", str(corpus), "--reference", str(bad_file), "--out", str(out)],
+            "summary": ["report", "--run-dir", str(tmp)],
+            "config": ["compare", "--config", str(bad_file), "--out-dir", str(out)],
+        }[kind]
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            code = main(args)
+        assert code in (0, 1), code
+        if code == 1:
+            err = stderr.getvalue()
+            assert err.startswith(f"error: {bad_file}: ") and err.count("\n") == 1, err
+            assert not out.exists()
+            assert kind != "summary" or stdout.getvalue() == ""
