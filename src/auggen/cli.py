@@ -183,6 +183,8 @@ def _manifest_origins(manifest: Path) -> list[str]:
                     record = json.loads(line)
                 except ValueError as exc:
                     raise ValueError(f"line {number}: {exc}") from None
+                except RecursionError:
+                    raise ValueError(f"line {number}: JSON nested too deeply to decode") from None
                 check_fields(record, {"origin": object}, f"line {number}")
                 origins.append(record["origin"])
         if not origins:

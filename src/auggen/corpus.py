@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from itertools import accumulate
 from pathlib import Path
 
-from .chorale import HOLD, REST, Chorale, ChoraleFormatError, Token, parse_chorale, serialize_chorale
+from .chorale import HOLD_CODE, REST_CODE, Chorale, ChoraleFormatError, parse_chorale, serialize_chorale
 from .model import MarkovModel, sample_batch
 from .rng import stream
 
@@ -138,6 +138,8 @@ def load_json(path: str | Path) -> object:
             return json.loads(read_text(path))
         except json.JSONDecodeError as exc:
             raise ValueError(f"line {exc.lineno}: {exc.msg} (column {exc.colno})") from None
+        except RecursionError:
+            raise ValueError("JSON nested too deeply to decode") from None
 
 
 def load_corpus(path: str | Path) -> Corpus:
@@ -166,10 +168,15 @@ def _shuffled_indices(n: int, seed: int) -> list[int]:
     return sorted(range(n), key=lambda i: hashlib.sha256(f"{seed}:{i}".encode("ascii")).digest())
 
 
-def split(corpus: Corpus, fraction: float, seed: int) -> Split:
-    """Deterministic train/validation split; |train| = floor(fraction * n)."""
+def check_fraction(fraction: float) -> None:
+    """Reject a training fraction of :func:`split` outside (0, 1)."""
     if not 0.0 < fraction < 1.0:
         raise ValueError(f"fraction must be in (0, 1), got {fraction}")
+
+
+def split(corpus: Corpus, fraction: float, seed: int) -> Split:
+    """Deterministic train/validation split; |train| = floor(fraction * n)."""
+    check_fraction(fraction)
     n = len(corpus)
     if n < 2:
         raise CorpusError(f"corpus of size {n} cannot be split into nonempty parts")
@@ -312,7 +319,7 @@ def _teacher_walks(rng) -> list[Chorale]:
         length = 32 + (n * 16) // (_N_SEED_WALKS - 1)
         if len(raw) - i < _STEP_RAW * length:
             raw, i = raw[i:] + bits.random_raw(max(_STEP_RAW * length, _RAW_BLOCK)).tolist(), 0
-        voices: tuple[list[Token], ...] = ([], [], [], [])
+        voices = (bytearray(), bytearray(), bytearray(), bytearray())  # each voice's codes
         sounding = [_SILENT] * 4
         sop_idx = len(soprano_pool) // 2
         for _ in range(length):
@@ -321,10 +328,10 @@ def _teacher_walks(rng) -> list[Chorale]:
             i += 1
             struck = False  # whether the soprano strikes a note, which the lower voices then do not hold
             if roll < _REST_CUT:
-                voices[0].append(REST)
+                voices[0].append(REST_CODE)
                 sounding[0] = _SILENT
             elif roll < _HOLD_CUT and sounding[0] != _SILENT:
-                voices[0].append(HOLD)
+                voices[0].append(HOLD_CODE)
             else:
                 sop_idx = _SOPRANO_NEXT[sop_idx][bisect_right(_RAW_STEP_CUTS, raw[i])]
                 i += 1
@@ -340,14 +347,14 @@ def _teacher_walks(rng) -> list[Chorale]:
                 rest = raw[i] < _REST_CUT
                 i += 1
                 if rest:
-                    voices[v].append(REST)
+                    voices[v].append(REST_CODE)
                     sounding[v] = _SILENT
                     continue
                 if prev != _SILENT and not struck:
                     hold = raw[i] < _FOLLOW_CUT
                     i += 1
                     if hold:
-                        voices[v].append(HOLD)
+                        voices[v].append(HOLD_CODE)
                         continue
                 base = at_most[sounding[v - 1]]
                 agree = base & consonant[sounding[0]]
@@ -380,7 +387,7 @@ def _teacher_walks(rng) -> list[Chorale]:
                     moves.append((prev, pitch))
                 voices[v].append(pitch)
                 sounding[v] = pitch
-        walks.append(Chorale(id="walk", voices=voices))
+        walks.append(Chorale.from_codes("walk", b"".join(voices)))
     return walks
 
 
@@ -397,8 +404,8 @@ def teacher_model(seed: int) -> MarkovModel:
     return model
 
 
-def teacher_corpus(seed: int, n: int, length_range: tuple[int, int] = (32, 48)) -> Corpus:
-    """Sample ``n`` valid chorales from the fixed seeded teacher model."""
+def check_teacher_request(n: int, length_range: tuple[int, int]) -> None:
+    """Reject a :func:`teacher_corpus` count below 1 or a length range that is empty or starts below 4."""
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     t_min, t_max = length_range
@@ -406,5 +413,11 @@ def teacher_corpus(seed: int, n: int, length_range: tuple[int, int] = (32, 48)) 
         raise ValueError(f"minimum length must be >= 4, got {t_min}")
     if t_max < t_min:
         raise ValueError(f"empty length range {length_range}")
+
+
+def teacher_corpus(seed: int, n: int, length_range: tuple[int, int] = (32, 48)) -> Corpus:
+    """Sample ``n`` valid chorales from the fixed seeded teacher model."""
+    check_teacher_request(n, length_range)
+    t_min, t_max = length_range
     ids = [f"teacher-{i:04d}" for i in range(n)]
     return Corpus(sample_batch(teacher_model(seed), range(t_min, t_max + 1), seed, ("teacher", "sample"), ids))

@@ -27,9 +27,11 @@ from pathlib import Path
 from typing import Mapping, Sequence
 
 from .chorale import REST
-from .corpus import Corpus, Split, check_fields, load_corpus, naming, read_text, save_split_manifest, split, teacher_corpus
+from .corpus import Corpus, Split, check_fields, check_fraction, check_teacher_request, load_corpus, naming, read_text
+from .corpus import save_split_manifest, split, teacher_corpus
 from .features import DEFAULT_FEATURES, check_feature_set
-from .grading import DEFAULT_P_EMPTY, ReferenceModel, Threshold, fit_reference, grade, grade_quantile, nearest_rank
+from .grading import DEFAULT_P_EMPTY, ReferenceModel, Threshold, feature_weights, fit_reference, grade, grade_quantile
+from .grading import nearest_rank
 from .loop import ORIGIN_TRUE, RunResult, run, save_run
 from .model import MarkovModel, check_events, sample_batch
 
@@ -75,7 +77,8 @@ class ExperimentConfig:
     seed: int = 17
 
     def __post_init__(self) -> None:
-        check_feature_set(self.features)
+        names = check_feature_set(self.features)
+        check_fraction(self.split_fraction)
         if not self.regimes:
             raise ValueError("at least one regime is required")
         unknown = [r for r in self.regimes if r not in ALL_REGIMES]
@@ -101,9 +104,11 @@ class ExperimentConfig:
             raise ValueError(f"patience must be >= 1 or None, got {self.patience}")
         if not 0 <= self.min_improvement < math.inf:
             raise ValueError(f"min_improvement must be finite and >= 0, got {self.min_improvement}")
-        # a throwaway model runs the range checks that MarkovModel owns
+        # throwaway models run the range checks that MarkovModel and ReferenceModel own
         MarkovModel(order=self.markov_order, alpha=self.smoothing, vocabs=[(REST,)] * 4)
+        ReferenceModel(names, {}, feature_weights(names, self.weights), self.p_empty, {})
         if self.corpus_path is None:  # prepare checks a corpus's chorales once it has read them
+            check_teacher_request(self.teacher_n, (self.teacher_min_length, self.teacher_max_length))
             self.check_longest(self.teacher_max_length, "teacher_max_length")
 
     def check_longest(self, length: int, source: str) -> None:
@@ -333,15 +338,19 @@ def epoch_grades(epoch_logs_csv: str | Path) -> dict[int, list[float]]:
     grades: dict[int, list[float]] = {}
     with naming(epoch_logs_csv):
         reader = csv.DictReader(io.StringIO(read_text(epoch_logs_csv), newline=""))
-        missing = {"epoch", "grade"} - set(reader.fieldnames or ())
-        if missing:
-            raise ValueError(f"missing column(s) {sorted(missing)}")
-        for row in reader:
-            try:
-                epoch, value = int(row["epoch"]), float(row["grade"])
-            except (TypeError, ValueError) as exc:  # TypeError: a short row leaves the cell None
-                raise ValueError(f"line {reader.line_num}: {exc}") from None
-            if not math.isfinite(value):  # the critic's grades are finite sums of finite distances
-                raise ValueError(f"line {reader.line_num}: grade {row['grade']!r} is not finite")
-            grades.setdefault(epoch, []).append(value)
+        try:
+            missing = {"epoch", "grade"} - set(reader.fieldnames or ())
+            if missing:
+                raise ValueError(f"missing column(s) {sorted(missing)}")
+            for row in reader:
+                try:
+                    epoch, value = int(row["epoch"]), float(row["grade"])
+                except (TypeError, ValueError) as exc:  # TypeError: a short row leaves the cell None
+                    raise ValueError(f"line {reader.line_num}: {exc}") from None
+                if not math.isfinite(value):  # the critic's grades are finite sums of finite distances
+                    raise ValueError(f"line {reader.line_num}: grade {row['grade']!r} is not finite")
+                grades.setdefault(epoch, []).append(value)
+        except csv.Error as exc:  # a field over the csv module's size limit, say
+            # the DictReader counts only the lines of the rows it gave; its reader counts the line it failed on
+            raise ValueError(f"line {reader.reader.line_num}: {exc}") from None
     return grades

@@ -161,6 +161,16 @@ class ReferenceModel:
             return cls.from_json(load_json(path))
 
 
+def feature_weights(feature_names: Sequence[str], weights: Mapping[str, float] | None) -> dict[str, float]:
+    """Each feature's weight: its entry of ``weights``, else 1.0. A weight for any other feature is an error."""
+    weight_map = dict.fromkeys(feature_names, 1.0)
+    for name, w in (weights or {}).items():
+        if name not in weight_map:
+            raise ValueError(f"weight given for disabled feature {name!r}")
+        weight_map[name] = float(w)
+    return weight_map
+
+
 def fit_reference(
     corpus: Corpus,
     feature_set: Iterable[str] = DEFAULT_FEATURES,
@@ -176,12 +186,7 @@ def fit_reference(
     names = check_feature_set(feature_set)
     if len(corpus) == 0:
         raise ValueError("cannot fit a reference on an empty corpus")
-    weight_map = {name: 1.0 for name in names}
-    if weights is not None:
-        for name, w in weights.items():
-            if name not in weight_map:
-                raise ValueError(f"weight given for disabled feature {name!r}")
-            weight_map[name] = float(w)
+    weight_map = feature_weights(names, weights)
 
     events: list[list[np.ndarray]] = [[] for _ in names]
     for chorales in _passes(corpus.chorales):

@@ -74,7 +74,7 @@ class TrainState:
     """Mutable loop state; the validation set is never touched."""
 
     dataset: list[DatasetEntry]
-    seen_keys: set[tuple]
+    seen_keys: set[bytes]
     epoch: int = 0
 
 

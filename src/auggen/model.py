@@ -36,10 +36,10 @@ its row's CDF. After the four steps the histories advance by the
 timestep's drawn digits. Each CDF has the bits of
 ``np.cumsum(probs / probs.sum())`` over ``next_token_dist``, but for its
 last entry, stored as +inf, so the first entry above the uniform is
-``bisect_right`` clamped to the vocabulary. The drawn digits are decoded
-through chorale's :data:`~auggen.chorale.TOKENS`. ``sample`` is a batch of
-one. ``save`` orders its cells by their text, with ``np.lexsort`` over the
-text ranks of the digits.
+``bisect_right`` clamped to the vocabulary. Each chorale's drawn digits,
+cut to its length and cast to ``uint8``, are its code grid, with no token
+in between. ``sample`` is a batch of one. ``save`` orders its cells by
+their text, with ``np.lexsort`` over the text ranks of the digits.
 """
 
 from __future__ import annotations
@@ -139,7 +139,8 @@ class MarkovModel:
         chorales = list(chorales)
         if not chorales:
             raise ValueError("need at least one chorale to build a vocabulary")
-        return cls(order=order, alpha=alpha, vocabs=[set().union(*(c.voices[v] for c in chorales)) for v in range(4)])
+        vocabs = [[TOKENS[code] for code in np.unique(row).tolist()] for row in join_codes(chorales, 0, REST_CODE)]
+        return cls(order=order, alpha=alpha, vocabs=vocabs)
 
     def _encode(self, chorales: Sequence[Chorale]) -> None:
         """Cache, by object identity, the row ids and token indices of each chorale's events in event order
@@ -312,8 +313,8 @@ class MarkovModel:
                 above = above * radix + digit
             recent = recent * radix % modulus + drawn
             masked = drawn >= REST_CODE
-        tokens = _TOKENS[digits.transpose(2, 1, 0)[rank]].tolist()  # [chorale][v][t]
-        return [Chorale(name, [voice[:length] for voice in voices]) for voices, length, name in zip(tokens, lengths, ids)]
+        grids = digits.astype(np.uint8).transpose(2, 1, 0)[rank]  # [chorale, v, t]
+        return [Chorale.from_codes(name, grid[:, :length].tobytes()) for grid, length, name in zip(grids, lengths, ids)]
 
     def mean_nll(self, chorales: Sequence[Chorale], draws: Sequence[int] | None = None) -> float:
         """Mean −ln P(token | context) over all grid positions of ``chorales``, or of

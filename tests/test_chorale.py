@@ -133,6 +133,12 @@ def test_parse_rejects_malformed_records(text):
         parse_chorale(text)
 
 
+def test_parse_rejects_json_nested_too_deeply():
+    with pytest.raises(ChoraleFormatError) as err:
+        parse_chorale("[" * 100_000 + "]" * 100_000, line=4)
+    assert str(err.value) == "not valid JSON: nested too deeply (line 4)"
+
+
 def test_every_token_text_round_trips():
     # the 130 texts a token is written as: each parses, and serializes back to the same record
     texts = [*map(str, range(128)), HOLD, REST]

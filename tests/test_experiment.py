@@ -555,6 +555,13 @@ class TestCli:
                 "line 2: unknown token '060' (field voices[3][0])", id="corpus_unknown_token",
             ),
             pytest.param("--corpus", GOOD_RECORD + GOOD_RECORD, "duplicate chorale id 'x'", id="corpus_duplicate_id"),
+            pytest.param(
+                "--corpus", GOOD_RECORD + "[" * 100_000 + "]" * 100_000 + "\n",
+                "line 2: not valid JSON: nested too deeply", id="corpus_nested_too_deeply",
+            ),
+            pytest.param(
+                "--reference", "[" * 100_000 + "]" * 100_000, "JSON nested too deeply to decode", id="reference_nested_too_deeply"
+            ),
             pytest.param("--reference", '{"format": "nope"}', "unrecognized reference format 'nope'", id="reference_format"),
         ],
     )
@@ -612,7 +619,15 @@ class TestCli:
         out = tmp_path / "out"
         assert main(["compare", "--config", str(config), "--out-dir", str(out)]) == 1
         err = capsys.readouterr().err
-        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert err.startswith(f"error: {config}: ") and err.count("\n") == 1, err
+        assert not out.exists()
+
+    def test_deeply_nested_config_fails_with_one_line(self, tmp_path, capsys):
+        config = tmp_path / "config.json"
+        config.write_text("[" * 100_000 + "]" * 100_000, encoding="utf-8")
+        out = tmp_path / "out"
+        assert main(["compare", "--config", str(config), "--out-dir", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: {config}: JSON nested too deeply to decode\n"
         assert not out.exists()
 
     @pytest.mark.parametrize(
@@ -800,6 +815,20 @@ class TestCli:
                 "dataset_manifest.jsonl",
                 "line 2",
                 id="manifest_not_json",
+            ),
+            pytest.param(
+                "epoch,candidate_id,grade\n0,g0,1.5\n",
+                GOOD_MANIFEST + "[" * 100_000 + "]" * 100_000 + "\n",
+                "dataset_manifest.jsonl",
+                "line 2: JSON nested too deeply to decode",
+                id="manifest_nested_too_deeply",
+            ),
+            pytest.param(
+                "epoch,candidate_id,grade\n0,g0,1.5\n0," + "g" * 200_000 + ",2.5\n1,g2,3.5\n",
+                GOOD_MANIFEST,
+                "epoch_logs.csv",
+                "line 3: field larger than field limit",
+                id="oversized_csv_field",
             ),
         ],
     )
