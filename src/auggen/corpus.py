@@ -404,10 +404,19 @@ def teacher_model(seed: int) -> MarkovModel:
     return model
 
 
+MAX_CHORALES = 100_000  # the most chorales one count may ask for, far above the paper's 351
+
+
+def check_count(name: str, n: int, least: int) -> None:
+    """Reject a count of chorales, named ``name``, outside ``least..MAX_CHORALES``: a list is built per chorale."""
+    if not least <= n <= MAX_CHORALES:
+        raise ValueError(f"{name} must be in {least}..{MAX_CHORALES}, got {n}")
+
+
 def check_teacher_request(n: int, length_range: tuple[int, int]) -> None:
-    """Reject a :func:`teacher_corpus` count below 1 or a length range that is empty or starts below 4."""
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
+    """Reject a :func:`teacher_corpus` count outside ``1..MAX_CHORALES`` or a length range that is empty or
+    starts below 4."""
+    check_count("n", n, 1)
     t_min, t_max = length_range
     if t_min < 4:
         raise ValueError(f"minimum length must be >= 4, got {t_min}")

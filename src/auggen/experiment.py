@@ -27,8 +27,8 @@ from pathlib import Path
 from typing import Mapping, Sequence
 
 from .chorale import REST
-from .corpus import Corpus, Split, check_fields, check_fraction, check_teacher_request, load_corpus, naming, read_text
-from .corpus import save_split_manifest, split, teacher_corpus
+from .corpus import Corpus, Split, check_count, check_fields, check_fraction, check_teacher_request, load_corpus, naming
+from .corpus import read_text, save_split_manifest, split, teacher_corpus
 from .features import DEFAULT_FEATURES, check_feature_set
 from .grading import DEFAULT_P_EMPTY, ReferenceModel, Threshold, feature_weights, fit_reference, grade, grade_quantile
 from .grading import nearest_rank
@@ -88,16 +88,14 @@ class ExperimentConfig:
             raise ValueError(f"regimes {list(self.regimes)} have duplicates")
         if not 0.0 < self.quantile <= 1.0:
             raise ValueError(f"quantile must be in (0, 1], got {self.quantile}")
-        if self.n_eval < 1:
-            raise ValueError(f"n_eval must be >= 1, got {self.n_eval}")
+        check_count("n_eval", self.n_eval, 1)
         if self.batches < 1:
             raise ValueError(f"batches must be >= 1, got {self.batches}")
         if self.batch_size < 1:
             raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
         draws = self.batches * self.batch_size
         check_events(4 * draws, f"batches x batch_size = {draws} draws of 4 or more events each")
-        if self.n_generate < 0:
-            raise ValueError(f"n_generate must be >= 0, got {self.n_generate}")
+        check_count("n_generate", self.n_generate, 0)
         if self.max_epochs < 1:
             raise ValueError(f"max_epochs must be >= 1, got {self.max_epochs}")
         if self.patience is not None and self.patience < 1:

@@ -11,35 +11,42 @@ base-131 number whose leading digit is the voice and whose other digits are
 the context's tokens: a token's digit is its code from
 :mod:`auggen.chorale`, and START is the digit after the last code. That
 fits in int64 for ``order <= 5``, and a larger order is rejected. Keys are
-interned as row ids in order of first sight, and each chorale object is
-encoded once, with numpy, from its code grid into row and token-index
-arrays (index −1 outside the voice vocabulary). ``fit`` is one
-``np.add.at`` of the draw counts into an int32 ``(rows, Vmax)`` count table
-with int64 row totals; a row interned after the fit reads as zero counts.
-``mean_nll`` gathers from the table, sums each scored chorale's event
-scores sequentially, then adds those sums in draw order, so it gives the
-bits of a per-event log-probability loop over the drawn chorales.
-``sample_many`` draws a batch in lockstep: each chorale takes
-``4 * length`` uniforms from its own stream, then every (timestep, voice)
-is one numpy step over the chorales still running. The first draw after
-each ``fit`` or ``restore`` builds one sampling table per voice: the sorted
-keys of its counted rows (total above 0), their CDFs in key order, then its
-uniform CDF without and with HOLD masked; a row's key says whether HOLD is
-masked. Each timestep starts from every running chorale's history, its
-last ``order`` digits per voice and whether each voice's last token masks
-HOLD, and computes all four voices' key prefixes and fallback slots as one
-``(4, n)`` array each. A step adds the digits of the voices above to its
-voice's prefixes, finds the keys by ``np.searchsorted`` in the voice's
-keys, sends any other key (unknown, total 0, or interned after the fit) to
-the uniform CDF, masked after a REST or START, and draws each digit from
-its row's CDF. After the four steps the histories advance by the
-timestep's drawn digits. Each CDF has the bits of
-``np.cumsum(probs / probs.sum())`` over ``next_token_dist``, but for its
-last entry, stored as +inf, so the first entry above the uniform is
-``bisect_right`` clamped to the vocabulary. Each chorale's drawn digits,
-cut to its length and cast to ``uint8``, are its code grid, with no token
-in between. ``sample`` is a batch of one. ``save`` orders its cells by
-their text, with ``np.lexsort`` over the text ranks of the digits.
+interned as row ids in order of first sight and held in two int64 arrays:
+by row id, and ascending with their row ids beside them. A chunk of keys is
+interned with one ``np.argsort``, one ``np.searchsorted`` into the
+ascending keys and one ``np.insert`` of the new ones, so no Python code
+runs per key. Each chorale object is encoded once, with numpy, from its
+code grid into row and token-index arrays (index −1 outside the voice
+vocabulary). ``fit`` is one ``np.add.at`` of the draw counts into an int32
+``(rows, Vmax)`` count table with int64 row totals; a row interned after
+the fit reads as zero counts. ``mean_nll`` gathers from the table, sums
+each scored chorale's event scores sequentially, then adds those sums in
+draw order, so it gives the bits of a per-event log-probability loop over
+the drawn chorales. ``sample_many`` draws a batch in lockstep: each chorale
+takes ``4 * length`` uniforms from its own stream, then every (timestep,
+voice) is one numpy step over the chorales still running. The first draw
+after each ``fit`` or ``restore`` builds one sampling table per voice: the
+ascending keys of its counted rows (total above 0), read straight from the
+ascending key array, their CDFs in key order, then its uniform CDF without
+and with HOLD masked; a row's key says whether HOLD is masked. Each
+timestep starts from every running chorale's history, its last ``order``
+digits per voice and whether each voice's last token masks HOLD, and
+computes all four voices' key prefixes and fallback slots as one ``(4, n)``
+array each. A step adds the digits of the voices above to its voice's
+prefixes, finds the keys by ``np.searchsorted`` in the voice's keys, sends
+any other key (unknown, total 0, or interned after the fit) to the uniform
+CDF, masked after a REST or START, and draws each digit from its row's CDF.
+After the four steps the histories advance by the timestep's drawn digits.
+Each CDF has the bits of ``np.cumsum(probs / probs.sum())`` over
+``next_token_dist``, but for its last entry, stored as +inf, so the first
+entry above the uniform is ``bisect_right`` clamped to the vocabulary. Each
+chorale's drawn digits, cut to its length and cast to ``uint8``, are its
+code grid, with no token in between. ``sample`` is a batch of one. ``save``
+orders its cells by their text with one two-key ``np.lexsort``: the token's
+text rank below one int64 key of the voice and the text ranks of the
+context's digits. It writes the ``counts`` text from ``uint8`` arrays, each
+cell's digits and count as NUL-padded JSON text, drops the NULs and splices
+that text into the ``json.dumps`` of the rest.
 """
 
 from __future__ import annotations
@@ -65,10 +72,19 @@ _MAX_COUNT = int(np.iinfo(np.int32).max)
 _START = len(TOKENS)
 _RADIX = _START + 1
 _TOKENS = np.array([*TOKENS, START], dtype=object)  # digit -> token
-_TEXT_RANK = np.argsort(sorted(range(_RADIX), key=lambda digit: str(_TOKENS[digit])))  # digit -> rank of its text
+# digit -> rank of its text, then 0 for the padding digit _RADIX
+_TEXT_RANK = np.append(np.argsort(sorted(range(_RADIX), key=lambda digit: str(_TOKENS[digit]))), 0)
+# digit -> its JSON text after ", ", NUL-padded; the padding digit's text is empty
+_TEXT = np.array([f", {json.dumps(tok)}".encode() for tok in _TOKENS] + [b""], "S6").view(np.uint8).reshape(-1, 6)
+_PLACES = 10 ** np.arange(9, -1, -1)  # a count's decimal places: an int32 count has at most 10 digits
 _MAX_ORDER = 5  # voice 3's key has order + 4 digits, and 4 * 131**8 < 2**63 <= 4 * 131**9
 _CHUNK = 64  # chorales encoded per numpy batch, so the key arrays stay small
 _NO_KEY = np.iinfo(np.int64).max  # above every context key
+
+
+def _ascii(text: bytes, n: int) -> np.ndarray:
+    """``n`` rows of ``text``'s bytes."""
+    return np.tile(np.frombuffer(text, np.uint8), (n, 1))
 
 
 def check_events(events: int, what: str) -> None:
@@ -127,7 +143,11 @@ class MarkovModel:
         for v, digits in enumerate(self._digits):
             self._columns[v, digits] = np.arange(len(digits))
         self._width = max(len(vocab) for vocab in self.vocabs)  # Vmax, the count table's column count
-        self._rows: dict[int, int] = {}  # context key -> row id, in order of first sight; its length is the row count
+        # the interned context keys: by row id, handed out in order of first sight, so their count is the row
+        # count; and the same keys ascending, with their row ids beside them
+        self._keys = np.zeros(0, dtype=np.int64)
+        self._sorted_keys = np.zeros(0, dtype=np.int64)
+        self._sorted_rows = np.zeros(0, dtype=np.int32)
         self._encoded: dict[int, tuple[Chorale, np.ndarray, np.ndarray]] = {}  # id -> (chorale, rows, token indices)
         self._table = np.zeros((0, self._width), dtype=np.int32)
         self._row_totals = np.zeros(0, dtype=np.int64)
@@ -157,13 +177,33 @@ class MarkovModel:
         for v in range(4):
             keys[:, v] = (v * _RADIX**order + recent[v]) * _RADIX**v + above
             above = above * _RADIX + grid[v, steps]
-        interned = self._rows  # a new key's row id is the row count when it is first seen
-        rows = np.array([interned.setdefault(key, len(interned)) for key in keys.reshape(-1).tolist()], np.int32)
+        rows = self._intern(keys.reshape(-1))
         toks = self._columns[np.arange(4), grid[:, steps].T].reshape(-1)
         cuts = np.cumsum(4 * lengths)[:-1]
         for chorale, chorale_rows, chorale_toks in zip(chorales, np.split(rows, cuts), np.split(toks, cuts)):
             # the cache holds the chorale itself, so its id cannot be reused while the entry lives
             self._encoded[id(chorale)] = (chorale, chorale_rows, chorale_toks)
+
+    def _intern(self, keys: np.ndarray) -> np.ndarray:
+        """The row id of each of ``keys``; a key not yet interned takes the next row id, in order of first sight."""
+        by_key = np.argsort(keys)  # not stable, so each distinct key's first position is its run's least
+        ordered = keys[by_key]
+        run_starts = np.diff(ordered, prepend=-1) != 0
+        starts = np.flatnonzero(run_starts)
+        distinct, first = ordered[starts], np.minimum.reduceat(by_key, starts)
+        at = self._sorted_keys.searchsorted(distinct)
+        known = np.append(self._sorted_keys, _NO_KEY)[at] == distinct
+        fresh = np.flatnonzero(~known)  # ascending, as distinct is
+        by_sight = fresh[np.argsort(first[fresh])]
+        rows = np.empty(distinct.size, dtype=np.int32)
+        rows[known] = self._sorted_rows[at[known]]
+        rows[by_sight] = np.arange(self._keys.size, self._keys.size + fresh.size)
+        self._keys = np.append(self._keys, distinct[by_sight])
+        self._sorted_keys = np.insert(self._sorted_keys, at[fresh], distinct[fresh])
+        self._sorted_rows = np.insert(self._sorted_rows, at[fresh], rows[fresh])
+        interned = np.empty(keys.size, dtype=np.int32)
+        interned[by_key] = rows[np.cumsum(run_starts) - 1]
+        return interned
 
     def _encode_all(self, chorales: Sequence[Chorale]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Concatenated row ids and token indices of ``chorales``' events, and each chorale's event count."""
@@ -200,7 +240,7 @@ class MarkovModel:
             raise ValueError(f"chorale {chorale.id!r}: token {chorale.voices[v][t]!r} not in voice {v} vocabulary")
         weights = counts[drawn].astype(np.int64)
         check_events(int(np.dot(weights, sizes)), "the draws")  # no cell exceeds the total, so none can wrap
-        table = np.zeros((len(self._rows), self._width), dtype=np.int32)
+        table = np.zeros((self._keys.size, self._width), dtype=np.int32)
         cells = rows.astype(np.int64) * self._width + toks
         np.add.at(table.reshape(-1), cells, np.repeat(weights.astype(np.int32), sizes))  # unbuffered: repeats add up
         self._table = table
@@ -224,7 +264,9 @@ class MarkovModel:
             key = voice
             for digit in digits:
                 key = key * _RADIX + digit
-            row = self._rows.get(key)
+            at = self._sorted_keys.searchsorted(key)
+            if at < self._sorted_keys.size and self._sorted_keys[at] == key:
+                row = self._sorted_rows[at]
         if row is None or row >= len(self._row_totals):  # a row the counts do not cover reads as zero counts
             return self._smoothed(voice, np.zeros((1, self._width), np.int32), np.zeros(1, np.int64))[0]
         return self._smoothed(voice, self._table[row : row + 1], self._row_totals[row : row + 1])[0]
@@ -247,10 +289,10 @@ class MarkovModel:
         which a search past the last key lands on and no key matches; their CDFs in key order, then the voice's
         uniform CDF and that CDF with HOLD masked. A row's key says whether HOLD is masked: its voice's last
         token is a REST or START."""
-        counted = np.flatnonzero(self._row_totals)
-        keys = np.fromiter(self._rows, np.int64, len(self._row_totals))[counted]  # row ids are in insertion order
-        by_key = np.argsort(keys)
-        keys, rows = keys[by_key], counted[by_key]
+        counted = np.zeros(self._keys.size, dtype=bool)  # a row interned after the fit has no total
+        counted[: self._row_totals.size] = self._row_totals > 0
+        in_table = counted[self._sorted_rows]
+        keys, rows = self._sorted_keys[in_table], self._sorted_rows[in_table]
         cuts = np.searchsorted(keys, [v * _RADIX ** (self.order + v) for v in range(1, 4)])  # each voice's first key
         self._tables = []
         for v, (voice_keys, voice_rows) in enumerate(zip(np.split(keys, cuts), np.split(rows, cuts))):
@@ -358,40 +400,38 @@ class MarkovModel:
 
     def save(self, path: str | Path) -> None:
         """Serialize the model to a single versioned file."""
-        # Entries are ordered by (voice, [str(x) for x in context], str(token)). Rows are sorted by one lexsort
-        # over the text ranks of their key digits: a voice's contexts all have order + voice digits below the
-        # same leading ones, so that is list order. Then cells are sorted by (row rank, token text rank).
-        cell_rows, cols = np.nonzero(self._table)
-        counts = self._table[cell_rows, cols]
-        rows, cell_rows = np.unique(cell_rows, return_inverse=True)
-        keys = np.fromiter(self._rows, np.int64, len(self._rows))[rows]  # row ids are handed out in insertion order
-        voices = np.searchsorted([v * _RADIX ** (self.order + v) for v in range(4)], keys, side="right") - 1
-        digits = np.empty((self.order + 3, rows.size), dtype=np.int64)  # least significant first
-        for i in range(self.order + 3):
-            keys, digits[i] = np.divmod(keys, _RADIX)
-        by_context = np.lexsort(np.vstack([_TEXT_RANK[digits], voices]))
-        rank = np.empty_like(by_context)
-        rank[by_context] = np.arange(rows.size)
-        contexts = []  # in rank order, so voice by voice
-        for v, voice_rows in enumerate(np.split(by_context, np.searchsorted(voices[by_context], [1, 2, 3]))):
-            contexts += _TOKENS[digits[self.order + v - 1 :: -1, voice_rows].T].tolist()
-        cell_voices, cell_ranks = voices[cell_rows], rank[cell_rows]
-        token_digits = np.array([np.pad(d, (0, self._width - len(d))) for d in self._digits])[cell_voices, cols]
-        cells = np.lexsort([_TEXT_RANK[token_digits], cell_ranks])
-        entries = list(
-            zip(
-                cell_voices[cells].tolist(),
-                map(contexts.__getitem__, cell_ranks[cells].tolist()),
-                _TOKENS[token_digits[cells]].tolist(),
-                counts[cells].tolist(),
-            )
-        )
+        # Entries are ordered by (voice, [str(x) for x in context], str(token)), so cells sort by the text rank
+        # of their token below one key per row: its voice, then the text ranks of its context digits. A voice's
+        # contexts all have order + voice digits, so that is list order.
+        order, radix = self.order, _RADIX
+        rows, cols = np.nonzero(self._table)
+        counts = self._table[rows, cols]
+        keys = self._keys[: len(self._table)]
+        voices = np.searchsorted([v * radix ** (order + v) for v in range(4)], keys, side="right") - 1
+        # each row's context digits, most significant first, padded with _RADIX to voice 3's order + 3 digits
+        places = radix ** np.arange(order + 2, -1, -1)
+        digits = (keys - voices * radix ** (order + voices)) * radix ** (3 - voices) // places[:, None] % radix
+        digits[np.arange(order + 3)[:, None] >= order + voices] = radix
+        context_ranks = voices * radix ** (order + 3) + places @ _TEXT_RANK[digits]
+        tokens = np.array([np.pad(d, (0, self._width - len(d))) for d in self._digits])[voices[rows], cols]
+        cells = np.lexsort((_TEXT_RANK[tokens], context_ranks[rows]))
+        rows, tokens, counts = rows[cells], tokens[cells], counts[cells]
+        # each cell's text, ", [voice, [context], token, count]", NUL-padded: a row's head and context, the
+        # token, then the count's decimal digits without leading zeros
+        n = keys.size
+        row_text = np.hstack([_ascii(b", [0, [", n), _TEXT[digits[0], 2:], *_TEXT[digits[1:]], _ascii(b"]", n)])
+        row_text[:, 3] += voices.astype(np.uint8)  # the voice's digit
+        decimal_places = _PLACES[_PLACES <= counts.max(initial=1)]
+        decimal = (counts[:, None] // decimal_places % 10 + ord("0")).astype(np.uint8)
+        decimal[counts[:, None] < decimal_places] = 0
+        text = np.hstack([row_text[rows], _TEXT[tokens], _ascii(b", ", rows.size), decimal, _ascii(b"]", rows.size)])
+        entries = "[" + text.tobytes().translate(None, b"\0").decode("ascii")[2:] + "]"
         payload = {
             "format": _SNAPSHOT_FORMAT,
             "order": self.order,
             "alpha": self.alpha,
             "vocabs": [list(vocab) for vocab in self.vocabs],
-            "counts": entries,
+            "counts": None,
         }
-        # built here from ints, strings and lists, so it holds no cycle; without the check, dumping is ~30% faster
-        Path(path).write_text(json.dumps(payload, sort_keys=True, check_circular=False) + "\n", encoding="utf-8")
+        text = json.dumps(payload, sort_keys=True).replace('"counts": null', f'"counts": {entries}', 1)
+        Path(path).write_text(text + "\n", encoding="utf-8")

@@ -184,14 +184,15 @@ def key_context(order: int, key: int) -> tuple[int, tuple]:
 
 def interned_contexts(model) -> list[tuple[int, tuple]]:
     """(voice, context) of each row of a MarkovModel, in row order."""
-    return [key_context(model.order, key) for key in model._rows]  # row ids are handed out in insertion order
+    return [key_context(model.order, key) for key in model._keys.tolist()]  # keys are held in row-id order
 
 
 def interned_row(model, voice: int, context):
     """Row id of voice ``voice``'s ``context``, or None if the model never interned it."""
     if len(context) != model.order + voice or not all(tok in _KEY_TOKENS for tok in context):
         return None
-    return model._rows.get(context_key(voice, context))
+    rows = np.flatnonzero(model._keys == context_key(voice, context))
+    return int(rows[0]) if rows.size else None
 
 
 def nonzero_cells(model):
@@ -455,11 +456,14 @@ def load_model(path) -> MarkovModel:
     if payload.get("format") != _SNAPSHOT_FORMAT:
         raise ValueError(f"unrecognized model format {payload.get('format')!r}")
     model = MarkovModel(order=payload["order"], alpha=payload["alpha"], vocabs=[tuple(v) for v in payload["vocabs"]])
-    rows = model._rows
+    rows: dict[int, int] = {}  # context key -> row id, in order of first sight
     cells = [
         (rows.setdefault(context_key(v, context), len(rows)), model.vocabs[v].index(tok), n)
         for v, context, tok, n in payload["counts"]
     ]
+    model._keys = np.array(list(rows), dtype=np.int64)
+    model._sorted_rows = np.argsort(model._keys).astype(np.int32)
+    model._sorted_keys = model._keys[model._sorted_rows]
     table = np.zeros((len(rows), model._width), dtype=np.int32)
     for row, col, n in cells:
         table[row, col] = n

@@ -19,7 +19,7 @@ import auggen
 from auggen import cli, experiment, grading
 from auggen.chorale import Chorale, validate
 from auggen.cli import feature_rows, main
-from auggen.corpus import Corpus, load_corpus
+from auggen.corpus import MAX_CHORALES, Corpus, load_corpus
 from auggen.features import realize_batch
 from auggen.experiment import (
     ALL_REGIMES,
@@ -223,6 +223,13 @@ class TestCli:
         code = main(["train", "--config", str(config), "--out-dir", str(tmp_path / "out")])
         assert code != 0
         assert "error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("n", [0, MAX_CHORALES + 1, 10**12])
+    def test_teacher_gen_count_out_of_range_fails_before_writing(self, tmp_path, capsys, n):
+        out = tmp_path / "corpus.jsonl"
+        assert main(["teacher-gen", "--n", str(n), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: n must be in 1..{MAX_CHORALES}, got {n}\n"
+        assert not out.exists()
 
     @pytest.mark.parametrize("message", ["Unable to allocate 14.9 GiB for an array", ""])
     def test_teacher_gen_out_of_memory_prints_one_error_line(self, tmp_path, capsys, monkeypatch, message):
@@ -607,6 +614,11 @@ class TestCli:
             pytest.param({"p_empty": 10**400}, id="p_empty_huge_int"),
             pytest.param({"weights": {"pitch": 10**400}}, id="weights_huge_int"),
             pytest.param({"min_improvement": 10**400}, id="min_improvement_huge_int"),
+            # counts that each size a list of chorales or ids
+            pytest.param({"n_eval": 10**12}, id="n_eval_huge"),
+            pytest.param({"n_generate": 10**12}, id="n_generate_huge"),
+            pytest.param({"teacher_n": 10**12}, id="teacher_n_huge"),
+            pytest.param({"n_eval": MAX_CHORALES + 1}, id="n_eval_over_limit"),
         ],
         ids=lambda override: next(iter(override)),
     )

@@ -1,3 +1,4 @@
+import json
 import math
 
 import hypothesis.strategies as st
@@ -7,7 +8,7 @@ from hypothesis import assume, given
 
 from auggen.chorale import HOLD, REST, Chorale, validate
 from auggen import model as model_module
-from auggen.corpus import teacher_model
+from auggen.corpus import teacher_corpus, teacher_model
 from auggen.model import START, MarkovModel, sample_batch
 from auggen.rng import stream
 from conftest import ascending, chorales, once
@@ -177,14 +178,14 @@ class TestNextTokenDist:
         model = MarkovModel.with_vocab_from(chorales_, order=2, alpha=0.1)
         model.fit(chorales_, once(chorales_))
         model.mean_nll(list(desk_split.validation))  # interns validation contexts: rows the counts do not cover
-        assert len(model._rows) > len(model._row_totals)
+        assert len(model._keys) > len(model._row_totals)
         unseen = [(v, (START,) * (2 + v)) for v in range(1, 4)]  # the soprano cannot be START, so never interned
         contexts = interned_contexts(model) + unseen
         for v, context in contexts:
             assert np.array_equal(model.next_token_dist(v, context), reference_next_token_dist(model, v, context))
 
     def test_another_voices_context_is_uniform(self, desk_split):
-        # one dict interns every voice's contexts; only the length says whose a context is
+        # one key array interns every voice's contexts; only the length says whose a context is
         model = MarkovModel.with_vocab_from(desk_split.train, order=2, alpha=0.1)
         model.fit(desk_split.train.chorales, once(desk_split.train))
         for voice, context in interned_contexts(model):
@@ -260,10 +261,40 @@ class TestContextKeys:
 
     def test_save_matches_text_key_sort_on_paper_scale_model(self, tmp_path):
         model = teacher_model(17)
-        assert len(model._rows) > 10_000
+        assert len(model._keys) > 10_000
         model.save(tmp_path / "a.json")
         reference_save(model, tmp_path / "b.json")
         assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
+
+    @pytest.mark.parametrize("order", [1, 5])
+    @pytest.mark.parametrize("largest", [10**9, 2**31 - 1])  # a largest count that is a power of ten, or not
+    def test_save_writes_counts_of_every_decimal_width(self, desk_split, tmp_path, order, largest):
+        model = MarkovModel.with_vocab_from(desk_split.train, order=order, alpha=0.1)
+        model._encode_all(desk_split.train.chorales)
+        voices = np.array([v for v, _ in interned_contexts(model)])
+        sizes = np.array([len(vocab) for vocab in model.vocabs])
+        cells = np.flatnonzero(np.arange(model._width) < sizes[voices, None])  # the cells of each row's vocabulary
+        values = sorted({10**k - 1 for k in range(1, 10)} | {10**k for k in range(10)} | {largest})
+        rng = np.random.default_rng(order)
+        table = np.zeros((voices.size, model._width), dtype=np.int32)
+        table.flat[rng.choice(cells, size=2000, replace=False)] = np.resize(values, 2000)
+        model.restore({"table": table, "totals": table.sum(axis=1, dtype=np.int64)})
+        model.save(tmp_path / "a.json")
+        reference_save(model, tmp_path / "b.json")
+        assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
+        saved = json.loads((tmp_path / "a.json").read_text(encoding="utf-8"))["counts"]
+        assert {len(str(count)) for *_, count in saved} == set(range(1, 11))
+
+    def test_sorted_keys_stay_a_permutation_of_the_interned_keys(self):
+        rng = np.random.default_rng(5)
+        pool = list(teacher_corpus(5, 300))
+        for order in (1, 3, 5):
+            model = MarkovModel.with_vocab_from(pool, order=order, alpha=0.1)
+            for _ in range(4):  # each call spans several 64-chorale chunks, and later calls reuse known keys
+                model._encode_all([pool[i] for i in rng.choice(len(pool), size=150, replace=False)])
+                assert np.all(np.diff(model._sorted_keys) > 0)
+                assert np.array_equal(np.sort(model._sorted_rows), np.arange(model._keys.size))
+                assert np.array_equal(model._keys[model._sorted_rows], model._sorted_keys)
 
     def test_unfitted_model_saves_no_counts(self, tmp_path):
         model = MarkovModel.with_vocab_from([ascending(60)], order=2, alpha=0.1)
