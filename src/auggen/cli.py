@@ -26,7 +26,8 @@ from pathlib import Path
 import numpy as np
 
 from . import experiment
-from .corpus import check_fields, json_fits, load_corpus, load_json, naming, read_text, save_corpus, teacher_corpus
+from .corpus import check_fields, check_teacher_request, json_fits, load_corpus, load_json, naming, read_text
+from .corpus import save_corpus, teacher_corpus
 from .experiment import PROFILES, ExperimentConfig, RegimeError, compare, grade_quintuple, resolve_out_dir, run_regime
 from .grading import PASS_SIZE, GradeBatch, ReferenceModel, grade, nearest_rank
 from .loop import ORIGIN_GENERATED
@@ -55,7 +56,9 @@ def _add_config_flags(parser: argparse.ArgumentParser) -> None:
 
 
 def cmd_teacher_gen(args: argparse.Namespace) -> int:
-    corpus = teacher_corpus(args.seed, args.n, (args.min_length, args.max_length))
+    lengths = (args.min_length, args.max_length)
+    check_teacher_request(args.n, lengths, ("--n", "--min-length", "--max-length"))  # named as the user typed them
+    corpus = teacher_corpus(args.seed, args.n, lengths)
     save_corpus(corpus, args.out)
     print(f"wrote {len(corpus)} chorales to {args.out}")
     return 0

@@ -22,6 +22,7 @@ import types
 import typing
 from bisect import bisect_right
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import accumulate
 from pathlib import Path
 
@@ -59,6 +60,10 @@ class Corpus:
 
     def digest(self) -> str:
         """SHA-256 over the serialized records; id-order sensitive."""
+        return self._digest
+
+    @cached_property
+    def _digest(self) -> str:  # a corpus and its chorales are immutable, so it is hashed once
         h = hashlib.sha256()
         for chorale in self.chorales:
             h.update(serialize_chorale(chorale).encode("utf-8"))
@@ -413,15 +418,18 @@ def check_count(name: str, n: int, least: int) -> None:
         raise ValueError(f"{name} must be in {least}..{MAX_CHORALES}, got {n}")
 
 
-def check_teacher_request(n: int, length_range: tuple[int, int]) -> None:
+def check_teacher_request(
+    n: int, length_range: tuple[int, int], names: tuple[str, str, str] = ("n", "min_length", "max_length")
+) -> None:
     """Reject a :func:`teacher_corpus` count outside ``1..MAX_CHORALES`` or a length range that is empty or
-    starts below 4."""
-    check_count("n", n, 1)
+    starts below 4; the message names the offending value by its entry in ``names`` (count, least, most)."""
+    n_name, min_name, max_name = names
+    check_count(n_name, n, 1)
     t_min, t_max = length_range
     if t_min < 4:
-        raise ValueError(f"minimum length must be >= 4, got {t_min}")
+        raise ValueError(f"{min_name} must be >= 4, got {t_min}")
     if t_max < t_min:
-        raise ValueError(f"empty length range {length_range}")
+        raise ValueError(f"{max_name} must be >= {min_name} ({t_min}), got {t_max}")
 
 
 def teacher_corpus(seed: int, n: int, length_range: tuple[int, int] = (32, 48)) -> Corpus:

@@ -106,7 +106,8 @@ class ExperimentConfig:
         MarkovModel(order=self.markov_order, alpha=self.smoothing, vocabs=[(REST,)] * 4)
         ReferenceModel(names, {}, feature_weights(names, self.weights), self.p_empty, {})
         if self.corpus_path is None:  # prepare checks a corpus's chorales once it has read them
-            check_teacher_request(self.teacher_n, (self.teacher_min_length, self.teacher_max_length))
+            lengths = (self.teacher_min_length, self.teacher_max_length)
+            check_teacher_request(self.teacher_n, lengths, ("teacher_n", "teacher_min_length", "teacher_max_length"))
             self.check_longest(self.teacher_max_length, "teacher_max_length")
 
     def check_longest(self, length: int, source: str) -> None:

@@ -12,23 +12,34 @@ the context's tokens: a token's digit is its code from
 :mod:`auggen.chorale`, and START is the digit after the last code. That
 fits in int64 for ``order <= 5``, and a larger order is rejected. Keys are
 interned as row ids in order of first sight and held in two int64 arrays:
-by row id, and ascending with their row ids beside them. A chunk of keys is
+by row id, and ascending with their row ids beside them. A batch of keys is
 interned with one ``np.argsort``, one ``np.searchsorted`` into the
 ascending keys and one ``np.insert`` of the new ones, so no Python code
 runs per key. Each chorale object is encoded once, with numpy, from its
-code grid into row and token-index arrays (index −1 outside the voice
-vocabulary). ``fit`` is one ``np.add.at`` of the draw counts into an int32
-``(rows, Vmax)`` count table with int64 row totals; a row interned after
-the fit reads as zero counts. ``mean_nll`` gathers from the table, sums
-each scored chorale's event scores sequentially, then adds those sums in
-draw order, so it gives the bits of a per-event log-probability loop over
-the drawn chorales. ``sample_many`` draws a batch in lockstep: each chorale
-takes ``4 * length`` uniforms from its own stream, then every (timestep,
-voice) is one numpy step over the chorales still running. The first draw
-after each ``fit`` or ``restore`` builds one sampling table per voice: the
-ascending keys of its counted rows (total above 0), read straight from the
-ascending key array, their CDFs in key order, then its uniform CDF without
-and with HOLD masked; a row's key says whether HOLD is masked. Each
+code grid into row ids and token indices (−1 outside the voice
+vocabulary), up to 1,024 chorales per batch, as a batch costs mostly a
+fixed overhead plus that ``np.insert``. The encoded events live in one
+append-only store: every row id and token index in one array pair, and
+each chorale's offset into them, found by ``id(chorale)``; the store holds
+the chorales, so no id is reused. A call gathers its chorales' events
+with one ``np.repeat`` and ``np.arange``. ``fit`` is one ``np.add.at`` of
+the draw counts into an int32 ``(rows, Vmax)`` count table with int64 row
+totals; a row interned after the fit reads as zero counts. ``mean_nll``
+gathers the counts from the flat table, masking only when some row is
+unfitted or some token unknown, lays each scored chorale's event scores
+down its own column of a pad with at least two columns (numpy sums a
+single column pairwise) and adds the pad's rows in turn, then adds the
+chorales' sums in draw order, so it gives the bits of a per-event
+log-probability loop over the drawn chorales. ``sample_many`` draws a
+batch in lockstep: each chorale takes ``4 * length`` uniforms from its own
+stream, then every (timestep, voice) is one numpy step over the chorales
+still running. The first draw after each ``fit`` builds one sampling table
+per voice: the ascending keys of its counted rows (total above 0), read
+straight from the ascending key array, their CDFs in key order, then its
+uniform CDF without and with HOLD masked; a row's key says whether HOLD is
+masked. The tables depend only on the counts, as interning only appends
+keys, so they belong to the fitted state that a snapshot holds, and a
+``restore`` of a state whose tables were built draws from them. Each
 timestep starts from every running chorale's history, its last ``order``
 digits per voice and whether each voice's last token masks HOLD, and
 computes all four voices' key prefixes and fallback slots as one ``(4, n)``
@@ -78,7 +89,9 @@ _TEXT_RANK = np.append(np.argsort(sorted(range(_RADIX), key=lambda digit: str(_T
 _TEXT = np.array([f", {json.dumps(tok)}".encode() for tok in _TOKENS] + [b""], "S6").view(np.uint8).reshape(-1, 6)
 _PLACES = 10 ** np.arange(9, -1, -1)  # a count's decimal places: an int32 count has at most 10 digits
 _MAX_ORDER = 5  # voice 3's key has order + 4 digits, and 4 * 131**8 < 2**63 <= 4 * 131**9
-_CHUNK = 64  # chorales encoded per numpy batch, so the key arrays stay small
+# chorales encoded per numpy batch: _intern's cost per batch is mostly fixed, plus an np.insert that grows
+# with the key count, so a few large batches beat many small ones
+_BATCH = 1024
 _NO_KEY = np.iinfo(np.int64).max  # above every context key
 
 
@@ -148,10 +161,20 @@ class MarkovModel:
         self._keys = np.zeros(0, dtype=np.int64)
         self._sorted_keys = np.zeros(0, dtype=np.int64)
         self._sorted_rows = np.zeros(0, dtype=np.int32)
-        self._encoded: dict[int, tuple[Chorale, np.ndarray, np.ndarray]] = {}  # id -> (chorale, rows, token indices)
-        self._table = np.zeros((0, self._width), dtype=np.int32)
-        self._row_totals = np.zeros(0, dtype=np.int64)
-        self._tables: list[tuple[np.ndarray, np.ndarray]] | None = None  # built by _build_tables at the next draw
+        # the event store: every encoded chorale's row ids and token indices, one chorale after another;
+        # chorale i's events are [offsets[i], offsets[i + 1]). It holds the chorales, so no id is reused.
+        self._index: dict[int, int] = {}  # id(chorale) -> its place in the store
+        self._stored: list[Chorale] = []
+        self._rows = np.zeros(0, dtype=np.int32)
+        self._toks = np.zeros(0, dtype=np.int32)
+        self._offsets = np.zeros(1, dtype=np.int64)
+        self._set_state({"table": np.zeros((0, self._width), dtype=np.int32), "totals": np.zeros(0, dtype=np.int64)})
+
+    def _set_state(self, state: dict) -> None:
+        """Make ``state`` the fitted state: its count table, row totals and, once built, sampling tables."""
+        self._state = state
+        self._table, self._row_totals = state["table"], state["totals"]
+        self._tables: list[tuple[np.ndarray, np.ndarray]] | None = state.get("tables")  # None: built at the next draw
 
     @classmethod
     def with_vocab_from(cls, chorales: Iterable[Chorale], order: int, alpha: float) -> "MarkovModel":
@@ -163,32 +186,34 @@ class MarkovModel:
         return cls(order=order, alpha=alpha, vocabs=vocabs)
 
     def _encode(self, chorales: Sequence[Chorale]) -> None:
-        """Cache, by object identity, the row ids and token indices of each chorale's events in event order
+        """Append to the store the row ids and token indices of each chorale's events in event order
         (timestep by timestep, soprano first), interning new context keys in order of first sight."""
         order, lengths = self.order, np.array([chorale.length for chorale in chorales])
         # per voice, each chorale's order STARTs, then its codes
         grid = np.hstack([np.full((4, order), _START, np.uint8), join_codes(chorales, order, _START)])
         steps = np.arange(lengths.sum()) + np.repeat(order * np.arange(1, len(chorales) + 1), lengths)
-        recent = np.zeros((4, steps.size), dtype=np.int64)  # each voice's order previous tokens
-        for lag in range(order, 0, -1):
-            recent = recent * _RADIX + grid[:, steps - lag]
         keys = np.empty((steps.size, 4), dtype=np.int64)
         above = np.zeros(steps.size, dtype=np.int64)  # the timestep's tokens of the voices above
         for v in range(4):
-            keys[:, v] = (v * _RADIX**order + recent[v]) * _RADIX**v + above
+            key = np.full(steps.size, v, dtype=np.int64)  # the voice, then its order previous tokens
+            for lag in range(order, 0, -1):
+                key = key * _RADIX + grid[v, steps - lag]
+            keys[:, v] = key * _RADIX**v + above
             above = above * _RADIX + grid[v, steps]
-        rows = self._intern(keys.reshape(-1))
-        toks = self._columns[np.arange(4), grid[:, steps].T].reshape(-1)
-        cuts = np.cumsum(4 * lengths)[:-1]
-        for chorale, chorale_rows, chorale_toks in zip(chorales, np.split(rows, cuts), np.split(toks, cuts)):
-            # the cache holds the chorale itself, so its id cannot be reused while the entry lives
-            self._encoded[id(chorale)] = (chorale, chorale_rows, chorale_toks)
+        self._rows = np.concatenate([self._rows, self._intern(keys.reshape(-1))])
+        self._toks = np.concatenate([self._toks, self._columns[np.arange(4), grid[:, steps].T].reshape(-1)])
+        self._offsets = np.concatenate([self._offsets, self._offsets[-1] + np.cumsum(4 * lengths)])
+        for chorale in chorales:
+            self._index[id(chorale)] = len(self._stored)
+            self._stored.append(chorale)
 
     def _intern(self, keys: np.ndarray) -> np.ndarray:
         """The row id of each of ``keys``; a key not yet interned takes the next row id, in order of first sight."""
         by_key = np.argsort(keys)  # not stable, so each distinct key's first position is its run's least
         ordered = keys[by_key]
-        run_starts = np.diff(ordered, prepend=-1) != 0
+        run_starts = np.empty(keys.size, dtype=bool)  # filled in place: a batch can hold ~200k keys
+        run_starts[:1] = True
+        np.not_equal(ordered[1:], ordered[:-1], out=run_starts[1:])
         starts = np.flatnonzero(run_starts)
         distinct, first = ordered[starts], np.minimum.reduceat(by_key, starts)
         at = self._sorted_keys.searchsorted(distinct)
@@ -202,18 +227,30 @@ class MarkovModel:
         self._sorted_keys = np.insert(self._sorted_keys, at[fresh], distinct[fresh])
         self._sorted_rows = np.insert(self._sorted_rows, at[fresh], rows[fresh])
         interned = np.empty(keys.size, dtype=np.int32)
-        interned[by_key] = rows[np.cumsum(run_starts) - 1]
+        run = np.cumsum(run_starts, dtype=np.int32)  # each sorted key's distinct key, counted from 1
+        run -= 1
+        interned[by_key] = rows[run]
         return interned
 
     def _encode_all(self, chorales: Sequence[Chorale]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Concatenated row ids and token indices of ``chorales``' events, and each chorale's event count."""
-        pending = list({id(c): c for c in chorales if id(c) not in self._encoded}.values())
-        for start in range(0, len(pending), _CHUNK):
-            self._encode(pending[start : start + _CHUNK])
-        encoded = [self._encoded[id(chorale)] for chorale in chorales]
-        rows = np.concatenate([r for _, r, _ in encoded])
-        toks = np.concatenate([k for _, _, k in encoded])
-        return rows, toks, np.array([r.size for _, r, _ in encoded])
+        """Concatenated row ids and token indices of ``chorales``' events, and each chorale's event count;
+        a chorale not yet in the store is encoded first."""
+        pending = list({id(c): c for c in chorales if id(c) not in self._index}.values())
+        for start in range(0, len(pending), _BATCH):
+            self._encode(pending[start : start + _BATCH])
+        at = np.array([self._index[id(chorale)] for chorale in chorales], dtype=np.intp)
+        begins = self._offsets[at]
+        sizes = self._offsets[at + 1] - begins
+        ends = np.cumsum(sizes)
+        events = np.arange(ends[-1]) + np.repeat(begins - (ends - sizes), sizes)  # the store's index of each event
+        return self._rows[events], self._toks[events], sizes
+
+    def _cells(self, rows: np.ndarray, toks: np.ndarray) -> np.ndarray:
+        """The flat count-table index of each (row id, token index), in one int64 array."""
+        cells = rows.astype(np.int64)
+        cells *= self._width
+        cells += toks
+        return cells
 
     def fit(self, chorales: Sequence[Chorale], counts: Sequence[int]) -> None:
         """Replace counts with exact event counts over the draws: ``chorales[i]`` counts ``counts[i]`` times.
@@ -241,11 +278,11 @@ class MarkovModel:
         weights = counts[drawn].astype(np.int64)
         check_events(int(np.dot(weights, sizes)), "the draws")  # no cell exceeds the total, so none can wrap
         table = np.zeros((self._keys.size, self._width), dtype=np.int32)
-        cells = rows.astype(np.int64) * self._width + toks
+        cells = self._cells(rows, toks)
         np.add.at(table.reshape(-1), cells, np.repeat(weights.astype(np.int32), sizes))  # unbuffered: repeats add up
-        self._table = table
-        self._row_totals = self._table.sum(axis=1, dtype=np.int64)
-        self._tables = None
+        # no total exceeds the draws' events, which fit int32, so the int32 sum cannot wrap; einsum sums the
+        # short rows several times faster than sum(axis=1)
+        self._set_state({"table": table, "totals": np.einsum("ij->i", table).astype(np.int64)})
 
     def _smoothed(self, voice: int, counts: np.ndarray, totals: np.ndarray) -> np.ndarray:
         """``(count + alpha) / (total + alpha * size)`` for each token of the voice vocabulary, one row per
@@ -301,6 +338,7 @@ class MarkovModel:
             totals = np.append(self._row_totals[voice_rows], [0, 0])
             masked = np.append(voice_keys // _RADIX**v % _RADIX >= REST_CODE, [False, True])
             self._tables.append((np.append(voice_keys, _NO_KEY), self._cdf_rows(v, counts, totals, masked)))
+        self._state["tables"] = self._tables  # the fitted state's own, so a snapshot of it keeps them
 
     def sample(self, length: int, rng: np.random.Generator, chorale_id: str = "sample") -> Chorale:
         """Draw one chorale of ``length`` timesteps from ``rng``: a batch of one."""
@@ -368,35 +406,47 @@ class MarkovModel:
         """
         if not len(chorales) or (draws is not None and not len(draws)):
             raise ValueError("cannot score an empty corpus")
-        drawn, order = np.unique(np.arange(len(chorales)) if draws is None else draws, return_inverse=True)
+        draws = np.arange(len(chorales)) if draws is None else np.asarray(draws)
+        drawn = np.flatnonzero(np.bincount(draws, minlength=len(chorales)))
+        order = np.empty(len(chorales), dtype=np.intp)  # chorale index -> its place among the drawn
+        order[drawn] = np.arange(drawn.size)
+        order = order[draws]
         rows, toks, sizes = self._encode_all([chorales[i] for i in drawn.tolist()])
+        cells = self._cells(rows, toks)
         fitted = rows < len(self._row_totals)
-        known = fitted & (toks >= 0)
-        counts = np.zeros(rows.size, dtype=np.int64)
-        counts[known] = self._table[rows[known], toks[known]]
-        totals = np.zeros(rows.size, dtype=np.int64)
-        totals[fitted] = self._row_totals[rows[fitted]]
+        if fitted.all() and toks.min() >= 0:
+            counts, totals = self._table.reshape(-1)[cells], self._row_totals[rows]
+        else:  # a row interned after the fit, or a token outside the vocabulary, counts 0
+            known = fitted & (toks >= 0)
+            counts = np.zeros(rows.size, dtype=np.int32)
+            counts[known] = self._table.reshape(-1)[cells[known]]
+            totals = np.zeros(rows.size, dtype=np.int64)
+            totals[fitted] = self._row_totals[rows[fitted]]
         smoothing = self.alpha * np.array([len(vocab) for vocab in self.vocabs])
         scores = -np.log((counts + self.alpha) / (totals + np.tile(smoothing, rows.size // 4)))
-        # a leading 0.0 and a sequential cumsum per row reproduce `acc = 0.0; acc -= logprob` bit for bit
-        padded = np.zeros((len(sizes), int(sizes.max()) + 1))
-        padded[:, 1:][np.arange(padded.shape[1] - 1) < sizes[:, None]] = scores
-        per_chorale = np.cumsum(padded, axis=1)[:, -1]
+        # chorale j's scores go down column j below a 0.0, so adding the rows in turn reproduces
+        # `acc = 0.0; acc -= logprob` bit for bit. With one column numpy would sum it pairwise, so there are two.
+        columns = max(sizes.size, 2)
+        padded = np.zeros((int(sizes.max()) + 1, columns))
+        # event p of chorale j, whose events start at p = s, goes to row p - s + 1 of column j: flat index
+        # p * columns + j - (s - 1) * columns
+        column_base = np.arange(sizes.size) - (np.cumsum(sizes) - sizes - 1) * columns
+        padded.reshape(-1)[np.arange(rows.size) * columns + np.repeat(column_base, sizes)] = scores
+        per_chorale = np.add.reduce(padded, axis=0)
         # a sequential cumsum, not sum() or math.fsum: Python 3.12's float sum() is compensated
         return np.cumsum(per_chorale[order]).item(-1) / int(sizes[order].sum())
 
-    # fit replaces both arrays wholesale and nothing mutates them, so snapshots share them
+    # fit replaces the state wholesale and nothing mutates its arrays, so snapshots share it. Its sampling tables
+    # depend only on its counts, as interning only appends keys, so a snapshot keeps them once they are built.
     def snapshot(self) -> object:
         """Opaque immutable state for :meth:`restore`."""
-        return {"table": self._table, "totals": self._row_totals}
+        return self._state
 
     def restore(self, state: object) -> None:
         """Reset the model to a previously captured snapshot."""
         if not (isinstance(state, dict) and "table" in state and "totals" in state):
             raise TypeError(f"not a MarkovModel snapshot: {type(state).__name__}")
-        self._table = state["table"]
-        self._row_totals = state["totals"]
-        self._tables = None
+        self._set_state(state)
 
     def save(self, path: str | Path) -> None:
         """Serialize the model to a single versioned file."""

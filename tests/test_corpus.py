@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -50,6 +51,18 @@ def test_corpus_rejects_invalid_member():
     with pytest.raises(InvalidChoraleError) as err:
         Chorale(id="bad", voices=(("__",), (60,), (60,), (60,)))
     assert "bad" in str(err.value)
+
+
+def test_digest_hashes_the_records_once(monkeypatch):
+    corpus = teacher_corpus(3, 6)
+    serialized = []
+    serialize = corpus_module.serialize_chorale
+    monkeypatch.setattr(corpus_module, "serialize_chorale", lambda c: serialized.append(c.id) or serialize(c))
+    first = corpus.digest()
+    assert corpus.digest() == first and serialized == list(corpus.ids())
+    records = "".join(serialize(c) + "\n" for c in corpus)
+    assert first == hashlib.sha256(records.encode("utf-8")).hexdigest()
+    assert Corpus(corpus.chorales[::-1]).digest() != first  # id-order sensitive
 
 
 def test_save_load_roundtrip(tmp_path):

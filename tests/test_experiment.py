@@ -228,8 +228,23 @@ class TestCli:
     def test_teacher_gen_count_out_of_range_fails_before_writing(self, tmp_path, capsys, n):
         out = tmp_path / "corpus.jsonl"
         assert main(["teacher-gen", "--n", str(n), "--out", str(out)]) == 1
-        assert capsys.readouterr().err == f"error: n must be in 1..{MAX_CHORALES}, got {n}\n"
+        assert capsys.readouterr().err == f"error: --n must be in 1..{MAX_CHORALES}, got {n}\n"
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "lengths, message",
+        [
+            (["--min-length", "3"], "--min-length must be >= 4, got 3"),
+            (["--min-length", "-1", "--max-length", "10"], "--min-length must be >= 4, got -1"),
+            (["--max-length", "31"], "--max-length must be >= --min-length (32), got 31"),
+            (["--min-length", "20", "--max-length", "19"], "--max-length must be >= --min-length (20), got 19"),
+        ],
+    )
+    def test_teacher_gen_length_out_of_range_fails_before_writing(self, tmp_path, capsys, lengths, message):
+        out = tmp_path / "corpus.jsonl"
+        assert main(["teacher-gen", "--n", "5", *lengths, "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("message", ["Unable to allocate 14.9 GiB for an array", ""])
     def test_teacher_gen_out_of_memory_prints_one_error_line(self, tmp_path, capsys, monkeypatch, message):

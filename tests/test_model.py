@@ -206,12 +206,14 @@ class TestContextKeys:
         st.data(),
     )
     def test_encoding_matches_token_events(self, order, pool, copies, cut, data):
-        # copies of pool[0] push the others past the first 64-chorale chunk; a repeated object is encoded once
+        # copies of pool[0] push the others past the first 64-chorale batch; a repeated object is encoded once
         vocab_pool = pool[: data.draw(st.integers(1, len(pool)))]  # the rest may bring unknown tokens
         batch = [Chorale(id=f"copy{i}", voices=pool[0].voices) for i in range(copies)] + pool[1:] + pool[1:2]
         model = MarkovModel.with_vocab_from(vocab_pool, order=order, alpha=0.1)
-        model._encode_all(batch[:cut])  # an earlier call: row ids carry on from it
-        rows, toks, sizes = model._encode_all(batch)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(model_module, "_BATCH", 64)
+            model._encode_all(batch[:cut])  # an earlier call: row ids carry on from it
+            rows, toks, sizes = model._encode_all(batch)
         first_seen: dict = {}
         expected_rows, expected_toks = [], []
         for chorale in batch:
@@ -222,6 +224,24 @@ class TestContextKeys:
         assert toks.tolist() == expected_toks
         assert sizes.tolist() == [4 * chorale.length for chorale in batch]
         assert interned_contexts(model) == list(first_seen)
+
+    @given(st.lists(chorales(min_length=1, max_length=6), min_size=4, max_size=10), st.data())
+    def test_interleaved_fits_and_scorings_across_intern_batches(self, pool, data):
+        # three chorales per intern batch, and new chorales arrive before each fit, so every call grows the store
+        model = MarkovModel.with_vocab_from(pool, order=2, alpha=0.1)
+        arrived = 0
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(model_module, "_BATCH", 3)
+            for _ in range(3):
+                arrived = data.draw(st.integers(min(arrived + 1, len(pool)), len(pool)))
+                dataset = pool[:arrived]
+                draws = data.draw(st.lists(st.integers(0, arrived - 1), min_size=1, max_size=12))
+                drawn = [dataset[i] for i in draws]
+                model.fit(dataset, np.bincount(draws, minlength=arrived))
+                assert count_tables(model) == replay_counts(drawn, 2)
+                assert model.mean_nll(dataset, draws) == per_event_mean_nll(model, drawn)
+                unseen = pool[arrived - 1 :]  # the last arrival and any chorale not yet fitted or scored
+                assert model.mean_nll(unseen) == per_event_mean_nll(model, unseen)
 
     def test_largest_key_fits_int64_up_to_order_5(self):
         for order in range(1, 7):
@@ -401,7 +421,7 @@ class TestSample:
             assert cdf[-1] == np.inf  # so the first entry above a uniform is bisect_right clamped to the vocabulary
         assert kinds == {"counted", "total 0", "past the table"}
 
-    def test_tables_are_built_once_per_fit_or_restore(self, desk_split, monkeypatch):
+    def test_tables_are_built_once_per_fit(self, desk_split, monkeypatch):
         chorales_ = list(desk_split.train)
         model = MarkovModel.with_vocab_from(chorales_, order=2, alpha=0.1)
         model._build_tables()
@@ -427,10 +447,33 @@ class TestSample:
         for _ in range(2):
             sample_batch(model, range(1, 13), 3, ("refit",), ["a", "b"])
         assert len(builds) == 2
-        model.restore(early)
+        model.restore(early)  # its tables were built at the first draw after its fit, and the snapshot keeps them
         for _ in range(2):
             sample_batch(model, range(1, 13), 3, ("restored",), ["a", "b"])
-        assert len(builds) == 3
+        assert len(builds) == 2
+
+    def test_sample_after_restore_matches_freshly_built_tables(self, desk_split):
+        chorales_ = list(desk_split.train)
+        model = MarkovModel.with_vocab_from(chorales_, order=2, alpha=0.1)
+        model.fit(chorales_[:8], once(chorales_[:8]))
+        early = model.snapshot()
+        sample_batch(model, range(1, 13), 3, ("first",), ["a"])  # builds the tables the snapshot keeps
+        kept = model._tables
+        model.fit(chorales_, once(chorales_))
+        sample_batch(model, range(1, 13), 3, ("refit",), ["a"])
+        model.mean_nll(list(desk_split.validation))  # interns rows after both fits
+        model.restore(early)
+        ids = [f"c{j}" for j in range(20)]
+        restored = sample_batch(model, range(1, 25), 5, ("restored",), ids)
+        assert model._tables is kept
+        model._build_tables()
+        for (keys, cdfs), (kept_keys, kept_cdfs) in zip(model._tables, kept):
+            assert np.array_equal(keys, kept_keys) and np.array_equal(cdfs, kept_cdfs)
+        rebuilt = sample_batch(model, range(1, 25), 5, ("restored",), ids)
+        fresh = MarkovModel.with_vocab_from(chorales_, order=2, alpha=0.1)  # other row ids, the same keys
+        fresh.fit(chorales_[:8], once(chorales_[:8]))
+        expected = [chorale.codes for chorale in sample_batch(fresh, range(1, 25), 5, ("restored",), ids)]
+        assert [chorale.codes for chorale in restored] == [chorale.codes for chorale in rebuilt] == expected
 
     @given(
         st.lists(chorales(min_length=2, max_length=8), min_size=2, max_size=5),
@@ -512,6 +555,18 @@ class TestMeanNll:
         drawn = [chorales_[i] for i in draws.tolist()]
         assert model.mean_nll(chorales_, draws) == per_event_mean_nll(model, drawn)
         assert model.mean_nll(validation) == per_event_mean_nll(model, validation)
+
+    def test_one_drawn_chorale_sums_in_event_order(self, desk_split):
+        # one scored chorale is one column of scores, which numpy alone would sum pairwise
+        chorales_ = list(desk_split.train)
+        model = MarkovModel.with_vocab_from(chorales_, order=2, alpha=0.1)
+        model.fit(chorales_[::2], once(chorales_[::2]))
+        for k, chorale in enumerate(chorales_[:12]):
+            assert model.mean_nll([chorale]) == per_event_mean_nll(model, [chorale]), k
+            for m in (1, 3):
+                assert model.mean_nll(chorales_, [k] * m) == per_event_mean_nll(model, [chorale] * m), (k, m)
+        for chorale in desk_split.validation:
+            assert model.mean_nll([chorale]) == per_event_mean_nll(model, [chorale]), chorale.id
 
     def test_zero_on_deterministic_training_data(self):
         c = ascending(72, length=10)
