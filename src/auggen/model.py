@@ -31,33 +31,36 @@ down its own column of a pad with at least two columns (numpy sums a
 single column pairwise) and adds the pad's rows in turn, then adds the
 chorales' sums in draw order, so it gives the bits of a per-event
 log-probability loop over the drawn chorales. ``sample_many`` draws a
-batch in lockstep: each chorale takes ``4 * length`` uniforms from its own
-stream, then every (timestep, voice) is one numpy step over the chorales
-still running. The first draw after each ``fit`` builds one sampling table
-per voice: the ascending keys of its counted rows (total above 0), read
-straight from the ascending key array, their CDFs in key order, then its
-uniform CDF without and with HOLD masked; a row's key says whether HOLD is
-masked. The tables depend only on the counts, as interning only appends
-keys, so they belong to the fitted state that a snapshot holds, and a
-``restore`` of a state whose tables were built draws from them. Each
-timestep starts from every running chorale's history, its last ``order``
-digits per voice and whether each voice's last token masks HOLD, and
-computes all four voices' key prefixes and fallback slots as one ``(4, n)``
-array each. A step adds the digits of the voices above to its voice's
-prefixes, finds the keys by ``np.searchsorted`` in the voice's keys, sends
-any other key (unknown, total 0, or interned after the fit) to the uniform
-CDF, masked after a REST or START, and draws each digit from its row's CDF.
-After the four steps the histories advance by the timestep's drawn digits.
-Each CDF has the bits of ``np.cumsum(probs / probs.sum())`` over
-``next_token_dist``, but for its last entry, stored as +inf, so the first
-entry above the uniform is ``bisect_right`` clamped to the vocabulary. Each
-chorale's drawn digits, cut to its length and cast to ``uint8``, are its
-code grid, with no token in between. ``sample`` is a batch of one. ``save``
-orders its cells by their text with one two-key ``np.lexsort``: the token's
-text rank below one int64 key of the voice and the text ranks of the
-context's digits. It writes the ``counts`` text from ``uint8`` arrays, each
-cell's digits and count as NUL-padded JSON text, drops the NULs and splices
-that text into the ``json.dumps`` of the rest.
+batch as a wavefront: each chorale takes ``4 * length`` uniforms from its
+own stream, then at tick ``s`` voice ``v`` draws timestep ``s - v``, so
+each of the longest length + 3 ticks is one numpy step over the (voice,
+chorale) lanes that run. The first draw after each ``fit`` builds one
+sampling table for all four voices: the ascending keys of the counted rows
+(total above 0), read straight from the ascending key array and grouped by
+voice by their leading digit, then their CDFs in key order in one
+``Vmax``-wide matrix, then each voice's uniform CDF without and with HOLD
+masked; a row's key says whether HOLD is masked. The tables depend only on
+the counts, as interning only appends keys, so they belong to the fitted
+state that a snapshot holds, and a ``restore`` of a state whose tables
+were built draws from them. Each voice keeps its last ``order`` digits and
+whether its last token masks HOLD, and an ``above`` register of the
+digits that the voices above drew at its current timestep; a tick adds
+``above`` to each lane's key prefix, finds the keys by one
+``np.searchsorted``, sends any other key (unknown, total 0, or interned
+after the fit) to its voice's uniform CDF, masked after a REST or START,
+and draws each digit from its row's CDF. Then each voice's history
+advances by its drawn digit, and ``above`` moves down one voice: voice
+``v + 1`` draws the same timestep at the next tick. Each CDF has the bits
+of ``np.cumsum(probs / probs.sum())`` over ``next_token_dist`` within its
+voice's vocabulary, but for its last entry, and +inf from that last entry
+on, so the first entry above the uniform is ``bisect_right`` clamped to
+the vocabulary. Each chorale's drawn digits, cut to its length and cast to
+``uint8``, are its code grid, with no token in between. ``sample`` is a
+batch of one. ``save`` orders its cells by their text with one two-key
+``np.lexsort``: the token's text rank below one int64 key of the voice and
+the text ranks of the context's digits. It writes the ``counts`` text from
+``uint8`` arrays, each cell's digits and count as NUL-padded JSON text,
+drops the NULs and splices that text into the ``json.dumps`` of the rest.
 """
 
 from __future__ import annotations
@@ -151,11 +154,18 @@ class MarkovModel:
         self.order = order
         self.alpha = float(alpha)
         self.vocabs: tuple[tuple[Token, ...], ...] = tuple(cleaned)
-        self._digits = [np.array([token_code(tok) for tok in vocab]) for vocab in self.vocabs]  # column -> token digit
-        self._columns = np.full((4, _RADIX), -1, dtype=np.int32)  # token digit -> column; -1 outside the vocabulary
-        for v, digits in enumerate(self._digits):
-            self._columns[v, digits] = np.arange(len(digits))
         self._width = max(len(vocab) for vocab in self.vocabs)  # Vmax, the count table's column count
+        self._digits = np.zeros((4, self._width), dtype=np.intp)  # (voice, column) -> token digit; 0 past the vocab
+        self._columns = np.full((4, _RADIX), -1, dtype=np.int32)  # token digit -> column; -1 outside the vocabulary
+        for v, vocab in enumerate(self.vocabs):
+            digits = [token_code(tok) for tok in vocab]
+            self._digits[v, : len(vocab)] = digits
+            self._columns[v, digits] = np.arange(len(vocab))
+        # each voice's uniform CDF, then that CDF with HOLD masked: no count moves them, and every table ends with them
+        self._uniform_cdfs = np.empty((8, self._width))
+        zeros, masked = np.zeros((2, self._width), dtype=np.int32), np.array([False, True])
+        for v in range(4):
+            self._cdf_rows(v, zeros, np.zeros(2, np.int64), masked, self._uniform_cdfs[2 * v : 2 * v + 2])
         # the interned context keys: by row id, handed out in order of first sight, so their count is the row
         # count; and the same keys ascending, with their row ids beside them
         self._keys = np.zeros(0, dtype=np.int64)
@@ -174,7 +184,7 @@ class MarkovModel:
         """Make ``state`` the fitted state: its count table, row totals and, once built, sampling tables."""
         self._state = state
         self._table, self._row_totals = state["table"], state["totals"]
-        self._tables: list[tuple[np.ndarray, np.ndarray]] | None = state.get("tables")  # None: built at the next draw
+        self._tables: tuple[np.ndarray, np.ndarray] | None = state.get("tables")  # None: built at the next draw
 
     @classmethod
     def with_vocab_from(cls, chorales: Iterable[Chorale], order: int, alpha: float) -> "MarkovModel":
@@ -284,12 +294,15 @@ class MarkovModel:
         # short rows several times faster than sum(axis=1)
         self._set_state({"table": table, "totals": np.einsum("ij->i", table).astype(np.int64)})
 
-    def _smoothed(self, voice: int, counts: np.ndarray, totals: np.ndarray) -> np.ndarray:
+    def _smoothed(
+        self, voice: int, counts: np.ndarray, totals: np.ndarray, out: np.ndarray | None = None
+    ) -> np.ndarray:
         """``(count + alpha) / (total + alpha * size)`` for each token of the voice vocabulary, one row per
-        row of ``counts`` (count table rows) and entry of ``totals`` (their totals)."""
+        row of ``counts`` (count table rows) and entry of ``totals`` (their totals); written into the first
+        ``size`` entries of ``out``'s rows if given."""
         size = len(self.vocabs[voice])
-        probs = counts[:, :size] + self.alpha
-        probs /= totals[:, None] + self.alpha * size  # in place, as in _cdf_rows: a table build holds one float copy
+        probs = np.add(counts[:, :size], self.alpha, out=None if out is None else out[:, :size])
+        probs /= totals[:, None] + self.alpha * size  # in place: a table build writes straight into its CDFs
         return probs
 
     def next_token_dist(self, voice: int, context: Context) -> np.ndarray:
@@ -308,36 +321,38 @@ class MarkovModel:
             return self._smoothed(voice, np.zeros((1, self._width), np.int32), np.zeros(1, np.int64))[0]
         return self._smoothed(voice, self._table[row : row + 1], self._row_totals[row : row + 1])[0]
 
-    def _cdf_rows(self, voice: int, counts: np.ndarray, totals: np.ndarray, masked: np.ndarray) -> np.ndarray:
-        """``np.cumsum(probs / probs.sum())`` for each row of :meth:`_smoothed`, with HOLD's probability zeroed
-        where ``masked``, and the last entry raised to +inf. A sum over the last axis of a C-ordered array is
-        numpy's pairwise sum of each row, so every other entry has the bits of the one-row formula."""
-        probs = self._smoothed(voice, counts, totals)
+    def _cdf_rows(
+        self, voice: int, counts: np.ndarray, totals: np.ndarray, masked: np.ndarray, out: np.ndarray
+    ) -> None:
+        """Write into ``out``'s rows ``np.cumsum(probs / probs.sum())`` for each row of :meth:`_smoothed`, with
+        HOLD's probability zeroed where ``masked``, and +inf from the last vocabulary entry on. A sum over the
+        last axis is numpy's pairwise sum of each row, so every other entry has the bits of the one-row formula."""
+        probs = self._smoothed(voice, counts, totals, out)
         hold = self._columns[voice, HOLD_CODE]
         if hold >= 0:
             probs[masked, hold] = 0.0
         probs /= probs.sum(axis=1, keepdims=True)
-        cdfs = np.cumsum(probs, axis=1, out=probs)
-        cdfs[:, -1] = np.inf
-        return cdfs
+        np.cumsum(probs, axis=1, out=probs)
+        out[:, probs.shape[1] - 1 :] = np.inf
 
     def _build_tables(self) -> None:
-        """Per voice, its sampling table: the sorted keys of its counted rows (total above 0), then ``_NO_KEY``,
-        which a search past the last key lands on and no key matches; their CDFs in key order, then the voice's
-        uniform CDF and that CDF with HOLD masked. A row's key says whether HOLD is masked: its voice's last
-        token is a REST or START."""
+        """The sampling table of all four voices: the sorted keys of the ``K`` counted rows (total above 0),
+        which the leading voice digit groups by voice, then ``_NO_KEY``, which a search past the last key lands
+        on and no key matches; one ``Vmax``-wide CDF per counted row in key order, then each voice's uniform CDF
+        and that CDF with HOLD masked (row ``K + 2 * voice + masked``). A row's key says whether HOLD is masked:
+        its voice's last token is a REST or START."""
         counted = np.zeros(self._keys.size, dtype=bool)  # a row interned after the fit has no total
         counted[: self._row_totals.size] = self._row_totals > 0
         in_table = counted[self._sorted_rows]
         keys, rows = self._sorted_keys[in_table], self._sorted_rows[in_table]
-        cuts = np.searchsorted(keys, [v * _RADIX ** (self.order + v) for v in range(1, 4)])  # each voice's first key
-        self._tables = []
-        for v, (voice_keys, voice_rows) in enumerate(zip(np.split(keys, cuts), np.split(rows, cuts))):
-            counts = np.zeros((voice_rows.size + 2, self._width), dtype=np.int32)  # two zero rows: the uniform CDFs
-            counts[: voice_rows.size] = self._table[voice_rows]
-            totals = np.append(self._row_totals[voice_rows], [0, 0])
-            masked = np.append(voice_keys // _RADIX**v % _RADIX >= REST_CODE, [False, True])
-            self._tables.append((np.append(voice_keys, _NO_KEY), self._cdf_rows(v, counts, totals, masked)))
+        cuts = [0, *np.searchsorted(keys, [v * _RADIX ** (self.order + v) for v in range(1, 4)]), keys.size]
+        cdfs = np.empty((keys.size + 8, self._width))
+        cdfs[keys.size :] = self._uniform_cdfs
+        for v in range(4):
+            voice = slice(cuts[v], cuts[v + 1])
+            masked = keys[voice] // _RADIX**v % _RADIX >= REST_CODE
+            self._cdf_rows(v, self._table[rows[voice]], self._row_totals[rows[voice]], masked, cdfs[voice])
+        self._tables = (np.append(keys, _NO_KEY), cdfs)
         self._state["tables"] = self._tables  # the fitted state's own, so a snapshot of it keeps them
 
     def sample(self, length: int, rng: np.random.Generator, chorale_id: str = "sample") -> Chorale:
@@ -365,35 +380,39 @@ class MarkovModel:
         uniforms = np.zeros((len(lengths), 4 * longest))
         for j, (length, rng) in enumerate(zip(lengths, rngs)):  # in batch order, as one draw at a time would be
             uniforms[rank[j], : 4 * length] = rng.random(4 * length)
-        uniforms = uniforms.reshape(len(lengths), longest, 4).transpose(1, 2, 0).copy()  # [t, v, ranked chorale]
-        running = (np.array(lengths) > np.arange(longest)[:, None]).sum(axis=1).tolist()
+        # a wavefront: at tick s voice v draws timestep s - v, so each tick is one numpy step over (voice, chorale)
+        # lanes. Tick s runs voices 0..min(s, 3) (the others have not started) over the chorales that run at the
+        # earliest of their timesteps; a lane whose chorale has ended draws a digit that no running lane reads.
+        ticks = longest + 3
+        voices = np.minimum(np.arange(ticks), 3) + 1
+        running = (np.array(lengths) > np.arange(longest)[:, None]).sum(axis=1)[np.arange(ticks) + 1 - voices]
+        lane = np.arange(longest)[:, None] + np.arange(4)  # the tick at which voice v draws timestep t: t + v
+        wave = np.zeros((ticks, 4, len(lengths)))  # [tick, v, ranked chorale]
+        wave[lane, np.arange(4)] = uniforms.reshape(len(lengths), longest, 4).transpose(1, 2, 0)
         radix, modulus = _RADIX, _RADIX**self.order
         leading = np.arange(4)[:, None] * modulus  # each voice's leading key digit, above its order digits
         place = radix ** np.arange(4)[:, None]  # each voice's key ends with the digits of the voices above
-        uniform_slots = np.array([[keys.size - 1] for keys, _ in self._tables])  # each voice's unmasked uniform CDF
+        counted_keys, cdfs = self._tables
+        uniform_rows = counted_keys.size - 1 + 2 * np.arange(4)[:, None]  # each voice's unmasked uniform CDF
+        columns = np.arange(4)[:, None] * self._width  # each voice's first column in the flat digit table
+        digit_of = self._digits.reshape(-1)
         recent = np.full((4, len(lengths)), (modulus - 1) // (radix - 1) * _START)  # each voice's last order digits
         masked = np.ones((4, len(lengths)), dtype=bool)  # whether HOLD is masked: the last token is a REST or START
-        digits = np.zeros((longest, 4, len(lengths)), dtype=np.intp)  # the drawn digit of each voice
-        for t, n in enumerate(running):
-            recent, masked, drawn = recent[:, :n], masked[:, :n], digits[t, :, :n]
-            # each voice's key without the digits of the voices above, and the CDF a key that is not counted reads
-            prefixes = (leading + recent) * place
-            misses = uniform_slots + masked
-            above = 0  # this timestep's digits of the voices above
-            for v in range(4):
-                keys = prefixes[v] + above
-                counted_keys, cdfs = self._tables[v]
-                at = counted_keys.searchsorted(keys)
-                # a counted row reads its own CDF, any other key its voice's uniform CDF after the last counted one
-                slot = np.where(counted_keys[at] == keys, at, misses[v])
-                # the first entry above u: a cumsum of non-negative floats never decreases, so this is
-                # bisect_right, and the +inf last entry clamps it to the vocabulary
-                digit = self._digits[v][(cdfs[slot] > uniforms[t, v, :n, None]).argmax(axis=1)]
-                drawn[v] = digit
-                above = above * radix + digit
-            recent = recent * radix % modulus + drawn
-            masked = drawn >= REST_CODE
-        grids = digits.astype(np.uint8).transpose(2, 1, 0)[rank]  # [chorale, v, t]
+        above = np.zeros((5, len(lengths)), dtype=np.int64)  # the digits of the voices above; row 4 is never read
+        digits = np.zeros((ticks, 4, len(lengths)), dtype=np.uint8)  # the drawn digit of each lane
+        for s, (m, n) in enumerate(zip(voices.tolist(), running.tolist())):
+            keys = (leading[:m] + recent[:m, :n]) * place[:m] + above[:m, :n]
+            at = counted_keys.searchsorted(keys)
+            # a counted row reads its own CDF, any other key its voice's uniform CDF, masked after a REST or START
+            slot = np.where(counted_keys[at] == keys, at, uniform_rows[:m] + masked[:m, :n])
+            # the first entry above u: a cumsum of non-negative floats never decreases, so this is bisect_right,
+            # and the +inf entries from each voice's last vocabulary entry on clamp it to the vocabulary
+            drawn = digit_of[(cdfs[slot] > wave[s, :m, :n, None]).argmax(axis=2) + columns[:m]]
+            digits[s, :m, :n] = drawn
+            recent[:m, :n] = recent[:m, :n] * radix % modulus + drawn
+            masked[:m, :n] = drawn >= REST_CODE
+            above[1 : m + 1, :n] = above[:m, :n] * radix + drawn  # voice v + 1 draws this timestep at the next tick
+        grids = digits[lane, np.arange(4)].transpose(2, 1, 0)[rank]  # [chorale, v, t]
         return [Chorale.from_codes(name, grid[:, :length].tobytes()) for grid, length, name in zip(grids, lengths, ids)]
 
     def mean_nll(self, chorales: Sequence[Chorale], draws: Sequence[int] | None = None) -> float:
@@ -406,7 +425,11 @@ class MarkovModel:
         """
         if not len(chorales) or (draws is not None and not len(draws)):
             raise ValueError("cannot score an empty corpus")
-        draws = np.arange(len(chorales)) if draws is None else np.asarray(draws)
+        given, draws = draws, np.arange(len(chorales)) if draws is None else np.asarray(draws)
+        if draws.ndim != 1 or draws.dtype.kind not in "iu" or draws.min() < 0 or draws.max() >= len(chorales):
+            last, index = len(chorales) - 1, (int, np.integer)
+            bad = [d for d in given if not isinstance(d, index) or isinstance(d, bool) or not 0 <= d <= last]
+            raise ValueError(f"draw {bad[0]} is not a chorale index in 0..{last}" if bad else f"{draws.dtype} draws")
         drawn = np.flatnonzero(np.bincount(draws, minlength=len(chorales)))
         order = np.empty(len(chorales), dtype=np.intp)  # chorale index -> its place among the drawn
         order[drawn] = np.arange(drawn.size)
@@ -463,7 +486,7 @@ class MarkovModel:
         digits = (keys - voices * radix ** (order + voices)) * radix ** (3 - voices) // places[:, None] % radix
         digits[np.arange(order + 3)[:, None] >= order + voices] = radix
         context_ranks = voices * radix ** (order + 3) + places @ _TEXT_RANK[digits]
-        tokens = np.array([np.pad(d, (0, self._width - len(d))) for d in self._digits])[voices[rows], cols]
+        tokens = self._digits[voices[rows], cols]
         cells = np.lexsort((_TEXT_RANK[tokens], context_ranks[rows]))
         rows, tokens, counts = rows[cells], tokens[cells], counts[cells]
         # each cell's text, ", [voice, [context], token, count]", NUL-padded: a row's head and context, the

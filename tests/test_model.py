@@ -401,38 +401,44 @@ class TestSample:
         model.fit(chorales_[:8], once(chorales_[:8]))
         model.mean_nll(chorales_[8:])  # rows interned after the fit
         model._build_tables()
-        for vocab, (keys, cdfs) in zip(model.vocabs, model._tables):  # counted keys, _NO_KEY; CDFs, two uniform
-            assert keys[-1] == model_module._NO_KEY and (np.diff(keys) > 0).all()
-            assert cdfs.shape == (keys.size + 1, len(vocab))
-        assert sum(keys.size - 1 for keys, _ in model._tables) == np.count_nonzero(model._row_totals)
+        keys, cdfs = model._tables  # counted keys, _NO_KEY; their CDFs, then each voice's two uniform CDFs
+        assert keys[-1] == model_module._NO_KEY and (np.diff(keys) > 0).all()
+        assert cdfs.shape == (keys.size + 7, max(len(vocab) for vocab in model.vocabs))
+        assert keys.size - 1 == np.count_nonzero(model._row_totals)
         kinds = set()
         for row, (v, context) in enumerate(interned_contexts(model)):
-            keys, cdfs = model._tables[v]
             counted = row < len(model._row_totals) and model._row_totals[row] > 0
             kinds.add("counted" if counted else "past the table" if row >= len(model._row_totals) else "total 0")
             at = int(np.searchsorted(keys, context_key(v, context)))
             assert (keys[at] == context_key(v, context)) == counted, row
             masked = context[model.order - 1] in (REST, START)  # the voice's own last token
-            cdf = cdfs[at if counted else keys.size - 1 + masked]
+            cdf = cdfs[at if counted else keys.size - 1 + 2 * v + masked]
             probs = reference_next_token_dist(model, v, context)
             if masked and HOLD in model.vocabs[v]:
                 probs[model.vocabs[v].index(HOLD)] = 0.0
-            assert cdf[:-1].tolist() == np.cumsum(probs / probs.sum())[:-1].tolist(), row
-            assert cdf[-1] == np.inf  # so the first entry above a uniform is bisect_right clamped to the vocabulary
+            size = len(model.vocabs[v])
+            assert cdf[: size - 1].tolist() == np.cumsum(probs / probs.sum())[:-1].tolist(), row
+            # +inf from the last vocabulary entry on, so the first entry above a uniform is bisect_right clamped to
+            # the vocabulary
+            assert (cdf[size - 1 :] == np.inf).all(), row
         assert kinds == {"counted", "total 0", "past the table"}
 
     def test_tables_are_built_once_per_fit(self, desk_split, monkeypatch):
         chorales_ = list(desk_split.train)
         model = MarkovModel.with_vocab_from(chorales_, order=2, alpha=0.1)
         model._build_tables()
-        for v, (keys, cdfs) in enumerate(model._tables):  # unfitted: only the voice's two uniform CDFs
-            assert keys.tolist() == [model_module._NO_KEY]
+        keys, cdfs = model._tables
+        assert keys.tolist() == [model_module._NO_KEY]  # unfitted: only each voice's two uniform CDFs
+        width = max(len(vocab) for vocab in model.vocabs)
+        assert cdfs.shape == (8, width)
+        for v in range(4):
             probs = reference_next_token_dist(model, v, (START,) * (model.order + v))
             masked = probs.copy()
             if HOLD in model.vocabs[v]:
                 masked[model.vocabs[v].index(HOLD)] = 0.0
-            expected = [np.cumsum(p / p.sum())[:-1].tolist() + [math.inf] for p in (probs, masked)]
-            assert cdfs.tolist() == expected, v
+            padding = [math.inf] * (width - probs.size + 1)
+            expected = [np.cumsum(p / p.sum())[:-1].tolist() + padding for p in (probs, masked)]
+            assert cdfs[2 * v : 2 * v + 2].tolist() == expected, v
         builds = []
         build = model._build_tables
         monkeypatch.setattr(model, "_build_tables", lambda: builds.append(1) or build())
@@ -467,8 +473,8 @@ class TestSample:
         restored = sample_batch(model, range(1, 25), 5, ("restored",), ids)
         assert model._tables is kept
         model._build_tables()
-        for (keys, cdfs), (kept_keys, kept_cdfs) in zip(model._tables, kept):
-            assert np.array_equal(keys, kept_keys) and np.array_equal(cdfs, kept_cdfs)
+        (keys, cdfs), (kept_keys, kept_cdfs) = model._tables, kept
+        assert np.array_equal(keys, kept_keys) and np.array_equal(cdfs, kept_cdfs)
         rebuilt = sample_batch(model, range(1, 25), 5, ("restored",), ids)
         fresh = MarkovModel.with_vocab_from(chorales_, order=2, alpha=0.1)  # other row ids, the same keys
         fresh.fit(chorales_[:8], once(chorales_[:8]))
@@ -502,6 +508,39 @@ class TestSample:
             rng = stream(seed, "batch", j)
             length = lengths[int(rng.integers(0, len(lengths)))]
             assert chorale.voices == reference_sample(model, length, rng).voices, j
+
+    @pytest.mark.parametrize("order", [1, 2, 3, 4, 5])
+    @pytest.mark.parametrize("lengths", [[1], [2], [3], [7], [1, 2, 3, 9], [3, 12, 1, 2, 1, 6], [2, 2, 30, 3]])
+    def test_wavefront_ticks_where_only_some_voices_run(self, order, lengths):
+        # voice v starts at tick v and ends three ticks after voice 0 ends, so the first and last three ticks run
+        # fewer than four voices, and a chorale of 1 to 3 timesteps ends before the lower voices of a longer one
+        # draw its first timesteps. Each voice has its own vocabulary size, so the table's rows have padding.
+        rng = np.random.default_rng(5)
+        pool = []
+        for k in range(12):
+            voices = []
+            for v in range(4):
+                tokens = []
+                for t in range(10):
+                    r = rng.random()
+                    if t and tokens[-1] != REST and r < 0.3:
+                        tokens.append(HOLD)
+                    else:
+                        tokens.append(REST if r < 0.4 else int(72 - 12 * v + rng.integers(0, 3 + 4 * v)))
+                voices.append(tuple(tokens))
+            pool.append(Chorale(id=f"m{k}", voices=tuple(voices)))
+        model = MarkovModel.with_vocab_from(pool, order=order, alpha=0.1)
+        model.fit(pool[::2], once(pool[::2]))
+        ids = [f"c{j}" for j in range(len(lengths))]
+        batch = model.sample_many(lengths, [stream(order, "wave", j) for j in range(len(lengths))], ids)
+        for j, (chorale, length) in enumerate(zip(batch, lengths)):
+            assert chorale.voices == reference_sample(model, length, stream(order, "wave", j)).voices, j
+        # each CDF is +inf from its voice's last vocabulary entry on, and finite before it
+        keys, cdfs = model._tables
+        voice = np.searchsorted([v * 131 ** (order + v) for v in range(1, 4)], keys[:-1], side="right")
+        sizes = np.array([len(vocab) for vocab in model.vocabs])[np.append(voice, np.repeat(np.arange(4), 2))]
+        assert len(set(sizes.tolist())) == 4
+        assert ((cdfs == np.inf) == (np.arange(cdfs.shape[1]) >= sizes[:, None] - 1)).all()
 
     def test_one_draw_per_position(self, desk_split):
         model = MarkovModel.with_vocab_from(desk_split.train, order=2, alpha=0.1)
@@ -567,6 +606,22 @@ class TestMeanNll:
                 assert model.mean_nll(chorales_, [k] * m) == per_event_mean_nll(model, [chorale] * m), (k, m)
         for chorale in desk_split.validation:
             assert model.mean_nll([chorale]) == per_event_mean_nll(model, [chorale]), chorale.id
+
+    @pytest.mark.parametrize(
+        "draws, message",
+        [
+            ([4], "draw 4 is not a chorale index in 0..3"),
+            ([-1], "draw -1 is not a chorale index in 0..3"),
+            ([0, 0.5], "draw 0.5 is not a chorale index in 0..3"),
+            ([[0]], "draw [0] is not a chorale index in 0..3"),
+        ],
+    )
+    def test_rejects_draws_that_are_not_chorale_indices(self, draws, message):
+        pool = [ascending(60 + k) for k in range(4)]
+        model = MarkovModel.with_vocab_from(pool, order=2, alpha=0.1)
+        with pytest.raises(ValueError) as err:
+            model.mean_nll(pool, draws)
+        assert str(err.value) == message
 
     def test_zero_on_deterministic_training_data(self):
         c = ascending(72, length=10)

@@ -100,26 +100,31 @@ def _stored_names(node: ast.AST) -> set[str]:
 
 
 def test_sampler_steps_the_batch_in_lockstep():
-    # each (timestep, voice) is one numpy step over every running chorale: inside the timestep loop the only
-    # Python loop is over the four voices, and it calls no model method; the sampling tables are built before it
+    # a wavefront: at tick s voice v draws timestep s - v, and each tick is one numpy step over the (voice, chorale)
+    # lanes, so the tick loop holds no Python loop (not even over the four voices) and calls no model method; the
+    # sampling table is built before it
     tree = ast.parse((PACKAGE_DIR / "model.py").read_text(encoding="utf-8"))
     model = next(node for node in tree.body if isinstance(node, ast.ClassDef) and node.name == "MarkovModel")
     methods = {node.name: node for node in model.body if isinstance(node, ast.FunctionDef)}
     sampler = methods["sample_many"]
-    steps = [loop for loop in ast.walk(sampler) if isinstance(loop, ast.For) and len(_loops(loop)) > 1]
-    assert len(steps) == 1, [loop.lineno for loop in steps]
-    inner = [loop for loop in _loops(steps[0]) if loop is not steps[0]]
-    assert [ast.unparse(loop.iter) for loop in inner] == ["range(4)"], [loop.lineno for loop in inner]
-    called = [node.lineno for node in ast.walk(steps[0]) if _called_name(node) in methods]
+    ticks = [loop for loop in ast.walk(sampler) if isinstance(loop, ast.For) and "drawn" in _stored_names(loop)]
+    assert len(ticks) == 1, [loop.lineno for loop in ticks]
+    tick = ticks[0]
+    inner = [loop.lineno for loop in _loops(tick) if loop is not tick]
+    assert not inner, inner
+    assert not [loop.lineno for loop in _loops(sampler) if ast.unparse(loop.iter) == "range(4)"]
+    called = [node.lineno for node in ast.walk(tick) if _called_name(node) in methods]
     assert not called, called
     builds = [node.lineno for node in ast.walk(sampler) if _called_name(node) == "_build_tables"]
-    assert builds and max(builds) < steps[0].lineno, (builds, steps[0].lineno)
-    # each chorale's history (its last tokens, and whether HOLD is masked) advances once per timestep, after the
-    # voice loop, from the timestep's drawn digits: the voice loop writes neither
-    history = {"recent", "masked"}
-    assert history <= _stored_names(steps[0]), _stored_names(steps[0])
-    written = history & _stored_names(inner[0])
-    assert not written, (written, inner[0].lineno)
+    assert builds and max(builds) < tick.lineno, (builds, tick.lineno)
+    # each voice's history (its last tokens, and whether HOLD is masked) and the digits of the voices above, which
+    # move down one voice per tick, are written in the tick loop, each only from the tick's drawn digits
+    registers = {"recent", "masked", "above"}
+    assert registers <= _stored_names(tick), _stored_names(tick)
+    for node in ast.walk(tick):
+        if isinstance(node, (ast.Assign, ast.AugAssign)) and registers & _stored_names(node):
+            loaded = {name.id for name in ast.walk(node.value) if isinstance(name, ast.Name)}
+            assert "drawn" in loaded, (ast.unparse(node), node.lineno)
     # `sample` is a batch of one, not a second sampling path
     assert [_called_name(node) for node in ast.walk(methods["sample"]) if isinstance(node, ast.Call)] == ["sample_many"]
 
