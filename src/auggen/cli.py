@@ -31,10 +31,13 @@ from .corpus import save_corpus, teacher_corpus
 from .experiment import PROFILES, ExperimentConfig, RegimeError, compare, grade_quintuple, resolve_out_dir, run_regime
 from .grading import PASS_SIZE, GradeBatch, ReferenceModel, grade, nearest_rank
 from .loop import ORIGIN_GENERATED
+from .rng import check_seed
 
 
 def _build_config(args: argparse.Namespace) -> ExperimentConfig:
     payload = PROFILES[args.profile].to_json()
+    if args.seed is not None:
+        check_seed("--seed", args.seed)  # before the config is read, whose name would prefix the message
     with naming(args.config) if args.config else contextlib.nullcontext():
         overlay = load_json(args.config) if args.config else {}
         if not json_fits(overlay, dict):
@@ -58,6 +61,7 @@ def _add_config_flags(parser: argparse.ArgumentParser) -> None:
 def cmd_teacher_gen(args: argparse.Namespace) -> int:
     lengths = (args.min_length, args.max_length)
     check_teacher_request(args.n, lengths, ("--n", "--min-length", "--max-length"))  # named as the user typed them
+    check_seed("--seed", args.seed)
     corpus = teacher_corpus(args.seed, args.n, lengths)
     save_corpus(corpus, args.out)
     print(f"wrote {len(corpus)} chorales to {args.out}")
@@ -153,8 +157,7 @@ def cmd_grade(args: argparse.Namespace) -> int:
 def cmd_train(args: argparse.Namespace) -> int:
     config = _build_config(args)
     out = resolve_out_dir(args.out_dir, f"runs/{args.regime}")
-    _, data_split, reference, grade_by_id = experiment.prepare(config)
-    _, summary = run_regime(config, args.regime, data_split, reference, grade_by_id, out_dir=out)
+    _, summary = run_regime(config, args.regime, experiment.prepare(config), out_dir=out)
     print(
         f"{args.regime}: best epoch {summary.best_epoch} "
         f"(val loss {summary.best_val_loss:.6f}), "

@@ -32,8 +32,9 @@ from .corpus import read_text, save_split_manifest, split, teacher_corpus
 from .features import DEFAULT_FEATURES, check_feature_set
 from .grading import DEFAULT_P_EMPTY, ReferenceModel, Threshold, feature_weights, fit_reference, grade, grade_quantile
 from .grading import nearest_rank
-from .loop import ORIGIN_TRUE, RunResult, run, save_run
+from .loop import ORIGIN_TRUE, CandidateBatch, RunResult, draw_candidates, run, save_run
 from .model import MarkovModel, check_events, sample_batch
+from .rng import check_seed
 
 REGIME_AUGGEN = "auggen"
 REGIME_NONE = "baseline_none"
@@ -88,6 +89,7 @@ class ExperimentConfig:
             raise ValueError(f"regimes {list(self.regimes)} have duplicates")
         if not 0.0 < self.quantile <= 1.0:
             raise ValueError(f"quantile must be in (0, 1], got {self.quantile}")
+        check_seed("seed", self.seed)
         check_count("n_eval", self.n_eval, 1)
         if self.batches < 1:
             raise ValueError(f"batches must be >= 1, got {self.batches}")
@@ -186,10 +188,23 @@ def load_or_synthesize_corpus(config: ExperimentConfig) -> Corpus:
     )
 
 
-def prepare(config: ExperimentConfig) -> tuple[Corpus, Split, ReferenceModel, dict[str, float]]:
-    """Corpus, split, frozen critic and every corpus chorale's grade by id; writes nothing.
+@dataclass(frozen=True)
+class Prepared:
+    """What every regime of a config starts from; see :func:`prepare`."""
 
-    The only way from a config to the critic, so every entry point and regime sees the same inputs.
+    split: Split
+    reference: ReferenceModel
+    grade_by_id: dict[str, float]  # every corpus chorale's grade, in corpus order
+    model: MarkovModel  # untrained, with the training split encoded; each regime trains a copy()
+    start: CandidateBatch  # epoch 0's candidates, drawn from ``model``, and their grades
+
+
+def prepare(config: ExperimentConfig) -> Prepared:
+    """Split, frozen critic, every corpus chorale's grade, and the regimes' common start; writes nothing.
+
+    The only way from a config to the critic, so every entry point and regime sees the same inputs. The
+    regimes differ only in their threshold, so they share the untrained model, with the training split in its
+    event store, and the epoch-0 candidates and grades that it draws from streams no regime enters.
     """
     corpus = load_or_synthesize_corpus(config)
     if config.corpus_path is not None:
@@ -197,7 +212,10 @@ def prepare(config: ExperimentConfig) -> tuple[Corpus, Split, ReferenceModel, di
     data_split = split(corpus, config.split_fraction, config.seed)
     reference = fit_reference(data_split.train, config.features, weights=config.weights, p_empty=config.p_empty)
     grade_by_id = dict(zip(corpus.ids(), grade(corpus.chorales, reference).totals.tolist()))
-    return corpus, data_split, reference, grade_by_id
+    model = MarkovModel.with_vocab_from(data_split.train, order=config.markov_order, alpha=config.smoothing)
+    model.encode(data_split.train.chorales)
+    start = draw_candidates(model, reference, config, 0, [c.length for c in data_split.train])
+    return Prepared(data_split, reference, grade_by_id, model, start)
 
 
 def regime_threshold(regime: str, train: Corpus, grade_by_id: Mapping[str, float], quantile: float) -> Threshold:
@@ -221,18 +239,14 @@ def grade_quintuple(grades: Sequence[float]) -> tuple[float, float, float, float
 
 
 def run_regime(
-    config: ExperimentConfig,
-    regime: str,
-    data_split: Split,
-    reference: ReferenceModel,
-    grade_by_id: Mapping[str, float],
-    out_dir: Path,
+    config: ExperimentConfig, regime: str, prepared: Prepared, out_dir: Path
 ) -> tuple[RunResult, RegimeSummary]:
-    """One regime's run on :func:`prepare`'s outputs, its threshold taken from the training split's grades;
-    writes its artifacts and ``summary.json`` into ``out_dir``."""
-    threshold = regime_threshold(regime, data_split.train, grade_by_id, config.quantile)
-    model = MarkovModel.with_vocab_from(data_split.train, order=config.markov_order, alpha=config.smoothing)
-    result = run(config, threshold, data_split, model, reference)
+    """One regime's run from :func:`prepare`'s common start, its threshold taken from the training split's
+    grades; writes its artifacts and ``summary.json`` into ``out_dir``."""
+    data_split, reference = prepared.split, prepared.reference
+    threshold = regime_threshold(regime, data_split.train, prepared.grade_by_id, config.quantile)
+    model = prepared.model.copy()
+    result = run(config, threshold, data_split, model, reference, prepared.start)
 
     ids = [f"eval-{regime}-{i:04d}" for i in range(config.n_eval)]
     samples = sample_batch(model, [c.length for c in data_split.train], config.seed, ("eval", regime), ids)
@@ -286,20 +300,20 @@ def compare_detailed(config: ExperimentConfig, out_dir: str | Path) -> tuple[lis
     On a regime failure, everything produced so far is still flushed and a
     :class:`RegimeError` naming the regime is raised.
     """
-    corpus, data_split, reference, grade_by_id = prepare(config)
+    prepared = prepare(config)
 
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     (out / "config.json").write_text(json.dumps(config.to_json(), sort_keys=True) + "\n", encoding="utf-8")
-    save_split_manifest(data_split, out / "split.json")
-    reference.save(out / "reference.json")
+    save_split_manifest(prepared.split, out / "split.json")
+    prepared.reference.save(out / "reference.json")
 
     summaries: list[RegimeSummary] = []
     results: dict[str, RunResult] = {}
     failure: RegimeError | None = None
     for regime in config.regimes:
         try:
-            result, summary = run_regime(config, regime, data_split, reference, grade_by_id, out_dir=out / regime)
+            result, summary = run_regime(config, regime, prepared, out_dir=out / regime)
         except Exception as exc:  # flush partial results below, then surface
             failure = RegimeError(regime, exc)
             break
@@ -307,7 +321,7 @@ def compare_detailed(config: ExperimentConfig, out_dir: str | Path) -> tuple[lis
         results[regime] = result
 
     _write_figure1(out / "figure1.csv", summaries)
-    _write_figure2(out / "figure2.csv", [grade_by_id[i] for i in corpus.ids()], summaries)
+    _write_figure2(out / "figure2.csv", list(prepared.grade_by_id.values()), summaries)
     (out / "summary.json").write_text(
         json.dumps([s.to_json() for s in summaries], sort_keys=True) + "\n", encoding="utf-8"
     )

@@ -12,6 +12,10 @@ chorale was drawn; the train loss scores the draws in draw order. Validation
 loss on the fixed held-out split drives best-snapshot selection and
 optional patience-based early stopping.
 
+No threshold enters epoch 0's candidates and grades, drawn from the
+untrained model, so the regimes of a compare share them: :func:`run` can
+take them as a :class:`CandidateBatch` and filter it, drawing nothing.
+
 Everything is a pure function of (config, threshold, split, model, reference):
 rerunning with the same inputs reproduces every file byte for byte.
 """
@@ -91,6 +95,24 @@ class RunResult:
     reference_digest_after: str
 
 
+@dataclass(frozen=True)
+class CandidateBatch:
+    """An epoch's candidates, their critic totals, and the model state (a snapshot) they were drawn from."""
+
+    state: object
+    candidates: tuple[Chorale, ...]
+    totals: tuple[float, ...]
+
+
+def draw_candidates(
+    model: MarkovModel, reference: ReferenceModel, config: ExperimentConfig, epoch: int, length_pool: Sequence[int]
+) -> CandidateBatch:
+    """Sample epoch ``epoch``'s ``n_generate`` candidates from ``model`` and grade them in one call."""
+    ids = [f"gen-e{epoch:03d}-c{j:03d}" for j in range(config.n_generate)]
+    candidates = sample_batch(model, length_pool, config.seed, ("gen", epoch), ids)
+    return CandidateBatch(model.snapshot(), tuple(candidates), tuple(grade(candidates, reference).totals.tolist()))
+
+
 def generation_step(
     state: TrainState,
     model: MarkovModel,
@@ -98,12 +120,13 @@ def generation_step(
     config: ExperimentConfig,
     threshold: Threshold,
     length_pool: Sequence[int],
+    batch: CandidateBatch | None = None,
 ) -> tuple[CandidateRecord, ...]:
-    """Generate ``n_generate`` candidates for the current epoch, grade them in one call, then filter them in order."""
-    ids = [f"gen-e{state.epoch:03d}-c{j:03d}" for j in range(config.n_generate)]
-    candidates = sample_batch(model, length_pool, config.seed, ("gen", state.epoch), ids)
+    """Filter the current epoch's candidates in order: ``batch``, or else those :func:`draw_candidates` draws."""
+    if batch is None:
+        batch = draw_candidates(model, reference, config, state.epoch, length_pool)
     records = []
-    for candidate, total in zip(candidates, grade(candidates, reference).totals.tolist()):
+    for candidate, total in zip(batch.candidates, batch.totals):
         key = canonical_key(candidate)
         duplicate = key in state.seen_keys
         state.seen_keys.add(key)
@@ -130,12 +153,21 @@ def training_step(state: TrainState, model: MarkovModel, config: ExperimentConfi
 
 
 def run(
-    config: ExperimentConfig, threshold: Threshold, split: Split, model: MarkovModel, reference: ReferenceModel
+    config: ExperimentConfig,
+    threshold: Threshold,
+    split: Split,
+    model: MarkovModel,
+    reference: ReferenceModel,
+    start: CandidateBatch | None = None,
 ) -> RunResult:
     """Run the full loop; see the module docstring for the epoch structure.
 
+    ``start``, if given, is epoch 0's batch, drawn by :func:`draw_candidates` with this run's config, reference
+    and training split from the state ``model`` is in; a batch of another state raises ``ValueError``.
     ``model`` is left restored to the best epoch's snapshot.
     """
+    if start is not None and start.state is not model.snapshot():
+        raise ValueError("the epoch-0 batch was drawn from another model state than the one the run starts from")
     digest_before = reference.digest()
 
     state = TrainState(
@@ -150,7 +182,8 @@ def run(
     for epoch in range(config.max_epochs):
         state.epoch = epoch
         before = len(state.dataset)
-        candidates = generation_step(state, model, reference, config, threshold, length_pool)
+        batch = start if epoch == 0 else None
+        candidates = generation_step(state, model, reference, config, threshold, length_pool, batch)
         additions = len(state.dataset) - before
         train_loss, counts = training_step(state, model, config)
         val_loss = model.mean_nll(validation)

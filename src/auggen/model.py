@@ -56,9 +56,12 @@ voice's vocabulary, but for its last entry, and +inf from that last entry
 on, so the first entry above the uniform is ``bisect_right`` clamped to
 the vocabulary. Each chorale's drawn digits, cut to its length and cast to
 ``uint8``, are its code grid, with no token in between. ``sample`` is a
-batch of one. ``save`` orders its cells by their text with one two-key
-``np.lexsort``: the token's text rank below one int64 key of the voice and
-the text ranks of the context's digits. It writes the ``counts`` text from
+batch of one. A ``copy()`` shares the fitted state and the store's arrays,
+which no method writes into, so the regimes of a compare all start from
+one untrained model that holds the training split's events. ``save``
+orders its cells by their text with one two-key ``np.lexsort``: the
+token's text rank below one int64 key of the voice and the text ranks of
+the context's digits. It writes the ``counts`` text from
 ``uint8`` arrays, each cell's digits and count as NUL-padded JSON text,
 drops the NULs and splices that text into the ``json.dumps`` of the rest.
 """
@@ -186,6 +189,16 @@ class MarkovModel:
         self._table, self._row_totals = state["table"], state["totals"]
         self._tables: tuple[np.ndarray, np.ndarray] | None = state.get("tables")  # None: built at the next draw
 
+    def copy(self) -> "MarkovModel":
+        """A model that starts from this one's fitted state (its ``snapshot()``) and event store arrays, with
+        its own ``_index`` dict and ``_stored`` list. That is safe because ``_encode`` and ``_intern`` only ever
+        replace those arrays, never write into them, and ``fit`` replaces the state wholesale; the tables that
+        ``_build_tables`` adds to a shared state depend only on the counts, whose rows the two share."""
+        twin = object.__new__(type(self))
+        twin.__dict__.update(vars(self))
+        twin._index, twin._stored = dict(self._index), list(self._stored)
+        return twin
+
     @classmethod
     def with_vocab_from(cls, chorales: Iterable[Chorale], order: int, alpha: float) -> "MarkovModel":
         """Build an untrained model whose vocabularies cover ``chorales``."""
@@ -242,12 +255,16 @@ class MarkovModel:
         interned[by_key] = rows[run]
         return interned
 
-    def _encode_all(self, chorales: Sequence[Chorale]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Concatenated row ids and token indices of ``chorales``' events, and each chorale's event count;
-        a chorale not yet in the store is encoded first."""
+    def encode(self, chorales: Sequence[Chorale]) -> None:
+        """Add to the event store each of ``chorales`` that is not in it yet, so no later call encodes it."""
         pending = list({id(c): c for c in chorales if id(c) not in self._index}.values())
         for start in range(0, len(pending), _BATCH):
             self._encode(pending[start : start + _BATCH])
+
+    def _encode_all(self, chorales: Sequence[Chorale]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Concatenated row ids and token indices of ``chorales``' events, and each chorale's event count;
+        a chorale not yet in the store is encoded first."""
+        self.encode(chorales)
         at = np.array([self._index[id(chorale)] for chorale in chorales], dtype=np.intp)
         begins = self._offsets[at]
         sizes = self._offsets[at + 1] - begins

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 
 import auggen
-from auggen import cli, experiment, grading
+from auggen import cli, experiment, grading, loop
 from auggen.chorale import Chorale, validate
 from auggen.cli import feature_rows, main
 from auggen.corpus import MAX_CHORALES, Corpus, load_corpus
@@ -30,6 +30,8 @@ from auggen.experiment import (
     compare_detailed,
 )
 from auggen.grading import GradeBatch, grade, grade_quantile, nearest_rank
+from auggen.loop import run, save_run
+from auggen.model import MarkovModel
 from oracles import recompute_epoch_stats, reference_feature_dump
 
 SMALL = dict(
@@ -205,7 +207,104 @@ class TestCompare:
         assert sources == {"corpus", "auggen", "baseline_none"}
 
 
+class TestSharedStart:
+    def test_each_regime_from_the_shared_start_writes_what_a_fresh_run_writes(self, tmp_path):
+        config = ExperimentConfig(**SMALL)
+        prepared = experiment.prepare(config)
+        accepted = 0
+        for regime in ALL_REGIMES:  # in turn, as a compare runs them, so each starts after the last has run
+            threshold = regime_threshold(regime, prepared.split.train, prepared.grade_by_id, config.quantile)
+            dirs = []
+            for name in ("shared", "fresh"):
+                if name == "shared":
+                    model, start = prepared.model.copy(), prepared.start
+                else:
+                    train = prepared.split.train
+                    model = MarkovModel.with_vocab_from(train, order=config.markov_order, alpha=config.smoothing)
+                    start = None
+                result = run(config, threshold, prepared.split, model, prepared.reference, start)
+                dirs.append(save_run(result, model, tmp_path / regime / name))
+            files = sorted(p.name for p in dirs[0].iterdir())
+            assert files == sorted(p.name for p in dirs[1].iterdir())
+            for file in files:
+                assert (dirs[0] / file).read_bytes() == (dirs[1] / file).read_bytes(), (regime, file)
+            accepted += sum(rec.accepted for rec in result.epoch_logs[0].candidates)
+        assert accepted  # some regime adds epoch-0 candidates to its dataset
+
+    def test_compare_draws_and_grades_epoch_0_once(self, tmp_path, monkeypatch):
+        keys, graded = [], []
+        real_sample_batch, real_grade = loop.sample_batch, loop.grade
+
+        def counting_sample_batch(model, length_pool, seed, key, ids):
+            keys.append(key)
+            return real_sample_batch(model, length_pool, seed, key, ids)
+
+        def counting_grade(chorales, reference):
+            graded.append([c.id for c in chorales])
+            return real_grade(chorales, reference)
+
+        monkeypatch.setattr(loop, "sample_batch", counting_sample_batch)
+        monkeypatch.setattr(loop, "grade", counting_grade)
+        compare_detailed(ExperimentConfig(**SMALL), tmp_path / "out")
+        epochs = SMALL["max_epochs"]
+        assert keys == [("gen", 0)] + [("gen", e) for _ in ALL_REGIMES for e in range(1, epochs)]
+        assert [ids[0][:6] for ids in graded] == ["gen-e0"] * (1 + len(ALL_REGIMES) * (epochs - 1))
+        # every regime's epoch 0 logs the one batch's ids and grades
+        epoch_0 = [
+            [row.split(",")[:3] for row in (tmp_path / "out" / regime / "epoch_logs.csv").read_text().splitlines()
+             if row.startswith("0,")]
+            for regime in ALL_REGIMES
+        ]
+        assert len(epoch_0[0]) == SMALL["n_generate"] and epoch_0 == [epoch_0[0]] * len(ALL_REGIMES)
+
+    def test_prepare_shares_nothing_between_calls(self):
+        config = ExperimentConfig(**SMALL)
+        a, b = experiment.prepare(config), experiment.prepare(config)
+        assert a.model is not b.model and a.start.state is not b.start.state
+        assert a.start.state is a.model.snapshot()
+        assert [c.codes for c in a.start.candidates] == [c.codes for c in b.start.candidates]
+        assert a.start.totals == b.start.totals
+
+
 class TestCli:
+    @pytest.mark.parametrize("regime", ALL_REGIMES)
+    def test_train_writes_what_the_compare_writes_for_its_regime(self, small_compare, tmp_path, regime):
+        _, out, _, _ = small_compare
+        args = ["train", "--regime", regime, "--config", str(write_small_config(tmp_path))]
+        assert main(args + ["--out-dir", str(tmp_path / "train")]) == 0
+        files = sorted(p.name for p in (out / regime).iterdir())
+        assert sorted(p.name for p in (tmp_path / "train").iterdir()) == files
+        for name in files:
+            assert (tmp_path / "train" / name).read_bytes() == (out / regime / name).read_bytes(), name
+
+    @pytest.mark.parametrize("seed", [-1, 2**64, 2**64 + 17, 2**65])
+    def test_teacher_gen_seed_outside_one_word_fails_before_writing(self, tmp_path, capsys, seed):
+        # the streams keep a seed's 64 bits: 2**64 + 17 would write seed 17's corpus, and -1 that of 2**64 - 1
+        out = tmp_path / "corpus.jsonl"
+        assert main(["teacher-gen", "--seed", str(seed), "--n", "3", "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: --seed must be in 0..{2**64 - 1}, got {seed}\n"
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("seed", [0, 2**64 - 1])
+    def test_seeds_at_the_ends_of_one_word_run(self, tmp_path, seed):
+        corpus = tmp_path / "corpus.jsonl"
+        assert main(["teacher-gen", "--seed", str(seed), "--n", "3", "--out", str(corpus)]) == 0
+        assert len(load_corpus(corpus)) == 3
+        config = write_small_config(tmp_path, seed=seed, regimes=["baseline_all"])
+        assert main(["compare", "--config", str(config), "--out-dir", str(tmp_path / "out")]) == 0
+        written = json.loads((tmp_path / "out" / "config.json").read_text(encoding="utf-8"))
+        assert written["seed"] == seed
+
+    @pytest.mark.parametrize("command", ["compare", "train"])
+    @pytest.mark.parametrize("seed", [-1, 2**64 + 17])
+    def test_seed_flag_outside_one_word_fails_before_writing(self, tmp_path, capsys, command, seed):
+        # the flag is named, not the config file, which holds a good seed
+        out = tmp_path / "out"
+        args = [command, "--seed", str(seed), "--config", str(write_small_config(tmp_path)), "--out-dir", str(out)]
+        assert main(args) == 1
+        assert capsys.readouterr().err == f"error: --seed must be in 0..{2**64 - 1}, got {seed}\n"
+        assert not out.exists()
+
     def test_teacher_gen_writes_loadable_corpus(self, tmp_path, capsys):
         out = tmp_path / "corpus.jsonl"
         assert main(["teacher-gen", "--seed", "3", "--n", "6", "--out", str(out)]) == 0
@@ -634,6 +733,9 @@ class TestCli:
             pytest.param({"n_generate": 10**12}, id="n_generate_huge"),
             pytest.param({"teacher_n": 10**12}, id="teacher_n_huge"),
             pytest.param({"n_eval": MAX_CHORALES + 1}, id="n_eval_over_limit"),
+            # the streams keep a seed's 64 bits: 2**64 + 17 would draw seed 17's numbers
+            pytest.param({"seed": 2**64 + 17}, id="seed_over_64_bits"),
+            pytest.param({"seed": -1}, id="seed_negative"),
         ],
         ids=lambda override: next(iter(override)),
     )

@@ -13,6 +13,7 @@ from auggen.loop import (
     ORIGIN_TRUE,
     DatasetEntry,
     TrainState,
+    draw_candidates,
     generation_step,
     run,
     save_run,
@@ -20,6 +21,7 @@ from auggen.loop import (
 )
 from auggen.model import MarkovModel, sample_batch
 from auggen.rng import stream
+from auggen import loop as loop_module
 from conftest import ascending
 from oracles import count_tables, replay_counts
 
@@ -370,3 +372,53 @@ def test_restored_model_matches_best_epoch(small_split):
     result = run(config, THRESH_NONE, small_split, model, fit_reference(small_split.train, ("pitch",)))
     restored_loss = model.mean_nll(list(small_split.validation))
     assert restored_loss == result.best_val_loss
+
+
+def test_generation_step_filters_a_given_batch_without_drawing_or_grading(small_split, monkeypatch):
+    config = small_config(n_generate=5)
+    reference = fit_reference(small_split.train, ("pitch",))
+    model = fresh_model(small_split)
+    batch = draw_candidates(model, reference, config, 0, [c.length for c in small_split.train])
+    assert batch.state is model.snapshot()
+    assert [c.id for c in batch.candidates] == [f"gen-e000-c{j:03d}" for j in range(5)]
+    assert list(batch.totals) == grade(list(batch.candidates), reference).totals.tolist()
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("drew or graded a batch it was given")
+
+    monkeypatch.setattr(loop_module, "sample_batch", refuse)
+    monkeypatch.setattr(loop_module, "grade", refuse)
+    state = TrainState(dataset=[], seen_keys=set())
+    records = generation_step(state, model, reference, config, THRESH_ALL, [1], batch)
+    assert [(r.candidate_id, r.grade) for r in records] == [(c.id, t) for c, t in zip(batch.candidates, batch.totals)]
+    assert [entry.chorale for entry in state.dataset] == [c for c, r in zip(batch.candidates, records) if r.accepted]
+
+
+@pytest.mark.parametrize("threshold", [THRESH_ALL, THRESH_NONE], ids=["all", "none"])
+def test_run_from_a_given_epoch_0_batch_writes_what_a_run_that_draws_it_writes(small_split, tmp_path, threshold):
+    config = small_config(max_epochs=3)
+    reference = fit_reference(small_split.train, ("pitch", "rhythm"))
+    base = fresh_model(small_split)
+    base.encode(small_split.train.chorales)
+    start = draw_candidates(base, reference, config, 0, [c.length for c in small_split.train])
+    dirs = []
+    for name, model, batch in (("given", base.copy(), start), ("drawn", fresh_model(small_split), None)):
+        dirs.append(save_run(run(config, threshold, small_split, model, reference, batch), model, tmp_path / name))
+    files = sorted(p.name for p in dirs[0].iterdir())
+    assert files == sorted(p.name for p in dirs[1].iterdir())
+    match, mismatch, errors = filecmp.cmpfiles(*dirs, files, shallow=False)
+    assert not mismatch and not errors
+
+
+def test_run_rejects_a_batch_drawn_from_another_state(small_split):
+    config = small_config(max_epochs=1)
+    reference = fit_reference(small_split.train, ("pitch",))
+    pool = [c.length for c in small_split.train]
+    model, other = fresh_model(small_split), fresh_model(small_split)
+    message = "the epoch-0 batch was drawn from another model state"
+    with pytest.raises(ValueError, match=message):  # an equal state, but not the same one
+        run(config, THRESH_ALL, small_split, model, reference, draw_candidates(other, reference, config, 0, pool))
+    start = draw_candidates(model, reference, config, 0, pool)
+    model.fit(small_split.train.chorales, [1] * len(small_split.train))
+    with pytest.raises(ValueError, match=message):  # drawn from this model, before a fit
+        run(config, THRESH_ALL, small_split, model, reference, start)

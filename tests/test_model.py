@@ -709,6 +709,64 @@ class TestSnapshotAndSerialization:
             load_model(path)
 
 
+# the arrays that hold a model's interned keys and its event store
+STORE = ("_keys", "_sorted_keys", "_sorted_rows", "_rows", "_toks", "_offsets")
+
+
+def store_view(model) -> tuple:
+    """Copies of ``model``'s keys and event store, its snapshot and its counts, to compare later."""
+    arrays = [getattr(model, name).copy() for name in STORE]
+    return arrays, dict(model._index), [id(c) for c in model._stored], model.snapshot(), count_tables(model)
+
+
+def batch_grids(model, seed) -> list[bytes]:
+    return [c.codes for c in sample_batch(model, [5, 9, 14], seed, ("copy",), ["a", "b", "c"])]
+
+
+class TestCopy:
+    @pytest.mark.parametrize("fitted", [False, True], ids=["untrained", "fitted"])
+    @pytest.mark.parametrize("busy", ["original", "copy"])
+    def test_work_on_one_leaves_the_other_unchanged(self, desk_split, fitted, busy):
+        train, validation = list(desk_split.train), list(desk_split.validation)
+        model = MarkovModel.with_vocab_from(train, order=2, alpha=0.1)
+        model.encode(train[:30])
+        if fitted:
+            model.fit(train[:20], once(train[:20]))
+        twin = model.copy()
+        assert twin.snapshot() is model.snapshot()
+        worker, idle = (model, twin) if busy == "original" else (twin, model)
+        before, drawn = store_view(idle), batch_grids(idle, 5)
+        batch_grids(worker, 6)  # builds the tables of the shared state, if no draw has yet
+        worker.encode(validation)  # new chorales, and keys the idle model has not interned
+        worker.mean_nll(train)
+        worker.fit(train[10:], once(train[10:]))
+        batch_grids(worker, 7)
+        after = store_view(idle)
+        for name, old, new in zip(STORE, before[0], after[0]):
+            assert np.array_equal(old, new), name
+        assert after[1:3] == before[1:3]
+        assert after[3] is before[3] and after[4] == before[4]
+        assert batch_grids(idle, 5) == drawn
+
+    def test_copy_trains_like_a_fresh_model(self, desk_split, tmp_path):
+        # the shared store interns the training split first, so row ids differ from a fresh model's; nothing else
+        train, validation = list(desk_split.train), list(desk_split.validation)
+        base = MarkovModel.with_vocab_from(train, order=2, alpha=0.1)
+        base.encode(train)
+        counts = np.arange(len(train)) % 3
+        models = [base.copy(), MarkovModel.with_vocab_from(train, order=2, alpha=0.1)]
+        for model in models:
+            model.fit(train, counts)
+        shared = min(model._keys.size for model in models)
+        assert not np.array_equal(models[0]._keys[:shared], models[1]._keys[:shared])
+        nll = [(model.mean_nll(train, [3, 1, 4, 1]), model.mean_nll(validation)) for model in models]
+        assert nll[0] == nll[1]
+        assert batch_grids(models[0], 9) == batch_grids(models[1], 9)
+        for name, model in zip("ab", models):
+            model.save(tmp_path / f"{name}.json")
+        assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
+
+
 class TestConstruction:
     def test_parameter_validation(self):
         c = ascending(60)
