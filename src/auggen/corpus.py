@@ -405,7 +405,7 @@ def teacher_model(seed: int) -> MarkovModel:
     """
     walks = _teacher_walks(stream(seed, "teacher", "walks"))
     model = MarkovModel.with_vocab_from(walks, order=_TEACHER_ORDER, alpha=_TEACHER_SMOOTHING)
-    model.fit(walks, [1] * len(walks))
+    model.fit(walks, range(len(walks)))
     return model
 
 

@@ -16,6 +16,7 @@ generations from each regime's best snapshot.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import io
 import json
@@ -209,8 +210,10 @@ def prepare(config: ExperimentConfig) -> Prepared:
     corpus = load_or_synthesize_corpus(config)
     if config.corpus_path is not None:
         config.check_longest(max((c.length for c in corpus), default=0), f"the longest chorale of {config.corpus_path}")
-    data_split = split(corpus, config.split_fraction, config.seed)
-    reference = fit_reference(data_split.train, config.features, weights=config.weights, p_empty=config.p_empty)
+    # a corpus too small to split, or without events of a feature, is an error in its file
+    with naming(config.corpus_path) if config.corpus_path is not None else contextlib.nullcontext():
+        data_split = split(corpus, config.split_fraction, config.seed)
+        reference = fit_reference(data_split.train, config.features, weights=config.weights, p_empty=config.p_empty)
     grade_by_id = dict(zip(corpus.ids(), grade(corpus.chorales, reference).totals.tolist()))
     model = MarkovModel.with_vocab_from(data_split.train, order=config.markov_order, alpha=config.smoothing)
     model.encode(data_split.train.chorales)

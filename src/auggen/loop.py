@@ -7,10 +7,10 @@ passes the threshold and whose canonical key has never been seen (the seen
 set starts with every true chorale, train and validation, and absorbs every
 candidate ever produced, accepted or not). The training step draws
 ``batches`` × ``batch_size`` chorales uniformly with replacement from the
-augmented dataset and rebuilds the model from how often each dataset
-chorale was drawn; the train loss scores the draws in draw order. Validation
-loss on the fixed held-out split drives best-snapshot selection and
-optional patience-based early stopping.
+augmented dataset and refits the model on them; that ``fit`` returns the
+train loss, the draws scored in draw order. Validation loss on the fixed
+held-out split drives best-snapshot selection and optional patience-based
+early stopping.
 
 No threshold enters epoch 0's candidates and grades, drawn from the
 untrained model, so the regimes of a compare share them: :func:`run` can
@@ -142,14 +142,12 @@ def generation_step(
 
 
 def training_step(state: TrainState, model: MarkovModel, config: ExperimentConfig) -> tuple[float, np.ndarray]:
-    """Draw the epoch's batches uniformly with replacement and refit on the draw counts;
+    """Draw the epoch's batches uniformly with replacement and refit on the draws;
     returns (train loss over the draws, times each dataset entry was drawn)."""
     rng = stream(config.seed, "train", state.epoch)
     draws = rng.integers(0, len(state.dataset), size=config.batches * config.batch_size)
-    counts = np.bincount(draws, minlength=len(state.dataset))
-    chorales = [entry.chorale for entry in state.dataset]
-    model.fit(chorales, counts)
-    return model.mean_nll(chorales, draws), counts
+    train_loss = model.fit([entry.chorale for entry in state.dataset], draws)
+    return train_loss, np.bincount(draws, minlength=len(state.dataset))
 
 
 def run(

@@ -15,22 +15,23 @@ interned as row ids in order of first sight and held in two int64 arrays:
 by row id, and ascending with their row ids beside them. A batch of keys is
 interned with one ``np.argsort``, one ``np.searchsorted`` into the
 ascending keys and one ``np.insert`` of the new ones, so no Python code
-runs per key. Each chorale object is encoded once, with numpy, from its
-code grid into row ids and token indices (−1 outside the voice
-vocabulary), up to 1,024 chorales per batch, as a batch costs mostly a
-fixed overhead plus that ``np.insert``. The encoded events live in one
-append-only store: every row id and token index in one array pair, and
-each chorale's offset into them, found by ``id(chorale)``; the store holds
-the chorales, so no id is reused. A call gathers its chorales' events
-with one ``np.repeat`` and ``np.arange``. ``fit`` is one ``np.add.at`` of
-the draw counts into an int32 ``(rows, Vmax)`` count table with int64 row
-totals; a row interned after the fit reads as zero counts. ``mean_nll``
-gathers the counts from the flat table, masking only when some row is
-unfitted or some token unknown, lays each scored chorale's event scores
-down its own column of a pad with at least two columns (numpy sums a
-single column pairwise) and adds the pad's rows in turn, then adds the
-chorales' sums in draw order, so it gives the bits of a per-event
-log-probability loop over the drawn chorales. ``sample_many`` draws a
+runs per key. Each code grid is encoded once, with numpy, into row ids and
+token indices (−1 outside the voice vocabulary), up to 1,024 grids per
+batch, as a batch costs mostly a fixed overhead plus that ``np.insert``.
+The events depend only on the grid, so one append-only store keyed by
+``chorale.codes`` holds them: every row id and token index in one array
+pair, and each grid's offset into them. A call gathers its chorales' events
+with one ``np.repeat`` and ``np.arange``. ``fit`` gathers each drawn
+chorale's events once, adds the draw counts into an int32 ``(rows, Vmax)``
+count table with int64 row totals by one ``np.add.at`` (a row interned
+after the fit reads as zero counts) and scores those events for the
+training loss. Its scorer, shared with ``mean_nll``, gathers the counts
+from the flat table, masking only when some row is unfitted or some token
+unknown, lays each scored chorale's event scores down its own column of a
+pad with at least two columns (numpy sums a single column pairwise) and
+adds the pad's rows in turn, then adds the chorales' sums in draw order, so
+it gives the bits of a per-event log-probability loop over the drawn
+chorales. ``sample_many`` draws a
 batch as a wavefront: each chorale takes ``4 * length`` uniforms from its
 own stream, then at tick ``s`` voice ``v`` draws timestep ``s - v``, so
 each of the longest length + 3 ticks is one numpy step over the (voice,
@@ -174,10 +175,9 @@ class MarkovModel:
         self._keys = np.zeros(0, dtype=np.int64)
         self._sorted_keys = np.zeros(0, dtype=np.int64)
         self._sorted_rows = np.zeros(0, dtype=np.int32)
-        # the event store: every encoded chorale's row ids and token indices, one chorale after another;
-        # chorale i's events are [offsets[i], offsets[i + 1]). It holds the chorales, so no id is reused.
-        self._index: dict[int, int] = {}  # id(chorale) -> its place in the store
-        self._stored: list[Chorale] = []
+        # the event store: every encoded code grid's row ids and token indices, one grid after another;
+        # grid i's events are [offsets[i], offsets[i + 1]). A chorale's events depend only on its grid.
+        self._index: dict[bytes, int] = {}  # chorale.codes -> its place in the store
         self._rows = np.zeros(0, dtype=np.int32)
         self._toks = np.zeros(0, dtype=np.int32)
         self._offsets = np.zeros(1, dtype=np.int64)
@@ -191,12 +191,12 @@ class MarkovModel:
 
     def copy(self) -> "MarkovModel":
         """A model that starts from this one's fitted state (its ``snapshot()``) and event store arrays, with
-        its own ``_index`` dict and ``_stored`` list. That is safe because ``_encode`` and ``_intern`` only ever
-        replace those arrays, never write into them, and ``fit`` replaces the state wholesale; the tables that
-        ``_build_tables`` adds to a shared state depend only on the counts, whose rows the two share."""
+        its own ``_index`` dict. That is safe because ``_encode`` and ``_intern`` only ever replace those arrays,
+        never write into them, and ``fit`` replaces the state wholesale; the tables that ``_build_tables`` adds to
+        a shared state depend only on the counts, whose rows the two share."""
         twin = object.__new__(type(self))
         twin.__dict__.update(vars(self))
-        twin._index, twin._stored = dict(self._index), list(self._stored)
+        twin._index = dict(self._index)
         return twin
 
     @classmethod
@@ -227,8 +227,7 @@ class MarkovModel:
         self._toks = np.concatenate([self._toks, self._columns[np.arange(4), grid[:, steps].T].reshape(-1)])
         self._offsets = np.concatenate([self._offsets, self._offsets[-1] + np.cumsum(4 * lengths)])
         for chorale in chorales:
-            self._index[id(chorale)] = len(self._stored)
-            self._stored.append(chorale)
+            self._index[chorale.codes] = len(self._index)
 
     def _intern(self, keys: np.ndarray) -> np.ndarray:
         """The row id of each of ``keys``; a key not yet interned takes the next row id, in order of first sight."""
@@ -256,8 +255,8 @@ class MarkovModel:
         return interned
 
     def encode(self, chorales: Sequence[Chorale]) -> None:
-        """Add to the event store each of ``chorales`` that is not in it yet, so no later call encodes it."""
-        pending = list({id(c): c for c in chorales if id(c) not in self._index}.values())
+        """Add to the event store each grid of ``chorales`` not in it yet, so no later call encodes it."""
+        pending = list({c.codes: c for c in chorales if c.codes not in self._index}.values())
         for start in range(0, len(pending), _BATCH):
             self._encode(pending[start : start + _BATCH])
 
@@ -265,7 +264,7 @@ class MarkovModel:
         """Concatenated row ids and token indices of ``chorales``' events, and each chorale's event count;
         a chorale not yet in the store is encoded first."""
         self.encode(chorales)
-        at = np.array([self._index[id(chorale)] for chorale in chorales], dtype=np.intp)
+        at = np.array([self._index[chorale.codes] for chorale in chorales], dtype=np.intp)
         begins = self._offsets[at]
         sizes = self._offsets[at + 1] - begins
         ends = np.cumsum(sizes)
@@ -279,20 +278,22 @@ class MarkovModel:
         cells += toks
         return cells
 
-    def fit(self, chorales: Sequence[Chorale], counts: Sequence[int]) -> None:
-        """Replace counts with exact event counts over the draws: ``chorales[i]`` counts ``counts[i]`` times.
+    def fit(self, chorales: Sequence[Chorale], draws: Sequence[int]) -> float:
+        """Replace counts with exact event counts over the draws, each the index of a chorale in ``chorales``,
+        and return the training loss: :meth:`mean_nll` of ``[chorales[i] for i in draws]`` under the new counts.
 
-        Only chorales with a nonzero count are read. The vocabulary stays
+        Only drawn chorales are read, each once. The vocabulary stays
         fixed: a drawn chorale using tokens outside it is rejected.
         """
-        counts = np.asarray(counts)
-        if counts.shape != (len(chorales),):
-            raise ValueError(f"expected {len(chorales)} draw counts, one per chorale, got shape {counts.shape}")
-        if counts.size and (counts.dtype.kind not in "iu" or counts.min() < 0):
-            raise ValueError("draw counts must be non-negative integers")
-        drawn = np.flatnonzero(counts)
-        if not drawn.size:
+        given, draws = draws, np.asarray(draws)
+        if not draws.size:
             raise ValueError("cannot fit on an empty multiset")
+        if draws.ndim != 1 or draws.dtype.kind not in "iu" or draws.min() < 0 or draws.max() >= len(chorales):
+            last, index = len(chorales) - 1, (int, np.integer)
+            bad = [d for d in given if not isinstance(d, index) or isinstance(d, bool) or not 0 <= d <= last]
+            raise ValueError(f"draw {bad[0]} is not a chorale index in 0..{last}" if bad else f"{draws.dtype} draws")
+        counts = np.bincount(draws.astype(np.intp), minlength=len(chorales))
+        drawn = np.flatnonzero(counts)
         distinct = [chorales[i] for i in drawn.tolist()]
         rows, toks, sizes = self._encode_all(distinct)
         unknown = np.flatnonzero(toks < 0)
@@ -302,7 +303,7 @@ class MarkovModel:
             t, v = divmod(int(unknown[0] - ends[i] + sizes[i]), 4)
             chorale = distinct[i]
             raise ValueError(f"chorale {chorale.id!r}: token {chorale.voices[v][t]!r} not in voice {v} vocabulary")
-        weights = counts[drawn].astype(np.int64)
+        weights = counts[drawn]
         check_events(int(np.dot(weights, sizes)), "the draws")  # no cell exceeds the total, so none can wrap
         table = np.zeros((self._keys.size, self._width), dtype=np.int32)
         cells = self._cells(rows, toks)
@@ -310,6 +311,8 @@ class MarkovModel:
         # no total exceeds the draws' events, which fit int32, so the int32 sum cannot wrap; einsum sums the
         # short rows several times faster than sum(axis=1)
         self._set_state({"table": table, "totals": np.einsum("ij->i", table).astype(np.int64)})
+        places = np.cumsum(counts > 0) - 1  # chorale index -> its place among the drawn
+        return self._score(rows, toks, sizes, cells, places[draws])
 
     def _smoothed(
         self, voice: int, counts: np.ndarray, totals: np.ndarray, out: np.ndarray | None = None
@@ -432,46 +435,41 @@ class MarkovModel:
         grids = digits[lane, np.arange(4)].transpose(2, 1, 0)[rank]  # [chorale, v, t]
         return [Chorale.from_codes(name, grid[:, :length].tobytes()) for grid, length, name in zip(grids, lengths, ids)]
 
-    def mean_nll(self, chorales: Sequence[Chorale], draws: Sequence[int] | None = None) -> float:
-        """Mean −ln P(token | context) over all grid positions of ``chorales``, or of
-        ``chorales[i] for i in draws``.
+    def mean_nll(self, chorales: Sequence[Chorale]) -> float:
+        """Mean −ln P(token | context) over all grid positions of ``chorales``.
 
         Tokens outside the vocabulary score as zero-count events, so the
-        mean stays finite. Each drawn chorale is scored once, and the
-        per-chorale sums are added in draw order.
+        mean stays finite. The per-chorale sums are added in list order.
         """
-        if not len(chorales) or (draws is not None and not len(draws)):
+        if not len(chorales):
             raise ValueError("cannot score an empty corpus")
-        given, draws = draws, np.arange(len(chorales)) if draws is None else np.asarray(draws)
-        if draws.ndim != 1 or draws.dtype.kind not in "iu" or draws.min() < 0 or draws.max() >= len(chorales):
-            last, index = len(chorales) - 1, (int, np.integer)
-            bad = [d for d in given if not isinstance(d, index) or isinstance(d, bool) or not 0 <= d <= last]
-            raise ValueError(f"draw {bad[0]} is not a chorale index in 0..{last}" if bad else f"{draws.dtype} draws")
-        drawn = np.flatnonzero(np.bincount(draws, minlength=len(chorales)))
-        order = np.empty(len(chorales), dtype=np.intp)  # chorale index -> its place among the drawn
-        order[drawn] = np.arange(drawn.size)
-        order = order[draws]
-        rows, toks, sizes = self._encode_all([chorales[i] for i in drawn.tolist()])
-        cells = self._cells(rows, toks)
+        rows, toks, sizes = self._encode_all(chorales)
+        return self._score(rows, toks, sizes, self._cells(rows, toks), np.arange(len(chorales)))
+
+    def _score(
+        self, rows: np.ndarray, toks: np.ndarray, sizes: np.ndarray, cells: np.ndarray, order: np.ndarray
+    ) -> float:
+        """Mean −ln P(token | context), bit for bit a per-event loop, over chorale ``order[k]`` for each ``k``, where
+        chorale ``j`` has the ``sizes[j]`` events after chorale ``j - 1``'s in ``rows``, ``toks`` and ``cells``."""
         fitted = rows < len(self._row_totals)
+        denominators = np.tile(self.alpha * np.array([len(vocab) for vocab in self.vocabs]), rows.size // 4)
         if fitted.all() and toks.min() >= 0:
-            counts, totals = self._table.reshape(-1)[cells], self._row_totals[rows]
+            denominators += self._row_totals[rows]
+            scores = self._table.reshape(-1)[cells] + self.alpha
         else:  # a row interned after the fit, or a token outside the vocabulary, counts 0
+            denominators[fitted] += self._row_totals[rows[fitted]]
             known = fitted & (toks >= 0)
-            counts = np.zeros(rows.size, dtype=np.int32)
-            counts[known] = self._table.reshape(-1)[cells[known]]
-            totals = np.zeros(rows.size, dtype=np.int64)
-            totals[fitted] = self._row_totals[rows[fitted]]
-        smoothing = self.alpha * np.array([len(vocab) for vocab in self.vocabs])
-        scores = -np.log((counts + self.alpha) / (totals + np.tile(smoothing, rows.size // 4)))
+            scores = np.full(rows.size, self.alpha)
+            scores[known] += self._table.reshape(-1)[cells[known]]
+        scores /= denominators  # (count + alpha) / (total + alpha * size)
+        del denominators  # before the pad is allocated: each event-sized array held at once adds to a fit's peak
+        np.negative(np.log(scores, out=scores), out=scores)
         # chorale j's scores go down column j below a 0.0, so adding the rows in turn reproduces
         # `acc = 0.0; acc -= logprob` bit for bit. With one column numpy would sum it pairwise, so there are two.
-        columns = max(sizes.size, 2)
-        padded = np.zeros((int(sizes.max()) + 1, columns))
-        # event p of chorale j, whose events start at p = s, goes to row p - s + 1 of column j: flat index
-        # p * columns + j - (s - 1) * columns
-        column_base = np.arange(sizes.size) - (np.cumsum(sizes) - sizes - 1) * columns
-        padded.reshape(-1)[np.arange(rows.size) * columns + np.repeat(column_base, sizes)] = scores
+        steps = np.arange(int(sizes.max()) + 1)
+        padded = np.zeros((steps.size, max(sizes.size, 2)))
+        # in the transposed view, chorale j's scores fill row j from entry 1 on, and a mask fills in event order
+        padded.T[: sizes.size][(steps > 0) & (steps <= sizes[:, None])] = scores
         per_chorale = np.add.reduce(padded, axis=0)
         # a sequential cumsum, not sum() or math.fsum: Python 3.12's float sum() is compensated
         return np.cumsum(per_chorale[order]).item(-1) / int(sizes[order].sum())

@@ -1,4 +1,5 @@
 import hypothesis.strategies as st
+import numpy as np
 import pytest
 from hypothesis import settings
 
@@ -45,8 +46,13 @@ def ascending(start, length=8):
 
 
 def once(chorales_) -> list[int]:
-    """Draw counts that fit a model on each chorale exactly once."""
-    return [1] * len(chorales_)
+    """Draws that fit a model on each chorale exactly once."""
+    return list(range(len(chorales_)))
+
+
+def repeats(counts) -> np.ndarray:
+    """Draws that fit a model on chorale ``i`` ``counts[i]`` times, in index order."""
+    return np.repeat(np.arange(len(counts)), counts)
 
 
 @st.composite

@@ -795,6 +795,30 @@ class TestCli:
         assert err.startswith(f"error: the longest chorale of {corpus_path} (") and err.count("\n") == 1, err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["compare", "train"])
+    @pytest.mark.parametrize(
+        "records, message",
+        [
+            pytest.param([], "corpus of size 0 cannot be split into nonempty parts", id="no_chorale"),
+            pytest.param([GOOD_RECORD], "corpus of size 1 cannot be split into nonempty parts", id="one_chorale"),
+            pytest.param(
+                [f'{{"id":"r{i}","voices":[["R","R"],["R","R"],["R","R"],["R","R"]]}}\n' for i in range(5)],
+                "corpus yields zero events for feature 'pitch'",
+                id="only_rests",
+            ),
+        ],
+    )
+    def test_corpus_without_a_split_or_a_critic_fails_in_one_line_that_names_it(
+        self, tmp_path, capsys, command, records, message
+    ):
+        corpus_path = tmp_path / "corpus.jsonl"
+        corpus_path.write_text("".join(records), encoding="utf-8")
+        out = tmp_path / "out"
+        args = [command, "--config", str(write_small_config(tmp_path)), "--corpus", str(corpus_path)]
+        assert main(args + ["--out-dir", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: {corpus_path}: {message}\n"
+        assert not out.exists()
+
     def test_compare_cli_reruns_byte_identical(self, tmp_path):
         config = write_small_config(tmp_path)
         for name in ("x", "y"):

@@ -77,7 +77,7 @@ def test_training_step_single_chorale_dataset_multiset():
     _, counts = training_step(true_state([c]), model, config)
     assert counts.tolist() == [12]
     direct = MarkovModel.with_vocab_from([c], order=2, alpha=0.1)
-    direct.fit([c], [12])
+    direct.fit([c], [0] * 12)
     assert count_tables(direct) == count_tables(model) == replay_counts([c] * 12, 2)
 
 
@@ -89,6 +89,19 @@ def test_training_step_same_stream_same_counts(desk_split):
     b = MarkovModel.with_vocab_from(chorales_, order=2, alpha=0.1)
     training_step(true_state(chorales_), b, config)
     assert count_tables(a) == count_tables(b)
+
+
+def test_training_step_gathers_its_events_once(desk_split, monkeypatch):
+    # the refit and the training loss read the same drawn chorales, so one gather serves both
+    chorales_ = list(desk_split.train)
+    model = MarkovModel.with_vocab_from(chorales_, order=2, alpha=0.1)
+    gathers = []
+    gather = model._encode_all
+    monkeypatch.setattr(model, "_encode_all", lambda chorales: gathers.append(len(chorales)) or gather(chorales))
+    loss, counts = training_step(true_state(chorales_), model, small_config(seed=6, batches=8, batch_size=2))
+    assert gathers == [len(counts.nonzero()[0])]
+    draws = stream(6, "train", 0).integers(0, len(chorales_), size=16)
+    assert loss == model.mean_nll([chorales_[i] for i in draws.tolist()])
 
 
 def test_training_step_draw_frequencies_uniform_within_3_sigma():
@@ -169,7 +182,7 @@ def replaying_model():
         ),
     )
     model = MarkovModel.with_vocab_from([source], order=2, alpha=1e-12)
-    model.fit([source], [1])
+    model.fit([source], [0])
     return source, model
 
 
@@ -419,6 +432,6 @@ def test_run_rejects_a_batch_drawn_from_another_state(small_split):
     with pytest.raises(ValueError, match=message):  # an equal state, but not the same one
         run(config, THRESH_ALL, small_split, model, reference, draw_candidates(other, reference, config, 0, pool))
     start = draw_candidates(model, reference, config, 0, pool)
-    model.fit(small_split.train.chorales, [1] * len(small_split.train))
+    model.fit(small_split.train.chorales, range(len(small_split.train)))
     with pytest.raises(ValueError, match=message):  # drawn from this model, before a fit
         run(config, THRESH_ALL, small_split, model, reference, start)

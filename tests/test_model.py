@@ -11,7 +11,7 @@ from auggen import model as model_module
 from auggen.corpus import teacher_corpus, teacher_model
 from auggen.model import START, MarkovModel, sample_batch
 from auggen.rng import stream
-from conftest import ascending, chorales, once
+from conftest import ascending, chorales, once, repeats
 from oracles import (
     count_tables,
     context_key,
@@ -37,9 +37,9 @@ class TestFitCounts:
     def test_duplicates_count_multiply(self):
         c = ascending(60)
         single = MarkovModel.with_vocab_from([c], order=2, alpha=0.1)
-        single.fit([c], [1])
+        single.fit([c], [0])
         double = MarkovModel.with_vocab_from([c], order=2, alpha=0.1)
-        double.fit([c], [2])
+        double.fit([c], [0, 0])
         single_counts, _ = count_tables(single)
         double_counts, _ = count_tables(double)
         for v in range(4):
@@ -56,49 +56,32 @@ class TestFitCounts:
         # the dataset lists each chorale twice, as the same object or, with copy_each, as an equal-but-distinct
         # one; both must count alike, and a chorale with count 0 must not count at all
         dataset = pool + ([Chorale(id=c.id, voices=c.voices) for c in pool] if copy_each else pool)
-        draw_counts = weights[: len(dataset)]
-        assume(any(draw_counts))
+        draws = [i for i, n in enumerate(weights[: len(dataset)]) for _ in range(n)]
+        assume(draws)
         model = MarkovModel.with_vocab_from(pool, order=2, alpha=0.1)
-        model.fit(dataset, draw_counts)
-        multiset = [c for c, n in zip(dataset, draw_counts) for _ in range(n)]
+        multiset = [dataset[i] for i in draws]
+        assert model.fit(dataset, draws) == per_event_mean_nll(model, multiset)
         counts, totals = replay_counts(multiset, 2)
         assert count_tables(model) == (counts, totals)
-        model.fit(dataset, np.array(draw_counts, dtype=np.int64))
+        model.fit(dataset, np.array(draws[::-1], dtype=np.uint64))  # the draws' order does not move a count
         assert count_tables(model) == (counts, totals)
 
     def test_fit_rejects_empty(self):
         model = MarkovModel.with_vocab_from([ascending(60)], order=1, alpha=0.1)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^cannot fit on an empty multiset$"):
             model.fit([], [])
 
     def test_fit_rejects_all_zero_counts(self):
+        # no draws: every chorale's count is zero
         c = ascending(60)
         model = MarkovModel.with_vocab_from([c], order=1, alpha=0.1)
         with pytest.raises(ValueError, match="^cannot fit on an empty multiset$"):
-            model.fit([c, ascending(61)], np.zeros(2, dtype=np.int64))
-
-    @pytest.mark.parametrize(
-        "counts, message",
-        [
-            ([1], "expected 2 draw counts, one per chorale, got shape (1,)"),
-            ([1, 1, 1], "expected 2 draw counts, one per chorale, got shape (3,)"),
-            ([[1, 1]], "expected 2 draw counts, one per chorale, got shape (1, 2)"),
-            ([2, -1], "draw counts must be non-negative integers"),
-            ([1.0, 1.0], "draw counts must be non-negative integers"),
-        ],
-    )
-    def test_fit_rejects_malformed_counts(self, counts, message):
-        c = ascending(60)
-        model = MarkovModel.with_vocab_from([c], order=1, alpha=0.1)
-        with pytest.raises(ValueError) as err:
-            model.fit([c, c], counts)
-        assert str(err.value) == message
-        assert "\n" not in str(err.value)
+            model.fit([c, ascending(61)], np.zeros(0, dtype=np.int64))
 
     def test_fit_rejects_out_of_vocabulary_tokens(self):
         model = MarkovModel.with_vocab_from([ascending(60)], order=1, alpha=0.1)
         with pytest.raises(ValueError) as err:
-            model.fit([ascending(100)], [1])
+            model.fit([ascending(100)], [0])
         assert "vocabulary" in str(err.value)
 
     def test_fit_names_first_out_of_vocabulary_token(self):
@@ -108,22 +91,22 @@ class TestFitCounts:
         alien = Chorale(id="alien", voices=tuple(voices))
         model = MarkovModel.with_vocab_from([known], order=1, alpha=0.1)
         with pytest.raises(ValueError) as err:
-            model.fit([known, alien], [2, 2])
+            model.fit([known, alien], [0, 1, 0, 1])
         assert str(err.value) == "chorale 'alien': token 99 not in voice 2 vocabulary"
 
     def test_fit_reads_only_drawn_chorales(self):
         known = ascending(60)
         model = MarkovModel.with_vocab_from([known], order=1, alpha=0.1)
-        model.fit([ascending(100), known], [0, 3])  # the undrawn chorale's tokens are outside the vocabulary
+        model.fit([ascending(100), known], [1, 1, 1])  # the undrawn chorale's tokens are outside the vocabulary
         assert count_tables(model) == replay_counts([known] * 3, 1)
 
     def test_fit_rejects_counts_beyond_int32(self, monkeypatch):
         c = ascending(60)  # 32 events
         model = MarkovModel.with_vocab_from([c], order=1, alpha=0.1)
         monkeypatch.setattr(model_module, "_MAX_COUNT", 63)
-        model.fit([c], [1])
+        model.fit([c], [0])
         with pytest.raises(ValueError, match="events exceed"):
-            model.fit([c], [3])  # 96 events, over the (lowered) limit
+            model.fit([c], [0, 0, 0])  # 96 events, over the (lowered) limit
 
     def test_additive_smoothing_formula(self):
         # soprano vocab {60, 62}; context (60,) seen 4 times: 62 thrice, 60 once
@@ -134,7 +117,7 @@ class TestFitCounts:
             (41,) * 8,
         )
         model = MarkovModel.with_vocab_from([c], order=1, alpha=1.0)
-        model.fit([c], [1])
+        model.fit([c], [0])
         probs = model.next_token_dist(0, (60,))
         by_token = dict(zip(model.vocabs[0], probs))
         assert by_token[62] == pytest.approx((3 + 1) / (4 + 2))
@@ -143,7 +126,7 @@ class TestFitCounts:
     def test_order1_deterministic_transition(self):
         c = quad((60, 62, 60, 62), (41,) * 4, (41,) * 4, (41,) * 4)
         model = MarkovModel.with_vocab_from([c], order=1, alpha=TINY)
-        model.fit([c], [1])
+        model.fit([c], [0])
         probs = model.next_token_dist(0, (60,))
         assert probs[model.vocabs[0].index(62)] == pytest.approx(1.0, abs=1e-9)
 
@@ -151,7 +134,7 @@ class TestFitCounts:
 class TestNextTokenDist:
     def test_unseen_context_is_uniform(self):
         model = MarkovModel.with_vocab_from([ascending(60)], order=2, alpha=0.5)
-        model.fit([ascending(60)], [1])
+        model.fit([ascending(60)], [0])
         probs = model.next_token_dist(0, (1, 2))
         assert np.allclose(probs, 1.0 / len(model.vocabs[0]))
 
@@ -159,7 +142,7 @@ class TestNextTokenDist:
     def test_context_of_values_that_only_equal_a_token_is_uniform(self, context):
         c = quad((1, 62, 1, 62), (41,) * 4, (41,) * 4, (41,) * 4)
         model = MarkovModel.with_vocab_from([c], order=1, alpha=TINY)
-        model.fit([c], [1])
+        model.fit([c], [0])
         assert model.next_token_dist(0, (1,))[model.vocabs[0].index(62)] == pytest.approx(1.0, abs=1e-9)
         assert np.allclose(model.next_token_dist(0, context), 1.0 / len(model.vocabs[0]))
 
@@ -206,9 +189,10 @@ class TestContextKeys:
         st.data(),
     )
     def test_encoding_matches_token_events(self, order, pool, copies, cut, data):
-        # copies of pool[0] push the others past the first 64-chorale batch; a repeated object is encoded once
+        # pool[0] and rests after it push the others past the first 64-grid batch; an equal grid is encoded once
         vocab_pool = pool[: data.draw(st.integers(1, len(pool)))]  # the rest may bring unknown tokens
-        batch = [Chorale(id=f"copy{i}", voices=pool[0].voices) for i in range(copies)] + pool[1:] + pool[1:2]
+        padded = [Chorale(f"pad{i}", [voice + (REST,) * i for voice in pool[0].voices]) for i in range(copies)]
+        batch = padded + pool[1:] + pool[1:2]
         model = MarkovModel.with_vocab_from(vocab_pool, order=order, alpha=0.1)
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(model_module, "_BATCH", 64)
@@ -237,11 +221,26 @@ class TestContextKeys:
                 dataset = pool[:arrived]
                 draws = data.draw(st.lists(st.integers(0, arrived - 1), min_size=1, max_size=12))
                 drawn = [dataset[i] for i in draws]
-                model.fit(dataset, np.bincount(draws, minlength=arrived))
+                loss = model.fit(dataset, draws)
                 assert count_tables(model) == replay_counts(drawn, 2)
-                assert model.mean_nll(dataset, draws) == per_event_mean_nll(model, drawn)
+                assert loss == model.mean_nll(drawn) == per_event_mean_nll(model, drawn)
                 unseen = pool[arrived - 1 :]  # the last arrival and any chorale not yet fitted or scored
                 assert model.mean_nll(unseen) == per_event_mean_nll(model, unseen)
+
+    def test_equal_grids_share_one_store_entry(self):
+        # a chorale's events depend only on its grid, so a chorale with another id or object adds nothing
+        first = ascending(60)
+        twin = Chorale(id="twin", voices=first.voices)
+        model = MarkovModel.with_vocab_from([first], order=2, alpha=0.1)
+        model.encode([first])
+        store = [getattr(model, name).copy() for name in STORE]
+        model.encode([twin, Chorale(id=first.id, voices=first.voices)])
+        assert list(model._index) == [first.codes]
+        for name, old in zip(STORE, store):
+            assert np.array_equal(getattr(model, name), old), name
+        rows, toks, sizes = model._encode_all([first, twin])
+        assert sizes.tolist() == [32, 32]
+        assert np.array_equal(rows[:32], rows[32:]) and np.array_equal(toks[:32], toks[32:])
 
     def test_largest_key_fits_int64_up_to_order_5(self):
         for order in range(1, 7):
@@ -273,7 +272,7 @@ class TestContextKeys:
         chorales_ = list(desk_split.train)
         model = MarkovModel.with_vocab_from(chorales_, order=order, alpha=0.1)
         model.mean_nll(list(desk_split.validation))  # rows with zero counts, and rows past the table's end
-        model.fit(chorales_, np.arange(len(chorales_)) % 3)
+        model.fit(chorales_, repeats(np.arange(len(chorales_)) % 3))
         model.mean_nll(chorales_[:5] + [ascending(40)])
         model.save(tmp_path / "a.json")
         reference_save(model, tmp_path / "b.json")
@@ -356,7 +355,7 @@ class TestSample:
         for v, ctx, tok in iter_token_events(source, 2):
             assert transitions.setdefault((v, ctx), tok) == tok
         model = MarkovModel.with_vocab_from([source], order=2, alpha=TINY)
-        model.fit([source], [1])
+        model.fit([source], [0])
         clone = model.sample(source.length, stream(0, "clone"))
         assert clone.voices == source.voices
 
@@ -370,7 +369,7 @@ class TestSample:
         model = MarkovModel.with_vocab_from(pool, order=order, alpha=alpha)
         fresh = model.sample(6, stream(seed, "fresh"))
         assert fresh.voices == reference_sample(model, 6, stream(seed, "fresh")).voices
-        model.fit(pool[:1], [1])
+        model.fit(pool[:1], [0])
         early = model.snapshot()
         model.fit(pool, once(pool))  # interns the other chorales' contexts after the snapshot
         for phase in ("fitted", "restored"):
@@ -492,7 +491,7 @@ class TestSample:
     def test_sample_batch_matches_reference_sampler_per_stream(self, pool, seed, alpha, size, state, order):
         model = MarkovModel.with_vocab_from(pool, order=order, alpha=alpha)
         if state != "fresh":
-            model.fit(pool[:1], [1])
+            model.fit(pool[:1], [0])
             early = model.snapshot()
             if state == "new rows":
                 model.mean_nll(pool)  # interns the other chorales' contexts after the fit
@@ -572,27 +571,25 @@ class TestMeanNll:
     def test_equals_per_event_logprob_loop(self, pool, picks):
         # vocabulary from two chorales only, so the others bring unknown tokens and contexts
         model = MarkovModel.with_vocab_from(pool[:2], order=2, alpha=0.1)
-        draws = [i % len(pool) for i in picks]
-        drawn = [pool[i] for i in draws]
-        assert model.mean_nll(pool, draws) == per_event_mean_nll(model, drawn)
+        drawn = [pool[i % len(pool)] for i in picks]
         assert model.mean_nll(drawn) == per_event_mean_nll(model, drawn)
-        model.fit(pool[:1], [1])
+        model.fit(pool[:1], [0])
         early = model.snapshot()
-        model.fit(pool[:2], [1, 1])
-        assert model.mean_nll(pool, draws) == per_event_mean_nll(model, drawn)
-        assert model.mean_nll(pool, np.array(draws)) == per_event_mean_nll(model, drawn)
+        fitted = [i % 2 for i in picks]  # only the two vocabulary chorales can be fitted
+        assert model.fit(pool, fitted) == per_event_mean_nll(model, [pool[i] for i in fitted])
+        model.fit(pool[:2], [0, 1])
+        assert model.mean_nll(drawn) == per_event_mean_nll(model, drawn)
         model.restore(early)
-        assert model.mean_nll(pool, draws) == per_event_mean_nll(model, drawn)
         assert model.mean_nll(drawn) == per_event_mean_nll(model, drawn)
 
     def test_equals_per_event_logprob_loop_on_desk_corpus(self, desk_split):
         chorales_ = list(desk_split.train)
         model = MarkovModel.with_vocab_from(chorales_, order=2, alpha=0.1)
         draws = stream(3, "draws").integers(0, len(chorales_), size=500)
-        model.fit(chorales_, np.bincount(draws, minlength=len(chorales_)))
+        loss = model.fit(chorales_, draws)
         validation = list(desk_split.validation)
         drawn = [chorales_[i] for i in draws.tolist()]
-        assert model.mean_nll(chorales_, draws) == per_event_mean_nll(model, drawn)
+        assert loss == model.mean_nll(drawn) == per_event_mean_nll(model, drawn)
         assert model.mean_nll(validation) == per_event_mean_nll(model, validation)
 
     def test_one_drawn_chorale_sums_in_event_order(self, desk_split):
@@ -600,10 +597,12 @@ class TestMeanNll:
         chorales_ = list(desk_split.train)
         model = MarkovModel.with_vocab_from(chorales_, order=2, alpha=0.1)
         model.fit(chorales_[::2], once(chorales_[::2]))
+        refit = MarkovModel.with_vocab_from(chorales_, order=2, alpha=0.1)
         for k, chorale in enumerate(chorales_[:12]):
             assert model.mean_nll([chorale]) == per_event_mean_nll(model, [chorale]), k
             for m in (1, 3):
-                assert model.mean_nll(chorales_, [k] * m) == per_event_mean_nll(model, [chorale] * m), (k, m)
+                assert model.mean_nll([chorale] * m) == per_event_mean_nll(model, [chorale] * m), (k, m)
+                assert refit.fit(chorales_, [k] * m) == per_event_mean_nll(refit, [chorale] * m), (k, m)
         for chorale in desk_split.validation:
             assert model.mean_nll([chorale]) == per_event_mean_nll(model, [chorale]), chorale.id
 
@@ -614,19 +613,25 @@ class TestMeanNll:
             ([-1], "draw -1 is not a chorale index in 0..3"),
             ([0, 0.5], "draw 0.5 is not a chorale index in 0..3"),
             ([[0]], "draw [0] is not a chorale index in 0..3"),
+            ([True], "draw True is not a chorale index in 0..3"),
+            (np.array([[0, 1]]), "draw [0 1] is not a chorale index in 0..3"),
+            (np.array([0.0, 1.0]), "draw 0.0 is not a chorale index in 0..3"),
+            (np.array([0, 1], dtype=object), "object draws"),
         ],
     )
     def test_rejects_draws_that_are_not_chorale_indices(self, draws, message):
+        # the draws that fit scores for the training loss
         pool = [ascending(60 + k) for k in range(4)]
         model = MarkovModel.with_vocab_from(pool, order=2, alpha=0.1)
         with pytest.raises(ValueError) as err:
-            model.mean_nll(pool, draws)
+            model.fit(pool, draws)
         assert str(err.value) == message
+        assert "\n" not in str(err.value)
 
     def test_zero_on_deterministic_training_data(self):
         c = ascending(72, length=10)
         model = MarkovModel.with_vocab_from([c], order=2, alpha=TINY)
-        model.fit([c], [1])
+        model.fit([c], [0])
         assert model.mean_nll([c]) < 1e-9
 
     def test_uniform_model_scores_log_vocab(self):
@@ -716,7 +721,7 @@ STORE = ("_keys", "_sorted_keys", "_sorted_rows", "_rows", "_toks", "_offsets")
 def store_view(model) -> tuple:
     """Copies of ``model``'s keys and event store, its snapshot and its counts, to compare later."""
     arrays = [getattr(model, name).copy() for name in STORE]
-    return arrays, dict(model._index), [id(c) for c in model._stored], model.snapshot(), count_tables(model)
+    return arrays, dict(model._index), model.snapshot(), count_tables(model)
 
 
 def batch_grids(model, seed) -> list[bytes]:
@@ -744,8 +749,8 @@ class TestCopy:
         after = store_view(idle)
         for name, old, new in zip(STORE, before[0], after[0]):
             assert np.array_equal(old, new), name
-        assert after[1:3] == before[1:3]
-        assert after[3] is before[3] and after[4] == before[4]
+        assert after[1] == before[1]
+        assert after[2] is before[2] and after[3] == before[3]
         assert batch_grids(idle, 5) == drawn
 
     def test_copy_trains_like_a_fresh_model(self, desk_split, tmp_path):
@@ -753,13 +758,13 @@ class TestCopy:
         train, validation = list(desk_split.train), list(desk_split.validation)
         base = MarkovModel.with_vocab_from(train, order=2, alpha=0.1)
         base.encode(train)
-        counts = np.arange(len(train)) % 3
+        draws = repeats(np.arange(len(train)) % 3)
         models = [base.copy(), MarkovModel.with_vocab_from(train, order=2, alpha=0.1)]
-        for model in models:
-            model.fit(train, counts)
+        losses = [model.fit(train, draws) for model in models]
+        assert losses[0] == losses[1]
         shared = min(model._keys.size for model in models)
         assert not np.array_equal(models[0]._keys[:shared], models[1]._keys[:shared])
-        nll = [(model.mean_nll(train, [3, 1, 4, 1]), model.mean_nll(validation)) for model in models]
+        nll = [(model.mean_nll([train[i] for i in (3, 1, 4, 1)]), model.mean_nll(validation)) for model in models]
         assert nll[0] == nll[1]
         assert batch_grids(models[0], 9) == batch_grids(models[1], 9)
         for name, model in zip("ab", models):
@@ -793,7 +798,10 @@ class TestConstruction:
             MarkovModel(order=1, alpha=float(np.nextafter(least, 0.0)), vocabs=[(60, 62)] * 4)
         seen, unseen = quad((60,), (55,), (48,), (40,)), quad((62,), (55,), (48,), (40,))
         model = MarkovModel.with_vocab_from([seen, unseen], order=1, alpha=least)
-        model.fit([seen, unseen], [model_module._MAX_COUNT // 4, 0])  # the soprano's START row counts only 60
+        model.fit([seen, unseen], [0])  # the soprano's START row counts only 60
+        # as if ``seen``, 4 events, were drawn _MAX_COUNT // 4 times: the most its count table can hold
+        scale = model_module._MAX_COUNT // 4
+        model.restore({"table": model.snapshot()["table"] * scale, "totals": model.snapshot()["totals"] * scale})
         nll = model.mean_nll([unseen])
         assert math.isfinite(nll) and nll > 100, nll
 

@@ -87,7 +87,7 @@ def test_a_chorale_is_its_id_and_code_grid():
 def test_sampled_walked_and_teacher_chorales_equal_their_token_built_twins():
     corpus = teacher_corpus(5, 6)
     model = MarkovModel.with_vocab_from(corpus, order=2, alpha=0.1)
-    model.fit(corpus.chorales, [1] * len(corpus))
+    model.fit(corpus.chorales, range(len(corpus)))
     samples = sample_batch(model, [1, 7, 32], 3, ("twins",), ["s0", "s1", "s2"])
     walks = _teacher_walks(stream(5, "teacher", "walks"))[:4]
     for chorale in [*corpus, *samples, *walks]:
