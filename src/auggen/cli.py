@@ -30,7 +30,7 @@ from .corpus import check_fields, check_teacher_request, json_fits, load_corpus,
 from .corpus import save_corpus, teacher_corpus
 from .experiment import PROFILES, ExperimentConfig, RegimeError, compare, grade_quintuple, resolve_out_dir, run_regime
 from .grading import PASS_SIZE, GradeBatch, ReferenceModel, grade, nearest_rank
-from .loop import ORIGIN_GENERATED
+from .loop import ORIGIN_GENERATED, ORIGIN_TRUE
 from .rng import check_seed
 
 
@@ -192,6 +192,9 @@ def _manifest_origins(manifest: Path) -> list[str]:
                 except RecursionError:
                     raise ValueError(f"line {number}: JSON nested too deeply to decode") from None
                 check_fields(record, {"origin": object}, f"line {number}")
+                if record["origin"] not in (ORIGIN_TRUE, ORIGIN_GENERATED):
+                    expected = f"{ORIGIN_TRUE!r} or {ORIGIN_GENERATED!r}"
+                    raise ValueError(f"line {number}: origin must be {expected}, got {record['origin']!r}")
                 origins.append(record["origin"])
         if not origins:
             raise ValueError("no chorales listed")

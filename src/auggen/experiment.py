@@ -349,7 +349,8 @@ def epoch_grades(epoch_logs_csv: str | Path) -> dict[int, list[float]]:
     """Each epoch's candidate grades, in file order, from an ``epoch_logs.csv``.
 
     A missing column, or a cell that is not an integer epoch or a finite grade, raises
-    ``ValueError`` naming the file (and the line).
+    ``ValueError`` naming the file (and the line). A cell must be ASCII with no ``_``, as the
+    text of an ``int`` and ``repr`` of a float are.
     """
     grades: dict[int, list[float]] = {}
     with naming(epoch_logs_csv):
@@ -363,6 +364,9 @@ def epoch_grades(epoch_logs_csv: str | Path) -> dict[int, list[float]]:
                     epoch, value = int(row["epoch"]), float(row["grade"])
                 except (TypeError, ValueError) as exc:  # TypeError: a short row leaves the cell None
                     raise ValueError(f"line {reader.line_num}: {exc}") from None
+                for cell in (row["epoch"], row["grade"]):  # int() and float() also read "1_0" and non-ASCII digits
+                    if not cell.isascii() or "_" in cell:
+                        raise ValueError(f"line {reader.line_num}: {cell!r} holds '_' or a non-ASCII character")
                 if not math.isfinite(value):  # the critic's grades are finite sums of finite distances
                     raise ValueError(f"line {reader.line_num}: grade {row['grade']!r} is not finite")
                 grades.setdefault(epoch, []).append(value)

@@ -10,14 +10,15 @@ Its fitted state is integer arrays. Each context is one int64 key, a
 base-131 number whose leading digit is the voice and whose other digits are
 the context's tokens: a token's digit is its code from
 :mod:`auggen.chorale`, and START is the digit after the last code. That
-fits in int64 for ``order <= 5``, and a larger order is rejected. Keys are
-interned as row ids in order of first sight and held in two int64 arrays:
-by row id, and ascending with their row ids beside them. A batch of keys is
-interned with one ``np.argsort``, one ``np.searchsorted`` into the
-ascending keys and one ``np.insert`` of the new ones, so no Python code
-runs per key. Each code grid is encoded once, with numpy, into row ids and
-token indices (−1 outside the voice vocabulary), up to 1,024 grids per
-batch, as a batch costs mostly a fixed overhead plus that ``np.insert``.
+fits in int64 for ``order <= 5``, and a larger order is rejected. The
+interned keys are held once, ascending, with their row ids beside them. A
+batch of keys is interned with one ``np.unique``, one ``np.searchsorted``
+into the ascending keys and one ``np.insert`` of the new ones, which take
+the next row ids in key order, so no Python code runs per key and a row id
+never changes once handed out. Each code grid is encoded once, with numpy,
+into row ids and token indices (−1 outside the voice vocabulary), up to
+1,024 grids per batch, as a batch costs mostly a fixed overhead plus that
+``np.insert``.
 The events depend only on the grid, so one append-only store keyed by
 ``chorale.codes`` holds them: every row id and token index in one array
 pair, and each grid's offset into them. A call gathers its chorales' events
@@ -41,7 +42,7 @@ sampling table for all four voices: the ascending keys of the counted rows
 voice by their leading digit, then their CDFs in key order in one
 ``Vmax``-wide matrix, then each voice's uniform CDF without and with HOLD
 masked; a row's key says whether HOLD is masked. The tables depend only on
-the counts, as interning only appends keys, so they belong to the fitted
+the counts, as interning only adds rows, so they belong to the fitted
 state that a snapshot holds, and a ``restore`` of a state whose tables
 were built draws from them. Each voice keeps its last ``order`` digits and
 whether its last token masks HOLD, and an ``above`` register of the
@@ -170,9 +171,7 @@ class MarkovModel:
         zeros, masked = np.zeros((2, self._width), dtype=np.int32), np.array([False, True])
         for v in range(4):
             self._cdf_rows(v, zeros, np.zeros(2, np.int64), masked, self._uniform_cdfs[2 * v : 2 * v + 2])
-        # the interned context keys: by row id, handed out in order of first sight, so their count is the row
-        # count; and the same keys ascending, with their row ids beside them
-        self._keys = np.zeros(0, dtype=np.int64)
+        # the interned context keys, ascending, with their row ids beside them: ids 0..K-1 in some order, for K keys
         self._sorted_keys = np.zeros(0, dtype=np.int64)
         self._sorted_rows = np.zeros(0, dtype=np.int32)
         # the event store: every encoded code grid's row ids and token indices, one grid after another;
@@ -210,7 +209,7 @@ class MarkovModel:
 
     def _encode(self, chorales: Sequence[Chorale]) -> None:
         """Append to the store the row ids and token indices of each chorale's events in event order
-        (timestep by timestep, soprano first), interning new context keys in order of first sight."""
+        (timestep by timestep, soprano first), interning new context keys."""
         order, lengths = self.order, np.array([chorale.length for chorale in chorales])
         # per voice, each chorale's order STARTs, then its codes
         grid = np.hstack([np.full((4, order), _START, np.uint8), join_codes(chorales, order, _START)])
@@ -230,29 +229,16 @@ class MarkovModel:
             self._index[chorale.codes] = len(self._index)
 
     def _intern(self, keys: np.ndarray) -> np.ndarray:
-        """The row id of each of ``keys``; a key not yet interned takes the next row id, in order of first sight."""
-        by_key = np.argsort(keys)  # not stable, so each distinct key's first position is its run's least
-        ordered = keys[by_key]
-        run_starts = np.empty(keys.size, dtype=bool)  # filled in place: a batch can hold ~200k keys
-        run_starts[:1] = True
-        np.not_equal(ordered[1:], ordered[:-1], out=run_starts[1:])
-        starts = np.flatnonzero(run_starts)
-        distinct, first = ordered[starts], np.minimum.reduceat(by_key, starts)
+        """The row id of each of ``keys``; the keys not yet interned take the next row ids, in ascending order."""
+        distinct, inverse = np.unique(keys, return_inverse=True)
         at = self._sorted_keys.searchsorted(distinct)
-        known = np.append(self._sorted_keys, _NO_KEY)[at] == distinct
-        fresh = np.flatnonzero(~known)  # ascending, as distinct is
-        by_sight = fresh[np.argsort(first[fresh])]
+        fresh = np.append(self._sorted_keys, _NO_KEY)[at] != distinct
         rows = np.empty(distinct.size, dtype=np.int32)
-        rows[known] = self._sorted_rows[at[known]]
-        rows[by_sight] = np.arange(self._keys.size, self._keys.size + fresh.size)
-        self._keys = np.append(self._keys, distinct[by_sight])
+        rows[~fresh] = self._sorted_rows[at[~fresh]]
+        rows[fresh] = np.arange(self._sorted_keys.size, self._sorted_keys.size + np.count_nonzero(fresh))
         self._sorted_keys = np.insert(self._sorted_keys, at[fresh], distinct[fresh])
         self._sorted_rows = np.insert(self._sorted_rows, at[fresh], rows[fresh])
-        interned = np.empty(keys.size, dtype=np.int32)
-        run = np.cumsum(run_starts, dtype=np.int32)  # each sorted key's distinct key, counted from 1
-        run -= 1
-        interned[by_key] = rows[run]
-        return interned
+        return rows[inverse]
 
     def encode(self, chorales: Sequence[Chorale]) -> None:
         """Add to the event store each grid of ``chorales`` not in it yet, so no later call encodes it."""
@@ -305,7 +291,7 @@ class MarkovModel:
             raise ValueError(f"chorale {chorale.id!r}: token {chorale.voices[v][t]!r} not in voice {v} vocabulary")
         weights = counts[drawn]
         check_events(int(np.dot(weights, sizes)), "the draws")  # no cell exceeds the total, so none can wrap
-        table = np.zeros((self._keys.size, self._width), dtype=np.int32)
+        table = np.zeros((self._sorted_keys.size, self._width), dtype=np.int32)
         cells = self._cells(rows, toks)
         np.add.at(table.reshape(-1), cells, np.repeat(weights.astype(np.int32), sizes))  # unbuffered: repeats add up
         # no total exceeds the draws' events, which fit int32, so the int32 sum cannot wrap; einsum sums the
@@ -361,7 +347,7 @@ class MarkovModel:
         on and no key matches; one ``Vmax``-wide CDF per counted row in key order, then each voice's uniform CDF
         and that CDF with HOLD masked (row ``K + 2 * voice + masked``). A row's key says whether HOLD is masked:
         its voice's last token is a REST or START."""
-        counted = np.zeros(self._keys.size, dtype=bool)  # a row interned after the fit has no total
+        counted = np.zeros(self._sorted_keys.size, dtype=bool)  # a row interned after the fit has no total
         counted[: self._row_totals.size] = self._row_totals > 0
         in_table = counted[self._sorted_rows]
         keys, rows = self._sorted_keys[in_table], self._sorted_rows[in_table]
@@ -475,7 +461,7 @@ class MarkovModel:
         return np.cumsum(per_chorale[order]).item(-1) / int(sizes[order].sum())
 
     # fit replaces the state wholesale and nothing mutates its arrays, so snapshots share it. Its sampling tables
-    # depend only on its counts, as interning only appends keys, so a snapshot keeps them once they are built.
+    # depend only on its counts, as interning only adds rows, so a snapshot keeps them once they are built.
     def snapshot(self) -> object:
         """Opaque immutable state for :meth:`restore`."""
         return self._state
@@ -494,7 +480,9 @@ class MarkovModel:
         order, radix = self.order, _RADIX
         rows, cols = np.nonzero(self._table)
         counts = self._table[rows, cols]
-        keys = self._keys[: len(self._table)]
+        keys = np.empty(self._sorted_keys.size, dtype=np.int64)  # by row id
+        keys[self._sorted_rows] = self._sorted_keys
+        keys = keys[: len(self._table)]
         voices = np.searchsorted([v * radix ** (order + v) for v in range(4)], keys, side="right") - 1
         # each row's context digits, most significant first, padded with _RADIX to voice 3's order + 3 digits
         places = radix ** np.arange(order + 2, -1, -1)

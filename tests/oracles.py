@@ -184,15 +184,15 @@ def key_context(order: int, key: int) -> tuple[int, tuple]:
 
 def interned_contexts(model) -> list[tuple[int, tuple]]:
     """(voice, context) of each row of a MarkovModel, in row order."""
-    return [key_context(model.order, key) for key in model._keys.tolist()]  # keys are held in row-id order
+    return [key_context(model.order, key) for key in model._sorted_keys[np.argsort(model._sorted_rows)].tolist()]
 
 
 def interned_row(model, voice: int, context):
     """Row id of voice ``voice``'s ``context``, or None if the model never interned it."""
     if len(context) != model.order + voice or not all(tok in _KEY_TOKENS for tok in context):
         return None
-    rows = np.flatnonzero(model._keys == context_key(voice, context))
-    return int(rows[0]) if rows.size else None
+    at = np.flatnonzero(model._sorted_keys == context_key(voice, context))
+    return int(model._sorted_rows[at[0]]) if at.size else None
 
 
 def nonzero_cells(model):
@@ -461,9 +461,9 @@ def load_model(path) -> MarkovModel:
         (rows.setdefault(context_key(v, context), len(rows)), model.vocabs[v].index(tok), n)
         for v, context, tok, n in payload["counts"]
     ]
-    model._keys = np.array(list(rows), dtype=np.int64)
-    model._sorted_rows = np.argsort(model._keys).astype(np.int32)
-    model._sorted_keys = model._keys[model._sorted_rows]
+    keys = np.array(list(rows), dtype=np.int64)
+    model._sorted_rows = np.argsort(keys).astype(np.int32)
+    model._sorted_keys = keys[model._sorted_rows]
     table = np.zeros((len(rows), model._width), dtype=np.int32)
     for row, col, n in cells:
         table[row, col] = n

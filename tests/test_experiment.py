@@ -963,6 +963,32 @@ class TestCli:
                 "epoch,candidate_id,grade\n0,g0,1.5\n1,g1,-inf\n", GOOD_MANIFEST, "epoch_logs.csv", "line 3", id="neg_inf_grade"
             ),
             pytest.param(
+                "epoch,candidate_id,grade\n0,g0,1.5\n1_0,g1,2.5\n", GOOD_MANIFEST, "epoch_logs.csv", "line 3",
+                id="underscore_epoch",
+            ),
+            pytest.param(
+                "epoch,candidate_id,grade\n\u0661,g0,1.5\n", GOOD_MANIFEST, "epoch_logs.csv", "line 2",
+                id="arabic_indic_epoch",
+            ),
+            pytest.param(
+                "epoch,candidate_id,grade\n0,g0,1.5\n0,g1,1_0.5\n", GOOD_MANIFEST, "epoch_logs.csv", "line 3",
+                id="underscore_grade",
+            ),
+            pytest.param(
+                "epoch,candidate_id,grade\n0,g0,1.5\n",
+                GOOD_MANIFEST + '{"origin": {"a": 1}}\n',
+                "dataset_manifest.jsonl",
+                "line 2",
+                id="object_origin",
+            ),
+            pytest.param(
+                "epoch,candidate_id,grade\n0,g0,1.5\n",
+                GOOD_MANIFEST + '{"origin": "teacher"}\n',
+                "dataset_manifest.jsonl",
+                "line 2",
+                id="unknown_origin",
+            ),
+            pytest.param(
                 "epoch,candidate_id,grade\n0,g0,1.5\n",
                 GOOD_MANIFEST + "not json\n",
                 "dataset_manifest.jsonl",

@@ -161,7 +161,7 @@ class TestNextTokenDist:
         model = MarkovModel.with_vocab_from(chorales_, order=2, alpha=0.1)
         model.fit(chorales_, once(chorales_))
         model.mean_nll(list(desk_split.validation))  # interns validation contexts: rows the counts do not cover
-        assert len(model._keys) > len(model._row_totals)
+        assert model._sorted_keys.size > len(model._row_totals)
         unseen = [(v, (START,) * (2 + v)) for v in range(1, 4)]  # the soprano cannot be START, so never interned
         contexts = interned_contexts(model) + unseen
         for v, context in contexts:
@@ -196,18 +196,22 @@ class TestContextKeys:
         model = MarkovModel.with_vocab_from(vocab_pool, order=order, alpha=0.1)
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(model_module, "_BATCH", 64)
-            model._encode_all(batch[:cut])  # an earlier call: row ids carry on from it
+            earlier = model._encode_all(batch[:cut])[0].tolist()  # an earlier call: its row ids must not change
+            before = model._sorted_keys.size
             rows, toks, sizes = model._encode_all(batch)
-        first_seen: dict = {}
-        expected_rows, expected_toks = [], []
+        expected_contexts, expected_toks = [], []
         for chorale in batch:
             for v, context, tok in iter_token_events(chorale, order):
-                expected_rows.append(first_seen.setdefault((v, context), len(first_seen)))
+                expected_contexts.append((v, context))
                 expected_toks.append(model.vocabs[v].index(tok) if tok in model.vocabs[v] else -1)
-        assert rows.tolist() == expected_rows
+        contexts = interned_contexts(model)  # by row id
+        assert [contexts[row] for row in rows.tolist()] == expected_contexts
         assert toks.tolist() == expected_toks
         assert sizes.tolist() == [4 * chorale.length for chorale in batch]
-        assert interned_contexts(model) == list(first_seen)
+        assert rows.tolist()[: len(earlier)] == earlier
+        assert len(set(contexts)) == len(contexts) == len(set(expected_contexts))
+        assert sorted(set(earlier)) == list(range(before))
+        assert sorted(set(rows.tolist()) - set(earlier)) == list(range(before, len(contexts)))
 
     @given(st.lists(chorales(min_length=1, max_length=6), min_size=4, max_size=10), st.data())
     def test_interleaved_fits_and_scorings_across_intern_batches(self, pool, data):
@@ -280,7 +284,7 @@ class TestContextKeys:
 
     def test_save_matches_text_key_sort_on_paper_scale_model(self, tmp_path):
         model = teacher_model(17)
-        assert len(model._keys) > 10_000
+        assert model._sorted_keys.size > 10_000
         model.save(tmp_path / "a.json")
         reference_save(model, tmp_path / "b.json")
         assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
@@ -312,8 +316,7 @@ class TestContextKeys:
             for _ in range(4):  # each call spans several 64-chorale chunks, and later calls reuse known keys
                 model._encode_all([pool[i] for i in rng.choice(len(pool), size=150, replace=False)])
                 assert np.all(np.diff(model._sorted_keys) > 0)
-                assert np.array_equal(np.sort(model._sorted_rows), np.arange(model._keys.size))
-                assert np.array_equal(model._keys[model._sorted_rows], model._sorted_keys)
+                assert np.array_equal(np.sort(model._sorted_rows), np.arange(model._sorted_keys.size))
 
     def test_unfitted_model_saves_no_counts(self, tmp_path):
         model = MarkovModel.with_vocab_from([ascending(60)], order=2, alpha=0.1)
@@ -715,7 +718,7 @@ class TestSnapshotAndSerialization:
 
 
 # the arrays that hold a model's interned keys and its event store
-STORE = ("_keys", "_sorted_keys", "_sorted_rows", "_rows", "_toks", "_offsets")
+STORE = ("_sorted_keys", "_sorted_rows", "_rows", "_toks", "_offsets")
 
 
 def store_view(model) -> tuple:
@@ -762,8 +765,11 @@ class TestCopy:
         models = [base.copy(), MarkovModel.with_vocab_from(train, order=2, alpha=0.1)]
         losses = [model.fit(train, draws) for model in models]
         assert losses[0] == losses[1]
-        shared = min(model._keys.size for model in models)
-        assert not np.array_equal(models[0]._keys[:shared], models[1]._keys[:shared])
+        # each model hands out ids in key order, but the copy's cover every training context and the fresh model's
+        # only the drawn chorales' contexts, so the contexts they share have other rows
+        keys = np.intersect1d(*(model._sorted_keys for model in models))
+        rows = [model._sorted_rows[model._sorted_keys.searchsorted(keys)] for model in models]
+        assert not np.array_equal(*rows)
         nll = [(model.mean_nll([train[i] for i in (3, 1, 4, 1)]), model.mean_nll(validation)) for model in models]
         assert nll[0] == nll[1]
         assert batch_grids(models[0], 9) == batch_grids(models[1], 9)
