@@ -22,6 +22,7 @@ import io
 import json
 import math
 import os
+import re
 import typing
 from dataclasses import dataclass, fields
 from pathlib import Path
@@ -33,7 +34,7 @@ from .corpus import read_text, save_split_manifest, split, teacher_corpus
 from .features import DEFAULT_FEATURES, check_feature_set
 from .grading import DEFAULT_P_EMPTY, ReferenceModel, Threshold, feature_weights, fit_reference, grade, grade_quantile
 from .grading import nearest_rank
-from .loop import ORIGIN_TRUE, CandidateBatch, RunResult, draw_candidates, run, save_run
+from .loop import ORIGIN_TRUE, CandidateBatch, RunResult, candidate_id, draw_candidates, run, save_run
 from .model import MarkovModel, check_events, sample_batch
 from .rng import check_seed
 
@@ -210,8 +211,14 @@ def prepare(config: ExperimentConfig) -> Prepared:
     corpus = load_or_synthesize_corpus(config)
     if config.corpus_path is not None:
         config.check_longest(max((c.length for c in corpus), default=0), f"the longest chorale of {config.corpus_path}")
-    # a corpus too small to split, or without events of a feature, is an error in its file
+    # a corpus that holds a candidate's id, is too small to split or has no events of a feature is an error in its file
     with naming(config.corpus_path) if config.corpus_path is not None else contextlib.nullcontext():
+        for cid in corpus.ids():  # the manifest names a chorale by its id, so no candidate may take a corpus id
+            numbers = re.findall("[0-9]+", cid)
+            if len(numbers) == 2 and max(map(len, numbers)) < 19:  # no run reaches epoch 10**18
+                epoch, j = map(int, numbers)
+                if epoch < config.max_epochs and j < config.n_generate and candidate_id(epoch, j) == cid:
+                    raise ValueError(f"chorale id {cid!r} is the id this run gives candidate {j} of epoch {epoch}")
         data_split = split(corpus, config.split_fraction, config.seed)
         reference = fit_reference(data_split.train, config.features, weights=config.weights, p_empty=config.p_empty)
     grade_by_id = dict(zip(corpus.ids(), grade(corpus.chorales, reference).totals.tolist()))

@@ -1,20 +1,21 @@
 """Self-augmenting training loop.
 
-Each epoch runs a generation step then a training step. The generation
-step samples ``n_generate`` candidates, grades them against the frozen
-reference, and appends to the training dataset every candidate whose grade
-passes the threshold and whose canonical key has never been seen (the seen
-set starts with every true chorale, train and validation, and absorbs every
-candidate ever produced, accepted or not). The training step draws
-``batches`` × ``batch_size`` chorales uniformly with replacement from the
-augmented dataset and refits the model on them; that ``fit`` returns the
-train loss, the draws scored in draw order. Validation loss on the fixed
-held-out split drives best-snapshot selection and optional patience-based
-early stopping.
+An epoch's stages are consecutive calls in :func:`run`.
+:func:`draw_candidates` samples ``n_generate`` candidates and grades them
+against the frozen reference. :func:`generation_step` filters them: it
+appends to the training dataset every candidate whose grade passes the
+threshold and whose canonical key has never been seen (the seen set starts
+with every true chorale, train and validation, and absorbs every candidate
+ever produced, accepted or not). :func:`training_step` draws ``batches`` ×
+``batch_size`` chorales uniformly with replacement from the augmented
+dataset and refits the model on them; that ``fit`` returns the train loss,
+the draws scored in draw order. Validation loss on the fixed held-out split
+drives best-snapshot selection and optional patience-based early stopping.
 
 No threshold enters epoch 0's candidates and grades, drawn from the
 untrained model, so the regimes of a compare share them: :func:`run` can
-take them as a :class:`CandidateBatch` and filter it, drawing nothing.
+take them as a :class:`CandidateBatch` and filter it instead of drawing
+epoch 0.
 
 Everything is a pure function of (config, threshold, split, model, reference):
 rerunning with the same inputs reproduces every file byte for byte.
@@ -104,27 +105,22 @@ class CandidateBatch:
     totals: tuple[float, ...]
 
 
+def candidate_id(epoch: int, j: int) -> str:
+    """The id of epoch ``epoch``'s candidate ``j``."""
+    return f"gen-e{epoch:03d}-c{j:03d}"
+
+
 def draw_candidates(
     model: MarkovModel, reference: ReferenceModel, config: ExperimentConfig, epoch: int, length_pool: Sequence[int]
 ) -> CandidateBatch:
     """Sample epoch ``epoch``'s ``n_generate`` candidates from ``model`` and grade them in one call."""
-    ids = [f"gen-e{epoch:03d}-c{j:03d}" for j in range(config.n_generate)]
+    ids = [candidate_id(epoch, j) for j in range(config.n_generate)]
     candidates = sample_batch(model, length_pool, config.seed, ("gen", epoch), ids)
     return CandidateBatch(model.snapshot(), tuple(candidates), tuple(grade(candidates, reference).totals.tolist()))
 
 
-def generation_step(
-    state: TrainState,
-    model: MarkovModel,
-    reference: ReferenceModel,
-    config: ExperimentConfig,
-    threshold: Threshold,
-    length_pool: Sequence[int],
-    batch: CandidateBatch | None = None,
-) -> tuple[CandidateRecord, ...]:
-    """Filter the current epoch's candidates in order: ``batch``, or else those :func:`draw_candidates` draws."""
-    if batch is None:
-        batch = draw_candidates(model, reference, config, state.epoch, length_pool)
+def generation_step(state: TrainState, batch: CandidateBatch, threshold: Threshold) -> tuple[CandidateRecord, ...]:
+    """Filter the current epoch's candidates, ``batch``, in order."""
     records = []
     for candidate, total in zip(batch.candidates, batch.totals):
         key = canonical_key(candidate)
@@ -180,8 +176,9 @@ def run(
     for epoch in range(config.max_epochs):
         state.epoch = epoch
         before = len(state.dataset)
-        batch = start if epoch == 0 else None
-        candidates = generation_step(state, model, reference, config, threshold, length_pool, batch)
+        batch = draw_candidates(model, reference, config, epoch, length_pool) if epoch or start is None else start
+        candidates = generation_step(state, batch, threshold)
+        del batch  # its snapshot would keep the drawn-from state's count and sampling tables alive through the refit
         additions = len(state.dataset) - before
         train_loss, counts = training_step(state, model, config)
         val_loss = model.mean_nll(validation)

@@ -128,7 +128,7 @@ class MarkovModel:
 
     The per-voice vocabulary is fixed at construction; counts can be
     rebuilt at will with :meth:`fit` (the training loop rebuilds them every
-    epoch from the epoch's draw counts). A freshly constructed model
+    epoch from the epoch's draws). A freshly constructed model
     has zero counts everywhere, i.e. it is the uniform model over each
     voice's vocabulary.
     """

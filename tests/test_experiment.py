@@ -4,10 +4,12 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import tempfile
 from copy import deepcopy
+from dataclasses import fields
 from pathlib import Path
 
 import hypothesis.strategies as st
@@ -536,6 +538,22 @@ class TestCli:
         assert feats_csv.read_text(encoding="utf-8") == "chorale_id,feature_name,value,weight\n"
         assert "graded 0 chorales" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("text", ["\n", " \n\t\n\n"], ids=["newline", "blank_lines"])
+    def test_a_file_of_blank_lines_is_a_corpus_of_zero_chorales(self, small_compare, tmp_path, capsys, text):
+        # grade writes the headers of an empty corpus, and compare cannot split it, as for an empty file
+        _, out, _, _ = small_compare
+        corpus_path = tmp_path / "blank.jsonl"
+        corpus_path.write_text(text, encoding="utf-8")
+        grades_csv = tmp_path / "grades.csv"
+        args = ["grade", "--corpus", str(corpus_path), "--reference", str(out / "reference.json")]
+        assert main(args + ["--out", str(grades_csv)]) == 0
+        assert grades_csv.read_text(encoding="utf-8").count("\n") == 1
+        assert capsys.readouterr().out.startswith("graded 0 chorales")
+        args = ["compare", "--config", str(write_small_config(tmp_path)), "--corpus", str(corpus_path)]
+        assert main(args + ["--out-dir", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err == f"error: {corpus_path}: corpus of size 0 cannot be split into nonempty parts\n"
+        assert not (tmp_path / "out").exists()
+
     def test_grade_rejects_non_canonical_pitch_text(self, small_compare, tmp_path, capsys):
         _, out, _, _ = small_compare
         corpus_path = tmp_path / "corpus.jsonl"
@@ -818,6 +836,39 @@ class TestCli:
         assert main(args + ["--out-dir", str(out)]) == 1
         assert capsys.readouterr().err == f"error: {corpus_path}: {message}\n"
         assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["compare", "train"])
+    def test_corpus_holding_a_candidate_id_fails_in_one_line_that_names_it(
+        self, small_compare, tmp_path, capsys, command
+    ):
+        # fed back as a corpus, a run's accepted candidates hold the ids the run gives its candidates
+        _, out, _, _ = small_compare
+        corpus_path = out / "baseline_all" / "generated.jsonl"
+        first = load_corpus(corpus_path).ids()[0]
+        assert first.startswith("gen-e000-c")
+        args = [command, "--config", str(write_small_config(tmp_path)), "--corpus", str(corpus_path)]
+        assert main(args + ["--out-dir", str(tmp_path / "out")]) == 1
+        message = f"chorale id {first!r} is the id this run gives candidate {int(first[-3:])} of epoch 0"
+        assert capsys.readouterr().err == f"error: {corpus_path}: {message}\n"
+        assert not (tmp_path / "out").exists()
+
+    def test_corpus_ids_that_no_candidate_takes_are_kept(self, tmp_path):
+        # SMALL draws 4 candidates in each of 3 epochs: gen-e000-c000 .. gen-e002-c003
+        free = ["gen-e003-c000", "gen-e000-c004", "gen-e0001-c000", "gen-e1-c1", "gen-e000-c000x", "gen-e" + "9" * 40]
+        teacher, corpus_path = tmp_path / "teacher.jsonl", tmp_path / "corpus.jsonl"
+        assert main(["teacher-gen", "--seed", "5", "--n", str(len(free)), "--out", str(teacher)]) == 0
+        records = [json.loads(line) for line in teacher.read_text(encoding="utf-8").splitlines()]
+        for taken in (None, "gen-e002-c003"):
+            ids = free if taken is None else [*free[:-1], taken]
+            lines = [json.dumps({**record, "id": cid}) + "\n" for record, cid in zip(records, ids)]
+            corpus_path.write_text("".join(lines), encoding="utf-8")
+            config = ExperimentConfig(**{**SMALL, "corpus_path": str(corpus_path)})
+            if taken is None:
+                assert sorted(experiment.prepare(config).grade_by_id) == sorted(free)
+            else:
+                message = f"{corpus_path}: chorale id '{taken}' is the id this run gives candidate 3 of epoch 2"
+                with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                    experiment.prepare(config)
 
     def test_compare_cli_reruns_byte_identical(self, tmp_path):
         config = write_small_config(tmp_path)
@@ -1108,44 +1159,59 @@ BAD_VALUES = st.one_of(
     st.lists(st.lists(st.integers(-2, 2), max_size=2), min_size=1, max_size=2),
 )
 TOO_LARGE_FOR_A_FLOAT = st.sampled_from([2**1024, -(2**1024), 10**400])
+CONFIG_KEYS = {f.name for f in fields(ExperimentConfig)}
 
 
 @pytest.fixture(scope="module")
 def valid_inputs(small_compare, desk_reference, tmp_path_factory):
-    """A desk reference, a compare summary and a small config with every float key, each decoded, with a corpus
-    to grade. The config names no corpus_path: a missing corpus is reported under its own path."""
+    """A desk reference and a three-record corpus to grade, as files; and, decoded, that reference, the corpus's
+    second record, a compare summary and a small config with every float key. The config names no corpus_path:
+    a missing corpus is reported under its own path."""
     _, out, _, _ = small_compare
-    corpus = tmp_path_factory.mktemp("corpus") / "corpus.jsonl"
+    tmp = tmp_path_factory.mktemp("inputs")
+    corpus, reference = tmp / "corpus.jsonl", tmp / "reference.json"
     assert main(["teacher-gen", "--seed", "5", "--n", "3", "--out", str(corpus)]) == 0
-    return corpus, {
+    desk_reference.save(reference)
+    records = corpus.read_text(encoding="utf-8").splitlines()
+    return corpus, reference, records, {
         "reference": desk_reference.to_json(),
         "summary": json.loads((out / "summary.json").read_text(encoding="utf-8")),
         "config": {**SMALL, "split_fraction": 0.8, "quantile": 0.75, "min_improvement": 1e-4, "smoothing": 0.1,
                    "p_empty": 100.0, "weights": {"pitch": 2.0, "rhythm": 0.5}},
+        "corpus": json.loads(records[1]),
     }
 
 
-@pytest.mark.parametrize("kind", ["reference", "summary", "config"])
+@pytest.mark.parametrize("kind", ["reference", "summary", "config", "corpus", "config_key"])
 @given(data=st.data())
 @settings(max_examples=40)
 def test_a_corrupted_input_fails_in_one_line_that_names_it(valid_inputs, kind, data):
-    corpus, documents = valid_inputs
-    document = documents[kind]
-    path, original = data.draw(json_paths(document))
-    bad = data.draw(BAD_VALUES | TOO_LARGE_FOR_A_FLOAT if isinstance(original, float) else BAD_VALUES)
+    corpus, reference, records, documents = valid_inputs
+    if kind == "config_key":  # a valid config with one key added that no config has
+        key = data.draw(st.text(max_size=8).filter(lambda k: k not in CONFIG_KEYS))
+        text = json.dumps({**documents["config"], key: data.draw(BAD_VALUES)})
+    else:
+        document = documents[kind]
+        path, original = data.draw(json_paths(document))
+        bad = data.draw(BAD_VALUES | TOO_LARGE_FOR_A_FLOAT if isinstance(original, float) else BAD_VALUES)
+        text = json.dumps(replaced(document, path, bad))
+    if kind == "corpus":  # the corrupted record is the second line of three
+        text = "\n".join([records[0], text, records[2]]) + "\n"
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
         bad_file, out = tmp / f"{kind}.json", tmp / "out"
-        bad_file.write_text(json.dumps(replaced(document, path, bad)), encoding="utf-8")
+        bad_file.write_text(text, encoding="utf-8")
         args = {
             "reference": ["grade", "--corpus", str(corpus), "--reference", str(bad_file), "--out", str(out)],
             "summary": ["report", "--run-dir", str(tmp)],
             "config": ["compare", "--config", str(bad_file), "--out-dir", str(out)],
+            "corpus": ["grade", "--corpus", str(bad_file), "--reference", str(reference), "--out", str(out)],
+            "config_key": ["compare", "--config", str(bad_file), "--out-dir", str(out)],
         }[kind]
         stdout, stderr = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
             code = main(args)
-        assert code in (0, 1), code
+        assert code in ((1,) if kind == "config_key" else (0, 1)), code
         if code == 1:
             err = stderr.getvalue()
             assert err.startswith(f"error: {bad_file}: ") and err.count("\n") == 1, err

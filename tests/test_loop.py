@@ -194,7 +194,7 @@ def test_candidate_identical_to_true_chorale_rejected_as_duplicate():
         dataset=[DatasetEntry(source, ORIGIN_TRUE, None)],
         seen_keys={canonical_key(source)},
     )
-    records = generation_step(state, model, reference, config, THRESH_ALL, [source.length])
+    records = generation_step(state, draw_candidates(model, reference, config, 0, [source.length]), THRESH_ALL)
     assert len(records) == 1
     assert not records[0].accepted
     assert records[0].reason == "duplicate"  # grade passes (+inf) but the key is known
@@ -208,7 +208,7 @@ def test_grade_tie_at_threshold_accepted():
     config = small_config(n_generate=1)
     state = TrainState(dataset=[], seen_keys=set())
     tie = Threshold(value=exact_grade, label="tie")
-    records = generation_step(state, model, reference, config, tie, [source.length])
+    records = generation_step(state, draw_candidates(model, reference, config, 0, [source.length]), tie)
     assert records[0].grade == exact_grade
     assert records[0].accepted
 
@@ -218,7 +218,7 @@ def test_duplicate_candidates_rejected_within_epoch():
     reference = fit_reference(Corpus((source,)), ("pitch",))
     config = small_config(n_generate=3)
     state = TrainState(dataset=[], seen_keys=set())
-    records = generation_step(state, model, reference, config, THRESH_ALL, [source.length])
+    records = generation_step(state, draw_candidates(model, reference, config, 0, [source.length]), THRESH_ALL)
     assert records[0].accepted
     assert not records[1].accepted and records[1].reason == "duplicate"
     assert not records[2].accepted and records[2].reason == "duplicate"
@@ -402,7 +402,7 @@ def test_generation_step_filters_a_given_batch_without_drawing_or_grading(small_
     monkeypatch.setattr(loop_module, "sample_batch", refuse)
     monkeypatch.setattr(loop_module, "grade", refuse)
     state = TrainState(dataset=[], seen_keys=set())
-    records = generation_step(state, model, reference, config, THRESH_ALL, [1], batch)
+    records = generation_step(state, batch, THRESH_ALL)
     assert [(r.candidate_id, r.grade) for r in records] == [(c.id, t) for c, t in zip(batch.candidates, batch.totals)]
     assert [entry.chorale for entry in state.dataset] == [c for c, r in zip(batch.candidates, records) if r.accepted]
 
