@@ -19,6 +19,7 @@ import csv
 import json
 import logging
 import os
+import re
 import sys
 import types
 from pathlib import Path
@@ -38,7 +39,7 @@ def _build_config(args: argparse.Namespace) -> ExperimentConfig:
     payload = PROFILES[args.profile].to_json()
     if args.seed is not None:
         check_seed("--seed", args.seed)  # before the config is read, whose name would prefix the message
-    with naming(args.config) if args.config else contextlib.nullcontext():
+    with naming(args.config):
         overlay = load_json(args.config) if args.config else {}
         if not json_fits(overlay, dict):
             raise ValueError(f"config must be a JSON object, got {type(overlay).__name__}")
@@ -157,7 +158,8 @@ def cmd_grade(args: argparse.Namespace) -> int:
 def cmd_train(args: argparse.Namespace) -> int:
     config = _build_config(args)
     out = resolve_out_dir(args.out_dir, f"runs/{args.regime}")
-    _, summary = run_regime(config, args.regime, experiment.prepare(config), out_dir=out)
+    prepared = experiment.prepare(config)
+    _, summary = run_regime(config, args.regime, prepared, prepared.model, out_dir=out)
     print(
         f"{args.regime}: best epoch {summary.best_epoch} "
         f"(val loss {summary.best_val_loss:.6f}), "
@@ -183,7 +185,9 @@ def cmd_compare(args: argparse.Namespace) -> int:
 def _manifest_origins(manifest: Path) -> list[str]:
     origins = []
     with naming(manifest):
-        for number, line in enumerate(read_text(manifest).splitlines(), 1):
+        # lines end at \n, \r\n and \r only, as load_corpus reads them: str.splitlines() would also end one at a
+        # U+2028, U+2029 or U+0085, which JSON allows raw in a string
+        for number, line in enumerate(re.split("\r\n|\r|\n", read_text(manifest)), 1):
             if line:
                 try:
                     record = json.loads(line)

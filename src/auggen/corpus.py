@@ -80,14 +80,14 @@ class Split:
 
 
 @contextlib.contextmanager
-def naming(path: str | Path):
+def naming(path: str | Path | None):
     """Name ``path`` in a ``ValueError`` raised in the block: the message of the same exception, so its type and
     fields are kept, starts ``<path>: ``, then ``line N: `` for a record error that knows its line. A message
-    that already starts with the path is left as it is, so blocks may nest."""
+    that already starts with the path is left as it is, so blocks may nest. ``naming(None)`` names nothing."""
     try:
         yield
     except ValueError as exc:
-        if not str(exc).startswith(f"{path}: "):
+        if path is not None and not str(exc).startswith(f"{path}: "):
             located = isinstance(exc, ChoraleFormatError) and exc.line is not None
             exc.args = (f"{path}: line {exc.line}: {exc.reason}" if located else f"{path}: {exc}",)
         raise

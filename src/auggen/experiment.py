@@ -16,7 +16,6 @@ generations from each regime's best snapshot.
 
 from __future__ import annotations
 
-import contextlib
 import csv
 import io
 import json
@@ -197,7 +196,7 @@ class Prepared:
     split: Split
     reference: ReferenceModel
     grade_by_id: dict[str, float]  # every corpus chorale's grade, in corpus order
-    model: MarkovModel  # untrained, with the training split encoded; each regime trains a copy()
+    model: MarkovModel  # untrained, with the training split encoded; run_regime trains the model it is handed
     start: CandidateBatch  # epoch 0's candidates, drawn from ``model``, and their grades
 
 
@@ -209,10 +208,11 @@ def prepare(config: ExperimentConfig) -> Prepared:
     event store, and the epoch-0 candidates and grades that it draws from streams no regime enters.
     """
     corpus = load_or_synthesize_corpus(config)
-    if config.corpus_path is not None:
-        config.check_longest(max((c.length for c in corpus), default=0), f"the longest chorale of {config.corpus_path}")
-    # a corpus that holds a candidate's id, is too small to split or has no events of a feature is an error in its file
-    with naming(config.corpus_path) if config.corpus_path is not None else contextlib.nullcontext():
+    # a corpus too long for the count table, that holds a candidate's id, is too small to split or has no events of
+    # a feature is an error in its file
+    with naming(config.corpus_path):
+        if config.corpus_path is not None:
+            config.check_longest(max((c.length for c in corpus), default=0), "the longest chorale")
         for cid in corpus.ids():  # the manifest names a chorale by its id, so no candidate may take a corpus id
             numbers = re.findall("[0-9]+", cid)
             if len(numbers) == 2 and max(map(len, numbers)) < 19:  # no run reaches epoch 10**18
@@ -249,13 +249,13 @@ def grade_quintuple(grades: Sequence[float]) -> tuple[float, float, float, float
 
 
 def run_regime(
-    config: ExperimentConfig, regime: str, prepared: Prepared, out_dir: Path
+    config: ExperimentConfig, regime: str, prepared: Prepared, model: MarkovModel, out_dir: Path
 ) -> tuple[RunResult, RegimeSummary]:
     """One regime's run from :func:`prepare`'s common start, its threshold taken from the training split's
-    grades; writes its artifacts and ``summary.json`` into ``out_dir``."""
+    grades; trains ``model``, ``prepared.model`` or a copy of it, in place, and writes its artifacts and
+    ``summary.json`` into ``out_dir``."""
     data_split, reference = prepared.split, prepared.reference
     threshold = regime_threshold(regime, data_split.train, prepared.grade_by_id, config.quantile)
-    model = prepared.model.copy()
     result = run(config, threshold, data_split, model, reference, prepared.start)
 
     ids = [f"eval-{regime}-{i:04d}" for i in range(config.n_eval)]
@@ -321,9 +321,11 @@ def compare_detailed(config: ExperimentConfig, out_dir: str | Path) -> tuple[lis
     summaries: list[RegimeSummary] = []
     results: dict[str, RunResult] = {}
     failure: RegimeError | None = None
-    for regime in config.regimes:
+    for i, regime in enumerate(config.regimes):
+        # the last regime trains the untrained model itself, so its event store is freed at that regime's first encode
+        model = prepared.model.copy() if i < len(config.regimes) - 1 else prepared.model
         try:
-            result, summary = run_regime(config, regime, prepared, out_dir=out / regime)
+            result, summary = run_regime(config, regime, prepared, model, out_dir=out / regime)
         except Exception as exc:  # flush partial results below, then surface
             failure = RegimeError(regime, exc)
             break

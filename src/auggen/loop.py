@@ -1,12 +1,13 @@
 """Self-augmenting training loop.
 
-An epoch's stages are consecutive calls in :func:`run`.
-:func:`draw_candidates` samples ``n_generate`` candidates and grades them
-against the frozen reference. :func:`generation_step` filters them: it
-appends to the training dataset every candidate whose grade passes the
-threshold and whose canonical key has never been seen (the seen set starts
-with every true chorale, train and validation, and absorbs every candidate
-ever produced, accepted or not). :func:`training_step` draws ``batches`` ×
+An epoch's stages are consecutive calls in :func:`run`, which holds the
+training dataset and the seen keys. :func:`draw_candidates` samples
+``n_generate`` candidates and grades them against the frozen reference.
+:func:`generation_step` filters them: it accepts every candidate whose grade
+passes the threshold and whose canonical key has never been seen (the seen
+set starts with every true chorale, train and validation, and absorbs every
+candidate ever produced, accepted or not), and :func:`run` appends the
+accepted ones to the dataset. :func:`training_step` draws ``batches`` ×
 ``batch_size`` chorales uniformly with replacement from the augmented
 dataset and refits the model on them; that ``fit`` returns the train loss,
 the draws scored in draw order. Validation loss on the fixed held-out split
@@ -74,15 +75,6 @@ class EpochLog:
     draw_counts: dict[str, int]  # chorale id -> times drawn this epoch, for every chorale drawn at least once
 
 
-@dataclass
-class TrainState:
-    """Mutable loop state; the validation set is never touched."""
-
-    dataset: list[DatasetEntry]
-    seen_keys: set[bytes]
-    epoch: int = 0
-
-
 @dataclass(frozen=True)
 class RunResult:
     config: ExperimentConfig
@@ -119,31 +111,28 @@ def draw_candidates(
     return CandidateBatch(model.snapshot(), tuple(candidates), tuple(grade(candidates, reference).totals.tolist()))
 
 
-def generation_step(state: TrainState, batch: CandidateBatch, threshold: Threshold) -> tuple[CandidateRecord, ...]:
-    """Filter the current epoch's candidates, ``batch``, in order."""
+def generation_step(seen_keys: set[bytes], batch: CandidateBatch, threshold: Threshold) -> tuple[CandidateRecord, ...]:
+    """Filter the current epoch's candidates, ``batch``, in order, adding each one's key to ``seen_keys``."""
     records = []
     for candidate, total in zip(batch.candidates, batch.totals):
         key = canonical_key(candidate)
-        duplicate = key in state.seen_keys
-        state.seen_keys.add(key)
-        passes = total <= threshold.value
-        accepted = passes and not duplicate
-        if accepted:
-            state.dataset.append(
-                DatasetEntry(chorale=candidate, origin=ORIGIN_GENERATED, acceptance_epoch=state.epoch)
-            )
+        duplicate = key in seen_keys
+        seen_keys.add(key)
+        accepted = total <= threshold.value and not duplicate
         reason = "" if accepted else ("duplicate" if duplicate else "grade")
         records.append(CandidateRecord(candidate.id, total, accepted, reason))
     return tuple(records)
 
 
-def training_step(state: TrainState, model: MarkovModel, config: ExperimentConfig) -> tuple[float, np.ndarray]:
-    """Draw the epoch's batches uniformly with replacement and refit on the draws;
+def training_step(
+    dataset: Sequence[DatasetEntry], model: MarkovModel, config: ExperimentConfig, epoch: int
+) -> tuple[float, np.ndarray]:
+    """Draw epoch ``epoch``'s batches uniformly with replacement and refit on the draws;
     returns (train loss over the draws, times each dataset entry was drawn)."""
-    rng = stream(config.seed, "train", state.epoch)
-    draws = rng.integers(0, len(state.dataset), size=config.batches * config.batch_size)
-    train_loss = model.fit([entry.chorale for entry in state.dataset], draws)
-    return train_loss, np.bincount(draws, minlength=len(state.dataset))
+    rng = stream(config.seed, "train", epoch)
+    draws = rng.integers(0, len(dataset), size=config.batches * config.batch_size)
+    train_loss = model.fit([entry.chorale for entry in dataset], draws)
+    return train_loss, np.bincount(draws, minlength=len(dataset))
 
 
 def run(
@@ -164,33 +153,30 @@ def run(
         raise ValueError("the epoch-0 batch was drawn from another model state than the one the run starts from")
     digest_before = reference.digest()
 
-    state = TrainState(
-        dataset=[DatasetEntry(c, ORIGIN_TRUE, None) for c in split.train],
-        seen_keys={canonical_key(c) for c in split.train} | {canonical_key(c) for c in split.validation},
-    )
+    dataset = [DatasetEntry(c, ORIGIN_TRUE, None) for c in split.train]
+    seen_keys = {canonical_key(c) for c in split.train} | {canonical_key(c) for c in split.validation}
     length_pool = [c.length for c in split.train]
     validation = list(split.validation)
 
     logs: list[EpochLog] = []
     best_epoch, best_val_loss, best_snapshot = -1, math.inf, None
     for epoch in range(config.max_epochs):
-        state.epoch = epoch
-        before = len(state.dataset)
         batch = draw_candidates(model, reference, config, epoch, length_pool) if epoch or start is None else start
-        candidates = generation_step(state, batch, threshold)
+        candidates = generation_step(seen_keys, batch, threshold)
+        accepted = [c for c, rec in zip(batch.candidates, candidates) if rec.accepted]
         del batch  # its snapshot would keep the drawn-from state's count and sampling tables alive through the refit
-        additions = len(state.dataset) - before
-        train_loss, counts = training_step(state, model, config)
+        dataset.extend(DatasetEntry(c, ORIGIN_GENERATED, epoch) for c in accepted)
+        train_loss, counts = training_step(dataset, model, config, epoch)
         val_loss = model.mean_nll(validation)
         logs.append(
             EpochLog(
                 epoch=epoch,
                 candidates=candidates,
-                additions=additions,
-                dataset_size=len(state.dataset),
+                additions=len(accepted),
+                dataset_size=len(dataset),
                 train_loss=train_loss,
                 val_loss=val_loss,
-                draw_counts={state.dataset[i].chorale.id: n for i, n in enumerate(counts.tolist()) if n},
+                draw_counts={dataset[i].chorale.id: n for i, n in enumerate(counts.tolist()) if n},
             )
         )
         if val_loss < best_val_loss - config.min_improvement:  # val_loss is finite, so epoch 0 always improves
@@ -205,7 +191,7 @@ def run(
         epoch_logs=tuple(logs),
         best_epoch=best_epoch,
         best_val_loss=best_val_loss,
-        manifest=tuple(state.dataset),
+        manifest=tuple(dataset),
         reference=reference,
         reference_digest_before=digest_before,
         reference_digest_after=reference.digest(),

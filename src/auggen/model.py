@@ -59,8 +59,9 @@ on, so the first entry above the uniform is ``bisect_right`` clamped to
 the vocabulary. Each chorale's drawn digits, cut to its length and cast to
 ``uint8``, are its code grid, with no token in between. ``sample`` is a
 batch of one. A ``copy()`` shares the fitted state and the store's arrays,
-which no method writes into, so the regimes of a compare all start from
-one untrained model that holds the training split's events. ``save``
+which no method writes into, so every regime of a compare but the last
+trains a copy of one untrained model that holds the training split's
+events, and the last trains that model itself. ``save``
 orders its cells by their text with one two-key ``np.lexsort``: the
 token's text rank below one int64 key of the voice and the text ranks of
 the context's digits. It writes the ``counts`` text from

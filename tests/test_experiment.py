@@ -5,6 +5,7 @@ import json
 import math
 import os
 import re
+import shutil
 import subprocess
 import sys
 import tempfile
@@ -32,7 +33,7 @@ from auggen.experiment import (
     compare_detailed,
 )
 from auggen.grading import GradeBatch, grade, grade_quantile, nearest_rank
-from auggen.loop import run, save_run
+from auggen.loop import ORIGIN_GENERATED, run, save_run
 from auggen.model import MarkovModel
 from oracles import recompute_epoch_stats, reference_feature_dump
 
@@ -258,6 +259,19 @@ class TestSharedStart:
             for regime in ALL_REGIMES
         ]
         assert len(epoch_0[0]) == SMALL["n_generate"] and epoch_0 == [epoch_0[0]] * len(ALL_REGIMES)
+
+    def test_compare_hands_every_regime_but_the_last_a_copy(self, tmp_path, monkeypatch):
+        # the last regime trains the untrained model itself, so no copy keeps its event store alive after the others
+        handed = []
+        real_run_regime = experiment.run_regime
+
+        def recording_run_regime(config, regime, prepared, model, out_dir):
+            handed.append(model is prepared.model)
+            return real_run_regime(config, regime, prepared, model, out_dir)
+
+        monkeypatch.setattr(experiment, "run_regime", recording_run_regime)
+        compare_detailed(ExperimentConfig(**SMALL), tmp_path / "out")
+        assert handed == [False] * (len(ALL_REGIMES) - 1) + [True]
 
     def test_prepare_shares_nothing_between_calls(self):
         config = ExperimentConfig(**SMALL)
@@ -810,7 +824,7 @@ class TestCli:
         capsys.readouterr()
         assert main(["compare", "--config", str(config), "--corpus", str(corpus_path), "--out-dir", str(out)]) == 1
         err = capsys.readouterr().err
-        assert err.startswith(f"error: the longest chorale of {corpus_path} (") and err.count("\n") == 1, err
+        assert err.startswith(f"error: {corpus_path}: the longest chorale (") and err.count("\n") == 1, err
         assert not out.exists()
 
     @pytest.mark.parametrize("command", ["compare", "train"])
@@ -883,6 +897,29 @@ class TestCli:
         printed = capsys.readouterr().out
         assert "epoch,min,q1,median,q3,max" in printed
         assert "# dataset:" in printed
+
+    def test_report_reads_a_manifest_whose_id_holds_a_unicode_line_separator(self, small_compare, tmp_path, capsys):
+        # JSON allows U+2028, U+2029 and U+0085 raw in a string, and only \n, \r\n and \r end a manifest line
+        _, out, _, results = small_compare
+        shutil.copytree(out / "auggen", tmp_path, dirs_exist_ok=True)
+        manifest = tmp_path / "dataset_manifest.jsonl"
+        lines = manifest.read_text(encoding="utf-8").split("\n")[:-1]
+        record = json.loads(lines[0])
+        lines[0] = json.dumps({**record, "id": record["id"] + "\u2028\u2029\u0085"}, ensure_ascii=False)
+        manifest.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+        capsys.readouterr()
+        assert main(["report", "--run-dir", str(tmp_path)]) == 0
+        total, generated = len(lines), sum(e.origin == ORIGIN_GENERATED for e in results["auggen"].manifest)
+        assert total == len(results["auggen"].manifest)
+        assert capsys.readouterr().out.endswith(
+            f"# dataset: {total} chorales, {generated} generated ({generated / total:.3f} of total)\n"
+        )
+        with open(manifest, "a", encoding="utf-8") as fh:  # a bad record after it is named by its line in the file
+            fh.write('{"origin": "teacher"}\n')
+        assert main(["report", "--run-dir", str(tmp_path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {manifest}: line {total + 1}: origin must be 'true' or 'generated', got 'teacher'\n"
 
     def test_report_missing_dir_fails(self, tmp_path, capsys):
         assert main(["report", "--run-dir", str(tmp_path)]) == 1
@@ -1176,13 +1213,33 @@ def valid_inputs(small_compare, desk_reference, tmp_path_factory):
     return corpus, reference, records, {
         "reference": desk_reference.to_json(),
         "summary": json.loads((out / "summary.json").read_text(encoding="utf-8")),
+        "run_dir": out / "auggen",
         "config": {**SMALL, "split_fraction": 0.8, "quantile": 0.75, "min_improvement": 1e-4, "smoothing": 0.1,
                    "p_empty": 100.0, "weights": {"pitch": 2.0, "rhythm": 0.5}},
         "corpus": json.loads(records[1]),
     }
 
 
-@pytest.mark.parametrize("kind", ["reference", "summary", "config", "corpus", "config_key"])
+def corrupted_run_files(run_dir, kind, data):
+    """The name and corrupted text of one of ``run_dir``'s files: a ``dataset_manifest.jsonl`` record corrupted at
+    a drawn JSON path, its non-ASCII characters written raw or escaped, or an ``epoch_logs.csv`` cell replaced by
+    drawn text."""
+    if kind == "manifest":
+        lines = (run_dir / "dataset_manifest.jsonl").read_text(encoding="utf-8").splitlines()
+        i = data.draw(st.integers(0, len(lines) - 1))
+        record = json.loads(lines[i])
+        path, _ = data.draw(json_paths(record))
+        lines[i] = json.dumps(replaced(record, path, data.draw(BAD_VALUES)), ensure_ascii=data.draw(st.booleans()))
+        return "dataset_manifest.jsonl", "".join(line + "\n" for line in lines)
+    rows = list(csv.reader(io.StringIO((run_dir / "epoch_logs.csv").read_text(encoding="utf-8"), newline="")))
+    row = data.draw(st.sampled_from(rows))
+    row[data.draw(st.integers(0, len(row) - 1))] = data.draw(st.text())
+    text = io.StringIO(newline="")
+    csv.writer(text, lineterminator="\n").writerows(rows)
+    return "epoch_logs.csv", text.getvalue()
+
+
+@pytest.mark.parametrize("kind", ["reference", "summary", "config", "corpus", "config_key", "manifest", "epoch_logs"])
 @given(data=st.data())
 @settings(max_examples=40)
 def test_a_corrupted_input_fails_in_one_line_that_names_it(valid_inputs, kind, data):
@@ -1190,6 +1247,8 @@ def test_a_corrupted_input_fails_in_one_line_that_names_it(valid_inputs, kind, d
     if kind == "config_key":  # a valid config with one key added that no config has
         key = data.draw(st.text(max_size=8).filter(lambda k: k not in CONFIG_KEYS))
         text = json.dumps({**documents["config"], key: data.draw(BAD_VALUES)})
+    elif kind in ("manifest", "epoch_logs"):  # one file of a copied run directory, which report reads
+        name, text = corrupted_run_files(documents["run_dir"], kind, data)
     else:
         document = documents[kind]
         path, original = data.draw(json_paths(document))
@@ -1200,6 +1259,9 @@ def test_a_corrupted_input_fails_in_one_line_that_names_it(valid_inputs, kind, d
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
         bad_file, out = tmp / f"{kind}.json", tmp / "out"
+        if kind in ("manifest", "epoch_logs"):
+            shutil.copytree(documents["run_dir"], tmp, dirs_exist_ok=True)
+            bad_file = tmp / name
         bad_file.write_text(text, encoding="utf-8")
         args = {
             "reference": ["grade", "--corpus", str(corpus), "--reference", str(bad_file), "--out", str(out)],
@@ -1207,6 +1269,8 @@ def test_a_corrupted_input_fails_in_one_line_that_names_it(valid_inputs, kind, d
             "config": ["compare", "--config", str(bad_file), "--out-dir", str(out)],
             "corpus": ["grade", "--corpus", str(bad_file), "--reference", str(reference), "--out", str(out)],
             "config_key": ["compare", "--config", str(bad_file), "--out-dir", str(out)],
+            "manifest": ["report", "--run-dir", str(tmp)],
+            "epoch_logs": ["report", "--run-dir", str(tmp)],
         }[kind]
         stdout, stderr = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
@@ -1216,4 +1280,4 @@ def test_a_corrupted_input_fails_in_one_line_that_names_it(valid_inputs, kind, d
             err = stderr.getvalue()
             assert err.startswith(f"error: {bad_file}: ") and err.count("\n") == 1, err
             assert not out.exists()
-            assert kind != "summary" or stdout.getvalue() == ""
+            assert args[0] != "report" or stdout.getvalue() == ""

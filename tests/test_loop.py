@@ -5,14 +5,13 @@ from collections import Counter
 import pytest
 
 from auggen.chorale import HOLD, Chorale, canonical_key
-from auggen.corpus import Corpus, split, teacher_corpus
+from auggen.corpus import Corpus, Split, split, teacher_corpus
 from auggen.experiment import ExperimentConfig
 from auggen.grading import Threshold, fit_reference, grade
 from auggen.loop import (
     ORIGIN_GENERATED,
     ORIGIN_TRUE,
     DatasetEntry,
-    TrainState,
     draw_candidates,
     generation_step,
     run,
@@ -67,14 +66,14 @@ def test_plan_validation():
 
 
 def true_state(chorales_):
-    return TrainState(dataset=[DatasetEntry(c, ORIGIN_TRUE, None) for c in chorales_], seen_keys=set())
+    return [DatasetEntry(c, ORIGIN_TRUE, None) for c in chorales_]
 
 
 def test_training_step_single_chorale_dataset_multiset():
     c = ascending(60)
     model = MarkovModel.with_vocab_from([c], order=2, alpha=0.1)
     config = small_config(seed=1, batches=3, batch_size=4)
-    _, counts = training_step(true_state([c]), model, config)
+    _, counts = training_step(true_state([c]), model, config, 0)
     assert counts.tolist() == [12]
     direct = MarkovModel.with_vocab_from([c], order=2, alpha=0.1)
     direct.fit([c], [0] * 12)
@@ -85,9 +84,9 @@ def test_training_step_same_stream_same_counts(desk_split):
     chorales_ = list(desk_split.train)
     config = small_config(seed=6, batches=8, batch_size=2)
     a = MarkovModel.with_vocab_from(chorales_, order=2, alpha=0.1)
-    training_step(true_state(chorales_), a, config)
+    training_step(true_state(chorales_), a, config, 0)
     b = MarkovModel.with_vocab_from(chorales_, order=2, alpha=0.1)
-    training_step(true_state(chorales_), b, config)
+    training_step(true_state(chorales_), b, config, 0)
     assert count_tables(a) == count_tables(b)
 
 
@@ -98,7 +97,7 @@ def test_training_step_gathers_its_events_once(desk_split, monkeypatch):
     gathers = []
     gather = model._encode_all
     monkeypatch.setattr(model, "_encode_all", lambda chorales: gathers.append(len(chorales)) or gather(chorales))
-    loss, counts = training_step(true_state(chorales_), model, small_config(seed=6, batches=8, batch_size=2))
+    loss, counts = training_step(true_state(chorales_), model, small_config(seed=6, batches=8, batch_size=2), 0)
     assert gathers == [len(counts.nonzero()[0])]
     draws = stream(6, "train", 0).integers(0, len(chorales_), size=16)
     assert loss == model.mean_nll([chorales_[i] for i in draws.tolist()])
@@ -108,7 +107,7 @@ def test_training_step_draw_frequencies_uniform_within_3_sigma():
     dataset = [ascending(60 + i) for i in range(5)]
     model = MarkovModel.with_vocab_from(dataset, order=1, alpha=0.1)
     config = small_config(seed=11, batches=200, batch_size=10)  # 2000 draws, p = 0.2 each
-    _, counts = training_step(true_state(dataset), model, config)
+    _, counts = training_step(true_state(dataset), model, config, 0)
     assert counts.sum() == 2000
     expected = 2000 * 0.2
     sigma = math.sqrt(2000 * 0.2 * 0.8)
@@ -190,15 +189,11 @@ def test_candidate_identical_to_true_chorale_rejected_as_duplicate():
     source, model = replaying_model()
     reference = fit_reference(Corpus((source,)), ("pitch",))
     config = small_config(n_generate=1)
-    state = TrainState(
-        dataset=[DatasetEntry(source, ORIGIN_TRUE, None)],
-        seen_keys={canonical_key(source)},
-    )
-    records = generation_step(state, draw_candidates(model, reference, config, 0, [source.length]), THRESH_ALL)
+    seen_keys = {canonical_key(source)}
+    records = generation_step(seen_keys, draw_candidates(model, reference, config, 0, [source.length]), THRESH_ALL)
     assert len(records) == 1
     assert not records[0].accepted
     assert records[0].reason == "duplicate"  # grade passes (+inf) but the key is known
-    assert len(state.dataset) == 1
 
 
 def test_grade_tie_at_threshold_accepted():
@@ -206,9 +201,8 @@ def test_grade_tie_at_threshold_accepted():
     reference = fit_reference(Corpus((source,)), ("pitch", "rhythm"))
     exact_grade = grade(source, reference).totals[0].item()
     config = small_config(n_generate=1)
-    state = TrainState(dataset=[], seen_keys=set())
     tie = Threshold(value=exact_grade, label="tie")
-    records = generation_step(state, draw_candidates(model, reference, config, 0, [source.length]), tie)
+    records = generation_step(set(), draw_candidates(model, reference, config, 0, [source.length]), tie)
     assert records[0].grade == exact_grade
     assert records[0].accepted
 
@@ -217,11 +211,41 @@ def test_duplicate_candidates_rejected_within_epoch():
     source, model = replaying_model()
     reference = fit_reference(Corpus((source,)), ("pitch",))
     config = small_config(n_generate=3)
-    state = TrainState(dataset=[], seen_keys=set())
-    records = generation_step(state, draw_candidates(model, reference, config, 0, [source.length]), THRESH_ALL)
+    records = generation_step(set(), draw_candidates(model, reference, config, 0, [source.length]), THRESH_ALL)
     assert records[0].accepted
     assert not records[1].accepted and records[1].reason == "duplicate"
     assert not records[2].accepted and records[2].reason == "duplicate"
+
+
+def assert_manifest_lists_the_accepted_candidates(result, data_split):
+    """The manifest is the training split, then each accepted record's candidate in record order, tagged with
+    the epoch that accepted it."""
+    assert result.manifest[: len(data_split.train)] == tuple(DatasetEntry(c, ORIGIN_TRUE, None) for c in data_split.train)
+    generated = result.manifest[len(data_split.train) :]
+    assert all(entry.origin == ORIGIN_GENERATED for entry in generated)
+    accepted = [(rec.candidate_id, log.epoch) for log in result.epoch_logs for rec in log.candidates if rec.accepted]
+    assert [(entry.chorale.id, entry.acceptance_epoch) for entry in generated] == accepted
+    assert [log.additions for log in result.epoch_logs] == [
+        sum(rec.accepted for rec in log.candidates) for log in result.epoch_logs
+    ]
+
+
+def test_run_appends_the_accepted_candidates_in_record_order(small_split):
+    config = small_config(max_epochs=3, n_generate=6)
+    result = run(config, THRESH_ALL, small_split, fresh_model(small_split), fit_reference(small_split.train))
+    assert len(result.manifest) > len(small_split.train)  # THRESH_ALL accepts every unique candidate
+    assert_manifest_lists_the_accepted_candidates(result, small_split)
+
+
+def test_run_appends_no_candidate_identical_to_a_true_chorale():
+    source, model = replaying_model()
+    held_out = Chorale(id="true-1", voices=[(72, 74, 76, 77), (67, 69, 71, 72), (60, 62, 64, 65), (48, 50, 52, 53)])
+    data_split = Split(Corpus((source,)), Corpus((held_out,)), seed=0, fraction=0.5)
+    result = run(small_config(n_generate=2), THRESH_ALL, data_split, model, fit_reference(Corpus((source,)), ("pitch",)))
+    records = [rec for log in result.epoch_logs for rec in log.candidates]
+    assert len(records) == 6 and all(rec.reason == "duplicate" for rec in records)
+    assert result.manifest == (DatasetEntry(source, ORIGIN_TRUE, None),)
+    assert_manifest_lists_the_accepted_candidates(result, data_split)
 
 
 def test_filter_and_uniqueness_soundness(small_split):
@@ -237,6 +261,7 @@ def test_filter_and_uniqueness_soundness(small_split):
     for entry, total in zip(generated, grade([entry.chorale for entry in generated], reference).totals.tolist()):
         assert total <= threshold.value
         assert entry.acceptance_epoch is not None
+    assert_manifest_lists_the_accepted_candidates(result, small_split)
     sizes = [entry.dataset_size for entry in result.epoch_logs]
     assert sizes == sorted(sizes)
     previous = len(small_split.train)
@@ -401,10 +426,10 @@ def test_generation_step_filters_a_given_batch_without_drawing_or_grading(small_
 
     monkeypatch.setattr(loop_module, "sample_batch", refuse)
     monkeypatch.setattr(loop_module, "grade", refuse)
-    state = TrainState(dataset=[], seen_keys=set())
-    records = generation_step(state, batch, THRESH_ALL)
+    seen_keys = set()
+    records = generation_step(seen_keys, batch, THRESH_ALL)
     assert [(r.candidate_id, r.grade) for r in records] == [(c.id, t) for c, t in zip(batch.candidates, batch.totals)]
-    assert [entry.chorale for entry in state.dataset] == [c for c, r in zip(batch.candidates, records) if r.accepted]
+    assert seen_keys == {canonical_key(c) for c in batch.candidates}
 
 
 @pytest.mark.parametrize("threshold", [THRESH_ALL, THRESH_NONE], ids=["all", "none"])
