@@ -11,15 +11,23 @@ takes about 4 s on a 2-vCPU host, so it lives outside ``testpaths``:
 Re-bless on purpose, when a change alters the outputs, with
 
     python slowtests/test_paper_digests.py --bless
+
+Blessing also records the Python and numpy versions, which the output bytes
+rest on (float ``repr``; numpy's sums, ``SeedSequence`` and PCG64), and a
+mismatch prints them beside the running versions, so that a version change
+can be told from a code change.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import platform
 import sys
 import tempfile
 from pathlib import Path
+
+import numpy as np
 
 from auggen import cli
 
@@ -38,19 +46,28 @@ def compare_digests(out_dir: Path) -> dict[str, str]:
     }
 
 
+def versions() -> dict[str, str]:
+    """The versions of Python and numpy running this process."""
+    return {"numpy": np.__version__, "python": platform.python_version()}
+
+
 def test_full_paper_compare_matches_blessed_digests(tmp_path):
-    blessed = json.loads(BLESSED.read_text(encoding="utf-8"))["digests"]
+    record = json.loads(BLESSED.read_text(encoding="utf-8"))
+    blessed = record["digests"]
     produced = compare_digests(tmp_path / "compare")
     problems = [f"missing {rel}" for rel in sorted(blessed.keys() - produced.keys())]
     problems += [f"extra {rel}" for rel in sorted(produced.keys() - blessed.keys())]
     problems += [f"changed {rel}" for rel in sorted(blessed.keys() & produced.keys()) if blessed[rel] != produced[rel]]
-    assert not problems, f"{len(problems)} of {len(blessed)} blessed artifacts off: " + "; ".join(problems)
+    assert not problems, (
+        f"{len(problems)} of {len(blessed)} blessed artifacts off: " + "; ".join(problems)
+        + f" (blessed on {record.get('versions', 'unrecorded versions')}, running {versions()})"
+    )
 
 
 def bless() -> None:
     with tempfile.TemporaryDirectory() as tmp:
         digests = compare_digests(Path(tmp) / "compare")
-    payload = {"argv": ARGV, "digests": digests}
+    payload = {"argv": ARGV, "digests": digests, "versions": versions()}
     BLESSED.write_text(json.dumps(payload, indent=1, sort_keys=True) + "\n", encoding="utf-8")
     print(f"blessed {len(digests)} artifacts -> {BLESSED}")
 

@@ -260,6 +260,16 @@ def serialize_chorale(chorale: Chorale) -> str:
     return json.dumps(record, separators=(",", ":"))
 
 
+def encodes_as_utf8(text: str) -> bool:
+    """Whether ``text`` encodes as UTF-8. A JSON string may decode to a lone surrogate (``"\\ud800"``), which no
+    UTF-8 file can hold, so every string read from JSON must pass this before it is used."""
+    try:
+        text.encode("utf-8")
+    except UnicodeEncodeError:
+        return False
+    return True
+
+
 def parse_chorale(text: str, *, line: int | None = None) -> Chorale:
     """Parse one record line, each token text straight to its code; raises :class:`ChoraleFormatError` on bad
     input."""
@@ -273,6 +283,8 @@ def parse_chorale(text: str, *, line: int | None = None) -> Chorale:
         raise ChoraleFormatError("record must be a JSON object", line=line)
     if "id" not in record or not isinstance(record["id"], str):
         raise ChoraleFormatError("missing or non-string 'id'", line=line, field="id")
+    if not encodes_as_utf8(record["id"]):
+        raise ChoraleFormatError(f"id {record['id']!r} is not UTF-8 text", line=line, field="id")
     if "voices" not in record or not isinstance(record["voices"], list):
         raise ChoraleFormatError("missing or non-list 'voices'", line=line, field="voices")
     raw_voices = record["voices"]

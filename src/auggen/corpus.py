@@ -26,7 +26,8 @@ from functools import cached_property
 from itertools import accumulate
 from pathlib import Path
 
-from .chorale import HOLD_CODE, REST_CODE, Chorale, ChoraleFormatError, parse_chorale, serialize_chorale
+from .chorale import HOLD_CODE, REST_CODE, Chorale, ChoraleFormatError, encodes_as_utf8, parse_chorale
+from .chorale import serialize_chorale
 from .model import MarkovModel, sample_batch
 from .rng import stream
 
@@ -96,7 +97,7 @@ def naming(path: str | Path | None):
 def json_fits(value: object, hint: object) -> bool:
     """Whether decoded JSON ``value`` has type ``hint``. A list stands for a tuple, and no bool for a number; where
     a float is expected, an int or a float fits only if its size is at most the largest float, which rejects NaN
-    and the infinities (an int is kept as it is, not converted)."""
+    and the infinities (an int is kept as it is, not converted); a str fits only if it :func:`encodes_as_utf8`."""
     origin, args = typing.get_origin(hint), typing.get_args(hint)
     if origin in (typing.Union, types.UnionType):
         return any(json_fits(value, arg) for arg in args)
@@ -108,6 +109,8 @@ def json_fits(value: object, hint: object) -> bool:
         return False
     if hint is float:
         return isinstance(value, (int, float)) and abs(value) <= sys.float_info.max
+    if hint is str:
+        return isinstance(value, str) and encodes_as_utf8(value)
     return isinstance(value, hint)
 
 

@@ -104,16 +104,21 @@ def reference_realize_batch(chorales) -> GridBatch:
     )
 
 
-def reference_feature_dump(batch: GradeBatch) -> str:
-    """The ``features.csv`` rows of a grade batch, written point by point through ``csv.writer``."""
-    out = io.StringIO()
-    dump = csv.writer(out, lineterminator="\n")
+def reference_grade_dump(batch: GradeBatch) -> tuple[str, str]:
+    """The ``grades.csv`` and ``features.csv`` rows of a grade batch, written row by row through ``csv.writer``,
+    with one ``repr`` per value."""
+    grades, features = io.StringIO(), io.StringIO()
+    csv.writer(grades, lineterminator="\n").writerows(
+        [chorale_id, *map(repr, distances), repr(total)]
+        for chorale_id, distances, total in zip(batch.ids, batch.distances.tolist(), batch.totals.tolist())
+    )
+    dump = csv.writer(features, lineterminator="\n")
     width = len(batch.feature_names)
     points = zip(batch.point_segment.tolist(), batch.point_value.tolist(), batch.point_weight.tolist())
     for segment, value, weight in points:
         chorale, feature = divmod(segment, width)
         dump.writerow([batch.ids[chorale], batch.feature_names[feature], repr(value), repr(weight)])
-    return out.getvalue()
+    return grades.getvalue(), features.getvalue()
 
 
 def tokens_from_grid(grid) -> tuple[tuple, ...]:

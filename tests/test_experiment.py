@@ -21,8 +21,8 @@ from hypothesis import given, settings
 import auggen
 from auggen import cli, experiment, grading, loop
 from auggen.chorale import Chorale, validate
-from auggen.cli import feature_rows, main
-from auggen.corpus import MAX_CHORALES, Corpus, load_corpus
+from auggen.cli import main
+from auggen.corpus import MAX_CHORALES, Corpus, load_corpus, save_corpus
 from auggen.features import realize_batch
 from auggen.experiment import (
     ALL_REGIMES,
@@ -35,7 +35,7 @@ from auggen.experiment import (
 from auggen.grading import GradeBatch, grade, grade_quantile, nearest_rank
 from auggen.loop import ORIGIN_GENERATED, run, save_run
 from auggen.model import MarkovModel
-from oracles import recompute_epoch_stats, reference_feature_dump
+from oracles import recompute_epoch_stats, reference_grade_dump
 
 SMALL = dict(
     teacher_n=14,
@@ -60,6 +60,35 @@ def small_compare(tmp_path_factory):
     config = ExperimentConfig(**SMALL)
     summaries, results = compare_detailed(config, out)
     return config, out, summaries, results
+
+
+def repeating_corpus(tmp_path, out):
+    """A corpus of three copies of each of 50 chorales, under ids that csv quotes or not, in more than two grading
+    passes; its path, its grade batch against ``out``'s reference, and the bytes of the two files ``auggen grade``
+    writes, as :func:`oracles.reference_grade_dump` writes their rows."""
+    teacher = tmp_path / "teacher.jsonl"
+    assert main(["teacher-gen", "--seed", "5", "--n", "50", "--out", str(teacher)]) == 0
+    base = load_corpus(teacher).chorales
+    forms = ("c{}", 'c,"{}"', "c\n{}")
+    corpus = Corpus(tuple(Chorale.from_codes(form.format(i), c.codes) for form in forms for i, c in enumerate(base)))
+    assert len(corpus) > 2 * grading.PASS_SIZE
+    corpus_path = tmp_path / "corpus.jsonl"
+    save_corpus(corpus, corpus_path)
+    reference = grading.ReferenceModel.load(out / "reference.json")
+    batch = grade(corpus.chorales, reference)
+    grades, features = reference_grade_dump(batch)
+    header = ",".join(["chorale_id", *[f"d_{name}" for name in reference.feature_names], "total_grade"]) + "\n"
+    expected = (header + grades).encode("utf-8"), ("chorale_id,feature_name,value,weight\n" + features).encode("utf-8")
+    return corpus_path, batch, expected
+
+
+def grade_files(corpus_path, out, prefix) -> tuple[bytes, bytes]:
+    """The bytes of ``grades.csv`` and ``features.csv`` that ``auggen grade`` writes for ``corpus_path`` against
+    ``out``'s reference, at paths that start with ``prefix``."""
+    grades_csv, feats_csv = f"{prefix}-g.csv", f"{prefix}-f.csv"
+    args = ["grade", "--corpus", str(corpus_path), "--reference", str(out / "reference.json")]
+    assert main(args + ["--out", grades_csv, "--dump-features", feats_csv]) == 0
+    return Path(grades_csv).read_bytes(), Path(feats_csv).read_bytes()
 
 
 def write_small_config(tmp_path, **overrides):
@@ -527,7 +556,7 @@ class TestCli:
         else:
             dump = feats_csv
 
-            def failing_feature_rows(batch):  # after the first pass's grades are written
+            def failing_feature_rows(*args):  # after the first pass's grades are written
                 raise ValueError("feature rows failed")
 
             monkeypatch.setattr(cli, "feature_rows", failing_feature_rows)
@@ -538,6 +567,119 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1, err
         assert {path.name: path.read_bytes() for path in tmp_path.iterdir()} == before
+
+    def test_grade_formats_each_distinct_float_once_per_run(self, small_compare, tmp_path, monkeypatch):
+        # floats repeat from pass to pass; two runs in one process, since the table of float texts belongs to one run
+        _, out, _, _ = small_compare
+        corpus_path, batch, expected = repeating_corpus(tmp_path, out)
+        floats = np.concatenate([batch.distances.ravel(), batch.totals, batch.point_value, batch.point_weight])
+        distinct = np.unique(floats.view(np.int64)).size
+        assert distinct < floats.size
+        formatted = []
+        monkeypatch.setattr(cli, "repr", lambda x: formatted.append(x) or repr(x), raising=False)
+        for run in ("first", "second"):
+            formatted.clear()
+            assert grade_files(corpus_path, out, tmp_path / run) == expected
+            assert len(formatted) == distinct, run
+
+    def test_grade_starts_its_float_texts_afresh_past_their_bound(self, small_compare, tmp_path, monkeypatch):
+        # with room for no text between passes, each pass formats its own distinct floats, into the same bytes
+        _, out, _, _ = small_compare
+        corpus_path, batch, expected = repeating_corpus(tmp_path, out)
+        floats = np.column_stack([batch.distances, batch.totals])
+        passes = range(0, len(batch.ids), grading.PASS_SIZE)
+        points = np.searchsorted(batch.point_segment, [start * len(batch.feature_names) for start in passes])
+        per_pass = sum(
+            np.unique(np.concatenate([grade_floats.ravel(), values, weights]).view(np.int64)).size
+            for grade_floats, values, weights in zip(
+                np.split(floats, passes[1:]),
+                np.split(batch.point_value, points[1:]),
+                np.split(batch.point_weight, points[1:]),
+            )
+        )
+        run_floats = np.concatenate([floats.ravel(), batch.point_value, batch.point_weight])
+        assert per_pass > np.unique(run_floats.view(np.int64)).size  # so the bound is what the count checks
+        monkeypatch.setattr(cli, "FLOAT_TEXTS", 0)
+        formatted = []
+        monkeypatch.setattr(cli, "repr", lambda x: formatted.append(x) or repr(x), raising=False)
+        assert grade_files(corpus_path, out, tmp_path / "run") == expected
+        assert len(formatted) == per_pass
+
+    def test_grade_writes_ids_holding_line_ends_as_the_csv_reader_reads_them(self, small_compare, tmp_path):
+        _, out, _, _ = small_compare
+        ids = ["a\nb", "e\r\nf", 'g,"h"']
+        corpus_path, grades_csv, feats_csv = tmp_path / "corpus.jsonl", tmp_path / "g.csv", tmp_path / "f.csv"
+        assert main(["teacher-gen", "--seed", "5", "--n", "1", "--out", str(corpus_path)]) == 0
+        codes = load_corpus(corpus_path).chorales[0].codes
+        save_corpus(Corpus(tuple(Chorale.from_codes(i, codes) for i in ids)), corpus_path)
+        args = ["grade", "--corpus", str(corpus_path), "--reference", str(out / "reference.json")]
+        assert main(args + ["--out", str(grades_csv), "--dump-features", str(feats_csv)]) == 0
+        for path in (grades_csv, feats_csv):
+            with open(path, encoding="utf-8", newline="") as fh:
+                rows = list(csv.DictReader(fh))
+            assert list(dict.fromkeys(row["chorale_id"] for row in rows)) == ids, path.name
+
+    @pytest.mark.parametrize("command", ["grade", "compare"])
+    def test_an_id_that_is_not_utf8_text_fails_in_one_line_that_names_it(
+        self, small_compare, tmp_path, capsys, command
+    ):
+        # JSON decodes "\ud800" to a lone surrogate, which no UTF-8 file can hold
+        _, out, _, _ = small_compare
+        corpus_path = tmp_path / "corpus.jsonl"
+        assert main(["teacher-gen", "--seed", "5", "--n", "3", "--out", str(corpus_path)]) == 0
+        records = corpus_path.read_text(encoding="utf-8").splitlines()
+        records[1] = json.dumps({**json.loads(records[1]), "id": "\ud800"})
+        corpus_path.write_text("\n".join(records) + "\n", encoding="utf-8")
+        target = tmp_path / "out"
+        args = {
+            "grade": ["grade", "--reference", str(out / "reference.json"), "--out", str(target)],
+            "compare": ["compare", "--config", str(write_small_config(tmp_path)), "--out-dir", str(target)],
+        }[command] + ["--corpus", str(corpus_path)]
+        capsys.readouterr()
+        assert main(args) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {corpus_path}: line 2: id '\\ud800' is not UTF-8 text (field id)\n"
+        assert captured.out == ""
+        assert not target.exists()
+
+    @pytest.mark.parametrize("which", ["out", "dump"])
+    def test_grade_names_the_output_path_it_cannot_write(self, small_compare, tmp_path, capsys, monkeypatch, which):
+        # the error names the path the user gave, not the hidden temporary written in its place
+        _, out, _, _ = small_compare
+        corpus_path = tmp_path / "corpus.jsonl"
+        assert main(["teacher-gen", "--seed", "5", "--n", "3", "--out", str(corpus_path)]) == 0
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "adir").mkdir()
+        paths = {"out": "g.csv", "dump": "f.csv"}
+        flag = {"out": "--out", "dump": "--dump-features"}[which]
+        cases = [("nodir/x.csv", "[Errno 2] No such file or directory: 'nodir/x.csv'"),  # cannot create the temporary
+                 ("adir", f"{flag} adir is a directory")]  # a file could not be moved over it
+        for path, message in cases:
+            paths[which] = path
+            capsys.readouterr()
+            args = ["grade", "--corpus", str(corpus_path), "--reference", str(out / "reference.json")]
+            assert main(args + ["--out", paths["out"], "--dump-features", paths["dump"]]) == 1
+            assert capsys.readouterr().err == f"error: {message}\n"
+            assert sorted(p.name for p in tmp_path.iterdir()) == ["adir", "corpus.jsonl"]
+            assert not any((tmp_path / "adir").iterdir())
+
+    def test_a_corpus_path_on_the_command_line_may_name_a_file_whose_name_is_not_utf8(self, tmp_path, monkeypatch):
+        # a file name is bytes, and Python reads the ones that are not UTF-8 as lone surrogates; only a string
+        # decoded from JSON must be UTF-8 text
+        monkeypatch.chdir(tmp_path)
+        name = os.fsdecode(b"c\xff.jsonl")
+        assert main(["teacher-gen", "--seed", "5", "--n", "3", "--out", name]) == 0
+        argv = ["compare", "--corpus", name, "--config", str(write_small_config(tmp_path))]
+        config = cli._build_config(cli.build_parser().parse_args(argv))
+        assert config.corpus_path == name
+        assert len(experiment.load_or_synthesize_corpus(config)) == 3
+        # a config.json echoes that path as JSON, where it is a lone surrogate: read back, --corpus names it again
+        echo = tmp_path / "echo.json"
+        echo.write_text(json.dumps(config.to_json(), sort_keys=True), encoding="utf-8")
+        argv = ["compare", "--config", str(echo)]
+        with pytest.raises(ValueError, match=re.escape(f"{echo}: config key 'corpus_path' must be str | None, got")):
+            cli._build_config(cli.build_parser().parse_args(argv))
+        assert cli._build_config(cli.build_parser().parse_args(argv + ["--corpus", name])) == config
 
     def test_grade_empty_corpus_writes_headers(self, small_compare, tmp_path, capsys):
         _, out, _, _ = small_compare
@@ -972,6 +1114,7 @@ class TestCli:
             "list_epochs_ran",
             "bool_generated_count",
             "list_regime",
+            "surrogate_regime",
             "float_best_epoch",
             "inf_generated_fraction",
         ],
@@ -1012,6 +1155,8 @@ class TestCli:
             last["generated_count"] = True
         elif tamper == "list_regime":
             last["regime"] = ["a"]
+        elif tamper == "surrogate_regime":  # JSON decodes it to a lone surrogate, which stdout cannot encode
+            last["regime"] = "\ud800"
         elif tamper == "float_best_epoch":
             last["best_epoch"] = 1.0
         elif tamper == "inf_generated_fraction":
@@ -1111,20 +1256,28 @@ class TestCli:
         assert where in captured.err
 
 
-def test_feature_rows_match_the_csv_writer_on_the_desk_corpus(desk_corpus, desk_reference):
+def written_rows(batch: GradeBatch, table: dict[int, str]) -> tuple[str, str]:
+    """The ``grades.csv`` and ``features.csv`` rows of ``batch`` as ``auggen grade`` writes a pass, with ``table``
+    as the run's float texts."""
+    ids = cli.csv_fields([chorale_id, ""] for chorale_id in batch.ids)
+    names = cli.csv_fields([name, ""] for name in batch.feature_names)
+    return cli.grade_rows(batch, ids, table), cli.feature_rows(batch, ids, names, table)
+
+
+def test_grade_and_feature_rows_match_the_csv_writer_on_the_desk_corpus(desk_corpus, desk_reference):
     batch = grade(desk_corpus.chorales, desk_reference)
     assert batch.point_segment.size > 1000
-    assert feature_rows(batch) == reference_feature_dump(batch)
+    assert written_rows(batch, {}) == reference_grade_dump(batch)
 
 
-def point_batch(ids, names, segments, values, weights) -> GradeBatch:
-    """A grade batch that holds only support points; the dump reads nothing else."""
-    empty = np.zeros((len(ids), len(names)))
+def point_batch(ids, names, segments, values, weights, distances=None) -> GradeBatch:
+    """A grade batch of support points and distances, zeros if not given; the totals are the distances' row sums."""
+    distances = np.zeros((len(ids), len(names))) if distances is None else np.asarray(distances, dtype=float)
     return GradeBatch(
         ids=tuple(ids),
         feature_names=tuple(names),
-        distances=empty,
-        totals=empty.sum(axis=1),
+        distances=distances,
+        totals=distances.sum(axis=1),
         point_segment=np.asarray(segments, dtype=np.intp),
         point_value=np.asarray(values, dtype=float),
         point_weight=np.asarray(weights, dtype=float),
@@ -1135,13 +1288,25 @@ def point_batch(ids, names, segments, values, weights) -> GradeBatch:
 AWKWARD_FLOATS = [-0.0, 0.0, 5e-324, 1e16, 1e-05, 0.0001, 0.1 + 0.2, 9999999999999998.0, -1.5, 1 / 3]
 
 
-def test_feature_rows_write_floats_as_repr():
+def test_grade_and_feature_rows_write_floats_as_repr():
     n = len(AWKWARD_FLOATS)
-    batch = point_batch(["a"], ["pitch"], [0] * n, AWKWARD_FLOATS, AWKWARD_FLOATS[::-1])
-    rows = feature_rows(batch)
-    assert rows == reference_feature_dump(batch)
-    assert rows.splitlines()[0] == "a,pitch,-0.0,0.3333333333333333"
-    assert "a,pitch,0.0,-1.5" in rows.splitlines()
+    distances = np.reshape(AWKWARD_FLOATS, (n // 2, 2))
+    batch = point_batch([f"c{i}" for i in range(n // 2)], ["pitch", "rhythm"], [0] * n, AWKWARD_FLOATS,
+                        AWKWARD_FLOATS[::-1], distances)
+    table: dict[int, str] = {}
+    grades, features = written_rows(batch, table)
+    assert (grades, features) == reference_grade_dump(batch)
+    assert features.splitlines()[0] == "c0,pitch,-0.0,0.3333333333333333"
+    assert "c0,pitch,0.0,-1.5" in features.splitlines()
+    assert grades.splitlines()[0] == "c0,-0.0,0.0,0.0"
+    floats = np.concatenate([distances.ravel(), batch.totals, AWKWARD_FLOATS])
+    assert table == {bits: repr(x) for bits, x in zip(floats.view(np.int64).tolist(), floats.tolist())}
+    # a later pass takes every text that the run's table holds from it, and formats none again
+    marked = {bits: f"<{text}>" for bits, text in table.items()}
+    again = written_rows(batch, marked)
+    assert again[1].splitlines()[0] == "c0,pitch,<-0.0>,<0.3333333333333333>"
+    assert again[0].splitlines()[0] == "c0,<-0.0>,<0.0>,<0.0>"
+    assert len(marked) == len(table)
 
 
 ids_text = st.text(alphabet=st.sampled_from([",", '"', "\r", "\n", " ", "a", "Z", "0", "é", "ß", "\u0666", "€"]), max_size=6)
@@ -1151,14 +1316,17 @@ ids_text = st.text(alphabet=st.sampled_from([",", '"', "\r", "\n", " ", "a", "Z"
     ids=st.lists(st.one_of(ids_text, st.just(""), st.just('""')), min_size=1, max_size=4),
     data=st.data(),
 )
-def test_feature_rows_quote_ids_as_the_csv_writer_does(ids, data):
+def test_grade_and_feature_rows_quote_ids_as_the_csv_writer_does(ids, data):
     names = ["pitch", "voice_crossing"]
     segments = sorted(data.draw(st.lists(st.integers(0, len(ids) * len(names) - 1), max_size=12)))
     floats = st.one_of(st.sampled_from(AWKWARD_FLOATS), st.floats(allow_nan=False, allow_infinity=False))
     values = data.draw(st.lists(floats, min_size=len(segments), max_size=len(segments)))
     weights = data.draw(st.lists(floats, min_size=len(segments), max_size=len(segments)))
-    batch = point_batch(ids, names, segments, values, weights)
-    assert feature_rows(batch) == reference_feature_dump(batch)
+    cells = len(ids) * len(names)
+    distances = np.reshape(data.draw(st.lists(floats, min_size=cells, max_size=cells)), (len(ids), len(names)))
+    with np.errstate(over="ignore"):  # a row sum of two drawn floats may overflow to an infinity, which repr writes
+        batch = point_batch(ids, names, segments, values, weights, distances)
+    assert written_rows(batch, {}) == reference_grade_dump(batch)
 
 
 @st.composite
@@ -1186,12 +1354,14 @@ def replaced(document, path, new):
     return copy
 
 
+# drawn text may hold lone surrogates (category Cs), which st.text() leaves out and which JSON's "\ud800" decodes to
+CHARACTERS = st.characters(exclude_categories=()) | st.characters(categories=["Cs"])
 # what a corruption writes in place of a value; no in-range integer is drawn, since a count key such as n_eval
 # allocates in proportion to its value
 BAD_VALUES = st.one_of(
     st.booleans(),
     st.none(),
-    st.text(max_size=6),
+    st.text(CHARACTERS, max_size=6),
     st.sampled_from([math.nan, math.inf, -math.inf, [], {}]),
     st.lists(st.lists(st.integers(-2, 2), max_size=2), min_size=1, max_size=2),
 )
@@ -1233,46 +1403,75 @@ def corrupted_run_files(run_dir, kind, data):
         return "dataset_manifest.jsonl", "".join(line + "\n" for line in lines)
     rows = list(csv.reader(io.StringIO((run_dir / "epoch_logs.csv").read_text(encoding="utf-8"), newline="")))
     row = data.draw(st.sampled_from(rows))
-    row[data.draw(st.integers(0, len(row) - 1))] = data.draw(st.text())
+    row[data.draw(st.integers(0, len(row) - 1))] = data.draw(st.text(CHARACTERS))
     text = io.StringIO(newline="")
     csv.writer(text, lineterminator="\n").writerows(rows)
     return "epoch_logs.csv", text.getvalue()
 
 
-@pytest.mark.parametrize("kind", ["reference", "summary", "config", "corpus", "config_key", "manifest", "epoch_logs"])
+@st.composite
+def corrupted_record_bytes(draw, records):
+    """A corpus line drawn as raw bytes from the corpus's second record: drawn bytes spliced into it, which may
+    not be UTF-8; the record under another record's id; or the record with a value at a drawn JSON path nested
+    deeply in arrays or objects, closed or not."""
+    record = json.loads(records[1])
+    way = draw(st.sampled_from(["splice", "repeat_id", "nest"]))
+    if way == "splice":
+        line = records[1].encode("utf-8")
+        at = draw(st.integers(0, len(line)))
+        return line[:at] + draw(st.binary(min_size=1, max_size=8)) + line[at + draw(st.integers(0, 4)) :]
+    if way == "repeat_id":
+        return json.dumps({**record, "id": json.loads(records[draw(st.sampled_from([0, 2]))])["id"]}).encode("utf-8")
+    path, original = draw(json_paths(record))
+    depth = draw(st.integers(1, 40) | st.integers(900, 1100) | st.just(100_000))
+    opener, closer = draw(st.sampled_from([(b"[", b"]"), (b'{"k":', b"}")]))
+    nested = opener * depth + json.dumps(original).encode("utf-8") + closer * depth * draw(st.integers(0, 1))
+    return json.dumps(replaced(record, path, "<nested>")).encode("utf-8").replace(b'"<nested>"', nested, 1)
+
+
+KINDS = ["reference", "summary", "config", "corpus", "corpus_bytes", "config_key", "manifest", "epoch_logs"]
+
+
+@pytest.mark.parametrize("kind", KINDS)
 @given(data=st.data())
 @settings(max_examples=40)
 def test_a_corrupted_input_fails_in_one_line_that_names_it(valid_inputs, kind, data):
     corpus, reference, records, documents = valid_inputs
     if kind == "config_key":  # a valid config with one key added that no config has
-        key = data.draw(st.text(max_size=8).filter(lambda k: k not in CONFIG_KEYS))
+        key = data.draw(st.text(CHARACTERS, max_size=8).filter(lambda k: k not in CONFIG_KEYS))
         text = json.dumps({**documents["config"], key: data.draw(BAD_VALUES)})
     elif kind in ("manifest", "epoch_logs"):  # one file of a copied run directory, which report reads
         name, text = corrupted_run_files(documents["run_dir"], kind, data)
-    else:
+    elif kind != "corpus_bytes":
         document = documents[kind]
         path, original = data.draw(json_paths(document))
         bad = data.draw(BAD_VALUES | TOO_LARGE_FOR_A_FLOAT if isinstance(original, float) else BAD_VALUES)
         text = json.dumps(replaced(document, path, bad))
     if kind == "corpus":  # the corrupted record is the second line of three
         text = "\n".join([records[0], text, records[2]]) + "\n"
+    if kind == "corpus_bytes":  # the record drawn as raw bytes is the second line of three
+        raw = b"\n".join([records[0].encode(), data.draw(corrupted_record_bytes(records)), records[2].encode(), b""])
+    else:  # a drawn lone surrogate is written as the 3 bytes UTF-8 would give it, which UTF-8 does not allow
+        raw = text.encode("utf-8", "surrogatepass")
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
         bad_file, out = tmp / f"{kind}.json", tmp / "out"
         if kind in ("manifest", "epoch_logs"):
             shutil.copytree(documents["run_dir"], tmp, dirs_exist_ok=True)
             bad_file = tmp / name
-        bad_file.write_text(text, encoding="utf-8")
+        bad_file.write_bytes(raw)
         args = {
             "reference": ["grade", "--corpus", str(corpus), "--reference", str(bad_file), "--out", str(out)],
             "summary": ["report", "--run-dir", str(tmp)],
             "config": ["compare", "--config", str(bad_file), "--out-dir", str(out)],
             "corpus": ["grade", "--corpus", str(bad_file), "--reference", str(reference), "--out", str(out)],
+            "corpus_bytes": ["grade", "--corpus", str(bad_file), "--reference", str(reference), "--out", str(out)],
             "config_key": ["compare", "--config", str(bad_file), "--out-dir", str(out)],
             "manifest": ["report", "--run-dir", str(tmp)],
             "epoch_logs": ["report", "--run-dir", str(tmp)],
         }[kind]
-        stdout, stderr = io.StringIO(), io.StringIO()
+        # stdout encodes as UTF-8, as a terminal's does, so a lone surrogate written to it fails as it would there
+        stdout, stderr = io.TextIOWrapper(io.BytesIO(), encoding="utf-8", write_through=True), io.StringIO()
         with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
             code = main(args)
         assert code in ((1,) if kind == "config_key" else (0, 1)), code
@@ -1280,4 +1479,4 @@ def test_a_corrupted_input_fails_in_one_line_that_names_it(valid_inputs, kind, d
             err = stderr.getvalue()
             assert err.startswith(f"error: {bad_file}: ") and err.count("\n") == 1, err
             assert not out.exists()
-            assert args[0] != "report" or stdout.getvalue() == ""
+            assert args[0] != "report" or stdout.buffer.getvalue() == b""
