@@ -3,12 +3,13 @@
 Subcommands: ``teacher-gen`` (write a synthetic corpus), ``grade`` (grade a
 corpus against a saved reference), ``train`` (single-regime run),
 ``compare`` (all regimes plus figure CSVs), ``report`` (per-epoch grade
-quintuples of a finished run directory, or one row per regime of a compare
-directory). Configuration comes from a profile (``--profile desk|paper``),
-optionally overlaid by a JSON config file (``--config``) and individual
-flags. Exit code 0 on success, 1 on any failure, with a diagnostic on
-stderr; a bad config fails before any file is written. Usage errors from
-argparse exit 2.
+quintuples of a finished run directory, from its ``epoch_logs.csv``, and its
+dataset counts, from its ``summary.json``; or one row per regime of a compare
+directory, from its ``summary.json``). Configuration comes from a profile
+(``--profile desk|paper``), optionally overlaid by a JSON config file
+(``--config``) and individual flags. Exit code 0 on success, 1 on any
+failure, with a diagnostic on stderr; a bad config or an empty path flag
+fails before any file is read or written. Usage errors from argparse exit 2.
 """
 
 from __future__ import annotations
@@ -17,10 +18,8 @@ import argparse
 import contextlib
 import csv
 import dataclasses
-import json
 import logging
 import os
-import re
 import sys
 import types
 from pathlib import Path
@@ -29,11 +28,10 @@ from typing import Iterable
 import numpy as np
 
 from . import experiment
-from .corpus import check_fields, check_teacher_request, json_fits, load_corpus, load_json, naming, read_text
+from .corpus import check_fields, check_teacher_request, json_fits, load_corpus, load_json, naming
 from .corpus import save_corpus, teacher_corpus
 from .experiment import PROFILES, ExperimentConfig, RegimeError, compare, grade_quintuple, resolve_out_dir, run_regime
 from .grading import PASS_SIZE, GradeBatch, ReferenceModel, grade, nearest_rank
-from .loop import ORIGIN_GENERATED, ORIGIN_TRUE
 from .rng import check_seed
 
 
@@ -42,17 +40,18 @@ def _build_config(args: argparse.Namespace) -> ExperimentConfig:
     if args.seed is not None:
         check_seed("--seed", args.seed)  # before the config is read, whose name would prefix the message
     with naming(args.config):
-        overlay = load_json(args.config) if args.config else {}
+        overlay = load_json(args.config) if args.config is not None else {}
         if not json_fits(overlay, dict):
             raise ValueError(f"config must be a JSON object, got {type(overlay).__name__}")
         payload.update(overlay)
-        corpus_path = getattr(args, "corpus", None)
-        if corpus_path:  # set after the JSON check: a file name on the command line may hold bytes that are not UTF-8
-            payload.pop("corpus_path", None)
+        if args.corpus is not None:
+            # set after the JSON check, since a file name on the command line may hold bytes that are not UTF-8; till
+            # then a stand-in that, as the file name does, skips the checks of the teacher settings
+            payload["corpus_path"] = ""
         if args.seed is not None:
             payload["seed"] = args.seed
         config = ExperimentConfig.from_json(payload)
-        return dataclasses.replace(config, corpus_path=corpus_path) if corpus_path else config
+        return dataclasses.replace(config, corpus_path=args.corpus) if args.corpus is not None else config
 
 
 def _add_config_flags(parser: argparse.ArgumentParser) -> None:
@@ -75,7 +74,7 @@ def cmd_teacher_gen(args: argparse.Namespace) -> int:
 
 @contextlib.contextmanager
 def _replacing(*paths: str | None):
-    """Text files for ``paths`` (None for an empty path). Each is written to a temporary file in its own
+    """Text files for ``paths``, None for each path that is None. Each is written to a temporary file in its own
     directory and moved over its path only when the block ends without error; on any failure every
     temporary is deleted, so each path keeps its previous bytes. An error creating a temporary names the path
     the user gave, not the temporary."""
@@ -85,7 +84,7 @@ def _replacing(*paths: str | None):
             handles = []
             for path in paths:
                 handle = None
-                if path:
+                if path is not None:
                     temp = Path(path).with_name(f".{Path(path).name}.{os.getpid()}.tmp")
                     try:
                         handle = files.enter_context(open(temp, "x", encoding="utf-8", newline=""))
@@ -118,7 +117,7 @@ def _check_outputs(inputs: dict[str, str], outputs: dict[str, str | None]) -> No
     for flag, path in outputs.items():
         if path is None:
             continue
-        if path and Path(path).is_dir():  # a file could not be moved over it, after the whole corpus was graded
+        if Path(path).is_dir():  # a file could not be moved over it, after the whole corpus was graded
             raise ValueError(f"{flag} {path} is a directory")
         for other_flag, other in seen:
             if _same_file(path, other):
@@ -126,12 +125,13 @@ def _check_outputs(inputs: dict[str, str], outputs: dict[str, str | None]) -> No
         seen.append((flag, path))
 
 
-def csv_fields(rows: Iterable[list[str]]) -> list[str]:
-    """What ``csv.writer`` writes for each of ``rows``, less the ``\\n`` that ends it. The rows are written as lines
-    that end in ``\\n``, as the output files' lines do, so a field that holds a ``\\n`` is quoted."""
+def csv_fields(rows: Iterable[list]) -> list[str]:
+    """What ``csv.writer`` writes for each of ``rows``, less the line end; the CLI ends each line with ``\\n``. A field
+    that holds a ``\\r`` or a ``\\n`` is quoted on every Python version: before 3.13 the writer quotes a line end only
+    if it is in its terminator, so the rows are written as lines that end in ``\\r\\n``."""
     lines: list[str] = []
-    csv.writer(types.SimpleNamespace(write=lines.append), lineterminator="\n").writerows(rows)
-    return [line[:-1] for line in lines]
+    csv.writer(types.SimpleNamespace(write=lines.append), lineterminator="\r\n").writerows(rows)
+    return [line[:-2] for line in lines]
 
 
 # The most float texts `cmd_grade` keeps from pass to pass, about 2 MiB. A corpus's feature values and weights repeat
@@ -186,9 +186,8 @@ def cmd_grade(args: argparse.Namespace) -> int:
     table: dict[int, str] = {}  # float64 bit pattern -> repr, for this run only; see FLOAT_TEXTS
     names = csv_fields([name, ""] for name in reference.feature_names)
     with _replacing(args.out, args.dump_features) as (out, dump):
-        csv.writer(out, lineterminator="\n").writerow(
-            ["chorale_id", *[f"d_{name}" for name in reference.feature_names], "total_grade"]
-        )
+        header = ["chorale_id", *[f"d_{name}" for name in reference.feature_names], "total_grade"]
+        out.write(csv_fields([header])[0] + "\n")
         if dump is not None:
             dump.write("chorale_id,feature_name,value,weight\n")
         for start in range(0, len(corpus), PASS_SIZE):  # one pass at a time, so memory stays bounded
@@ -232,29 +231,6 @@ def cmd_compare(args: argparse.Namespace) -> int:
     return 0
 
 
-def _manifest_origins(manifest: Path) -> list[str]:
-    origins = []
-    with naming(manifest):
-        # lines end at \n, \r\n and \r only, as load_corpus reads them: str.splitlines() would also end one at a
-        # U+2028, U+2029 or U+0085, which JSON allows raw in a string
-        for number, line in enumerate(re.split("\r\n|\r|\n", read_text(manifest)), 1):
-            if line:
-                try:
-                    record = json.loads(line)
-                except ValueError as exc:
-                    raise ValueError(f"line {number}: {exc}") from None
-                except RecursionError:
-                    raise ValueError(f"line {number}: JSON nested too deeply to decode") from None
-                check_fields(record, {"origin": object}, f"line {number}")
-                if record["origin"] not in (ORIGIN_TRUE, ORIGIN_GENERATED):
-                    expected = f"{ORIGIN_TRUE!r} or {ORIGIN_GENERATED!r}"
-                    raise ValueError(f"line {number}: origin must be {expected}, got {record['origin']!r}")
-                origins.append(record["origin"])
-        if not origins:
-            raise ValueError("no chorales listed")
-    return origins
-
-
 # the compare report copies these from each regime summary, then adds final_median and final_iqr from its final_grades
 _SUMMARY_KEYS = {
     "regime": str, "best_epoch": int, "best_val_loss": float, "epochs_ran": int, "generated_count": int,
@@ -262,20 +238,30 @@ _SUMMARY_KEYS = {
 }
 
 
+def _check_summary(summary: object, what: str) -> None:
+    """Raise ``ValueError``, naming ``what``, unless ``summary`` is a regime summary as the report reads it: a value
+    of each type of ``_SUMMARY_KEYS``, as :func:`~auggen.corpus.json_fits` checks it, an int ``true_count``, a
+    nonempty ``final_grades`` of ``tuple[float, ...]``, and dataset counts of at least 0 and not both 0; other keys
+    are ignored."""
+    check_fields(summary, {**_SUMMARY_KEYS, "true_count": int, "final_grades": tuple[float, ...]}, what)
+    if not summary["final_grades"]:
+        raise ValueError(f"{what}: final_grades must not be empty")
+    true, generated = summary["true_count"], summary["generated_count"]
+    if min(true, generated) < 0 or true + generated == 0:
+        raise ValueError(f"{what}: true_count and generated_count must be >= 0, not both 0, got {true} and {generated}")
+
+
 def _regime_rows(summary_json: Path) -> list[list[str]]:
-    """One report row per regime summary of a compare directory's ``summary.json``, in file order. Each summary
-    holds a value of each type of ``_SUMMARY_KEYS``, as :func:`~auggen.corpus.json_fits` checks it, and a nonempty
-    ``final_grades`` of ``tuple[float, ...]``; other keys are ignored."""
+    """One report row per regime summary of a compare directory's ``summary.json``, in file order, each as
+    :func:`_check_summary` checks it."""
     rows = []
     with naming(summary_json):
         summaries = load_json(summary_json)
         if not json_fits(summaries, list):
             raise ValueError(f"expected a list of regime summaries, got {type(summaries).__name__}")
         for i, summary in enumerate(summaries):
-            check_fields(summary, {**_SUMMARY_KEYS, "final_grades": tuple[float, ...]}, f"entry {i}")
+            _check_summary(summary, f"entry {i}")
             grades = summary["final_grades"]
-            if not grades:
-                raise ValueError(f"entry {i}: final_grades must not be empty")
             iqr = nearest_rank(grades, 0.75) - nearest_rank(grades, 0.25)
             cells = [summary[key] for key in _SUMMARY_KEYS if key != "regime"] + [nearest_rank(grades, 0.5), iqr]
             rows.append([summary["regime"], *map(repr, cells)])
@@ -285,25 +271,29 @@ def _regime_rows(summary_json: Path) -> list[list[str]]:
 def cmd_report(args: argparse.Namespace) -> int:
     run_dir = Path(args.run_dir)
     logs, summary_json = run_dir / "epoch_logs.csv", run_dir / "summary.json"
-    writer = csv.writer(sys.stdout, lineterminator="\n")
     if not logs.exists():  # a compare directory: one row per regime
         if not summary_json.exists():
             raise FileNotFoundError(f"no epoch_logs.csv or summary.json under {run_dir}")
-        rows = _regime_rows(summary_json)
-        writer.writerow([*_SUMMARY_KEYS, "final_median", "final_iqr"])
-        writer.writerows(rows)
+        print("\n".join(csv_fields([[*_SUMMARY_KEYS, "final_median", "final_iqr"], *_regime_rows(summary_json)])))
         return 0
     grades = experiment.epoch_grades(logs)
-    manifest = run_dir / "dataset_manifest.jsonl"
-    origins = _manifest_origins(manifest) if manifest.exists() else None  # both files checked before any output
-    writer.writerow(["epoch", "min", "q1", "median", "q3", "max"])
-    for epoch, values in sorted(grades.items()):
-        writer.writerow([epoch, *map(repr, grade_quintuple(values))])
-    if origins is not None:
-        generated = sum(1 for o in origins if o == ORIGIN_GENERATED)
-        print(f"# dataset: {len(origins)} chorales, {generated} generated "
-              f"({generated / len(origins):.3f} of total)")
+    summary = None
+    if summary_json.exists():  # both files are checked before any output
+        with naming(summary_json):
+            summary = load_json(summary_json)
+            _check_summary(summary, "summary")
+    rows = [[epoch, *map(repr, grade_quintuple(values))] for epoch, values in sorted(grades.items())]
+    print("\n".join(csv_fields([["epoch", "min", "q1", "median", "q3", "max"], *rows])))
+    if summary is not None:
+        generated = summary["generated_count"]
+        total = summary["true_count"] + generated
+        print(f"# dataset: {total} chorales, {generated} generated ({generated / total:.3f} of total)")
     return 0
+
+
+# the flags that name a file or directory; an empty value names none, and would otherwise mean the current directory,
+# the default or no file at all
+PATH_FLAGS = ("--corpus", "--reference", "--out", "--dump-features", "--config", "--out-dir", "--run-dir")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -346,6 +336,9 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        for flag in PATH_FLAGS:
+            if getattr(args, flag[2:].replace("-", "_"), None) == "":
+                raise ValueError(f"{flag} must not be empty")
         return args.func(args)
     except (OSError, ValueError, RegimeError) as exc:  # CorpusError and ChoraleFormatError are ValueErrors
         print(f"error: {exc}", file=sys.stderr)

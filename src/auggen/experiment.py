@@ -348,7 +348,7 @@ def compare(config: ExperimentConfig, out_dir: str | Path) -> list[RegimeSummary
 
 def resolve_out_dir(cli_value: str | None, default: str) -> Path:
     """CLI flag wins; otherwise the environment override; otherwise the default."""
-    if cli_value:
+    if cli_value is not None:
         return Path(cli_value)
     env = os.environ.get(OUT_DIR_ENV)
     return Path(env) if env else Path(default)

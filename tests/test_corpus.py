@@ -72,6 +72,15 @@ def test_save_load_roundtrip(tmp_path):
     assert load_corpus(path).chorales == corpus.chorales
 
 
+def test_load_ends_lines_only_at_line_ends(tmp_path):
+    # JSON allows U+2028, U+2029 and U+0085 raw in a string; a JSON-lines file ends a line at \n, \r\n and \r only
+    path = tmp_path / "corpus.jsonl"
+    ids = [f"a\u2028b\u2029c\u0085{i}" for i in range(3)]
+    records = [json.dumps({"id": i, "voices": [["60"], ["55"], ["48"], ["41"]]}, ensure_ascii=False) for i in ids]
+    path.write_bytes("".join(r + end for r, end in zip(records, ["\n", "\r\n", "\r"])).encode("utf-8"))
+    assert load_corpus(path).ids() == tuple(ids)
+
+
 def test_load_reports_duplicate_id(tmp_path):
     path = tmp_path / "corpus.jsonl"
     line = '{"id":"dup","voices":[["60"],["55"],["48"],["41"]]}'

@@ -50,7 +50,11 @@ SMALL = dict(
     seed=23,
 )
 
-GOOD_MANIFEST = '{"origin": "true"}\n'
+# a run directory's summary.json as the report reads it
+GOOD_SUMMARY = {
+    "regime": "auggen", "best_epoch": 0, "best_val_loss": 1.5, "epochs_ran": 1, "final_grades": [1.5],
+    "generated_count": 1, "generated_fraction": 0.5, "true_count": 1,
+}
 GOOD_RECORD = '{"id":"x","voices":[["60"],["55"],["48"],["41"]]}\n'
 
 
@@ -89,6 +93,16 @@ def grade_files(corpus_path, out, prefix) -> tuple[bytes, bytes]:
     args = ["grade", "--corpus", str(corpus_path), "--reference", str(out / "reference.json")]
     assert main(args + ["--out", grades_csv, "--dump-features", feats_csv]) == 0
     return Path(grades_csv).read_bytes(), Path(feats_csv).read_bytes()
+
+
+# the path flags of each subcommand
+COMMAND_PATH_FLAGS = {
+    "teacher-gen": ["--out"],
+    "grade": ["--corpus", "--reference", "--out", "--dump-features"],
+    "train": ["--corpus", "--config", "--out-dir"],
+    "compare": ["--corpus", "--config", "--out-dir"],
+    "report": ["--run-dir"],
+}
 
 
 def write_small_config(tmp_path, **overrides):
@@ -607,7 +621,7 @@ class TestCli:
 
     def test_grade_writes_ids_holding_line_ends_as_the_csv_reader_reads_them(self, small_compare, tmp_path):
         _, out, _, _ = small_compare
-        ids = ["a\nb", "e\r\nf", 'g,"h"']
+        ids = ["a\nb", "c\rd", "e\r\nf", 'g,"h"']
         corpus_path, grades_csv, feats_csv = tmp_path / "corpus.jsonl", tmp_path / "g.csv", tmp_path / "f.csv"
         assert main(["teacher-gen", "--seed", "5", "--n", "1", "--out", str(corpus_path)]) == 0
         codes = load_corpus(corpus_path).chorales[0].codes
@@ -641,6 +655,33 @@ class TestCli:
         assert captured.err == f"error: {corpus_path}: line 2: id '\\ud800' is not UTF-8 text (field id)\n"
         assert captured.out == ""
         assert not target.exists()
+
+    @pytest.mark.parametrize(
+        "command, flag", [(command, flag) for command, flags in COMMAND_PATH_FLAGS.items() for flag in flags]
+    )
+    def test_an_empty_path_flag_fails_before_reading_or_writing(
+        self, small_compare, tmp_path, capsys, monkeypatch, command, flag
+    ):
+        # an empty path names no file: it would otherwise mean the current directory, the default or no file at all
+        assert {f for flags in COMMAND_PATH_FLAGS.values() for f in flags} == set(cli.PATH_FLAGS)
+        _, out, _, _ = small_compare
+        inputs, work = tmp_path / "inputs", tmp_path / "work"
+        inputs.mkdir()
+        work.mkdir()
+        corpus = inputs / "corpus.jsonl"
+        assert main(["teacher-gen", "--seed", "5", "--n", "20", "--out", str(corpus)]) == 0
+        paths = {
+            "--corpus": corpus, "--reference": out / "reference.json", "--out": work / "out.csv",
+            "--dump-features": work / "features.csv", "--config": write_small_config(inputs), "--out-dir": work / "run",
+            "--run-dir": out / "auggen",
+        }
+        monkeypatch.chdir(work)
+        monkeypatch.delenv(experiment.OUT_DIR_ENV, raising=False)
+        args = [command] + [a for f in COMMAND_PATH_FLAGS[command] for a in (f, "" if f == flag else str(paths[f]))]
+        capsys.readouterr()
+        assert main(args) == 1
+        assert capsys.readouterr() == ("", f"error: {flag} must not be empty\n")
+        assert list(work.iterdir()) == []
 
     @pytest.mark.parametrize("which", ["out", "dump"])
     def test_grade_names_the_output_path_it_cannot_write(self, small_compare, tmp_path, capsys, monkeypatch, which):
@@ -957,11 +998,13 @@ class TestCli:
         assert err.startswith(f"error: {bad}: line {line}: ") and err.count("\n") == 1, err
         assert not out.exists()
 
-    def test_corpus_too_long_for_count_table_fails_before_writing(self, tmp_path, capsys):
-        # 2**24 draws fit the count table at the teacher's 24 timesteps, but not at the corpus's 32 or more
+    @pytest.mark.parametrize("teacher_max_length", [24, 64])
+    def test_corpus_too_long_for_count_table_fails_before_writing(self, tmp_path, capsys, teacher_max_length):
+        # 2**24 draws fit the count table at 24 timesteps, but not at the corpus's 32 or more; the config's teacher
+        # settings are not checked, since no teacher corpus is made, even where 64 timesteps would not fit
         corpus_path = tmp_path / "corpus.jsonl"
         assert main(["teacher-gen", "--seed", "5", "--n", "2", "--min-length", "32", "--out", str(corpus_path)]) == 0
-        config = write_small_config(tmp_path, batches=2**22, batch_size=4)
+        config = write_small_config(tmp_path, batches=2**22, batch_size=4, teacher_max_length=teacher_max_length)
         out = tmp_path / "out"
         capsys.readouterr()
         assert main(["compare", "--config", str(config), "--corpus", str(corpus_path), "--out-dir", str(out)]) == 1
@@ -1034,34 +1077,16 @@ class TestCli:
             assert (tmp_path / "x" / rel).read_bytes() == (tmp_path / "y" / rel).read_bytes(), rel
 
     def test_report_recomputes_stats(self, small_compare, capsys):
-        _, out, _, _ = small_compare
-        assert main(["report", "--run-dir", str(out / "auggen")]) == 0
-        printed = capsys.readouterr().out
-        assert "epoch,min,q1,median,q3,max" in printed
-        assert "# dataset:" in printed
-
-    def test_report_reads_a_manifest_whose_id_holds_a_unicode_line_separator(self, small_compare, tmp_path, capsys):
-        # JSON allows U+2028, U+2029 and U+0085 raw in a string, and only \n, \r\n and \r end a manifest line
         _, out, _, results = small_compare
-        shutil.copytree(out / "auggen", tmp_path, dirs_exist_ok=True)
-        manifest = tmp_path / "dataset_manifest.jsonl"
-        lines = manifest.read_text(encoding="utf-8").split("\n")[:-1]
-        record = json.loads(lines[0])
-        lines[0] = json.dumps({**record, "id": record["id"] + "\u2028\u2029\u0085"}, ensure_ascii=False)
-        manifest.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
-        capsys.readouterr()
-        assert main(["report", "--run-dir", str(tmp_path)]) == 0
-        total, generated = len(lines), sum(e.origin == ORIGIN_GENERATED for e in results["auggen"].manifest)
-        assert total == len(results["auggen"].manifest)
-        assert capsys.readouterr().out.endswith(
-            f"# dataset: {total} chorales, {generated} generated ({generated / total:.3f} of total)\n"
-        )
-        with open(manifest, "a", encoding="utf-8") as fh:  # a bad record after it is named by its line in the file
-            fh.write('{"origin": "teacher"}\n')
-        assert main(["report", "--run-dir", str(tmp_path)]) == 1
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err == f"error: {manifest}: line {total + 1}: origin must be 'true' or 'generated', got 'teacher'\n"
+        for regime, result in results.items():
+            capsys.readouterr()
+            assert main(["report", "--run-dir", str(out / regime)]) == 0
+            printed = capsys.readouterr().out
+            assert printed.startswith("epoch,min,q1,median,q3,max\n")
+            total, generated = len(result.manifest), sum(e.origin == ORIGIN_GENERATED for e in result.manifest)
+            assert printed.endswith(
+                f"\n# dataset: {total} chorales, {generated} generated ({generated / total:.3f} of total)\n"
+            ), regime
 
     def test_report_missing_dir_fails(self, tmp_path, capsys):
         assert main(["report", "--run-dir", str(tmp_path)]) == 1
@@ -1093,6 +1118,20 @@ class TestCli:
                 repr(median),
                 repr(iqr),
             ]
+
+    def test_report_quotes_a_regime_holding_a_line_end(self, small_compare, tmp_path, capsys):
+        # before Python 3.13 csv.writer quotes a lone \r only when it is in the line terminator
+        _, out, _, _ = small_compare
+        summaries = json.loads((out / "summary.json").read_text(encoding="utf-8"))
+        regimes = ["a\rb", "c\nd", "e\r\nf"]
+        for summary, regime in zip(summaries, regimes, strict=True):
+            summary["regime"] = regime
+        (tmp_path / "summary.json").write_text(json.dumps(summaries), encoding="utf-8")
+        capsys.readouterr()
+        assert main(["report", "--run-dir", str(tmp_path)]) == 0
+        printed = capsys.readouterr().out
+        assert '\n"a\rb",' in printed
+        assert [row[0] for row in csv.reader(io.StringIO(printed, newline=""))][1:] == regimes
 
     @pytest.mark.parametrize(
         "tamper",
@@ -1170,84 +1209,92 @@ class TestCli:
         assert str(path) in captured.err
 
     @pytest.mark.parametrize(
-        "logs, manifest, bad_file, where",
+        "logs, summary, bad_file, where",
         [
-            pytest.param("epoch,candidate_id,grade\n0,g0,1.5\n", "", "dataset_manifest.jsonl", "", id="empty_manifest"),
-            pytest.param("epoch,candidate_id\n0,g0\n", "", "epoch_logs.csv", "", id="no_grade_column"),
+            pytest.param("epoch,candidate_id\n0,g0\n", GOOD_SUMMARY, "epoch_logs.csv", "", id="no_grade_column"),
             pytest.param(
-                "epoch,candidate_id,grade\n0,g0,1.5\n", '{"id": "c0"}\n', "dataset_manifest.jsonl", "line 1", id="no_origin"
+                "epoch,candidate_id,grade\n0,g0,1.5\n0,g1,abc\n", GOOD_SUMMARY, "epoch_logs.csv", "line 3", id="text_grade"
             ),
             pytest.param(
-                "epoch,candidate_id,grade\n0,g0,1.5\n0,g1,abc\n", GOOD_MANIFEST, "epoch_logs.csv", "line 3", id="text_grade"
+                "epoch,candidate_id,grade\n0,g0,1.5\nx,g1,2.5\n", GOOD_SUMMARY, "epoch_logs.csv", "line 3", id="text_epoch"
             ),
             pytest.param(
-                "epoch,candidate_id,grade\n0,g0,1.5\nx,g1,2.5\n", GOOD_MANIFEST, "epoch_logs.csv", "line 3", id="text_epoch"
+                "epoch,candidate_id,grade\n0,g0,1.5\n0,g1\n", GOOD_SUMMARY, "epoch_logs.csv", "line 3", id="short_row"
             ),
             pytest.param(
-                "epoch,candidate_id,grade\n0,g0,1.5\n0,g1\n", GOOD_MANIFEST, "epoch_logs.csv", "line 3", id="short_row"
+                "epoch,candidate_id,grade\n0,g0,1.5\n0,g1,nan\n", GOOD_SUMMARY, "epoch_logs.csv", "line 3", id="nan_grade"
             ),
             pytest.param(
-                "epoch,candidate_id,grade\n0,g0,1.5\n0,g1,nan\n", GOOD_MANIFEST, "epoch_logs.csv", "line 3", id="nan_grade"
+                "epoch,candidate_id,grade\n0,g0,inf\n0,g1,1.5\n", GOOD_SUMMARY, "epoch_logs.csv", "line 2", id="inf_grade"
             ),
             pytest.param(
-                "epoch,candidate_id,grade\n0,g0,inf\n0,g1,1.5\n", GOOD_MANIFEST, "epoch_logs.csv", "line 2", id="inf_grade"
+                "epoch,candidate_id,grade\n0,g0,1.5\n1,g1,-inf\n", GOOD_SUMMARY, "epoch_logs.csv", "line 3", id="neg_inf_grade"
             ),
             pytest.param(
-                "epoch,candidate_id,grade\n0,g0,1.5\n1,g1,-inf\n", GOOD_MANIFEST, "epoch_logs.csv", "line 3", id="neg_inf_grade"
-            ),
-            pytest.param(
-                "epoch,candidate_id,grade\n0,g0,1.5\n1_0,g1,2.5\n", GOOD_MANIFEST, "epoch_logs.csv", "line 3",
+                "epoch,candidate_id,grade\n0,g0,1.5\n1_0,g1,2.5\n", GOOD_SUMMARY, "epoch_logs.csv", "line 3",
                 id="underscore_epoch",
             ),
             pytest.param(
-                "epoch,candidate_id,grade\n\u0661,g0,1.5\n", GOOD_MANIFEST, "epoch_logs.csv", "line 2",
+                "epoch,candidate_id,grade\n\u0661,g0,1.5\n", GOOD_SUMMARY, "epoch_logs.csv", "line 2",
                 id="arabic_indic_epoch",
             ),
             pytest.param(
-                "epoch,candidate_id,grade\n0,g0,1.5\n0,g1,1_0.5\n", GOOD_MANIFEST, "epoch_logs.csv", "line 3",
+                "epoch,candidate_id,grade\n0,g0,1.5\n0,g1,1_0.5\n", GOOD_SUMMARY, "epoch_logs.csv", "line 3",
                 id="underscore_grade",
             ),
             pytest.param(
-                "epoch,candidate_id,grade\n0,g0,1.5\n",
-                GOOD_MANIFEST + '{"origin": {"a": 1}}\n',
-                "dataset_manifest.jsonl",
-                "line 2",
-                id="object_origin",
-            ),
-            pytest.param(
-                "epoch,candidate_id,grade\n0,g0,1.5\n",
-                GOOD_MANIFEST + '{"origin": "teacher"}\n',
-                "dataset_manifest.jsonl",
-                "line 2",
-                id="unknown_origin",
-            ),
-            pytest.param(
-                "epoch,candidate_id,grade\n0,g0,1.5\n",
-                GOOD_MANIFEST + "not json\n",
-                "dataset_manifest.jsonl",
-                "line 2",
-                id="manifest_not_json",
-            ),
-            pytest.param(
-                "epoch,candidate_id,grade\n0,g0,1.5\n",
-                GOOD_MANIFEST + "[" * 100_000 + "]" * 100_000 + "\n",
-                "dataset_manifest.jsonl",
-                "line 2: JSON nested too deeply to decode",
-                id="manifest_nested_too_deeply",
-            ),
-            pytest.param(
                 "epoch,candidate_id,grade\n0,g0,1.5\n0," + "g" * 200_000 + ",2.5\n1,g2,3.5\n",
-                GOOD_MANIFEST,
+                GOOD_SUMMARY,
                 "epoch_logs.csv",
                 "line 3: field larger than field limit",
                 id="oversized_csv_field",
             ),
+            pytest.param(
+                "epoch,candidate_id,grade\n0,g0,1.5\n",
+                {key: value for key, value in GOOD_SUMMARY.items() if key != "true_count"},
+                "summary.json",
+                "summary is missing key(s) ['true_count']",
+                id="summary_missing_count",
+            ),
+            pytest.param(
+                "epoch,candidate_id,grade\n0,g0,1.5\n",
+                {**GOOD_SUMMARY, "generated_count": True},
+                "summary.json",
+                "summary key 'generated_count' must be int, got True",
+                id="summary_bool_count",
+            ),
+            pytest.param(
+                "epoch,candidate_id,grade\n0,g0,1.5\n",
+                {**GOOD_SUMMARY, "true_count": -1},
+                "summary.json",
+                "summary: true_count and generated_count must be >= 0, not both 0, got -1 and 1",
+                id="summary_negative_count",
+            ),
+            pytest.param(
+                "epoch,candidate_id,grade\n0,g0,1.5\n",
+                {**GOOD_SUMMARY, "true_count": 0, "generated_count": 0},
+                "summary.json",
+                "summary: true_count and generated_count must be >= 0, not both 0, got 0 and 0",
+                id="summary_zero_total",
+            ),
+            pytest.param(
+                "epoch,candidate_id,grade\n0,g0,1.5\n", "not json", "summary.json", "line 1: Expecting value",
+                id="summary_not_json",
+            ),
+            pytest.param(
+                "epoch,candidate_id,grade\n0,g0,1.5\n",
+                "[" * 100_000 + "]" * 100_000,
+                "summary.json",
+                "JSON nested too deeply to decode",
+                id="summary_nested_too_deeply",
+            ),
         ],
     )
-    def test_report_malformed_run_dir_fails(self, tmp_path, capsys, logs, manifest, bad_file, where):
+    def test_report_malformed_run_dir_fails(self, tmp_path, capsys, logs, summary, bad_file, where):
         # both files are checked in full before anything goes to stdout
         (tmp_path / "epoch_logs.csv").write_text(logs, encoding="utf-8")
-        (tmp_path / "dataset_manifest.jsonl").write_text(manifest, encoding="utf-8")
+        text = summary if isinstance(summary, str) else json.dumps(summary)
+        (tmp_path / "summary.json").write_text(text, encoding="utf-8")
         assert main(["report", "--run-dir", str(tmp_path)]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
@@ -1372,8 +1419,8 @@ CONFIG_KEYS = {f.name for f in fields(ExperimentConfig)}
 @pytest.fixture(scope="module")
 def valid_inputs(small_compare, desk_reference, tmp_path_factory):
     """A desk reference and a three-record corpus to grade, as files; and, decoded, that reference, the corpus's
-    second record, a compare summary and a small config with every float key. The config names no corpus_path:
-    a missing corpus is reported under its own path."""
+    second record, a compare summary, the summary of that compare's ``auggen`` run directory and a small config
+    with every float key. The config names no corpus_path: a missing corpus is reported under its own path."""
     _, out, _, _ = small_compare
     tmp = tmp_path_factory.mktemp("inputs")
     corpus, reference = tmp / "corpus.jsonl", tmp / "reference.json"
@@ -1384,29 +1431,21 @@ def valid_inputs(small_compare, desk_reference, tmp_path_factory):
         "reference": desk_reference.to_json(),
         "summary": json.loads((out / "summary.json").read_text(encoding="utf-8")),
         "run_dir": out / "auggen",
+        "run_summary": json.loads((out / "auggen" / "summary.json").read_text(encoding="utf-8")),
         "config": {**SMALL, "split_fraction": 0.8, "quantile": 0.75, "min_improvement": 1e-4, "smoothing": 0.1,
                    "p_empty": 100.0, "weights": {"pitch": 2.0, "rhythm": 0.5}},
         "corpus": json.loads(records[1]),
     }
 
 
-def corrupted_run_files(run_dir, kind, data):
-    """The name and corrupted text of one of ``run_dir``'s files: a ``dataset_manifest.jsonl`` record corrupted at
-    a drawn JSON path, its non-ASCII characters written raw or escaped, or an ``epoch_logs.csv`` cell replaced by
-    drawn text."""
-    if kind == "manifest":
-        lines = (run_dir / "dataset_manifest.jsonl").read_text(encoding="utf-8").splitlines()
-        i = data.draw(st.integers(0, len(lines) - 1))
-        record = json.loads(lines[i])
-        path, _ = data.draw(json_paths(record))
-        lines[i] = json.dumps(replaced(record, path, data.draw(BAD_VALUES)), ensure_ascii=data.draw(st.booleans()))
-        return "dataset_manifest.jsonl", "".join(line + "\n" for line in lines)
+def corrupted_epoch_logs(run_dir, data):
+    """The text of ``run_dir``'s ``epoch_logs.csv`` with one cell replaced by drawn text."""
     rows = list(csv.reader(io.StringIO((run_dir / "epoch_logs.csv").read_text(encoding="utf-8"), newline="")))
     row = data.draw(st.sampled_from(rows))
     row[data.draw(st.integers(0, len(row) - 1))] = data.draw(st.text(CHARACTERS))
     text = io.StringIO(newline="")
     csv.writer(text, lineterminator="\n").writerows(rows)
-    return "epoch_logs.csv", text.getvalue()
+    return text.getvalue()
 
 
 @st.composite
@@ -1429,7 +1468,8 @@ def corrupted_record_bytes(draw, records):
     return json.dumps(replaced(record, path, "<nested>")).encode("utf-8").replace(b'"<nested>"', nested, 1)
 
 
-KINDS = ["reference", "summary", "config", "corpus", "corpus_bytes", "config_key", "manifest", "epoch_logs"]
+KINDS = ["reference", "summary", "config", "corpus", "corpus_bytes", "config_key", "run_summary", "epoch_logs"]
+RUN_FILES = {"run_summary": "summary.json", "epoch_logs": "epoch_logs.csv"}  # the files of a run directory
 
 
 @pytest.mark.parametrize("kind", KINDS)
@@ -1440,8 +1480,8 @@ def test_a_corrupted_input_fails_in_one_line_that_names_it(valid_inputs, kind, d
     if kind == "config_key":  # a valid config with one key added that no config has
         key = data.draw(st.text(CHARACTERS, max_size=8).filter(lambda k: k not in CONFIG_KEYS))
         text = json.dumps({**documents["config"], key: data.draw(BAD_VALUES)})
-    elif kind in ("manifest", "epoch_logs"):  # one file of a copied run directory, which report reads
-        name, text = corrupted_run_files(documents["run_dir"], kind, data)
+    elif kind == "epoch_logs":
+        text = corrupted_epoch_logs(documents["run_dir"], data)
     elif kind != "corpus_bytes":
         document = documents[kind]
         path, original = data.draw(json_paths(document))
@@ -1456,9 +1496,9 @@ def test_a_corrupted_input_fails_in_one_line_that_names_it(valid_inputs, kind, d
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
         bad_file, out = tmp / f"{kind}.json", tmp / "out"
-        if kind in ("manifest", "epoch_logs"):
+        if kind in RUN_FILES:  # one file of a copied run directory, which report reads
             shutil.copytree(documents["run_dir"], tmp, dirs_exist_ok=True)
-            bad_file = tmp / name
+            bad_file = tmp / RUN_FILES[kind]
         bad_file.write_bytes(raw)
         args = {
             "reference": ["grade", "--corpus", str(corpus), "--reference", str(bad_file), "--out", str(out)],
@@ -1467,7 +1507,7 @@ def test_a_corrupted_input_fails_in_one_line_that_names_it(valid_inputs, kind, d
             "corpus": ["grade", "--corpus", str(bad_file), "--reference", str(reference), "--out", str(out)],
             "corpus_bytes": ["grade", "--corpus", str(bad_file), "--reference", str(reference), "--out", str(out)],
             "config_key": ["compare", "--config", str(bad_file), "--out-dir", str(out)],
-            "manifest": ["report", "--run-dir", str(tmp)],
+            "run_summary": ["report", "--run-dir", str(tmp)],
             "epoch_logs": ["report", "--run-dir", str(tmp)],
         }[kind]
         # stdout encodes as UTF-8, as a terminal's does, so a lone surrogate written to it fails as it would there

@@ -48,6 +48,18 @@ def test_grammar_checked_only_in_chorale():
     assert not found, found
 
 
+def test_json_decoded_only_in_chorale_and_corpus():
+    # `parse_chorale` decodes a corpus record and `load_json` a JSON file, and each names the file and line of an
+    # error in one line; a decode anywhere else would be another reader with errors of its own
+    callers: dict[str, list[int]] = {}
+    for path in sorted(PACKAGE_DIR.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call) and ast.unparse(node.func) in ("json.load", "json.loads"):
+                callers.setdefault(path.name, []).append(node.lineno)
+    assert sorted(callers) == ["chorale.py", "corpus.py"], callers
+
+
 def test_token_code_is_declared_only_in_chorale():
     # chorale maps a token to its one integer code and back; a token map anywhere else is a second code
     found = []
