@@ -14,7 +14,7 @@ from .features import DEFAULT_FEATURES, FeatureDistribution
 from .grading import GradeBatch, ReferenceModel, Threshold, fit_reference, grade, grade_quantile
 from .loop import RunResult, run, save_run
 from .model import MarkovModel
-from .experiment import ExperimentConfig, PROFILES, RegimeSummary, compare
+from .experiment import ExperimentConfig, PROFILES, RegimeSummary, compare_detailed
 
 __version__ = "0.1.0"
 
@@ -47,6 +47,6 @@ __all__ = [
     "grade_quantile",
     "run",
     "save_run",
-    "compare",
+    "compare_detailed",
     "__version__",
 ]

@@ -16,21 +16,19 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import csv
 import dataclasses
 import logging
 import os
 import sys
-import types
 from pathlib import Path
-from typing import Iterable
 
 import numpy as np
 
 from . import experiment
-from .corpus import check_fields, check_teacher_request, json_fits, load_corpus, load_json, naming
+from .corpus import check_fields, check_teacher_request, csv_fields, json_fits, load_corpus, load_json, naming
 from .corpus import save_corpus, teacher_corpus
-from .experiment import PROFILES, ExperimentConfig, RegimeError, compare, grade_quintuple, resolve_out_dir, run_regime
+from .experiment import PROFILES, ExperimentConfig, RegimeError, compare_detailed, grade_quintuple, resolve_out_dir
+from .experiment import run_regime
 from .grading import PASS_SIZE, GradeBatch, ReferenceModel, grade, nearest_rank
 from .rng import check_seed
 
@@ -77,7 +75,10 @@ def _replacing(*paths: str | None):
     """Text files for ``paths``, None for each path that is None. Each is written to a temporary file in its own
     directory and moved over its path only when the block ends without error; on any failure every
     temporary is deleted, so each path keeps its previous bytes. An error creating a temporary names the path
-    the user gave, not the temporary."""
+    the user gave, not the temporary.
+
+    The one writer besides :func:`~auggen.corpus.save_lines`: ``auggen grade`` writes its
+    files pass by pass and must leave them as they were if it fails, which ``save_lines`` does not promise."""
     temps = []
     try:
         with contextlib.ExitStack() as files:
@@ -123,15 +124,6 @@ def _check_outputs(inputs: dict[str, str], outputs: dict[str, str | None]) -> No
             if _same_file(path, other):
                 raise ValueError(f"{flag} {path} is the same file as {other_flag} {other}")
         seen.append((flag, path))
-
-
-def csv_fields(rows: Iterable[list]) -> list[str]:
-    """What ``csv.writer`` writes for each of ``rows``, less the line end; the CLI ends each line with ``\\n``. A field
-    that holds a ``\\r`` or a ``\\n`` is quoted on every Python version: before 3.13 the writer quotes a line end only
-    if it is in its terminator, so the rows are written as lines that end in ``\\r\\n``."""
-    lines: list[str] = []
-    csv.writer(types.SimpleNamespace(write=lines.append), lineterminator="\r\n").writerows(rows)
-    return [line[:-2] for line in lines]
 
 
 # The most float texts `cmd_grade` keeps from pass to pass, about 2 MiB. A corpus's feature values and weights repeat
@@ -220,7 +212,7 @@ def cmd_train(args: argparse.Namespace) -> int:
 def cmd_compare(args: argparse.Namespace) -> int:
     config = _build_config(args)
     out = resolve_out_dir(args.out_dir, "runs/compare")
-    summaries = compare(config, out)
+    summaries, _ = compare_detailed(config, out)
     for summary in summaries:
         print(
             f"{summary.regime}: best epoch {summary.best_epoch}, "

@@ -5,6 +5,12 @@ two rules: :func:`json_fits` is the one type check of a decoded JSON value,
 and :func:`naming` starts the message of an error about what a file holds
 with ``<path>: ``, then ``line N: `` where the line is known.
 
+It also owns the writers of the files the program puts out and their one
+dialect of each format. :func:`save_lines` opens every such file: UTF-8,
+each line ended by ``\n``. :func:`json_line` is the one JSON dialect, a
+value as one line with sorted keys, and :func:`csv_fields` the one CSV
+dialect, which quotes a field holding ``\r`` or ``\n`` on every Python.
+
 The split shuffle is a keyed-hash permutation: indices are ordered by
 SHA-256 of ``"{seed}:{index}"`` before the cut. This is specified here so
 the procedure is auditable and gives the same split on any platform or
@@ -14,6 +20,7 @@ library version, forever.
 from __future__ import annotations
 
 import contextlib
+import csv
 import hashlib
 import json
 import math
@@ -165,11 +172,35 @@ def load_corpus(path: str | Path) -> Corpus:
         return Corpus(tuple(chorales))
 
 
-def save_corpus(corpus: Corpus, path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for chorale in corpus:
-            fh.write(serialize_chorale(chorale))
+def save_lines(lines: typing.Iterable[str], path: str | Path) -> None:
+    """Write ``lines`` to the UTF-8 file ``path``, each ended by ``\n``, one at a time as they are drawn: the one
+    place the program opens a file for writing, but for the CLI's grade files."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        for line in lines:
+            fh.write(line)
             fh.write("\n")
+
+
+def json_line(value: object) -> str:
+    """The one JSON dialect of the files the program writes: ``value`` on one line, ASCII, keys sorted."""
+    return json.dumps(value, sort_keys=True)
+
+
+def save_json(value: object, path: str | Path) -> None:
+    save_lines([json_line(value)], path)
+
+
+def csv_fields(rows: typing.Iterable[list]) -> list[str]:
+    """The one CSV dialect of the files the program writes: what ``csv.writer`` writes for each of ``rows``, less
+    the line end. A field that holds a ``\r`` or a ``\n`` is quoted on every Python version: before 3.13 the writer
+    quotes a line end only if it is in its terminator, so the rows are written as lines that end in ``\r\n``."""
+    lines: list[str] = []
+    csv.writer(types.SimpleNamespace(write=lines.append), lineterminator="\r\n").writerows(rows)
+    return [line[:-2] for line in lines]
+
+
+def save_corpus(corpus: Corpus, path: str | Path) -> None:
+    save_lines(map(serialize_chorale, corpus), path)
 
 
 def _shuffled_indices(n: int, seed: int) -> list[int]:
@@ -204,10 +235,6 @@ def split_manifest(s: Split) -> dict:
         "train_ids": list(s.train.ids()),
         "validation_ids": list(s.validation.ids()),
     }
-
-
-def save_split_manifest(s: Split, path: str | Path) -> None:
-    Path(path).write_text(json.dumps(split_manifest(s), sort_keys=True) + "\n", encoding="utf-8")
 
 
 # ---------------------------------------------------------------------------

@@ -8,17 +8,17 @@ hyperparameters; the regimes differ only in the acceptance threshold:
 * ``baseline_none``  -- threshold -inf, no generated chorale ever accepted,
 * ``baseline_all``   -- threshold +inf, every unique generation accepted.
 
-Outputs are CSV only; plotting is left to external tools. figure1.csv has
-the per-epoch grade quintuples of each regime's generation step;
-figure2.csv has the corpus grade list plus the grades of ``n_eval`` fresh
-generations from each regime's best snapshot.
+Outputs are CSV and JSON files, written by :mod:`auggen.corpus`'s writers;
+plotting is left to external tools. figure1.csv has the per-epoch grade
+quintuples of each regime's generation step; figure2.csv has the corpus
+grade list plus the grades of ``n_eval`` fresh generations from each
+regime's best snapshot; summary.json has every regime's summary.
 """
 
 from __future__ import annotations
 
 import csv
 import io
-import json
 import math
 import os
 import re
@@ -28,8 +28,8 @@ from pathlib import Path
 from typing import Mapping, Sequence
 
 from .chorale import REST
-from .corpus import Corpus, Split, check_count, check_fields, check_fraction, check_teacher_request, load_corpus, naming
-from .corpus import read_text, save_split_manifest, split, teacher_corpus
+from .corpus import Corpus, Split, check_count, check_fields, check_fraction, check_teacher_request, csv_fields
+from .corpus import load_corpus, naming, read_text, save_json, save_lines, split, split_manifest, teacher_corpus
 from .features import DEFAULT_FEATURES, check_feature_set
 from .grading import DEFAULT_P_EMPTY, ReferenceModel, Threshold, feature_weights, fit_reference, grade, grade_quantile
 from .grading import nearest_rank
@@ -280,28 +280,8 @@ def run_regime(
         generated_count=len(result.manifest) - true_count,
     )
     save_run(result, model, out_dir)
-    (out_dir / "summary.json").write_text(json.dumps(summary.to_json(), sort_keys=True) + "\n", encoding="utf-8")
+    save_json(summary.to_json(), out_dir / "summary.json")
     return result, summary
-
-
-def _write_figure1(path: Path, summaries: Sequence[RegimeSummary]) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["regime", "epoch", "min", "q1", "median", "q3", "max"])
-        for summary in summaries:
-            for epoch, *quint in summary.epoch_grade_stats:
-                writer.writerow([summary.regime, epoch, *[repr(x) for x in quint]])
-
-
-def _write_figure2(path: Path, corpus_grades: Sequence[float], summaries: Sequence[RegimeSummary]) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["source", "grade"])
-        for g in corpus_grades:
-            writer.writerow(["corpus", repr(g)])
-        for summary in summaries:
-            for g in summary.final_grades:
-                writer.writerow([summary.regime, repr(g)])
 
 
 def compare_detailed(config: ExperimentConfig, out_dir: str | Path) -> tuple[list[RegimeSummary], dict[str, RunResult]]:
@@ -314,8 +294,8 @@ def compare_detailed(config: ExperimentConfig, out_dir: str | Path) -> tuple[lis
 
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    (out / "config.json").write_text(json.dumps(config.to_json(), sort_keys=True) + "\n", encoding="utf-8")
-    save_split_manifest(prepared.split, out / "split.json")
+    save_json(config.to_json(), out / "config.json")
+    save_json(split_manifest(prepared.split), out / "split.json")
     prepared.reference.save(out / "reference.json")
 
     summaries: list[RegimeSummary] = []
@@ -332,18 +312,15 @@ def compare_detailed(config: ExperimentConfig, out_dir: str | Path) -> tuple[lis
         summaries.append(summary)
         results[regime] = result
 
-    _write_figure1(out / "figure1.csv", summaries)
-    _write_figure2(out / "figure2.csv", list(prepared.grade_by_id.values()), summaries)
-    (out / "summary.json").write_text(
-        json.dumps([s.to_json() for s in summaries], sort_keys=True) + "\n", encoding="utf-8"
-    )
+    figure1 = [[s.regime, epoch, *map(repr, quint)] for s in summaries for epoch, *quint in s.epoch_grade_stats]
+    save_lines(csv_fields([["regime", "epoch", "min", "q1", "median", "q3", "max"], *figure1]), out / "figure1.csv")
+    figure2 = [["corpus", repr(g)] for g in prepared.grade_by_id.values()]
+    figure2 += [[s.regime, repr(g)] for s in summaries for g in s.final_grades]
+    save_lines(csv_fields([["source", "grade"], *figure2]), out / "figure2.csv")
+    save_json([s.to_json() for s in summaries], out / "summary.json")
     if failure is not None:
         raise failure
     return summaries, results
-
-
-def compare(config: ExperimentConfig, out_dir: str | Path) -> list[RegimeSummary]:
-    return compare_detailed(config, out_dir)[0]
 
 
 def resolve_out_dir(cli_value: str | None, default: str) -> Path:

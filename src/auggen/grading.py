@@ -26,7 +26,7 @@ from typing import Iterable, Mapping, NamedTuple, Sequence
 import numpy as np
 
 from .chorale import Chorale
-from .corpus import Corpus, check_fields, json_fits, load_json, naming
+from .corpus import Corpus, check_fields, json_fits, load_json, naming, save_json
 from .features import REGISTRY, DEFAULT_FEATURES, FeatureDistribution, check_feature_set, realize_batch
 
 DEFAULT_P_EMPTY = 100.0
@@ -153,7 +153,7 @@ class ReferenceModel:
         return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
     def save(self, path: str | Path) -> None:
-        Path(path).write_text(json.dumps(self.to_json(), sort_keys=True) + "\n", encoding="utf-8")
+        save_json(self.to_json(), path)
 
     @classmethod
     def load(cls, path: str | Path) -> "ReferenceModel":

@@ -24,8 +24,6 @@ rerunning with the same inputs reproduces every file byte for byte.
 
 from __future__ import annotations
 
-import csv
-import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -34,7 +32,7 @@ from typing import TYPE_CHECKING, Sequence
 import numpy as np
 
 from .chorale import Chorale, canonical_key
-from .corpus import Corpus, Split, save_corpus
+from .corpus import Corpus, Split, csv_fields, json_line, save_corpus, save_json, save_lines
 from .grading import ReferenceModel, Threshold, grade
 from .model import MarkovModel, sample_batch
 from .rng import stream
@@ -216,36 +214,22 @@ def save_run(result: RunResult, model: MarkovModel, out_dir: str | Path) -> Path
     loop = {key: getattr(result.config, key) for key in _LOOP_KEYS}
     loop["threshold"] = result.threshold.to_json()
     config_payload = {"regime": result.threshold.label, "experiment": result.config.to_json(), "loop": loop}
-    (out / "config.json").write_text(json.dumps(config_payload, sort_keys=True) + "\n", encoding="utf-8")
-
-    with open(out / "epoch_logs.csv", "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["epoch", "candidate_id", "grade", "accepted", "reason"])
-        for entry in result.epoch_logs:
-            for rec in entry.candidates:
-                writer.writerow([entry.epoch, rec.candidate_id, repr(rec.grade), int(rec.accepted), rec.reason])
-
-    with open(out / "metrics.csv", "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["epoch", "additions", "dataset_size", "train_loss", "val_loss"])
-        for entry in result.epoch_logs:
-            writer.writerow(
-                [entry.epoch, entry.additions, entry.dataset_size, repr(entry.train_loss), repr(entry.val_loss)]
-            )
-
-    with open(out / "dataset_manifest.jsonl", "w", encoding="utf-8", newline="\n") as fh:
-        for entry in result.manifest:
-            fh.write(
-                json.dumps(
-                    {
-                        "id": entry.chorale.id,
-                        "origin": entry.origin,
-                        "acceptance_epoch": entry.acceptance_epoch,
-                    },
-                    sort_keys=True,
-                )
-            )
-            fh.write("\n")
+    save_json(config_payload, out / "config.json")
+    epoch_logs = [["epoch", "candidate_id", "grade", "accepted", "reason"]] + [
+        [log.epoch, rec.candidate_id, repr(rec.grade), int(rec.accepted), rec.reason]
+        for log in result.epoch_logs
+        for rec in log.candidates
+    ]
+    save_lines(csv_fields(epoch_logs), out / "epoch_logs.csv")
+    metrics = [["epoch", "additions", "dataset_size", "train_loss", "val_loss"]] + [
+        [log.epoch, log.additions, log.dataset_size, repr(log.train_loss), repr(log.val_loss)]
+        for log in result.epoch_logs
+    ]
+    save_lines(csv_fields(metrics), out / "metrics.csv")
+    manifest = (
+        {"id": e.chorale.id, "origin": e.origin, "acceptance_epoch": e.acceptance_epoch} for e in result.manifest
+    )
+    save_lines(map(json_line, manifest), out / "dataset_manifest.jsonl")
 
     generated = Corpus(tuple(entry.chorale for entry in result.manifest if entry.origin == ORIGIN_GENERATED))
     save_corpus(generated, out / "generated.jsonl")

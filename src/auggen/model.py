@@ -510,5 +510,8 @@ class MarkovModel:
             "vocabs": [list(vocab) for vocab in self.vocabs],
             "counts": None,
         }
-        text = json.dumps(payload, sort_keys=True).replace('"counts": null', f'"counts": {entries}', 1)
-        Path(path).write_text(text + "\n", encoding="utf-8")
+        # the counts go in as text made from arrays, not as Python lists, so the line is not corpus.save_json's; it
+        # is in its dialect, one line of sorted-key JSON. Imported here, as corpus imports this module
+        from .corpus import json_line, save_lines
+
+        save_lines([json_line(payload).replace('"counts": null', f'"counts": {entries}', 1)], path)

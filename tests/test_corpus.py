@@ -14,7 +14,7 @@ from auggen.corpus import (
     json_fits,
     load_corpus,
     save_corpus,
-    save_split_manifest,
+    save_json,
     split,
     split_manifest,
     teacher_corpus,
@@ -175,7 +175,7 @@ def test_split_manifest_roundtrip(tmp_path):
     corpus = tiny_corpus(12)
     s = split(corpus, 0.75, 5)
     path = tmp_path / "split.json"
-    save_split_manifest(s, path)
+    save_json(split_manifest(s), path)
     manifest = json.loads(path.read_text(encoding="utf-8"))
     assert manifest == split_manifest(s)
 

@@ -1078,15 +1078,21 @@ class TestCli:
 
     def test_report_recomputes_stats(self, small_compare, capsys):
         _, out, _, results = small_compare
+        # figure1.csv is written from the summaries in memory, the report from each run's epoch_logs.csv
+        figure1 = list(csv.reader(io.StringIO((out / "figure1.csv").read_text(encoding="utf-8"))))
         for regime, result in results.items():
             capsys.readouterr()
             assert main(["report", "--run-dir", str(out / regime)]) == 0
             printed = capsys.readouterr().out
             assert printed.startswith("epoch,min,q1,median,q3,max\n")
             total, generated = len(result.manifest), sum(e.origin == ORIGIN_GENERATED for e in result.manifest)
-            assert printed.endswith(
-                f"\n# dataset: {total} chorales, {generated} generated ({generated / total:.3f} of total)\n"
-            ), regime
+            assert printed.endswith("\n"), regime
+            quintuples, dataset = printed[:-1].rsplit("\n", 1)
+            assert dataset == f"# dataset: {total} chorales, {generated} generated ({generated / total:.3f} of total)", (
+                regime
+            )
+            rows = [row[1:] for row in figure1[1:] if row[0] == regime]
+            assert rows and list(csv.reader(io.StringIO(quintuples)))[1:] == rows, regime
 
     def test_report_missing_dir_fails(self, tmp_path, capsys):
         assert main(["report", "--run-dir", str(tmp_path)]) == 1

@@ -60,6 +60,44 @@ def test_json_decoded_only_in_chorale_and_corpus():
     assert sorted(callers) == ["chorale.py", "corpus.py"], callers
 
 
+def _calls_by_function(tree: ast.Module):
+    """Each call of ``tree`` with the dotted name of the function or method it is made in ("" at module level)."""
+    def visit(node: ast.AST, scope: str):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                yield from visit(child, f"{scope}.{child.name}".lstrip("."))
+            else:
+                if isinstance(child, ast.Call):
+                    yield scope, child
+                yield from visit(child, scope)
+
+    return visit(tree, "")
+
+
+def _opens_for_writing(call: ast.Call) -> bool:
+    if _called_name(call) in ("write_text", "write_bytes"):
+        return True
+    if _called_name(call) != "open":
+        return False
+    at = 1 if isinstance(call.func, ast.Name) else 0  # open(path, mode) or Path(path).open(mode)
+    modes = [kw.value for kw in call.keywords if kw.arg == "mode"] + call.args[at : at + 1]
+    return any(isinstance(m, ast.Constant) and isinstance(m.value, str) and set(m.value) & set("wxa+") for m in modes)
+
+
+def test_files_written_only_through_corpus_writers():
+    # corpus.save_lines opens every file a run writes and csv_fields is the one CSV dialect; only cli._replacing
+    # writes otherwise, grade's files through temporaries
+    writers, csv_writers = set(), set()
+    for path in sorted(PACKAGE_DIR.glob("*.py")):
+        for scope, call in _calls_by_function(ast.parse(path.read_text(encoding="utf-8"), filename=str(path))):
+            if _opens_for_writing(call):
+                writers.add(f"{path.name}:{scope}")
+            if ast.unparse(call.func) == "csv.writer":
+                csv_writers.add(f"{path.name}:{scope}")
+    assert writers == {"corpus.py:save_lines", "cli.py:_replacing"}, writers
+    assert csv_writers == {"corpus.py:csv_fields"}, csv_writers
+
+
 def test_token_code_is_declared_only_in_chorale():
     # chorale maps a token to its one integer code and back; a token map anywhere else is a second code
     found = []
